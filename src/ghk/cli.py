@@ -169,9 +169,11 @@ def _parse_matrix(text: str) -> tuple[np.ndarray, np.ndarray]:
     Returns (matrix, mean).
     """
     path = Path(text)
-    content = text
-    if path.exists() and path.is_file():
-        content = path.read_text(encoding="utf-8")
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. inline text too long to be a file name
+        is_file = False
+    content = path.read_text(encoding="utf-8") if is_file else text
     content = content.strip()
     if content.startswith("{"):
         try:

@@ -27,7 +27,14 @@ from .errors import (
     NotPhysicalError,
     TruncationInsufficientError,
 )
-from .symplectic import as_covariance, is_physical, square_root_cm, symplectic_eigenvalues
+from .symplectic import (
+    as_covariance,
+    det2,
+    det4,
+    is_physical,
+    square_root_cm,
+    symplectic_eigenvalues,
+)
 
 _ETA_EPS = 1e-12  # offset in the log transform keeping eta above 1/2
 _MAX_FOCK_CUTOFF = 2**14
@@ -74,129 +81,149 @@ class FockOracleConfig:
             raise InvalidParamsError("tail bound must lie in (0, 1)")
 
 
-def _det4_flat(
-    m00, m01, m02, m03, m11, m12, m13, m22, m23, m33
-) -> float:
-    # cofactor expansion of a symmetric 4x4 along the first row
-    d0 = (
-        m11 * (m22 * m33 - m23 * m23)
-        - m12 * (m12 * m33 - m23 * m13)
-        + m13 * (m12 * m23 - m22 * m13)
-    )
-    d1 = (
-        m01 * (m22 * m33 - m23 * m23)
-        - m12 * (m02 * m33 - m23 * m03)
-        + m13 * (m02 * m23 - m22 * m03)
-    )
-    d2 = (
-        m01 * (m12 * m33 - m23 * m13)
-        - m11 * (m02 * m33 - m23 * m03)
-        + m13 * (m02 * m13 - m12 * m03)
-    )
-    d3 = (
-        m01 * (m12 * m23 - m22 * m13)
-        - m11 * (m02 * m23 - m22 * m03)
-        + m12 * (m02 * m13 - m12 * m03)
-    )
-    return m00 * d0 - m01 * d1 + m02 * d2 - m03 * d3
-
-
 def _make_negative_affinity(vt_in: np.ndarray):
-    """Closure computing -affinity(input, product(x)) in scalar arithmetic.
+    """Batched objective computing -affinity(input, product(x)) row by row.
 
-    x = (t1, t2, r1, r2, phi1, phi2) with eta_j = 1/2 - eps + exp(t_j) the
-    square-root-state eigenvalues of the candidate product. The candidate's
-    square-root CM follows directly from the parameterization, so one
-    evaluation costs a handful of flops; values in [-1, 0] on valid input,
-    large positive as an out-of-range penalty.
+    Each row x = (t1, t2, r1, r2, phi1, phi2) has eta_j = 1/2 - eps +
+    exp(t_j), the square-root-state eigenvalues of the candidate product.
+    The candidate's square-root CM follows directly from the
+    parameterization, so a batch costs a few dozen array operations;
+    values in [-1, 0] on valid input, large positive as an out-of-range
+    penalty. Maps an (n, 6) array to an (n,) array.
+
+    Adding the product changes only the diagonal 2x2 blocks A and D of
+    the input; with C the constant cross block,
+    det [[A, C], [C^T, D]] = det A det D + det(C)^2 - tr(adj A C adj D C^T),
+    and the last term is a bilinear form a^T K d in the entries
+    a = (a00, a01, a11), d = (d00, d01, d11), with K fixed by C.
     """
-    f00, f01, f02, f03 = vt_in[0]
-    f11, f12, f13 = vt_in[1, 1], vt_in[1, 2], vt_in[1, 3]
-    f22, f23, f33 = vt_in[2, 2], vt_in[2, 3], vt_in[3, 3]
-    det_in = _det4_flat(f00, f01, f02, f03, f11, f12, f13, f22, f23, f33)
-    quarter_root = det_in**0.25
+    quarter_root = det4(vt_in) ** 0.25
+    # rows (x00, x01, x11) of the two diagonal blocks, modes as columns
+    diag_in = np.array([
+        [vt_in[0, 0], vt_in[2, 2]],
+        [vt_in[0, 1], vt_in[2, 3]],
+        [vt_in[1, 1], vt_in[3, 3]],
+    ])[:, :, None]
+    cross = vt_in[:2, 2:]
+    det_cross_sq = det2(cross) ** 2
+    # adj of a symmetric 2x2 [[u, v], [v, w]] is [[w, -v], [-v, u]]
+    adj_basis = np.array([
+        [[0.0, 0.0], [0.0, 1.0]],
+        [[0.0, -1.0], [-1.0, 0.0]],
+        [[1.0, 0.0], [0.0, 0.0]],
+    ])
+    k = np.einsum("iab,bc,jcd,ad->ij", adj_basis, cross, adj_basis, cross)
 
-    def negative_affinity(x) -> float:
-        t1, t2, r1, r2, p1, p2 = x
-        if t1 > 60.0 or t2 > 60.0 or abs(r1) > 20.0 or abs(r2) > 20.0:
-            return 2.0 + abs(t1) + abs(t2) + abs(r1) + abs(r2)
-        e1 = 0.5 - _ETA_EPS + math.exp(t1)
-        e2 = 0.5 - _ETA_EPS + math.exp(t2)
-        ch1, sh1 = math.cosh(2.0 * r1), math.sinh(2.0 * r1)
-        ch2, sh2 = math.cosh(2.0 * r2), math.sinh(2.0 * r2)
-        c1, s1 = math.cos(p1), math.sin(p1)
-        c2, s2 = math.cos(p2), math.sin(p2)
-        m00 = f00 + e1 * (ch1 + c1 * sh1)
-        m01 = f01 + e1 * s1 * sh1
-        m11 = f11 + e1 * (ch1 - c1 * sh1)
-        m22 = f22 + e2 * (ch2 + c2 * sh2)
-        m23 = f23 + e2 * s2 * sh2
-        m33 = f33 + e2 * (ch2 - c2 * sh2)
-        det_sum = _det4_flat(m00, m01, f02, f03, m11, f12, f13, m22, m23, m33)
-        if det_sum <= 0.0:
-            return 2.0
-        # det of the product's sqrt CM is (e1 e2)^2
-        return -4.0 * quarter_root * math.sqrt(e1 * e2) / math.sqrt(det_sum)
+    def negative_affinity(x: np.ndarray) -> np.ndarray:
+        xt = np.ascontiguousarray(x.T)
+        # one row per mode in each of t, r, phi
+        t, r, phi = xt[:2], xt[2:4], xt[4:]
+        out_of_range = (t > 60.0) | (np.abs(r) > 20.0)
+        if np.count_nonzero(out_of_range):
+            penalized = out_of_range.any(axis=0)
+            t1, t2, r1, r2 = np.abs(xt[:4, penalized])
+            value = np.empty(len(x))
+            value[penalized] = 2.0 + t1 + t2 + r1 + r2
+            value[~penalized] = negative_affinity(x[~penalized])
+            return value
+        eta = (0.5 - _ETA_EPS) + np.exp(t)
+        two_r = 2.0 * r
+        ch, sh = np.cosh(two_r), np.sinh(two_r)
+        c_sh = np.cos(phi) * sh
+        # entries (x00, x01, x11) of both diagonal blocks of Vt_in + product
+        blocks = np.empty((3,) + eta.shape)
+        np.add(ch, c_sh, out=blocks[0])
+        np.multiply(np.sin(phi), sh, out=blocks[1])
+        np.subtract(ch, c_sh, out=blocks[2])
+        blocks *= eta
+        blocks += diag_in
+        b00, b01, b11 = blocks
+        dets = b00 * b11 - b01 * b01
+        bilinear = (blocks[:, 0] * (k @ blocks[:, 1])).sum(axis=0)
+        det_sum = dets[0] * dets[1] + det_cross_sq - bilinear
+        # det of the product's sqrt CM is (eta1 eta2)^2
+        scale = -4.0 * quarter_root * np.sqrt(eta[0] * eta[1])
+        if np.count_nonzero(det_sum <= 0.0):
+            positive = det_sum > 0.0
+            safe = np.where(positive, det_sum, 1.0)
+            return np.where(positive, scale / np.sqrt(safe), 2.0)
+        return scale / np.sqrt(det_sum)
 
     return negative_affinity
 
 
 def _nelder_mead(fn, x0, steps, max_iters, xtol, ftol):
-    """Minimize fn from x0; plain simplex method on python floats.
+    """Minimize fn from every row of x0 by simplex searches run in lockstep.
 
-    Returns (fbest, xbest). Reflection/expansion/contraction/shrink with
-    the standard coefficients; stops when both the f-spread and the
-    coordinate spread of the simplex fall below the tolerances.
+    fn maps an (n, dim) array of points to their (n,) values. Each start
+    runs the plain simplex method on its own simplex: stable sort by value,
+    reflection/expansion/contraction/shrink with the standard coefficients,
+    and a stop once both the f-spread and the coordinate spread of the
+    simplex fall below the tolerances, after which that simplex is frozen.
+    The reflection, expansion and both contraction points follow from the
+    centroid and the worst vertex, so each iteration evaluates all four for
+    every running simplex in one call of fn; shrinks are evaluated only
+    where they happen.
+
+    Returns (fbest, xbest) of shapes (starts,) and (starts, dim).
     """
-    dim = len(x0)
-    points = [list(x0)]
-    for i in range(dim):
-        p = list(x0)
-        p[i] += steps[i]
-        points.append(p)
-    values = [fn(p) for p in points]
+    x0 = np.asarray(x0, dtype=float)
+    starts, dim = x0.shape
+    points = np.repeat(x0[:, None, :], dim + 1, axis=1)
+    diag = np.arange(dim)
+    points[:, diag + 1, diag] += np.asarray(steps, dtype=float)
+    values = fn(points.reshape(-1, dim)).reshape(starts, dim + 1)
+    # p, v hold the running simplices; frozen ones are written back
+    lanes = rows = np.arange(starts)
+    p, v = points, values
     for _ in range(max_iters):
-        order = sorted(range(dim + 1), key=values.__getitem__)
-        points = [points[i] for i in order]
-        values = [values[i] for i in order]
-        if values[-1] - values[0] < ftol:
-            spread = max(
-                max(abs(p[i] - points[0][i]) for p in points) for i in range(dim)
-            )
-            if spread < xtol:
+        order = np.argsort(v, axis=1, kind="stable")
+        p, v = p[rows[:, None], order], v[rows[:, None], order]
+        flat = v[:, -1] - v[:, 0] < ftol
+        if np.count_nonzero(flat):
+            done = flat & (np.abs(p - p[:, :1]).max(axis=(1, 2)) < xtol)
+            points[lanes[done]], values[lanes[done]] = p[done], v[done]
+            go = ~done
+            lanes, p, v = lanes[go], p[go], v[go]
+            if not lanes.size:
                 break
-        centroid = [
-            sum(p[i] for p in points[:-1]) / dim for i in range(dim)
-        ]
-        worst = points[-1]
-        reflected = [2.0 * centroid[i] - worst[i] for i in range(dim)]
-        f_r = fn(reflected)
-        if values[0] <= f_r < values[-2]:
-            points[-1], values[-1] = reflected, f_r
-            continue
-        if f_r < values[0]:
-            expanded = [centroid[i] + 2.0 * (reflected[i] - centroid[i]) for i in range(dim)]
-            f_e = fn(expanded)
-            if f_e < f_r:
-                points[-1], values[-1] = expanded, f_e
-            else:
-                points[-1], values[-1] = reflected, f_r
-            continue
-        if f_r < values[-1]:
-            contracted = [centroid[i] + 0.5 * (reflected[i] - centroid[i]) for i in range(dim)]
-        else:
-            contracted = [centroid[i] + 0.5 * (worst[i] - centroid[i]) for i in range(dim)]
-        f_c = fn(contracted)
-        if f_c < min(f_r, values[-1]):
-            points[-1], values[-1] = contracted, f_c
-            continue
-        best = points[0]
-        points = [best] + [
-            [best[i] + 0.5 * (p[i] - best[i]) for i in range(dim)] for p in points[1:]
-        ]
-        values = [values[0]] + [fn(p) for p in points[1:]]
-    order = sorted(range(dim + 1), key=values.__getitem__)
-    return values[order[0]], points[order[0]]
+            rows = rows[: len(lanes)]
+        centroid = p[:, :-1].sum(axis=1) / dim
+        worst = p[:, -1]
+        # the replacement candidates; choosing the worst vertex means shrink
+        candidates = np.empty((5,) + worst.shape)
+        reflected = np.subtract(2.0 * centroid, worst, out=candidates[0])
+        step = reflected - centroid
+        np.add(centroid, 2.0 * step, out=candidates[1])
+        np.add(centroid, 0.5 * step, out=candidates[2])
+        np.add(centroid, 0.5 * (worst - centroid), out=candidates[3])
+        candidates[4] = worst
+        f_cand = np.concatenate((fn(candidates[:4].reshape(-1, dim)), v[:, -1]))
+        f_r, f_e, f_o, f_i, f_w = f_cand.reshape(5, -1)
+        outside = f_r < f_w
+        f_c = np.where(outside, f_o, f_i)
+        choice = np.where(
+            f_r < v[:, 0],
+            np.where(f_e < f_r, 1, 0),
+            np.where(
+                f_r < v[:, -2],
+                0,
+                np.where(f_c < np.minimum(f_r, f_w), np.where(outside, 2, 3), 4),
+            ),
+        )
+        p[:, -1] = candidates[choice, rows]
+        v[:, -1] = f_cand.reshape(5, -1)[choice, rows]
+        shrink = choice == 4
+        if np.count_nonzero(shrink):
+            best = p[shrink, :1]
+            shrunk = best + 0.5 * (p[shrink, 1:] - best)
+            p[shrink, 1:] = shrunk
+            v[shrink, 1:] = fn(shrunk.reshape(-1, dim)).reshape(-1, dim)
+    else:  # iteration cap: write back the simplices still running
+        points[lanes], values[lanes] = p, v
+    best = np.argmin(values, axis=1)
+    lanes = np.arange(starts)
+    return values[lanes, best], points[lanes, best]
 
 
 def oracle_max_affinity(
@@ -205,10 +232,10 @@ def oracle_max_affinity(
     """Brute-force maximal product-state affinity of a zero-mean state.
 
     Runs ``cfg.starts`` simplex searches from random points in the search
-    box and keeps the best. The two best starts must agree to 10 ftol,
-    otherwise NotConverged is raised. Returns the best value and the
-    optimal parameters in the same square-root parameterization used by
-    ``closest_product_state``.
+    box, in lockstep, and keeps the best. The two best starts must agree
+    to 10 ftol, otherwise NotConverged is raised. Returns the best value
+    and the optimal parameters in the same square-root parameterization
+    used by ``closest_product_state``.
     """
     cfg = cfg or OptimizerConfig()
     rng = rng or np.random.default_rng(0)
@@ -223,28 +250,27 @@ def oracle_max_affinity(
         eta_lo, eta_hi = cfg.eta_bounds
     objective = _make_negative_affinity(vt_in)
     steps = [0.7, 0.7, 0.25, 0.25, 0.5, 0.5]
-    finals = []
-    for _ in range(cfg.starts):
+    x0 = np.empty((cfg.starts, 6))
+    for row in x0:
         etas = rng.uniform(max(eta_lo, 0.5), eta_hi, 2)
-        x0 = [
+        row[:] = (
             math.log(etas[0] - 0.5 + _ETA_EPS),
             math.log(etas[1] - 0.5 + _ETA_EPS),
             rng.uniform(*cfg.r_bounds),
             rng.uniform(*cfg.r_bounds),
             rng.uniform(*cfg.phi_bounds),
             rng.uniform(*cfg.phi_bounds),
-        ]
-        f_best, x_best = _nelder_mead(
-            objective, x0, steps, cfg.max_iters, cfg.xtol, cfg.ftol
         )
-        finals.append((f_best, x_best))
-    finals.sort(key=lambda fx: fx[0])
-    if len(finals) > 1 and finals[1][0] - finals[0][0] > 10.0 * cfg.ftol:
+    f_best, x_best = _nelder_mead(
+        objective, x0, steps, cfg.max_iters, cfg.xtol, cfg.ftol
+    )
+    order = np.argsort(f_best, kind="stable")
+    if len(order) > 1 and f_best[order[1]] - f_best[order[0]] > 10.0 * cfg.ftol:
         raise NotConvergedError(
             "best two starts disagree: "
-            f"{-finals[0][0]:.12g} vs {-finals[1][0]:.12g}"
+            f"{-f_best[order[0]]:.12g} vs {-f_best[order[1]]:.12g}"
         )
-    f_opt, x_opt = finals[0]
+    f_opt, x_opt = float(f_best[order[0]]), x_best[order[0]].tolist()
     params = ProductStateParams(
         eta1=0.5 - _ETA_EPS + math.exp(x_opt[0]),
         eta2=0.5 - _ETA_EPS + math.exp(x_opt[1]),

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConsistencyError,
@@ -169,9 +168,13 @@ def williamson(V) -> tuple[np.ndarray, np.ndarray]:
     """Williamson normal form V = S diag(kappa_j I_2) S^T with S symplectic.
 
     The symplectic factor is recovered by the Cholesky-plus-orthogonal
-    construction: with V = L L^T, the antisymmetric matrix L^T J L has a
-    real Schur form Q T Q^T whose 2x2 blocks carry the symplectic
-    eigenvalues, and S = L Q D^{-1/2}.
+    construction: with V = L L^T, the Hermitian matrix i L^T J L has
+    eigenvalues +/- kappa_j. For an eigenvector a + i b of +kappa_j, the
+    vectors sqrt(2) (b, a) are orthonormal and span the real 2x2 block
+    [[0, kappa_j], [-kappa_j, 0]] of L^T J L; eigenvectors of one
+    eigenvalue are also orthogonal to each other's conjugates, so this
+    holds for degenerate spectra too. Collecting the blocks in Q gives
+    S = L Q D^{-1/2}.
 
     Returns:
         (kappas, S): spectrum sorted descending, modes of S reordered to
@@ -181,20 +184,14 @@ def williamson(V) -> tuple[np.ndarray, np.ndarray]:
     n = cov.n
     low = _cholesky_or_raise(cov.matrix)
     skew = low.T @ symplectic_form(n) @ low
-    t, q = scipy.linalg.schur(skew)
-    kappas = np.empty(n)
-    for j in range(n):
-        w = t[2 * j, 2 * j + 1]
-        if w < 0:
-            q[:, [2 * j, 2 * j + 1]] = q[:, [2 * j + 1, 2 * j]]
-            w = -w
-        kappas[j] = w
-    order = np.argsort(kappas)[::-1]
-    kappas = kappas[order]
-    perm = np.empty(2 * n, dtype=int)
-    perm[0::2] = 2 * order
-    perm[1::2] = 2 * order + 1
-    s = (low @ q[:, perm]) / np.sqrt(np.repeat(kappas, 2))[None, :]
+    eigvals, eigvecs = np.linalg.eigh(1j * skew)
+    # eigh sorts ascending: the last n eigenvalues are the positive kappas
+    kappas = eigvals[n:][::-1].copy()
+    modes = eigvecs[:, n:][:, ::-1]
+    q = np.empty((2 * n, 2 * n))
+    q[:, 0::2] = modes.imag
+    q[:, 1::2] = modes.real
+    s = (low @ (np.sqrt(2.0) * q)) / np.sqrt(np.repeat(kappas, 2))[None, :]
     return kappas, s
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ghk import random_physical_cm
 from ghk.cli import main
 
 
@@ -47,6 +48,15 @@ class TestReport:
         code, out, err = run_cli(capsys, "report", "--matrix", matrix)
         assert code == 2
         assert "physical" in err.lower()
+
+    def test_full_precision_inline_matrix(self, capsys):
+        # repr-precision entries make the text longer than a file name may be
+        cm = random_physical_cm(2, np.random.default_rng(3))
+        matrix = ",".join(repr(x) for x in cm.matrix.ravel().tolist())
+        assert len(matrix) > 255
+        code, out, _ = run_cli(capsys, "report", "--matrix", matrix)
+        assert code == 0
+        assert json.loads(out)["input"]["matrix"] == cm.matrix.tolist()
 
     def test_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "cm.txt"

@@ -9,6 +9,7 @@ from ghk import (
     FockOracleConfig,
     InvalidParamsError,
     MtsParams,
+    NotConvergedError,
     OptimizerConfig,
     StandardForm,
     StsParams,
@@ -23,6 +24,7 @@ from ghk import (
     sts_standard_form,
     verify_phi_zero,
 )
+from ghk import oracle as oracle_module
 from ghk.oracle import _nelder_mead
 
 
@@ -35,26 +37,123 @@ def tmsv_form(r):
 FAST = OptimizerConfig(starts=8)
 
 
+def scalar_nelder_mead(fn, x0, steps, max_iters, xtol, ftol):
+    """Reference: one plain simplex search on python floats."""
+    dim = len(x0)
+    points = [list(x0)]
+    for i in range(dim):
+        p = list(x0)
+        p[i] += steps[i]
+        points.append(p)
+    values = [fn(p) for p in points]
+    for _ in range(max_iters):
+        order = sorted(range(dim + 1), key=values.__getitem__)
+        points = [points[i] for i in order]
+        values = [values[i] for i in order]
+        if values[-1] - values[0] < ftol:
+            spread = max(
+                max(abs(p[i] - points[0][i]) for p in points) for i in range(dim)
+            )
+            if spread < xtol:
+                break
+        centroid = [sum(p[i] for p in points[:-1]) / dim for i in range(dim)]
+        worst = points[-1]
+        reflected = [2.0 * centroid[i] - worst[i] for i in range(dim)]
+        f_r = fn(reflected)
+        if values[0] <= f_r < values[-2]:
+            points[-1], values[-1] = reflected, f_r
+            continue
+        if f_r < values[0]:
+            expanded = [
+                centroid[i] + 2.0 * (reflected[i] - centroid[i]) for i in range(dim)
+            ]
+            f_e = fn(expanded)
+            if f_e < f_r:
+                points[-1], values[-1] = expanded, f_e
+            else:
+                points[-1], values[-1] = reflected, f_r
+            continue
+        if f_r < values[-1]:
+            contracted = [
+                centroid[i] + 0.5 * (reflected[i] - centroid[i]) for i in range(dim)
+            ]
+        else:
+            contracted = [
+                centroid[i] + 0.5 * (worst[i] - centroid[i]) for i in range(dim)
+            ]
+        f_c = fn(contracted)
+        if f_c < min(f_r, values[-1]):
+            points[-1], values[-1] = contracted, f_c
+            continue
+        best = points[0]
+        points = [best] + [
+            [best[i] + 0.5 * (p[i] - best[i]) for i in range(dim)] for p in points[1:]
+        ]
+        values = [values[0]] + [fn(p) for p in points[1:]]
+    order = sorted(range(dim + 1), key=values.__getitem__)
+    return values[order[0]], points[order[0]]
+
+
+def rosenbrock(x):
+    """Rosenbrock's valley; works on python floats and on numpy columns."""
+    a = 1.0 - x[0]
+    b = x[1] - x[0] * x[0]
+    return a * a + 100.0 * (b * b)
+
+
+def quartic(x):
+    """A polynomial in three variables with a tilted, anisotropic bowl."""
+    u = x[0] - 1.0
+    w = x[1] + 0.5 * x[0]
+    z = x[2] - 2.0
+    return u * u * (u * u) + 3.0 * (w * w) + 0.25 * (z * z) + 0.5 * (u * z)
+
+
+def lockstep(fn):
+    """Lift a scalar expression in x[0], x[1], ... to the batched form."""
+    return lambda points: fn(points.T)
+
+
 class TestNelderMead:
     def test_quadratic_bowl(self):
         def bowl(x):
             return (x[0] - 1.0) ** 2 + 3.0 * (x[1] + 2.0) ** 2 + 0.5
 
-        value, point = _nelder_mead(
-            bowl, [4.0, 4.0], [0.5, 0.5], max_iters=500, xtol=1e-10, ftol=1e-14
+        values, points = _nelder_mead(
+            lockstep(bowl), [[4.0, 4.0], [-3.0, 1.0]], [0.5, 0.5],
+            max_iters=500, xtol=1e-10, ftol=1e-14,
         )
-        assert value == pytest.approx(0.5, abs=1e-10)
-        assert point[0] == pytest.approx(1.0, abs=1e-5)
-        assert point[1] == pytest.approx(-2.0, abs=1e-5)
+        for value, point in zip(values, points):
+            assert value == pytest.approx(0.5, abs=1e-10)
+            assert point[0] == pytest.approx(1.0, abs=1e-5)
+            assert point[1] == pytest.approx(-2.0, abs=1e-5)
 
     def test_rosenbrock_progress(self):
-        def rosen(x):
-            return (1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
-
-        value, point = _nelder_mead(
-            rosen, [-1.0, 1.0], [0.4, 0.4], max_iters=4000, xtol=1e-11, ftol=1e-15
+        values, _ = _nelder_mead(
+            lockstep(rosenbrock), [[-1.0, 1.0]], [0.4, 0.4],
+            max_iters=4000, xtol=1e-11, ftol=1e-15,
         )
-        assert value < 1e-9
+        assert values[0] < 1e-9
+
+    @pytest.mark.parametrize(
+        "fn, dim, max_iters",
+        [(rosenbrock, 2, 60), (rosenbrock, 2, 3000), (quartic, 3, 130)],
+    )
+    def test_lanes_match_scalar_reference(self, fn, dim, max_iters):
+        # +, -, * and / round identically on python floats and numpy
+        # arrays, so every lane must reproduce the scalar search bit for bit,
+        # whether it converges early, late, or hits the iteration cap.
+        x0 = np.random.default_rng(5).uniform(-2.0, 2.0, (7, dim))
+        steps = [0.3, 0.6, 0.45][:dim]
+        values, points = _nelder_mead(
+            lockstep(fn), x0, steps, max_iters, xtol=1e-9, ftol=1e-12
+        )
+        for start, value, point in zip(x0, values, points):
+            ref_value, ref_point = scalar_nelder_mead(
+                fn, start.tolist(), steps, max_iters, 1e-9, 1e-12
+            )
+            assert value == ref_value
+            assert point.tolist() == ref_point
 
 
 class TestOracleMaxAffinity:
@@ -96,6 +195,39 @@ class TestOracleMaxAffinity:
             assert params.eta1 * params.eta2 == pytest.approx(
                 kt[0] * kt[1], abs=1e-4, rel=1e-4
             )
+
+    def test_disagreeing_starts_raise(self):
+        # one simplex step per start leaves the best two starts far apart
+        cm = StandardForm(2.0, 1.5, 1.0, -0.5).to_cm()
+        with pytest.raises(NotConvergedError):
+            oracle_max_affinity(cm, OptimizerConfig(starts=4, max_iters=1))
+
+    def test_rng_draws_two_etas_then_four_coordinates_per_start(self, monkeypatch):
+        seen = []
+
+        def recording(fn, x0, *args):
+            seen.append(x0.copy())
+            return _nelder_mead(fn, x0, *args)
+
+        monkeypatch.setattr(oracle_module, "_nelder_mead", recording)
+        cfg = OptimizerConfig(starts=5, max_iters=20, eta_bounds=(0.6, 4.0))
+        cm = StandardForm(2.0, 1.5, 1.0, -0.5).to_cm()
+        rng = np.random.default_rng(13)
+        try:
+            oracle_max_affinity(cm, cfg, rng)
+        except NotConvergedError:
+            pass  # the draws, not the search, are under test
+        twin = np.random.default_rng(13)
+        expected = []
+        for _ in range(cfg.starts):
+            etas = twin.uniform(0.6, 4.0, 2)
+            expected.append(
+                [math.log(eta - 0.5 + oracle_module._ETA_EPS) for eta in etas]
+                + [twin.uniform(*cfg.r_bounds) for _ in range(2)]
+                + [twin.uniform(*cfg.phi_bounds) for _ in range(2)]
+            )
+        assert seen[0].tolist() == expected
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_deterministic_given_rng(self):
         cm = sts_standard_form(StsParams(1.0, 2.0, 0.7)).to_cm()

@@ -15,9 +15,12 @@ from ghk import (
     NotPhysicalError,
     NotPositiveDefiniteError,
     StandardForm,
+    affinity,
     invariants,
     invariants_from_spectrum,
     is_physical,
+    max_affinity,
+    oracle_max_affinity,
     random_physical_cm,
     random_standard_form,
     random_symplectic,
@@ -29,7 +32,7 @@ from ghk import (
     symplectic_form,
     williamson,
 )
-from ghk.states import StsParams, sts_standard_form
+from ghk.states import StsParams, sts_standard_form, sts_state
 from ghk.symplectic import det2, det4
 
 
@@ -147,6 +150,43 @@ class TestWilliamson:
                 )
                 j = symplectic_form(n)
                 np.testing.assert_allclose(s @ j @ s.T, j, atol=1e-10)
+
+
+# Symmetric squeezed thermal states with a doubly degenerate symplectic
+# spectrum, on which a real Schur factorization of L^T J L fails to converge.
+DEGENERATE_STS = [
+    StsParams(4.116728791779476, 4.116728791779476, 1.42820424695416),
+    StsParams(3.0092424022654174, 3.0092424022654174, 2.829833238562583),
+]
+
+
+@pytest.mark.parametrize("params", DEGENERATE_STS)
+class TestDegenerateSpectrum:
+    def test_williamson(self, params):
+        cov = sts_standard_form(params).to_cm()
+        kappas, s = williamson(cov)
+        assert kappas[0] == pytest.approx(kappas[1], rel=1e-12)
+        d = np.diag(np.repeat(kappas, 2))
+        np.testing.assert_allclose(s @ d @ s.T, cov.matrix, rtol=1e-9, atol=1e-12)
+        j = symplectic_form(2)
+        np.testing.assert_allclose(s @ j @ s.T, j, atol=1e-10)
+
+    def test_square_root_cm(self, params):
+        sf = sts_standard_form(params)
+        via_matrix = square_root_cm(sf.to_cm()).matrix
+        via_form = square_root_standard_form(sf).to_cm().matrix
+        np.testing.assert_allclose(
+            via_matrix, via_form, rtol=0, atol=1e-12 * np.max(np.abs(via_form))
+        )
+
+    def test_self_affinity(self, params):
+        state = sts_state(params)
+        assert affinity(state, state).value == pytest.approx(1.0, abs=1e-12)
+
+    def test_oracle(self, params):
+        cov = sts_standard_form(params).to_cm()
+        value, _ = oracle_max_affinity(cov)
+        assert -1e-5 <= value - max_affinity(cov) <= 1e-7
 
 
 class TestSquareRootCm:
