@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, SingularSumError
 from .states import GaussianState
@@ -45,7 +44,7 @@ def _chol_logdet_quad(matrix: np.ndarray, dv: np.ndarray | None) -> tuple[float,
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
     if dv is None or not np.any(dv):
         return logdet, 0.0
-    half = scipy.linalg.solve_triangular(low, dv, lower=True)
+    half = np.linalg.solve(low, dv)
     return logdet, float(half @ half)
 
 

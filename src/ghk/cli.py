@@ -268,8 +268,7 @@ def cmd_report(args) -> int:
 
 def _sweep_row(family: str, params: dict, outputs) -> tuple[bool, dict]:
     try:
-        sf = _family_standard_form(family, params)
-        report = correlation_report(sf.to_cm())
+        report = correlation_report(_family_standard_form(family, params))
     except (InvalidParamsError, NotPhysicalError):
         return False, {name: None for name in outputs}
     values = {}

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import symplectic
 from .errors import (
     DimensionMismatchError,
     InvalidParamsError,
@@ -166,6 +167,12 @@ def _max_affinity_from_tilde(tsf: StandardForm) -> float:
     return min(math.sqrt(num / den), 1.0)
 
 
+def _max_affinity(sf: StandardForm) -> float:
+    if _is_uncorrelated(sf):
+        return 1.0
+    return _max_affinity_from_tilde(square_root_standard_form(sf))
+
+
 def max_affinity(V) -> float:
     """Maximal affinity between a two-mode state and the product states.
 
@@ -173,10 +180,7 @@ def max_affinity(V) -> float:
     square-root state. Local squeeze scales drop out, so the plain
     (unscaled) standard-form reduction suffices.
     """
-    sf = standard_form(V)
-    if _is_uncorrelated(sf):
-        return 1.0
-    return _max_affinity_from_tilde(square_root_standard_form(sf))
+    return _max_affinity(standard_form(V))
 
 
 def max_affinity_via_invariants(V) -> float:
@@ -212,6 +216,21 @@ def max_affinity_via_invariants(V) -> float:
     return min(2.0 * inv.K * root4 / math.sqrt(den), 1.0)
 
 
+def _optimum(tsf: StandardForm) -> tuple[float, float, float, float]:
+    """(eta1, eta2, e^{2 r1}, e^{2 r2}) of the optimum's square-root state.
+
+    ``tsf`` is the standard form of the input's square-root state.
+    """
+    bb = tsf.b1 * tsf.b2
+    gc = max(bb - tsf.c * tsf.c, 0.0)
+    gd = max(bb - tsf.d * tsf.d, 0.0)
+    geo = math.sqrt(gc * gd)  # = kt1 * kt2
+    eta1 = math.sqrt(tsf.b1 / tsf.b2 * geo)
+    eta2 = geo / eta1
+    quotient = (gc / gd) ** 0.25
+    return eta1, eta2, tsf.s1 * quotient, tsf.s2 * quotient
+
+
 def closest_product_state(V, mean=None) -> ClosestProduct:
     """Closest product Gaussian state (in Hellinger distance) to a state.
 
@@ -230,15 +249,9 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
     sf, frame = reduce_to_standard_form(cov)
     tsf = square_root_standard_form(sf)
     value = 1.0 if _is_uncorrelated(sf) else _max_affinity_from_tilde(tsf)
-    bb = tsf.b1 * tsf.b2
-    gc = max(bb - tsf.c * tsf.c, 0.0)
-    gd = max(bb - tsf.d * tsf.d, 0.0)
-    geo = math.sqrt(gc * gd)  # = kt1 * kt2
-    eta1 = math.sqrt(tsf.b1 / tsf.b2 * geo)
-    eta2 = geo / eta1
-    quotient = (gc / gd) ** 0.25
-    r1 = 0.5 * math.log(tsf.s1 * quotient)
-    r2 = 0.5 * math.log(tsf.s2 * quotient)
+    eta1, eta2, e2r1, e2r2 = _optimum(tsf)
+    r1 = 0.5 * math.log(e2r1)
+    r2 = 0.5 * math.log(e2r2)
     sqrt_blocks = np.zeros((4, 4))
     sqrt_blocks[:2, :2] = _squeezed_thermal_block(eta1, r1, 0.0)
     sqrt_blocks[2:, 2:] = _squeezed_thermal_block(eta2, r2, 0.0)
@@ -259,16 +272,8 @@ def stationarity_residual(V) -> float:
     partners with dt; evaluating them is an independent certificate that the
     closed-form point is stationary.
     """
-    sf = standard_form(V)
-    tsf = square_root_standard_form(sf)
-    bb = tsf.b1 * tsf.b2
-    gc = max(bb - tsf.c * tsf.c, 0.0)
-    gd = max(bb - tsf.d * tsf.d, 0.0)
-    geo = math.sqrt(gc * gd)
-    eta1 = math.sqrt(tsf.b1 / tsf.b2 * geo)
-    eta2 = geo / eta1
-    quotient = (gc / gd) ** 0.25
-    e2r1, e2r2 = tsf.s1 * quotient, tsf.s2 * quotient
+    tsf = square_root_standard_form(standard_form(V))
+    eta1, eta2, e2r1, e2r2 = _optimum(tsf)
     u1, u2 = eta1 * e2r1, eta2 * e2r2
     v1, v2 = eta1 / e2r1, eta2 / e2r2
     c2 = tsf.c * tsf.c * tsf.s1 * tsf.s2
@@ -340,6 +345,10 @@ def hellinger_discord_mts(p: MtsParams) -> float:
     return 1.0 - 2.0 / (math.sqrt(y) + 1.0)
 
 
+def _simon_separable(sf: StandardForm, pt_spectrum: tuple[float, float]) -> bool:
+    return sf.d >= 0.0 or pt_spectrum[1] >= 0.5 - active_profile().phys_tol
+
+
 def simon_separable(V) -> bool:
     """PPT separability of a two-mode Gaussian state.
 
@@ -347,10 +356,7 @@ def simon_separable(V) -> bool:
     physical covariance matrix. States with d >= 0 are always separable.
     """
     sf = standard_form(V)
-    if sf.d >= 0.0:
-        return True
-    k2_pt = sf.partial_transpose().spectrum()[1]
-    return k2_pt >= 0.5 - active_profile().phys_tol
+    return _simon_separable(sf, sf.partial_transpose().spectrum())
 
 
 def _require_symmetric_dc(sf: StandardForm) -> tuple[float, float]:
@@ -363,13 +369,7 @@ def _require_symmetric_dc(sf: StandardForm) -> tuple[float, float]:
     return 0.5 * (sf.b1 + sf.b2), sf.c
 
 
-def entropic_discord(V) -> float:
-    """Measurement-based Gaussian discord of a symmetric |d| = c state.
-
-    h(b) - h(k1) - h(k2) + h(y) with y = b - c^2/(b + 1/2). Nonnegative and
-    zero iff the cross-correlations vanish.
-    """
-    sf = standard_form(V)
+def _entropic_discord(sf: StandardForm) -> float:
     b, c = _require_symmetric_dc(sf)
     if _is_uncorrelated(sf):
         return 0.0
@@ -379,13 +379,16 @@ def entropic_discord(V) -> float:
     return max(value, 0.0)
 
 
-def mutual_information(V) -> float:
-    """Quantum mutual information h(b1) + h(b2) - h(k1) - h(k2).
+def entropic_discord(V) -> float:
+    """Measurement-based Gaussian discord of a symmetric |d| = c state.
 
-    For a product state the spectrum equals the marginals and the value is
-    exactly zero.
+    h(b) - h(k1) - h(k2) + h(y) with y = b - c^2/(b + 1/2). Nonnegative and
+    zero iff the cross-correlations vanish.
     """
-    sf = standard_form(V)
+    return _entropic_discord(standard_form(V))
+
+
+def _mutual_information(sf: StandardForm) -> float:
     if _is_uncorrelated(sf):
         return 0.0
     k1, k2 = sf.spectrum()
@@ -398,18 +401,30 @@ def mutual_information(V) -> float:
     return max(value, 0.0)
 
 
+def mutual_information(V) -> float:
+    """Quantum mutual information h(b1) + h(b2) - h(k1) - h(k2).
+
+    For a product state the spectrum equals the marginals and the value is
+    exactly zero.
+    """
+    return _mutual_information(standard_form(V))
+
+
+def _classical_correlations(sf: StandardForm) -> float:
+    b, c = _require_symmetric_dc(sf)
+    if _is_uncorrelated(sf):
+        return 0.0
+    y = b - c * c / (b + 0.5)
+    return max(entropic_h(b) - entropic_h(y), 0.0)
+
+
 def classical_correlations(V) -> float:
     """Classical correlations h(b) - h(y) of a symmetric |d| = c state.
 
     Equals mutual_information - entropic_discord and is identical for the
     d = +c and d = -c partners of the same (b, c).
     """
-    sf = standard_form(V)
-    b, c = _require_symmetric_dc(sf)
-    if _is_uncorrelated(sf):
-        return 0.0
-    y = b - c * c / (b + 0.5)
-    return max(entropic_h(b) - entropic_h(y), 0.0)
+    return _classical_correlations(standard_form(V))
 
 
 def entanglement_of_formation_symmetric(b: float, c: float) -> float:
@@ -449,40 +464,62 @@ class CorrelationReport:
     standard_form: StandardForm
 
 
+def _physical_unscaled(sf: StandardForm) -> StandardForm:
+    """A given standard form with unit scales, once it is known physical.
+
+    Physicality is read from the closed-form spectrum, as in
+    ``square_root_standard_form``. b1 b2 > c^2 (with c >= |d|) is checked
+    too: the spectrum formula can read above 1/2 on forms that belong to
+    no positive-definite matrix.
+    """
+    if (
+        sf.b1 * sf.b2 <= sf.c * sf.c
+        or sf.spectrum()[1] < 0.5 - active_profile().phys_tol
+    ):
+        raise NotPhysicalError("standard form is not a physical state")
+    return StandardForm(sf.b1, sf.b2, sf.c, sf.d)
+
+
 def correlation_report(V, mean=None) -> CorrelationReport:
     """Aggregate every measure for one state.
 
-    The measures are displacement-invariant; the mean, if given, is only
-    validated.
+    ``V`` is a covariance matrix, reduced once by ``standard_form``, or a
+    ``StandardForm``, which is used as it is: its physicality is read from
+    the closed-form spectrum and its scales, which no measure depends on,
+    are reported as 1. Every field is evaluated from that one standard
+    form. The measures are displacement-invariant; the mean, if given, is
+    only validated.
     """
-    cov = as_covariance(V)
     if mean is not None:
         m = np.asarray(mean, dtype=float).reshape(-1)
-        if m.shape != (2 * cov.n,) or not np.all(np.isfinite(m)):
+        if m.shape != (4,) or not np.all(np.isfinite(m)):
             raise DimensionMismatchError("mean must be a finite 4-vector")
-    sf = standard_form(cov)
-    spectrum = sf.spectrum()
-    pt_spectrum = sf.partial_transpose().spectrum()
-    tol = active_profile().phys_tol
-    separable = sf.d >= 0.0 or pt_spectrum[1] >= 0.5 - tol
+    # The class is looked up on its module because a tracer (bench/spans.py)
+    # may swap the imported name for a wrapper function.
+    if isinstance(V, symplectic.StandardForm):
+        sf = _physical_unscaled(V)
+    else:
+        sf = standard_form(V)
     in_family = True
     try:
         b, c = _require_symmetric_dc(sf)
     except OutOfFamilyError:
         in_family = False
+    pt_spectrum = sf.partial_transpose().spectrum()
+    separable = _simon_separable(sf, pt_spectrum)
     ent = cc = eof = None
     if in_family:
-        ent = entropic_discord(cov)
-        cc = classical_correlations(cov)
+        ent = _entropic_discord(sf)
+        cc = _classical_correlations(sf)
     if in_family and sf.d <= 0.0:
         eof = entanglement_of_formation_symmetric(b, c)
     elif separable:
         eof = 0.0
     return CorrelationReport(
-        hellinger_discord=hellinger_discord(cov),
-        mutual_information=mutual_information(cov),
+        hellinger_discord=1.0 - _max_affinity(sf),
+        mutual_information=_mutual_information(sf),
         separable=separable,
-        symplectic_spectrum=spectrum,
+        symplectic_spectrum=sf.spectrum(),
         pt_spectrum=pt_spectrum,
         entropic_discord=ent,
         classical_correlations=cc,

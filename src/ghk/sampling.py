@@ -7,7 +7,6 @@ functions take an explicit numpy Generator so runs are reproducible.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .symplectic import CovarianceMatrix, StandardForm, symplectic_form
 
@@ -19,6 +18,8 @@ BOUNDARY_MARGIN = 1e-6
 
 def random_symplectic(n: int, rng: np.random.Generator, scale: float = 0.35) -> np.ndarray:
     """Random S in Sp(2n, R) as exp(J A) with A a random symmetric generator."""
+    import scipy.linalg  # only here, so that importing the package stays light
+
     a = rng.normal(0.0, scale, (2 * n, 2 * n))
     a = 0.5 * (a + a.T)
     return scipy.linalg.expm(symplectic_form(n) @ a)

@@ -149,7 +149,7 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     eigs = np.linalg.eigvals(symplectic_form(cov.n) @ cov.matrix)
     mags = np.sort(np.abs(eigs))
     lo, hi = mags[0::2], mags[1::2]
-    if not np.allclose(lo, hi, rtol=PAIR_MATCH_RTOL, atol=0.0):
+    if not np.all(np.abs(lo - hi) <= PAIR_MATCH_RTOL * np.abs(hi)):
         raise ConsistencyError("eigenvalues of J V do not pair up by magnitude")
     return (0.5 * (lo + hi))[::-1].copy()
 
@@ -316,8 +316,9 @@ def standard_form(V) -> StandardForm:
     corrupt-input guard. The scale factors are not recovered (they are
     unobservable in every correlation measure) and are emitted as 1.
     """
-    sf, _ = reduce_to_standard_form(V)
-    m = as_covariance(V).matrix
+    cov = as_covariance(V)
+    sf, _ = reduce_to_standard_form(cov)
+    m = cov.matrix
     p = det2(m[:2, 2:])
     q = det4(m)
     beta = sf.b1 * sf.b2
@@ -336,11 +337,16 @@ def _sqrtm2(block: np.ndarray) -> np.ndarray:
     return (block + root_det * np.eye(2)) / np.sqrt(trace + 2.0 * root_det)
 
 
+def _inv2(m: np.ndarray) -> np.ndarray:
+    """Inverse of a 2x2 matrix as its adjugate over its determinant."""
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det2(m)
+
+
 def _proper_svd2(m: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
     """SVD m = u diag(c, d) vt with proper rotations u, vt and c >= |d|."""
     u, sig, vt = np.linalg.svd(m)
-    du = float(np.linalg.det(u))
-    dv = float(np.linalg.det(vt))
+    du = det2(u)
+    dv = det2(vt)
     u = u.copy()
     vt = vt.copy()
     u[:, 1] *= du
@@ -369,7 +375,7 @@ def reduce_to_standard_form(V) -> tuple[StandardForm, np.ndarray]:
         b = np.sqrt(det2(blk))
         bs.append(float(b))
         mats.append(_sqrtm2(blk) / np.sqrt(b))  # det-1, hence symplectic
-    inv1, inv2 = np.linalg.inv(mats[0]), np.linalg.inv(mats[1])
+    inv1, inv2 = _inv2(mats[0]), _inv2(mats[1])
     cross = inv1 @ m[:2, 2:] @ inv2.T
     u, c, d, vt = _proper_svd2(cross)
     sf = StandardForm(bs[0], bs[1], c, d, 1.0, 1.0)

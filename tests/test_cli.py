@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghk
 from ghk import random_physical_cm
 from ghk.cli import main
 
@@ -190,6 +195,31 @@ class TestSweep:
                 assert physical
         assert seen_unphysical
 
+    def test_pure_sts_edge_grid_completes(self, capsys):
+        # reducing the matrices of this grid raises ConsistencyError at
+        # r = 9.7 and 10.95, which would end the sweep; rows beyond r ~ 5
+        # lose accuracy to cancellation and are not checked here
+        code, out, _ = run_cli(
+            capsys, "sweep", "--sts", "nbar1=0", "nbar2=0",
+            "--sweep-param", "r", "--range", "0.05:12:240",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 241
+        header = lines[0].split(",")
+        r_col = header.index("r")
+        phys_col = header.index("physical")
+        hd_col = header.index("hellinger_discord")
+        checked = 0
+        for row in lines[1:]:
+            cells = row.split(",")
+            r = float(cells[r_col])
+            if r <= 3.0:
+                assert cells[phys_col] == "true"
+                assert abs(float(cells[hd_col]) - math.tanh(r) ** 2) <= 1e-10
+                checked += 1
+        assert checked == 60
+
     def test_classical_correlations_match_between_signs(self, capsys):
         rows = {}
         for dsign in ("-1", "1"):
@@ -262,3 +292,17 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert "standard form" in out
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(ghk.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, ghk, ghk.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

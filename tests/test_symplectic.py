@@ -456,3 +456,20 @@ class TestCovarianceMatrixType:
         rng = np.random.default_rng(20)
         for _ in range(20):
             symplectic_eigenvalues(random_physical_cm(3, rng))
+
+    @pytest.mark.parametrize("factor, raises", [(0.5, False), (2.0, True)])
+    def test_pair_check_tolerance(self, monkeypatch, factor, raises):
+        # J V of a valid matrix always pairs up, so the eigensolver is made
+        # to return +/- i kappa pairs whose magnitudes differ by a set amount
+        from ghk import symplectic
+        from ghk.symplectic import PAIR_MATCH_RTOL
+
+        gap = factor * PAIR_MATCH_RTOL
+        broken = np.array([3j, -3j * (1 + gap), 0.7j, -0.7j])
+        monkeypatch.setattr(symplectic.np.linalg, "eigvals", lambda _: broken)
+        cm = StandardForm(1.5, 1.2, 0.3, -0.2).to_cm()
+        if raises:
+            with pytest.raises(ConsistencyError):
+                symplectic_eigenvalues(cm)
+        else:
+            np.testing.assert_allclose(symplectic_eigenvalues(cm), (3.0, 0.7), rtol=1e-6)
