@@ -15,6 +15,12 @@ from .affinity import (
     hellinger_distance,
     trace_of_sqrt,
 )
+from .checks import (
+    invariants,
+    max_affinity_via_invariants,
+    stationarity_residual,
+    verify_phi_zero,
+)
 from .discord import (
     ClosestProduct,
     CorrelationReport,
@@ -29,10 +35,8 @@ from .discord import (
     hellinger_discord_sts,
     hellinger_discord_symmetric,
     max_affinity,
-    max_affinity_via_invariants,
     mutual_information,
     simon_separable,
-    stationarity_residual,
 )
 from .errors import (
     ConsistencyError,
@@ -59,7 +63,6 @@ from .oracle import (
     fock_thermal_spectrum,
     fock_trace_distance_diagonal,
     oracle_max_affinity,
-    verify_phi_zero,
 )
 from .sampling import random_physical_cm, random_standard_form, random_symplectic
 from .states import (
@@ -85,7 +88,6 @@ from .symplectic import (
     as_covariance,
     det2,
     det4,
-    invariants,
     invariants_from_spectrum,
     is_physical,
     reduce_to_standard_form,

@@ -18,14 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .affinity import affinity, gaussian_overlap_trace, trace_of_sqrt
-from .discord import (
-    correlation_report,
-    max_affinity,
-    max_affinity_via_invariants,
-    stationarity_residual,
-)
+from . import __version__, checks
+from .discord import correlation_report
 from .errors import (
     ConsistencyError,
     GhkError,
@@ -35,30 +29,13 @@ from .errors import (
     ParseError,
     TruncationInsufficientError,
 )
-from .oracle import (
-    FockOracleConfig,
-    fock_affinity_diagonal,
-    fock_sqrt_trace_diagonal,
-    fock_trace_distance_diagonal,
-    fock_product_trace_diagonal,
-    oracle_max_affinity,
-)
-from .sampling import random_standard_form, random_symplectic
 from .states import (
-    GaussianState,
     MtsParams,
     StsParams,
     mts_standard_form,
     sts_standard_form,
-    thermal_state,
 )
-from .symplectic import (
-    CovarianceMatrix,
-    StandardForm,
-    as_covariance,
-    square_root_cm,
-    square_root_standard_form,
-)
+from .symplectic import CovarianceMatrix, StandardForm, as_covariance
 from .tolerances import active_profile
 
 _MEASURES = (
@@ -307,6 +284,8 @@ def cmd_sweep(args) -> int:
         steps = int(pieces[2])
     except ValueError:
         raise ParseError(f"could not parse --range {args.range!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ParseError(f"--range start and stop must be finite: {args.range!r}")
     if steps < 2:
         raise ParseError("--range needs at least 2 steps")
     outputs = list(_MEASURES)
@@ -353,115 +332,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _verify_suites(seed: int, trials: int, inject_breach: bool):
-    """Run the verification suites; yields (name, worst, tol, detail)."""
-    rng = np.random.default_rng(seed)
-    forms = [random_standard_form(rng) for _ in range(trials)]
-
-    gap_worst = excess_worst = 0.0
-    gap_detail = excess_detail = ""
-    route_worst = sqrt_worst = resid_worst = 0.0
-    route_detail = sqrt_detail = resid_detail = ""
-    for sf in forms:
-        cov = sf.to_cm()
-        closed = max_affinity(cov)
-        if inject_breach:
-            closed += 1e-3
-        value, _ = oracle_max_affinity(cov, rng=rng)
-        if closed - value > gap_worst:
-            gap_worst, gap_detail = closed - value, _sf_repr(sf)
-        if value - closed > excess_worst:
-            excess_worst, excess_detail = value - closed, _sf_repr(sf)
-
-        alt = max_affinity_via_invariants(cov)
-        rel = abs(alt - closed) / closed
-        if rel > route_worst:
-            route_worst, route_detail = rel, _sf_repr(sf)
-
-        via_matrix = square_root_cm(cov).matrix
-        via_form = square_root_standard_form(sf).to_cm().matrix
-        err = np.max(np.abs(via_matrix - via_form)) / np.max(np.abs(via_matrix))
-        if err > sqrt_worst:
-            sqrt_worst, sqrt_detail = err, _sf_repr(sf)
-
-        resid = stationarity_residual(cov)
-        if resid > resid_worst:
-            resid_worst, resid_detail = resid, _sf_repr(sf)
-
-    yield ("closed form below oracle", gap_worst, 1e-5, gap_detail)
-    yield ("oracle above closed form", excess_worst, 1e-7, excess_detail)
-    if inject_breach:
-        # adding 1e-3 to the closed form shifts the route comparison too;
-        # only the oracle suites are meaningful under injection
-        route_worst = sqrt_worst = resid_worst = 0.0
-    yield ("max-affinity route equivalence", route_worst, 1e-8, route_detail)
-    yield ("square-root form vs decomposition", sqrt_worst, 1e-8, sqrt_detail)
-    yield ("stationarity residual", resid_worst, 1e-9, resid_detail)
-
-    # spectral (photon-number) cross-checks on a thermal grid
-    grid = [0.0, 0.3, 1.0, 3.0, 10.0]
-    fock_cfg = FockOracleConfig()
-    fock_worst, sandwich_worst = 0.0, 0.0
-    fock_detail = sandwich_detail = ""
-    for nb1 in grid:
-        one = thermal_state([nb1])
-        diff = abs(trace_of_sqrt(one) - fock_sqrt_trace_diagonal(nb1, fock_cfg))
-        if diff > fock_worst:
-            fock_worst, fock_detail = diff, f"tr-sqrt nbar={nb1}"
-        for nb2 in grid:
-            other = thermal_state([nb2])
-            a_g = affinity(one, other).value
-            a_f = fock_affinity_diagonal(nb1, nb2, fock_cfg)
-            if abs(a_g - a_f) > fock_worst:
-                fock_worst, fock_detail = abs(a_g - a_f), f"affinity nbar=({nb1},{nb2})"
-            o_g = gaussian_overlap_trace(one.cm, other.cm, np.zeros(2))
-            o_f = fock_product_trace_diagonal(nb1, nb2, fock_cfg)
-            if abs(o_g - o_f) > fock_worst:
-                fock_worst, fock_detail = abs(o_g - o_f), f"overlap nbar=({nb1},{nb2})"
-            t = fock_trace_distance_diagonal(nb1, nb2, fock_cfg)
-            upper = math.sqrt(max(1.0 - a_f * a_f, 0.0))
-            breach = max(0.0, (1.0 - a_f) - t, t - upper)
-            if breach > sandwich_worst:
-                sandwich_worst, sandwich_detail = breach, f"nbar=({nb1},{nb2})"
-    yield ("photon-number vs Gaussian", fock_worst, 1e-6, fock_detail)
-    yield ("trace-distance sandwich", sandwich_worst, 1e-9, sandwich_detail)
-
-    # invariance properties of the affinity on random pairs
-    prop_worst, prop_detail = 0.0, ""
-    for _ in range(min(trials, 40)):
-        s1 = GaussianState(rng.normal(0, 1, 4), random_standard_form(rng).to_cm())
-        s2 = GaussianState(rng.normal(0, 1, 4), random_standard_form(rng).to_cm())
-        a12 = affinity(s1, s2).value
-        a21 = affinity(s2, s1).value
-        if abs(a12 - a21) > prop_worst:
-            prop_worst, prop_detail = abs(a12 - a21), "symmetry"
-        sym = random_symplectic(2, rng)
-        shift = rng.normal(0, 1, 4)
-        moved1 = GaussianState(
-            sym @ s1.mean + shift, CovarianceMatrix(sym @ s1.cm.matrix @ sym.T)
-        )
-        moved2 = GaussianState(
-            sym @ s2.mean + shift, CovarianceMatrix(sym @ s2.cm.matrix @ sym.T)
-        )
-        moved = affinity(moved1, moved2).value
-        if abs(moved - a12) > prop_worst:
-            prop_worst, prop_detail = abs(moved - a12), "unitary invariance"
-    yield ("affinity invariance properties", prop_worst, 1e-9, prop_detail)
-
-
-def _sf_repr(sf: StandardForm) -> str:
-    return (
-        f"standard form b1={sf.b1!r} b2={sf.b2!r} c={sf.c!r} d={sf.d!r}"
-    )
-
-
 def cmd_verify(args) -> int:
     failures = 0
     print(f"verification: seed={args.seed} trials={args.trials} "
           f"profile={active_profile().name}")
-    for name, worst, tol, detail in _verify_suites(
-        args.seed, args.trials, args.inject_breach
-    ):
+    for name, worst, tol, detail in checks.suites(args.seed, args.trials):
         ok = worst <= tol
         status = "PASS" if ok else "FAIL"
         line = f"{status}  {name:<36} max deviation {worst:.3e} (tol {tol:.0e})"
@@ -471,6 +346,13 @@ def cmd_verify(args) -> int:
             if detail:
                 print(f"      offending input: {detail}")
     return 1 if failures else 0
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -518,10 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the numerical verification suites")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_non_negative_int, default=0)
     verify.add_argument("--trials", type=_positive_int, default=100)
-    verify.add_argument("--inject-breach", action="store_true",
-                        help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)
     return parser
 

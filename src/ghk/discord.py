@@ -12,9 +12,6 @@ square-root state:
   * the maximal affinity is
     [4 sqrt(det Vt) / ((sqrt(bt1 bt2) + sqrt(bt1 bt2 - ct^2))
                        (sqrt(bt1 bt2) + sqrt(bt1 bt2 - dt^2)))]^(1/2).
-
-A second, independent expression written directly in the input standard
-form and the spectrum invariants is kept as a cross-check route.
 """
 
 from __future__ import annotations
@@ -183,39 +180,6 @@ def max_affinity(V) -> float:
     return _max_affinity(standard_form(V))
 
 
-def max_affinity_via_invariants(V) -> float:
-    """Cross-check route for ``max_affinity`` written in the input frame.
-
-    Uses only the input standard form, the symplectic spectrum and the
-    K/M invariants. Degenerates to 0/0 when both modes are pure (K = 0);
-    that case falls back to the square-root-form route, which has a finite
-    limit there.
-    """
-    sf = standard_form(V)
-    if _is_uncorrelated(sf):
-        return 1.0
-    inv = invariants_from_spectrum(sf.spectrum())
-    if inv.K <= 0.0:
-        return _max_affinity_from_tilde(square_root_standard_form(sf))
-    bb = sf.b1 * sf.b2
-    det_v = sf.cm_determinant()
-    b_plus = bb * inv.K**2 + 0.25 * (sf.b1 * sf.c + sf.b2 * sf.d) ** 2
-    b_minus = bb * inv.K**2 + 0.25 * (sf.b2 * sf.c + sf.b1 * sf.d) ** 2
-    gc = math.sqrt(max(bb - sf.c * sf.c, 0.0))
-    gd = math.sqrt(max(bb - sf.d * sf.d, 0.0))
-    q = (gc + gd) ** 2 * (
-        bb * (math.sqrt(inv.M1) + math.sqrt(inv.M2)) ** 2
-        - 0.25 * (sf.b1 - sf.b2) ** 2
-    ) - (math.sqrt(b_plus) - math.sqrt(b_minus)) ** 2
-    root4 = det_v**0.25
-    den = (
-        inv.K**2 * math.sqrt(det_v)
-        + inv.K * root4 * math.sqrt(max(q, 0.0))
-        + math.sqrt(b_plus * b_minus)
-    )
-    return min(2.0 * inv.K * root4 / math.sqrt(den), 1.0)
-
-
 def _optimum(tsf: StandardForm) -> tuple[float, float, float, float]:
     """(eta1, eta2, e^{2 r1}, e^{2 r2}) of the optimum's square-root state.
 
@@ -262,29 +226,6 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
         eta1=e1, eta2=e2, r1=rr1, r2=rr2, phi1=ph1, phi2=ph2, mean=mean
     )
     return ClosestProduct(params=params, max_affinity=value)
-
-
-def stationarity_residual(V) -> float:
-    """Largest residual of the four optimality conditions at the optimum.
-
-    The maximizer must annihilate the four products
-    (bt1 st1 +/- u1)(bt2 st2 -/+ u2) - ct^2 st1 st2 and their momentum-side
-    partners with dt; evaluating them is an independent certificate that the
-    closed-form point is stationary.
-    """
-    tsf = square_root_standard_form(standard_form(V))
-    eta1, eta2, e2r1, e2r2 = _optimum(tsf)
-    u1, u2 = eta1 * e2r1, eta2 * e2r2
-    v1, v2 = eta1 / e2r1, eta2 / e2r2
-    c2 = tsf.c * tsf.c * tsf.s1 * tsf.s2
-    d2 = tsf.d * tsf.d / (tsf.s1 * tsf.s2)
-    residuals = (
-        (tsf.b1 * tsf.s1 + u1) * (tsf.b2 * tsf.s2 - u2) - c2,
-        (tsf.b1 * tsf.s1 - u1) * (tsf.b2 * tsf.s2 + u2) - c2,
-        (tsf.b1 / tsf.s1 + v1) * (tsf.b2 / tsf.s2 - v2) - d2,
-        (tsf.b1 / tsf.s1 - v1) * (tsf.b2 / tsf.s2 + v2) - d2,
-    )
-    return max(abs(r) for r in residuals)
 
 
 def hellinger_discord(V) -> float:

@@ -282,34 +282,6 @@ def oracle_max_affinity(
     return -f_opt, params
 
 
-def _fold_half_pi(phi: float) -> float:
-    """Fold a squeeze angle into (-pi/2, pi/2] (the (r, phi) ambiguity)."""
-    x = math.fmod(phi, math.pi)
-    if x > math.pi / 2.0:
-        x -= math.pi
-    elif x <= -math.pi / 2.0:
-        x += math.pi
-    return x
-
-
-def verify_phi_zero(
-    V, cfg: OptimizerConfig | None = None, rng: np.random.Generator | None = None
-) -> bool:
-    """Check that the brute-force optimum needs no squeeze rotation.
-
-    True when both optimal angles fold to within 1e-3 of zero. Angles are
-    meaningless where the optimal squeezing vanishes, so |r| < 1e-4 counts
-    as zero.
-    """
-    _, params = oracle_max_affinity(V, cfg, rng)
-    for r, phi in ((params.r1, params.phi1), (params.r2, params.phi2)):
-        if abs(r) < 1e-4:
-            continue
-        if abs(_fold_half_pi(phi)) > 1e-3:
-            return False
-    return True
-
-
 def _certified_cutoff(nbar: float, cfg: FockOracleConfig) -> int:
     """Smallest admissible cutoff with geometric tail below the bound."""
     if nbar < 0:

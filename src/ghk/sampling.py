@@ -1,7 +1,8 @@
 """Random generators for covariance matrices, standard forms, symplectics.
 
-Used by the property-test suites and by the CLI verification command; all
-functions take an explicit numpy Generator so runs are reproducible.
+Used by the property-test suites and by the verification checks in
+``ghk.checks``; all functions take an explicit numpy Generator so runs are
+reproducible.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,9 @@ from .errors import (
 from .tolerances import active_profile
 
 # Relative tolerance demanded from the internal square-root consistency
-# identity V = (Vt - J Vt^-1 J / 4) / 2 and from the two determinant routes
-# to the invariant D. Breaches raise ConsistencyError: they indicate a
-# numerically corrupt input rather than a user error.
+# identity V = (Vt - J Vt^-1 J / 4) / 2. Breaches raise ConsistencyError:
+# they indicate a numerically corrupt input rather than a user error.
 SQRT_IDENTITY_RTOL = 1e-8
-DET_IDENTITY_RTOL = 1e-9
 
 # The eigenvalues of J V come in +/- pairs; their magnitudes must match to
 # this relative tolerance before deduplication.
@@ -260,7 +259,7 @@ class StandardForm:
 
     def __post_init__(self) -> None:
         vals = [float(getattr(self, f)) for f in ("b1", "b2", "c", "d", "s1", "s2")]
-        if not all(np.isfinite(vals)):
+        if not all(map(math.isfinite, vals)):
             raise InvalidParamsError("standard-form parameters must be finite")
         for name, value in zip(("b1", "b2", "c", "d", "s1", "s2"), vals):
             object.__setattr__(self, name, value)
@@ -425,29 +424,6 @@ def invariants_from_spectrum(kappas) -> SymplecticInvariants:
     return SymplecticInvariants(
         K=float(k_inv), L=float(l_inv), M1=m1, M2=m2, N1=n1, N2=n2, D=m1 * m2
     )
-
-
-def invariants(V) -> SymplecticInvariants:
-    """Invariants of a physical two-mode CM, with a determinant cross-check.
-
-    D is computed both as M1 M2 and as
-    det V - (det A + det B + 2 det C)/4 + 1/16 from the matrix blocks; the
-    two routes must agree to DET_IDENTITY_RTOL.
-    """
-    cov = as_covariance(V)
-    if cov.n != 2:
-        raise DimensionMismatchError("invariants are defined for two modes")
-    if not is_physical(cov):
-        raise NotPhysicalError("covariance matrix is not a physical state")
-    inv = invariants_from_spectrum(symplectic_eigenvalues(cov))
-    m = cov.matrix
-    delta = det2(m[:2, :2]) + det2(m[2:, 2:]) + 2.0 * det2(m[:2, 2:])
-    d_direct = det4(m) - 0.25 * delta + 0.0625
-    if abs(d_direct - inv.D) > DET_IDENTITY_RTOL * max(1.0, abs(inv.D)):
-        raise ConsistencyError(
-            f"determinant routes to D disagree: {d_direct!r} vs {inv.D!r}"
-        )
-    return inv
 
 
 def square_root_standard_form(sf: StandardForm) -> StandardForm:

@@ -3,6 +3,8 @@
 The random two-mode suite (500 seeded standard forms, diagonal strengths
 in [1/2, 5], cross terms filtered for physicality) is shared by the
 closed-form-vs-brute-force, route-equivalence and stationarity criteria.
+Those criteria and the trace-distance sandwich run the checks of
+``ghk.checks`` that ``ghk verify`` runs, and assert their tolerances here.
 """
 
 import math
@@ -23,26 +25,20 @@ from ghk import (
     entropic_discord,
     fock_affinity_diagonal,
     fock_sqrt_trace_diagonal,
-    fock_trace_distance_diagonal,
     hellinger_discord,
     hellinger_discord_sts,
-    max_affinity,
-    max_affinity_via_invariants,
     mutual_information,
     mts_standard_form,
-    oracle_max_affinity,
     purity,
     random_standard_form,
     random_symplectic,
-    square_root_cm,
-    square_root_standard_form,
     sts_standard_form,
-    stationarity_residual,
     tensor,
     thermal_state,
     trace_of_sqrt,
     vacuum_state,
 )
+from ghk import checks
 from ghk.states import MtsParams
 
 SUITE_SIZE = 500
@@ -70,15 +66,11 @@ def test_criterion_1_symmetric_sts_universality():
 
 def test_criterion_2_closed_form_vs_brute_force(random_suite):
     started = time.perf_counter()
-    rng = np.random.default_rng(99)
-    worst_below = 0.0  # closed form above oracle (oracle missed)
-    worst_above = 0.0  # oracle above closed form (closed form not maximal)
-    for sf in random_suite:
-        cov = sf.to_cm()
-        closed = max_affinity(cov)
-        value, _ = oracle_max_affinity(cov, rng=rng)
-        worst_below = max(worst_below, closed - value)
-        worst_above = max(worst_above, value - closed)
+    below, above = checks.closed_form_vs_oracle(
+        random_suite, np.random.default_rng(99)
+    )
+    worst_below = below.worst  # closed form above oracle (oracle missed)
+    worst_above = above.worst  # oracle above closed form (closed form not maximal)
     elapsed = time.perf_counter() - started
     assert worst_below <= 1e-5
     assert worst_above <= 1e-7
@@ -89,21 +81,8 @@ def test_criterion_2_closed_form_vs_brute_force(random_suite):
 
 
 def test_criterion_3_route_equivalence(random_suite):
-    worst_routes = 0.0
-    worst_sqrt = 0.0
-    for sf in random_suite:
-        cov = sf.to_cm()
-        tilde_route = max_affinity(cov)
-        invariant_route = max_affinity_via_invariants(cov)
-        worst_routes = max(
-            worst_routes, abs(tilde_route - invariant_route) / tilde_route
-        )
-        via_matrix = square_root_cm(cov).matrix
-        via_form = square_root_standard_form(sf).to_cm().matrix
-        worst_sqrt = max(
-            worst_sqrt,
-            np.max(np.abs(via_matrix - via_form)) / np.max(np.abs(via_matrix)),
-        )
+    worst_routes = checks.route_equivalence(random_suite).worst
+    worst_sqrt = checks.square_root_routes(random_suite).worst
     assert worst_routes <= 1e-8
     assert worst_sqrt <= 1e-8
     print(f"PASS criterion 3: affinity routes rel dev {worst_routes:.2e}; "
@@ -111,7 +90,7 @@ def test_criterion_3_route_equivalence(random_suite):
 
 
 def test_criterion_4_stationarity_residual(random_suite):
-    worst = max(stationarity_residual(sf.to_cm()) for sf in random_suite)
+    worst = checks.stationarity(random_suite).worst
     assert worst <= 1e-9
     print(f"PASS criterion 4: optimality-condition residual max {worst:.2e}")
 
@@ -129,12 +108,7 @@ def test_criterion_5_spectral_cross_checks():
     assert abs(a_fock - 1.0 / math.sqrt(2.0)) <= 1e-6
     # trace-distance sandwich across the thermal grid
     grid = (0.0, 0.3, 1.0, 3.0, 10.0)
-    for nb1 in grid:
-        for nb2 in grid:
-            a = fock_affinity_diagonal(nb1, nb2)
-            t = fock_trace_distance_diagonal(nb1, nb2)
-            assert 1.0 - a <= t + 1e-9
-            assert t <= math.sqrt(max(1.0 - a * a, 0.0)) + 1e-9
+    assert checks.trace_distance_sandwich(grid).worst <= 1e-9
     print("PASS criterion 5: spectral cross-checks (trace of sqrt, affinity, "
           "trace-distance sandwich)")
 

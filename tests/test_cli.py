@@ -261,6 +261,16 @@ class TestSweep:
         assert len(payload["rows"]) == 5
         assert payload["rows"][0][1] is True
 
+    @pytest.mark.parametrize("bounds", ["0:inf:3", "nan:1:3", "1:-inf:3"])
+    def test_non_finite_range_exit_2(self, capsys, bounds):
+        code, out, err = run_cli(
+            capsys, "sweep", "--sts", "nbar1=1", "nbar2=1",
+            "--sweep-param", "r", "--range", bounds,
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_sweep_param_validation(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--sts", "nbar1=1", "nbar2=1", "r=1",
@@ -285,10 +295,18 @@ class TestVerify:
             main(["verify", "--trials", "0"])
         assert excinfo.value.code == 2
 
-    def test_breach_injection(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--seed", "42", "--trials", "3", "--inject-breach"
+    def test_negative_seed_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--seed", "-1", "--trials", "1"])
+        assert excinfo.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_breach_injection(self, capsys, monkeypatch):
+        closed_form = ghk.checks.max_affinity
+        monkeypatch.setattr(
+            ghk.checks, "max_affinity", lambda cov: closed_form(cov) + 1e-3
         )
+        code, out, _ = run_cli(capsys, "verify", "--seed", "42", "--trials", "3")
         assert code == 1
         assert "FAIL" in out
         assert "standard form" in out
