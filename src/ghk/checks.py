@@ -1,15 +1,11 @@
-"""Cross-check routes and the verification checks built on them.
+"""Second routes to the closed forms, and the checks built on them.
 
-No reported measure goes through this module. It holds second routes to
-quantities the package computes in closed form, and checks that compare the
-closed forms with those routes and with the oracles. ``ghk verify`` prints
-the records of ``suites``; the acceptance tests run the same checks on
-their own suite and assert their own tolerances.
+No reported measure goes through this module. ``ghk verify`` prints the
+records of ``suites``; the acceptance tests call the same checks.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -168,11 +164,7 @@ class Record(NamedTuple):
 
 
 def _record(name: str, tol: float, deviations) -> Record:
-    """The largest of (deviation, offending input) pairs.
-
-    With no positive deviation the record reads 0 and no input. A NaN
-    deviation counts as the largest, so that it fails every tolerance.
-    """
+    """The largest of (deviation, input) pairs; a NaN counts as the largest."""
     worst, detail = 0.0, ""
     for dev, where in deviations:
         if dev > worst or math.isnan(dev):
@@ -180,137 +172,105 @@ def _record(name: str, tol: float, deviations) -> Record:
     return Record(name, worst, tol, detail)
 
 
-def _check(name: str, tol: float):
-    """Make a generator of (deviation, input) pairs return its ``Record``."""
-
-    def decorate(deviations):
-        @functools.wraps(deviations)
-        def check(*args) -> Record:
-            return _record(name, tol, deviations(*args))
-
-        return check
-
-    return decorate
-
-
 def _sf_repr(sf: StandardForm) -> str:
     return f"standard form b1={sf.b1!r} b2={sf.b2!r} c={sf.c!r} d={sf.d!r}"
 
 
 def closed_form_vs_oracle(forms, rng: np.random.Generator) -> tuple[Record, Record]:
-    """The closed-form maximal affinity against one oracle run per form.
-
-    The oracle draws its starts from ``rng``. Returns how far the closed
-    form exceeds the oracle (the oracle missed the optimum) and how far the
-    oracle exceeds the closed form (the closed form is not maximal).
-    """
+    """How far the closed form lies above, then below, one oracle run per form."""
     gaps = []
     for sf in forms:
         cov = sf.to_cm()
         value, _ = oracle_max_affinity(cov, rng=rng)
         gaps.append((max_affinity(cov) - value, _sf_repr(sf)))
-    excesses = [(-gap, where) for gap, where in gaps]
     return (
         _record("closed form below oracle", 1e-5, gaps),
-        _record("oracle above closed form", 1e-7, excesses),
+        _record("oracle above closed form", 1e-7, [(-g, at) for g, at in gaps]),
     )
 
 
-@_check("max-affinity route equivalence", 1e-8)
-def route_equivalence(forms):
-    """``max_affinity`` against ``max_affinity_via_invariants``, relative."""
+def route_equivalence(forms) -> Record:
+    devs = []
     for sf in forms:
         cov = sf.to_cm()
         closed = max_affinity(cov)
-        yield abs(max_affinity_via_invariants(cov) - closed) / closed, _sf_repr(sf)
+        gap = abs(max_affinity_via_invariants(cov) - closed) / closed
+        devs.append((gap, _sf_repr(sf)))
+    return _record("max-affinity route equivalence", 1e-8, devs)
 
 
-@_check("square-root form vs decomposition", 1e-8)
-def square_root_routes(forms):
-    """``square_root_standard_form`` against ``square_root_cm``, relative."""
+def square_root_routes(forms) -> Record:
+    devs = []
     for sf in forms:
         via_matrix = square_root_cm(sf.to_cm()).matrix
         via_form = square_root_standard_form(sf).to_cm().matrix
         err = np.max(np.abs(via_matrix - via_form)) / np.max(np.abs(via_matrix))
-        yield err, _sf_repr(sf)
+        devs.append((err, _sf_repr(sf)))
+    return _record("square-root form vs decomposition", 1e-8, devs)
 
 
-@_check("stationarity residual", 1e-9)
-def stationarity(forms):
-    """``stationarity_residual`` of each form."""
-    for sf in forms:
-        yield stationarity_residual(sf.to_cm()), _sf_repr(sf)
+def stationarity(forms) -> Record:
+    devs = [(stationarity_residual(sf.to_cm()), _sf_repr(sf)) for sf in forms]
+    return _record("stationarity residual", 1e-9, devs)
 
 
-@_check("photon-number vs Gaussian", 1e-6)
-def photon_number(grid):
-    """Gaussian formulas against photon-number sums on thermal states.
-
-    Tr sqrt(rho) of each state of the grid, and the affinity and
-    Tr(rho1 rho2) of each ordered pair.
-    """
-    for nb1 in grid:
+def photon_number() -> Record:
+    """Tr sqrt(rho), the affinity and Tr(rho1 rho2) on ``THERMAL_GRID``."""
+    devs = []
+    for nb1 in THERMAL_GRID:
         one = thermal_state([nb1])
         diff = abs(trace_of_sqrt(one) - fock_sqrt_trace_diagonal(nb1))
-        yield diff, f"tr-sqrt nbar={nb1}"
-        for nb2 in grid:
+        devs.append((diff, f"tr-sqrt nbar={nb1}"))
+        for nb2 in THERMAL_GRID:
             other = thermal_state([nb2])
             a_g = affinity(one, other).value
             a_f = fock_affinity_diagonal(nb1, nb2)
-            yield abs(a_g - a_f), f"affinity nbar=({nb1},{nb2})"
+            devs.append((abs(a_g - a_f), f"affinity nbar=({nb1},{nb2})"))
             o_g = gaussian_overlap_trace(one.cm, other.cm, np.zeros(2))
             o_f = fock_product_trace_diagonal(nb1, nb2)
-            yield abs(o_g - o_f), f"overlap nbar=({nb1},{nb2})"
+            devs.append((abs(o_g - o_f), f"overlap nbar=({nb1},{nb2})"))
+    return _record("photon-number vs Gaussian", 1e-6, devs)
 
 
-@_check("trace-distance sandwich", 1e-9)
-def trace_distance_sandwich(grid):
-    """1 - A <= T <= sqrt(1 - A^2) on each ordered pair of thermal states.
-
-    The affinity A and the trace distance T both come from photon-number
-    sums; the deviation is the larger violation of the two bounds.
-    """
-    for nb1 in grid:
-        for nb2 in grid:
+def trace_distance_sandwich() -> Record:
+    """1 - A <= T <= sqrt(1 - A^2) on ``THERMAL_GRID``, both from Fock sums."""
+    devs = []
+    for nb1 in THERMAL_GRID:
+        for nb2 in THERMAL_GRID:
             a = fock_affinity_diagonal(nb1, nb2)
             t = fock_trace_distance_diagonal(nb1, nb2)
-            upper = math.sqrt(max(1.0 - a * a, 0.0))
-            yield max(0.0, (1.0 - a) - t, t - upper), f"nbar=({nb1},{nb2})"
+            pair = f"nbar=({nb1},{nb2})"
+            devs.append(((1.0 - a) - t, pair))
+            devs.append((t - math.sqrt(max(1.0 - a * a, 0.0)), pair))
+    return _record("trace-distance sandwich", 1e-9, devs)
 
 
-@_check("affinity invariance properties", 1e-9)
-def affinity_invariance(rng: np.random.Generator, pairs: int):
-    """Symmetry of the affinity and its invariance under a shared unitary.
-
-    Each of ``pairs`` random pairs of displaced states is drawn from
-    ``rng`` and moved by one random symplectic and displacement.
-    """
+def affinity_invariance(rng: np.random.Generator, pairs: int) -> Record:
+    """Symmetry, and invariance under one shared symplectic and displacement."""
+    devs = []
     for _ in range(pairs):
         s1 = GaussianState(rng.normal(0, 1, 4), random_standard_form(rng).to_cm())
         s2 = GaussianState(rng.normal(0, 1, 4), random_standard_form(rng).to_cm())
         a12 = affinity(s1, s2).value
-        yield abs(a12 - affinity(s2, s1).value), "symmetry"
+        devs.append((abs(a12 - affinity(s2, s1).value), "symmetry"))
         sym = random_symplectic(2, rng)
         shift = rng.normal(0, 1, 4)
         moved = [
             GaussianState(sym @ s.mean + shift, sym @ s.cm.matrix @ sym.T)
             for s in (s1, s2)
         ]
-        yield abs(affinity(*moved).value - a12), "unitary invariance"
+        devs.append((abs(affinity(*moved).value - a12), "unitary invariance"))
+    return _record("affinity invariance properties", 1e-9, devs)
 
 
 def suites(seed: int, trials: int):
-    """Yield the records of ``ghk verify``, one check after the other.
-
-    The oracle runs and the affinity pairs draw from the generator seeded
-    with ``seed``, after the ``trials`` random standard forms.
-    """
+    """Yield the records of ``ghk verify`` in order, all drawn from ``seed``."""
     rng = np.random.default_rng(seed)
     forms = [random_standard_form(rng) for _ in range(trials)]
     yield from closed_form_vs_oracle(forms, rng)
     yield route_equivalence(forms)
     yield square_root_routes(forms)
     yield stationarity(forms)
-    yield photon_number(THERMAL_GRID)
-    yield trace_distance_sandwich(THERMAL_GRID)
+    yield photon_number()
+    yield trace_distance_sandwich()
     yield affinity_invariance(rng, min(trials, 40))

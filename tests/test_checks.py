@@ -78,13 +78,15 @@ def test_stationarity(monkeypatch):
 )
 def test_photon_number(monkeypatch, name):
     monkeypatch.setattr(checks, name, shifted(getattr(checks, name)))
-    assert_breach(checks.photon_number(checks.THERMAL_GRID))
+    assert_breach(checks.photon_number())
 
 
-def test_trace_distance_sandwich(monkeypatch):
+@pytest.mark.parametrize("by", [SHIFT, -SHIFT])
+def test_trace_distance_sandwich(monkeypatch, by):
+    # +SHIFT breaks the upper bound on some pair, -SHIFT the lower bound
     name = "fock_trace_distance_diagonal"
-    monkeypatch.setattr(checks, name, shifted(getattr(checks, name)))
-    assert_breach(checks.trace_distance_sandwich(checks.THERMAL_GRID))
+    monkeypatch.setattr(checks, name, shifted(getattr(checks, name), by))
+    assert_breach(checks.trace_distance_sandwich())
 
 
 def test_affinity_invariance(monkeypatch):
@@ -98,11 +100,22 @@ def test_affinity_invariance(monkeypatch):
     assert_breach(checks.affinity_invariance(np.random.default_rng(2), 3))
 
 
+def assert_nan_fails(record):
+    assert not record.worst <= record.tol, record
+    assert record.detail, record
+
+
 def test_nan_deviation_fails(monkeypatch):
     monkeypatch.setattr(checks, "max_affinity", lambda cov: math.nan)
-    record = checks.route_equivalence(FORMS)
-    assert not record.worst <= record.tol
-    assert record.detail
+    assert_nan_fails(checks.route_equivalence(FORMS))
+
+
+@pytest.mark.parametrize(
+    "name", ["fock_affinity_diagonal", "fock_trace_distance_diagonal"]
+)
+def test_nan_in_the_sandwich_fails(monkeypatch, name):
+    monkeypatch.setattr(checks, name, lambda nb1, nb2: math.nan)
+    assert_nan_fails(checks.trace_distance_sandwich())
 
 
 SRC = Path(ghk.__file__).resolve().parent
