@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep the symmetric family (keys b, c|b2c2, d|dsign)")
     sweep.add_argument("--sweep-param", metavar="NAME", help="parameter to sweep")
     sweep.add_argument("--range", metavar="START:STOP:STEPS",
-                       help="inclusive linear grid")
+                       help="inclusive linear grid (START may be negative)")
     sweep.add_argument("--fixed", nargs="*", metavar="K=V", default=[],
                        help="additional fixed parameters")
     sweep.add_argument("--out", choices=("csv", "json"), default="csv")
@@ -406,8 +406,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_range(argv: list[str]) -> list[str]:
+    """Write ``--range START:STOP:STEPS`` as one token when START is negative.
+
+    argparse takes a value that starts with '-' and is not a plain number
+    for an option, so ``--range -1:1:3`` would lose its value.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--range" and token.startswith("-") and ":" in token:
+            out[-1] = f"--range={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_range(argv))
     try:
         return args.func(args)
     except (NotConvergedError, TruncationInsufficientError, ConsistencyError) as exc:

@@ -37,11 +37,13 @@ from .states import (
 )
 from .symplectic import (
     StandardForm,
+    _checked_form,
+    _form_spectrum,
+    _invariants,
+    _sqrt_form,
     as_covariance,
-    det2,
     invariants_from_spectrum,
     reduce_to_standard_form,
-    square_root_standard_form,
     standard_form,
 )
 from .tolerances import active_profile
@@ -76,10 +78,13 @@ class ProductStateParams:
     mean: np.ndarray = dataclasses.field(default_factory=lambda: np.zeros(4))
 
     def __post_init__(self) -> None:
-        scalars = [self.eta1, self.eta2, self.r1, self.r2, self.phi1, self.phi2]
-        if not all(np.isfinite(scalars)):
+        self._validate(active_profile().phys_tol)
+
+    def _validate(self, tol: float) -> None:
+        scalars = (self.eta1, self.eta2, self.r1, self.r2, self.phi1, self.phi2)
+        if not all(map(math.isfinite, scalars)):
             raise InvalidParamsError("product-state parameters must be finite")
-        if min(self.eta1, self.eta2) < 0.5 - active_profile().phys_tol:
+        if min(self.eta1, self.eta2) < 0.5 - tol:
             raise NotPhysicalError("one-mode symplectic eigenvalues must be >= 1/2")
         mean = np.array(self.mean, dtype=float).reshape(-1)
         if mean.shape != (4,):
@@ -97,6 +102,14 @@ class ProductStateParams:
         return GaussianState(self.mean, self.cm())
 
 
+def _product_params(tol: float, **fields) -> ProductStateParams:
+    """``ProductStateParams`` validated against the phys_tol ``tol``."""
+    params = object.__new__(ProductStateParams)
+    vars(params).update(fields)
+    params._validate(tol)
+    return params
+
+
 def _squeezed_thermal_block(eta: float, r: float, phi: float) -> np.ndarray:
     ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
     co, si = math.cos(phi), math.sin(phi)
@@ -108,23 +121,32 @@ def _sqrt_eigenvalue_inverse(eta_tilde: float) -> float:
     return 0.5 * (eta_tilde + 0.25 / eta_tilde)
 
 
-def _one_mode_params(block: np.ndarray) -> tuple[float, float, float]:
+def _one_mode_params(x00: float, x01: float, x11: float) -> tuple[float, float, float]:
     """Recover (eta, r, phi) from a one-mode covariance block.
 
     When the block is diagonal the signed-squeeze convention (phi = 0,
     r of either sign) is used; otherwise r >= 0 and phi in (-pi, pi].
     """
-    eta = math.sqrt(max(det2(block), 0.0))
-    trace = block[0, 0] + block[1, 1]
-    ch = trace / (2.0 * eta)
+    eta = math.sqrt(max(x00 * x11 - x01 * x01, 0.0))
+    ch = (x00 + x11) / (2.0 * eta)
     if ch <= 1.0 + 1e-15:
         return eta, 0.0, 0.0
     sh = math.sqrt(ch * ch - 1.0)
-    if abs(block[0, 1]) <= 1e-12 * eta * sh:
-        return eta, 0.25 * math.log(block[0, 0] / block[1, 1]), 0.0
+    if abs(x01) <= 1e-12 * eta * sh:
+        return eta, 0.25 * math.log(x00 / x11), 0.0
     r = 0.5 * math.log(ch + sh)
-    phi = math.atan2(block[0, 1] / (eta * sh), (block[0, 0] - block[1, 1]) / (2.0 * eta * sh))
+    phi = math.atan2(x01 / (eta * sh), (x00 - x11) / (2.0 * eta * sh))
     return eta, r, phi
+
+
+def _frame_params(s00, s01, s10, s11, eta, e2r) -> tuple[float, float, float]:
+    """(eta, r, phi) of S diag(eta e^{2r}, eta e^{-2r}) S^T for a 2x2 frame S."""
+    p, m = eta * e2r, eta / e2r
+    return _one_mode_params(
+        s00 * s00 * p + s01 * s01 * m,
+        s00 * s10 * p + s01 * s11 * m,
+        s10 * s10 * p + s11 * s11 * m,
+    )
 
 
 @dataclass(frozen=True)
@@ -164,10 +186,10 @@ def _max_affinity_from_tilde(tsf: StandardForm) -> float:
     return min(math.sqrt(num / den), 1.0)
 
 
-def _max_affinity(sf: StandardForm) -> float:
+def _max_affinity(sf: StandardForm, tol: float) -> float:
     if _is_uncorrelated(sf):
         return 1.0
-    return _max_affinity_from_tilde(square_root_standard_form(sf))
+    return _max_affinity_from_tilde(_sqrt_form(sf, tol))
 
 
 def max_affinity(V) -> float:
@@ -177,7 +199,8 @@ def max_affinity(V) -> float:
     square-root state. Local squeeze scales drop out, so the plain
     (unscaled) standard-form reduction suffices.
     """
-    return _max_affinity(standard_form(V))
+    sf = standard_form(V)
+    return _max_affinity(sf, active_profile().phys_tol)
 
 
 def _optimum(tsf: StandardForm) -> tuple[float, float, float, float]:
@@ -211,19 +234,17 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
     if mean.shape != (4,):
         raise DimensionMismatchError("mean must be a 4-vector")
     sf, frame = reduce_to_standard_form(cov)
-    tsf = square_root_standard_form(sf)
+    tol = active_profile().phys_tol
+    tsf = _sqrt_form(sf, tol)
     value = 1.0 if _is_uncorrelated(sf) else _max_affinity_from_tilde(tsf)
     eta1, eta2, e2r1, e2r2 = _optimum(tsf)
-    r1 = 0.5 * math.log(e2r1)
-    r2 = 0.5 * math.log(e2r2)
-    sqrt_blocks = np.zeros((4, 4))
-    sqrt_blocks[:2, :2] = _squeezed_thermal_block(eta1, r1, 0.0)
-    sqrt_blocks[2:, 2:] = _squeezed_thermal_block(eta2, r2, 0.0)
-    in_frame = frame @ sqrt_blocks @ frame.T
-    e1, rr1, ph1 = _one_mode_params(in_frame[:2, :2])
-    e2, rr2, ph2 = _one_mode_params(in_frame[2:, 2:])
-    params = ProductStateParams(
-        eta1=e1, eta2=e2, r1=rr1, r2=rr2, phi1=ph1, phi2=ph2, mean=mean
+    (f00, f01, _, _), (f10, f11, _, _), (_, _, g00, g01), (_, _, g10, g11) = (
+        frame.tolist()
+    )
+    e1, rr1, ph1 = _frame_params(f00, f01, f10, f11, eta1, e2r1)
+    e2, rr2, ph2 = _frame_params(g00, g01, g10, g11, eta2, e2r2)
+    params = _product_params(
+        tol, eta1=e1, eta2=e2, r1=rr1, r2=rr2, phi1=ph1, phi2=ph2, mean=mean
     )
     return ClosestProduct(params=params, max_affinity=value)
 
@@ -240,13 +261,14 @@ def hellinger_discord_symmetric(b: float, c: float, d: float) -> float:
     where k_pt are the symplectic eigenvalues of the partial transpose.
     Covers both signs of d.
     """
-    sf = StandardForm(b, b, c, d)
+    tol = active_profile().phys_tol
+    sf = _checked_form(tol, b, b, c, d)
     k1, k2 = sf.spectrum()
-    if k2 < 0.5 - active_profile().phys_tol:
+    if k2 < 0.5 - tol:
         raise NotPhysicalError("symmetric state parameters are unphysical")
     if _is_uncorrelated(sf):
         return 0.0
-    inv = invariants_from_spectrum((k1, k2))
+    inv = _invariants(k1, k2, tol)
     k1_pt = math.sqrt(max((b + c) * (b - d), 0.0))
     k2_pt = math.sqrt(max((b - c) * (b + d), 0.0))
     root4 = sf.cm_determinant() ** 0.25
@@ -286,8 +308,15 @@ def hellinger_discord_mts(p: MtsParams) -> float:
     return 1.0 - 2.0 / (math.sqrt(y) + 1.0)
 
 
-def _simon_separable(sf: StandardForm, pt_spectrum: tuple[float, float]) -> bool:
-    return sf.d >= 0.0 or pt_spectrum[1] >= 0.5 - active_profile().phys_tol
+def _pt_spectrum(sf: StandardForm) -> tuple[float, float]:
+    """Spectrum of the partial transpose (d -> -d)."""
+    return _form_spectrum(sf.b1, sf.b2, sf.c, -sf.d)
+
+
+def _simon_separable(
+    sf: StandardForm, pt_spectrum: tuple[float, float], tol: float
+) -> bool:
+    return sf.d >= 0.0 or pt_spectrum[1] >= 0.5 - tol
 
 
 def simon_separable(V) -> bool:
@@ -297,7 +326,7 @@ def simon_separable(V) -> bool:
     physical covariance matrix. States with d >= 0 are always separable.
     """
     sf = standard_form(V)
-    return _simon_separable(sf, sf.partial_transpose().spectrum())
+    return _simon_separable(sf, _pt_spectrum(sf), active_profile().phys_tol)
 
 
 def _require_symmetric_dc(sf: StandardForm) -> tuple[float, float]:
@@ -374,8 +403,13 @@ def entanglement_of_formation_symmetric(b: float, c: float) -> float:
     For the d = -c family: zero when b - c >= 1/2 (separable), otherwise
     h(z) with z = ((b - c)^2 + 1/4) / (2 (b - c)).
     """
-    sf = StandardForm(b, b, c, -c)
-    if sf.spectrum()[1] < 0.5 - active_profile().phys_tol:
+    tol = active_profile().phys_tol
+    sf = _checked_form(tol, b, b, c, -c)
+    return _eof_symmetric(sf.b1, sf.c, tol)
+
+
+def _eof_symmetric(b: float, c: float, tol: float) -> float:
+    if _form_spectrum(b, b, c, -c)[1] < 0.5 - tol:
         raise NotPhysicalError("symmetric state parameters are unphysical")
     gap = b - c
     if gap >= 0.5:
@@ -405,7 +439,7 @@ class CorrelationReport:
     standard_form: StandardForm
 
 
-def _physical_unscaled(sf: StandardForm) -> StandardForm:
+def _physical_unscaled(sf: StandardForm, tol: float) -> StandardForm:
     """A given standard form with unit scales, once it is known physical.
 
     Physicality is read from the closed-form spectrum, as in
@@ -413,12 +447,9 @@ def _physical_unscaled(sf: StandardForm) -> StandardForm:
     too: the spectrum formula can read above 1/2 on forms that belong to
     no positive-definite matrix.
     """
-    if (
-        sf.b1 * sf.b2 <= sf.c * sf.c
-        or sf.spectrum()[1] < 0.5 - active_profile().phys_tol
-    ):
+    if sf.b1 * sf.b2 <= sf.c * sf.c or sf.spectrum()[1] < 0.5 - tol:
         raise NotPhysicalError("standard form is not a physical state")
-    return StandardForm(sf.b1, sf.b2, sf.c, sf.d)
+    return _checked_form(tol, sf.b1, sf.b2, sf.c, sf.d)
 
 
 def correlation_report(V, mean=None) -> CorrelationReport:
@@ -435,10 +466,11 @@ def correlation_report(V, mean=None) -> CorrelationReport:
         m = np.asarray(mean, dtype=float).reshape(-1)
         if m.shape != (4,) or not np.all(np.isfinite(m)):
             raise DimensionMismatchError("mean must be a finite 4-vector")
+    tol = active_profile().phys_tol
     # The class is looked up on its module because a tracer (bench/spans.py)
     # may swap the imported name for a wrapper function.
     if isinstance(V, symplectic.StandardForm):
-        sf = _physical_unscaled(V)
+        sf = _physical_unscaled(V, tol)
     else:
         sf = standard_form(V)
     in_family = True
@@ -446,18 +478,18 @@ def correlation_report(V, mean=None) -> CorrelationReport:
         b, c = _require_symmetric_dc(sf)
     except OutOfFamilyError:
         in_family = False
-    pt_spectrum = sf.partial_transpose().spectrum()
-    separable = _simon_separable(sf, pt_spectrum)
+    pt_spectrum = _pt_spectrum(sf)
+    separable = _simon_separable(sf, pt_spectrum, tol)
     ent = cc = eof = None
     if in_family:
         ent = _entropic_discord(sf)
         cc = _classical_correlations(sf)
     if in_family and sf.d <= 0.0:
-        eof = entanglement_of_formation_symmetric(b, c)
+        eof = _eof_symmetric(b, c, tol)
     elif separable:
         eof = 0.0
     return CorrelationReport(
-        hellinger_discord=1.0 - _max_affinity(sf),
+        hellinger_discord=1.0 - _max_affinity(sf, tol),
         mutual_information=_mutual_information(sf),
         separable=separable,
         symplectic_spectrum=sf.spectrum(),

@@ -107,9 +107,7 @@ class StsParams:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not all(
-            np.isfinite([self.nbar1, self.nbar2, self.r, self.phi])
-        ):
+        if not all(map(math.isfinite, (self.nbar1, self.nbar2, self.r, self.phi))):
             raise InvalidParamsError("parameters must be finite")
         if self.nbar1 < 0 or self.nbar2 < 0:
             raise InvalidParamsError("mean occupancies must be >= 0")
@@ -134,9 +132,7 @@ class MtsParams:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not all(
-            np.isfinite([self.kappa1, self.kappa2, self.theta, self.phi])
-        ):
+        if not all(map(math.isfinite, (self.kappa1, self.kappa2, self.theta, self.phi))):
             raise InvalidParamsError("parameters must be finite")
         if self.kappa2 < 0.5 or self.kappa1 < self.kappa2:
             raise InvalidParamsError("need kappa1 >= kappa2 >= 1/2")

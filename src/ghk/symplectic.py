@@ -53,6 +53,11 @@ def symplectic_form(n: int) -> np.ndarray:
     return j
 
 
+# The two-mode J, shared by every two-mode call.
+_J2 = symplectic_form(2)
+_J2.flags.writeable = False
+
+
 def det2(m) -> float:
     """Determinant of a 2x2 matrix by the explicit cofactor formula."""
     return float(m[0][0] * m[1][1] - m[0][1] * m[1][0])
@@ -135,6 +140,26 @@ def _cholesky_or_raise(matrix: np.ndarray) -> np.ndarray:
         ) from None
 
 
+def _spectrum(matrix: np.ndarray) -> list[float]:
+    """Symplectic eigenvalues (descending) of a validated covariance matrix.
+
+    Raises NotPositiveDefiniteError from the Cholesky check, and
+    ConsistencyError when the +/- partners among the eigenvalues of J V do
+    not match in magnitude to PAIR_MATCH_RTOL.
+    """
+    _cholesky_or_raise(matrix)
+    n = matrix.shape[0] // 2
+    j = _J2 if n == 2 else symplectic_form(n)
+    mags = sorted(map(abs, np.linalg.eigvals(j @ matrix).tolist()))
+    kappas = []
+    for lo, hi in zip(mags[0::2], mags[1::2]):
+        if not abs(lo - hi) <= PAIR_MATCH_RTOL * hi:
+            raise ConsistencyError("eigenvalues of J V do not pair up by magnitude")
+        kappas.append(0.5 * (lo + hi))
+    kappas.reverse()
+    return kappas
+
+
 def symplectic_eigenvalues(V) -> np.ndarray:
     """Symplectic spectrum of a positive-definite covariance matrix.
 
@@ -143,24 +168,20 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     match in magnitude to PAIR_MATCH_RTOL; a mismatch means the input was
     numerically corrupt.
     """
-    cov = as_covariance(V)
-    _cholesky_or_raise(cov.matrix)
-    eigs = np.linalg.eigvals(symplectic_form(cov.n) @ cov.matrix)
-    mags = np.sort(np.abs(eigs))
-    lo, hi = mags[0::2], mags[1::2]
-    if not np.all(np.abs(lo - hi) <= PAIR_MATCH_RTOL * np.abs(hi)):
-        raise ConsistencyError("eigenvalues of J V do not pair up by magnitude")
-    return (0.5 * (lo + hi))[::-1].copy()
+    return np.array(_spectrum(as_covariance(V).matrix))
+
+
+def _is_physical(cov: CovarianceMatrix, tol: float) -> bool:
+    try:
+        kappas = _spectrum(cov.matrix)
+    except NotPositiveDefiniteError:
+        return False
+    return kappas[-1] >= 0.5 - tol
 
 
 def is_physical(V) -> bool:
     """True iff every symplectic eigenvalue is >= 1/2 (within tolerance)."""
-    cov = as_covariance(V)
-    try:
-        kappas = symplectic_eigenvalues(cov)
-    except NotPositiveDefiniteError:
-        return False
-    return bool(kappas[-1] >= 0.5 - active_profile().phys_tol)
+    return _is_physical(as_covariance(V), active_profile().phys_tol)
 
 
 def williamson(V) -> tuple[np.ndarray, np.ndarray]:
@@ -194,18 +215,17 @@ def williamson(V) -> tuple[np.ndarray, np.ndarray]:
     return kappas, s
 
 
-def _sqrt_radicals(kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (sqrt(kappa^2 - 1/4), kappa_tilde) with the pure-mode limit.
+def _radical(kappa: float, tol: float) -> float:
+    """sqrt(kappa^2 - 1/4), with the pure-mode limit within ``tol`` of 1/2.
 
-    Within phys_tol of a pure mode the radical is set to zero and
-    kappa_tilde to kappa: the exact limit for genuinely pure modes, and the
-    only stable choice since d(sqrt(kappa^2 - 1/4))/d kappa diverges at 1/2.
+    Within phys_tol of a pure mode the radical is set to zero, so that
+    kappa_tilde = kappa + radical is kappa: the exact limit for genuinely
+    pure modes, and the only stable choice since
+    d(sqrt(kappa^2 - 1/4))/d kappa diverges at 1/2.
     """
-    tol = active_profile().phys_tol
-    rad = np.where(
-        kappas - 0.5 < tol, 0.0, np.sqrt(np.maximum(kappas * kappas - 0.25, 0.0))
-    )
-    return rad, kappas + rad
+    if kappa - 0.5 < tol:
+        return 0.0
+    return math.sqrt(max(kappa * kappa - 0.25, 0.0))
 
 
 def square_root_cm(V) -> CovarianceMatrix:
@@ -216,12 +236,13 @@ def square_root_cm(V) -> CovarianceMatrix:
     against the identity V = (Vt - J Vt^-1 J / 4) / 2.
     """
     cov = as_covariance(V)
+    tol = active_profile().phys_tol
     kappas, s = williamson(cov)
-    if kappas[-1] < 0.5 - active_profile().phys_tol:
+    if kappas[-1] < 0.5 - tol:
         raise NotPhysicalError(
             f"minimal symplectic eigenvalue {kappas[-1]:.6g} is below 1/2"
         )
-    _, kt = _sqrt_radicals(kappas)
+    kt = [k + _radical(k, tol) for k in kappas.tolist()]
     vt = (s * np.repeat(kt, 2)[None, :]) @ s.T
     out = CovarianceMatrix(0.5 * (vt + vt.T))
     _check_sqrt_identity(cov.matrix, out.matrix)
@@ -230,13 +251,16 @@ def square_root_cm(V) -> CovarianceMatrix:
 
 def _check_sqrt_identity(v: np.ndarray, vt: np.ndarray) -> None:
     n = v.shape[0] // 2
-    j = symplectic_form(n)
+    j = _J2 if n == 2 else symplectic_form(n)
     recovered = 0.5 * (vt - 0.25 * j @ np.linalg.inv(vt) @ j)
     err = np.max(np.abs(recovered - v)) / max(np.max(np.abs(v)), 1.0)
     if err > SQRT_IDENTITY_RTOL:
         raise ConsistencyError(
             f"square-root CM failed its defining identity (rel err {err:.3e})"
         )
+
+
+_FORM_FIELDS = ("b1", "b2", "c", "d", "s1", "s2")
 
 
 @dataclass(frozen=True)
@@ -258,12 +282,14 @@ class StandardForm:
     s2: float = 1.0
 
     def __post_init__(self) -> None:
-        vals = [float(getattr(self, f)) for f in ("b1", "b2", "c", "d", "s1", "s2")]
+        self._validate(active_profile().phys_tol)
+
+    def _validate(self, tol: float) -> None:
+        vals = [float(getattr(self, f)) for f in _FORM_FIELDS]
         if not all(map(math.isfinite, vals)):
             raise InvalidParamsError("standard-form parameters must be finite")
-        for name, value in zip(("b1", "b2", "c", "d", "s1", "s2"), vals):
+        for name, value in zip(_FORM_FIELDS, vals):
             object.__setattr__(self, name, value)
-        tol = active_profile().phys_tol
         if self.b1 < 0.5 - tol or self.b2 < 0.5 - tol:
             raise NotPhysicalError("diagonal strengths b1, b2 must be >= 1/2")
         if self.s1 <= 0 or self.s2 <= 0:
@@ -273,7 +299,7 @@ class StandardForm:
 
     def to_cm(self) -> CovarianceMatrix:
         """Rebuild the 4x4 covariance matrix."""
-        root = np.sqrt(self.s1 * self.s2)
+        root = math.sqrt(self.s1 * self.s2)
         m = np.zeros((4, 4))
         m[0, 0] = self.b1 * self.s1
         m[1, 1] = self.b1 / self.s1
@@ -290,16 +316,46 @@ class StandardForm:
 
     def spectrum(self) -> tuple[float, float]:
         """Symplectic eigenvalues (descending) from the closed quadratic."""
-        delta = self.b1 * self.b1 + self.b2 * self.b2 + 2.0 * self.c * self.d
-        det_v = self.cm_determinant()
-        disc = np.sqrt(max(delta * delta - 4.0 * det_v, 0.0))
-        k1 = np.sqrt(max((delta + disc) / 2.0, 0.0))
-        k2 = np.sqrt(max((delta - disc) / 2.0, 0.0))
-        return float(k1), float(k2)
+        return _form_spectrum(self.b1, self.b2, self.c, self.d)
 
     def partial_transpose(self) -> "StandardForm":
         """Standard form of the partial transpose (d -> -d)."""
         return StandardForm(self.b1, self.b2, self.c, -self.d, self.s1, self.s2)
+
+
+def _checked_form(tol: float, b1, b2, c, d, s1=1.0, s2=1.0) -> StandardForm:
+    """A ``StandardForm`` validated against the phys_tol ``tol``.
+
+    The same checks as the constructor, for callers that have read the
+    tolerance profile already: the constructor reads it on every call.
+    """
+    sf = object.__new__(StandardForm)
+    vars(sf).update(b1=b1, b2=b2, c=c, d=d, s1=s1, s2=s2)
+    sf._validate(tol)
+    return sf
+
+
+def _form_spectrum(b1: float, b2: float, c: float, d: float) -> tuple[float, float]:
+    """Symplectic eigenvalues (descending) of the standard form (b1, b2, c, d).
+
+    The closed quadratic: kappa^2 = (Delta +/- sqrt(Delta^2 - 4 det V)) / 2
+    with Delta = b1^2 + b2^2 + 2 c d and det V = (b1 b2 - c^2)(b1 b2 - d^2).
+    """
+    bb = b1 * b2
+    delta = b1 * b1 + b2 * b2 + 2.0 * c * d
+    det_v = (bb - c * c) * (bb - d * d)
+    disc = math.sqrt(max(delta * delta - 4.0 * det_v, 0.0))
+    k1 = math.sqrt(max((delta + disc) / 2.0, 0.0))
+    k2 = math.sqrt(max((delta - disc) / 2.0, 0.0))
+    return k1, k2
+
+
+def _two_mode_entries(cov: CovarianceMatrix) -> tuple[float, ...]:
+    """(a00, a01, a11, b00, b01, b11, c00, c01, c10, c11) of [[A, C], [C^T, B]]."""
+    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = (
+        cov.matrix.tolist()
+    )
+    return a00, a01, a11, b00, b01, b11, c00, c01, c10, c11
 
 
 def standard_form(V) -> StandardForm:
@@ -311,15 +367,24 @@ def standard_form(V) -> StandardForm:
     extracted through a proper-rotation SVD of the cross block, which
     stays exact at the double root c = |d| where the equivalent quadratic
     in (c^2, d^2) loses half the working precision; the quadratic's
-    discriminant is still evaluated, from cofactor determinants, as a
+    discriminant is still evaluated, from block determinants, as a
     corrupt-input guard. The scale factors are not recovered (they are
     unobservable in every correlation measure) and are emitted as 1.
     """
     cov = as_covariance(V)
     sf, _ = reduce_to_standard_form(cov)
-    m = cov.matrix
-    p = det2(m[:2, 2:])
-    q = det4(m)
+    a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = _two_mode_entries(cov)
+    # det V = det A det B + det(C)^2 - tr(adj A C adj B C^T)
+    p = c00 * c11 - c01 * c10
+    w00 = a11 * (c00 * b11 - c01 * b01) - a01 * (c10 * b11 - c11 * b01)
+    w01 = a11 * (c01 * b00 - c00 * b01) - a01 * (c11 * b00 - c10 * b01)
+    w10 = a00 * (c10 * b11 - c11 * b01) - a01 * (c00 * b11 - c01 * b01)
+    w11 = a00 * (c11 * b00 - c10 * b01) - a01 * (c01 * b00 - c00 * b01)
+    q = (
+        (a00 * a11 - a01 * a01) * (b00 * b11 - b01 * b01)
+        + p * p
+        - (c00 * w00 + c01 * w01 + c10 * w10 + c11 * w11)
+    )
     beta = sf.b1 * sf.b2
     s = (beta * beta + p * p - q) / beta
     if s * s - 4.0 * p * p < -1e-9 * max(1.0, s * s):
@@ -329,28 +394,16 @@ def standard_form(V) -> StandardForm:
     return sf
 
 
-def _sqrtm2(block: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a 2x2 positive-definite matrix."""
-    root_det = np.sqrt(det2(block))
-    trace = block[0, 0] + block[1, 1]
-    return (block + root_det * np.eye(2)) / np.sqrt(trace + 2.0 * root_det)
+def _unit_root(x00: float, x01: float, x11: float) -> tuple[float, float, float, float]:
+    """(b, n00, n01, n11) for a positive-definite block X = [[x00, x01], [x01, x11]].
 
-
-def _inv2(m: np.ndarray) -> np.ndarray:
-    """Inverse of a 2x2 matrix as its adjugate over its determinant."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det2(m)
-
-
-def _proper_svd2(m: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
-    """SVD m = u diag(c, d) vt with proper rotations u, vt and c >= |d|."""
-    u, sig, vt = np.linalg.svd(m)
-    du = det2(u)
-    dv = det2(vt)
-    u = u.copy()
-    vt = vt.copy()
-    u[:, 1] *= du
-    vt[1, :] *= dv
-    return u, float(sig[0]), float(sig[1] * du * dv), vt
+    b = sqrt(det X), and N = (X + b I) / sqrt(b (tr X + 2 b)) is the
+    symmetric square root of X / b: det N = 1, so N is symplectic and
+    N diag(b, b) N^T = X. Its inverse is its adjugate.
+    """
+    b = math.sqrt(x00 * x11 - x01 * x01)
+    root = math.sqrt(b * (x00 + x11 + 2.0 * b))
+    return b, (x00 + b) / root, x01 / root, (x11 + b) / root
 
 
 def reduce_to_standard_form(V) -> tuple[StandardForm, np.ndarray]:
@@ -361,26 +414,52 @@ def reduce_to_standard_form(V) -> tuple[StandardForm, np.ndarray]:
     V = S @ sf.to_cm().matrix @ S.T. Unlike ``standard_form`` this keeps
     the frame information, which is needed to map product-state solutions
     back into the caller's frame.
+
+    Each diagonal block X_j = N_j b_j N_j^T is brought to b_j I by its
+    det-1 square root N_j. The normalized cross block
+    M = adj(N_1) C adj(N_2) then has the proper-rotation SVD
+    M = R(phi) diag(c, d) R(theta), in closed form: with
+    e, f, g, h = (m00 + m11, m00 - m11, m10 + m01, m10 - m01) / 2,
+    c = hypot(e, h) + hypot(f, g), d = hypot(e, h) - hypot(f, g) (so
+    c >= |d| and sign(d) = sign(det C)), and phi +/- theta = atan2(h, e)
+    +/- atan2(g, f). A cross block with c = -d exactly, such as
+    diag(c, -c), keeps d = -c to the last bit.
     """
     cov = as_covariance(V)
     if cov.n != 2:
         raise DimensionMismatchError("standard form is defined for two modes")
-    if not is_physical(cov):
+    tol = active_profile().phys_tol
+    if not _is_physical(cov, tol):
         raise NotPhysicalError("covariance matrix is not a physical state")
-    m = cov.matrix
-    blocks = [m[:2, :2], m[2:, 2:]]
-    bs, mats = [], []
-    for blk in blocks:
-        b = np.sqrt(det2(blk))
-        bs.append(float(b))
-        mats.append(_sqrtm2(blk) / np.sqrt(b))  # det-1, hence symplectic
-    inv1, inv2 = _inv2(mats[0]), _inv2(mats[1])
-    cross = inv1 @ m[:2, 2:] @ inv2.T
-    u, c, d, vt = _proper_svd2(cross)
-    sf = StandardForm(bs[0], bs[1], c, d, 1.0, 1.0)
-    s_loc = np.zeros((4, 4))
-    s_loc[:2, :2] = mats[0] @ u
-    s_loc[2:, 2:] = mats[1] @ vt.T
+    a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = _two_mode_entries(cov)
+    b1, n00, n01, n11 = _unit_root(a00, a01, a11)
+    b2, o00, o01, o11 = _unit_root(b00, b01, b11)
+    # M = adj(N1) C adj(N2)
+    t00 = n11 * c00 - n01 * c10
+    t01 = n11 * c01 - n01 * c11
+    t10 = n00 * c10 - n01 * c00
+    t11 = n00 * c11 - n01 * c01
+    m00 = t00 * o11 - t01 * o01
+    m01 = t01 * o00 - t00 * o01
+    m10 = t10 * o11 - t11 * o01
+    m11 = t11 * o00 - t10 * o01
+    e, f = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
+    g, h = 0.5 * (m10 + m01), 0.5 * (m10 - m01)
+    q, r = math.hypot(e, h), math.hypot(f, g)
+    sf = _checked_form(tol, b1, b2, q + r, q - r)
+    a1, a2 = math.atan2(g, f), math.atan2(h, e)
+    phi, theta = 0.5 * (a2 + a1), 0.5 * (a2 - a1)
+    cp, sp = math.cos(phi), math.sin(phi)
+    ct, st = math.cos(theta), math.sin(theta)
+    # S = N1 R(phi) (+) N2 R(theta)^T
+    s_loc = np.array(
+        [
+            [n00 * cp + n01 * sp, n01 * cp - n00 * sp, 0.0, 0.0],
+            [n01 * cp + n11 * sp, n11 * cp - n01 * sp, 0.0, 0.0],
+            [0.0, 0.0, o00 * ct - o01 * st, o00 * st + o01 * ct],
+            [0.0, 0.0, o01 * ct - o11 * st, o01 * st + o11 * ct],
+        ]
+    )
     return sf, s_loc
 
 
@@ -402,6 +481,23 @@ class SymplecticInvariants:
     D: float
 
 
+def _invariants(k1: float, k2: float, tol: float) -> SymplecticInvariants:
+    rad1, rad2 = _radical(k1, tol), _radical(k2, tol)
+    gap1 = 0.0 if k1 - 0.5 < tol else k1 - 0.5
+    gap2 = 0.0 if k2 - 0.5 < tol else k2 - 0.5
+    m1 = gap1 * (k2 + 0.5)
+    m2 = (k1 + 0.5) * gap2
+    return SymplecticInvariants(
+        K=k1 * rad2 + k2 * rad1,
+        L=4.0 * k1 * k2 * (k1 + rad1) * (k2 + rad2),
+        M1=m1,
+        M2=m2,
+        N1=(k1 + 0.5) * (k2 + 0.5),
+        N2=gap1 * gap2,
+        D=m1 * m2,
+    )
+
+
 def invariants_from_spectrum(kappas) -> SymplecticInvariants:
     """Evaluate the invariants directly from a two-mode spectrum.
 
@@ -410,19 +506,37 @@ def invariants_from_spectrum(kappas) -> SymplecticInvariants:
     spectrum; the factorization of K through the M and N products then
     holds identically at the boundary.
     """
-    k1, k2 = float(kappas[0]), float(kappas[1])
-    rad, kt = _sqrt_radicals(np.array([k1, k2]))
-    tol = active_profile().phys_tol
-    gap1 = 0.0 if k1 - 0.5 < tol else k1 - 0.5
-    gap2 = 0.0 if k2 - 0.5 < tol else k2 - 0.5
-    m1 = gap1 * (k2 + 0.5)
-    m2 = (k1 + 0.5) * gap2
-    n1 = (k1 + 0.5) * (k2 + 0.5)
-    n2 = gap1 * gap2
-    k_inv = k1 * rad[1] + k2 * rad[0]
-    l_inv = 4.0 * k1 * k2 * kt[0] * kt[1]
-    return SymplecticInvariants(
-        K=float(k_inv), L=float(l_inv), M1=m1, M2=m2, N1=n1, N2=n2, D=m1 * m2
+    return _invariants(float(kappas[0]), float(kappas[1]), active_profile().phys_tol)
+
+
+def _sqrt_form(sf: StandardForm, tol: float) -> StandardForm:
+    """``square_root_standard_form`` with the phys_tol ``tol`` given."""
+    k1, k2 = sf.spectrum()
+    if k2 < 0.5 - tol:
+        raise NotPhysicalError(
+            f"minimal symplectic eigenvalue {k2:.6g} is below 1/2"
+        )
+    if k1 - 0.5 < tol and k2 - 0.5 < tol:
+        return sf
+    inv = _invariants(k1, k2, tol)
+    pref = 4.0 * k1 * k2 * inv.K
+    bb = sf.b1 * sf.b2
+    gc = bb - sf.c * sf.c
+    gd = bb - sf.d * sf.d
+    x1 = (sf.b1 * inv.L - sf.b2 * gc) / pref
+    x2 = (sf.b2 * inv.L - sf.b1 * gc) / pref
+    y1 = (sf.b1 * inv.L - sf.b2 * gd) / pref
+    y2 = (sf.b2 * inv.L - sf.b1 * gd) / pref
+    zc = (sf.c * inv.L + sf.d * gc) / pref
+    zd = (sf.d * inv.L + sf.c * gd) / pref
+    return _checked_form(
+        tol,
+        math.sqrt(x1 * y1),
+        math.sqrt(x2 * y2),
+        zc * (y1 * y2 / (x1 * x2)) ** 0.25,
+        zd * (x1 * x2 / (y1 * y2)) ** 0.25,
+        sf.s1 * math.sqrt(x1 / y1),
+        sf.s2 * math.sqrt(x2 / y2),
     )
 
 
@@ -435,31 +549,4 @@ def square_root_standard_form(sf: StandardForm) -> StandardForm:
     prefactor 1/(4 kappa1 kappa2 K) degenerates and the analytic limit is
     the state itself (the square root of a pure state is the state).
     """
-    k1, k2 = sf.spectrum()
-    tol = active_profile().phys_tol
-    if k2 < 0.5 - tol:
-        raise NotPhysicalError(
-            f"minimal symplectic eigenvalue {k2:.6g} is below 1/2"
-        )
-    if k1 - 0.5 < tol and k2 - 0.5 < tol:
-        return sf
-    inv = invariants_from_spectrum((k1, k2))
-    pref = 4.0 * k1 * k2 * inv.K
-    bb = sf.b1 * sf.b2
-    gc = bb - sf.c * sf.c
-    gd = bb - sf.d * sf.d
-    x1 = (sf.b1 * inv.L - sf.b2 * gc) / pref
-    x2 = (sf.b2 * inv.L - sf.b1 * gc) / pref
-    y1 = (sf.b1 * inv.L - sf.b2 * gd) / pref
-    y2 = (sf.b2 * inv.L - sf.b1 * gd) / pref
-    zc = (sf.c * inv.L + sf.d * gc) / pref
-    zd = (sf.d * inv.L + sf.c * gd) / pref
-    bt1 = np.sqrt(x1 * y1)
-    bt2 = np.sqrt(x2 * y2)
-    st1 = sf.s1 * np.sqrt(x1 / y1)
-    st2 = sf.s2 * np.sqrt(x2 / y2)
-    ct = zc * (y1 * y2 / (x1 * x2)) ** 0.25
-    dt = zd * (x1 * x2 / (y1 * y2)) ** 0.25
-    return StandardForm(
-        float(bt1), float(bt2), float(ct), float(dt), float(st1), float(st2)
-    )
+    return _sqrt_form(sf, active_profile().phys_tol)

@@ -166,6 +166,23 @@ class TestSweep:
             else:
                 assert eof > 0.0
 
+    def test_negative_range_start(self, capsys):
+        # argparse alone reads "-1:1:3" as an option and exits 2
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--mts", "kappa1=2.5", "kappa2=0.5", "theta=1",
+            "--sweep-param", "phi", "--range", "-1:1:3",
+        )
+        assert code == 0
+        _, joined, _ = run_cli(
+            capsys,
+            "sweep", "--mts", "kappa1=2.5", "kappa2=0.5", "theta=1",
+            "--sweep-param", "phi", "--range=-1:1:3",
+        )
+        assert out == joined
+        rows = out.strip().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [-1.0, 0.0, 1.0]
+
     def test_unphysical_rows_flagged_not_fatal(self, capsys):
         # the mode-mixed partner stops being physical beyond b = 6.5
         code, out, _ = run_cli(

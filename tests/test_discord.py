@@ -7,9 +7,11 @@ import pytest
 
 from ghk import (
     GaussianState,
+    InvalidParamsError,
     MtsParams,
     NotPhysicalError,
     OutOfFamilyError,
+    ProductStateParams,
     StandardForm,
     StsParams,
     affinity,
@@ -515,3 +517,12 @@ class TestFigureShapes:
             assert hellinger_discord(mts_cm) >= hellinger_discord(sts_cm) - 1e-12
             assert entropic_discord(mts_cm) >= entropic_discord(sts_cm) - 1e-12
             assert mutual_information(mts_cm) >= mutual_information(sts_cm) - 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["eta1", "eta2", "r1", "r2", "phi1", "phi2"])
+def test_product_state_params_reject_non_finite(field, bad):
+    values = {"eta1": 1.0, "eta2": 0.7, "r1": 0.2, "r2": -0.3, "phi1": 0.4, "phi2": 1.1}
+    values[field] = bad
+    with pytest.raises(InvalidParamsError):
+        ProductStateParams(**values)

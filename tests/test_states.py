@@ -225,3 +225,24 @@ class TestGaussianState:
     def test_displaced_mean_kept(self):
         state = GaussianState([2.0, 0.0], 0.5 * np.eye(2))
         np.testing.assert_allclose(state.mean, [2.0, 0.0])
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["nbar1", "nbar2", "r", "phi"])
+def test_sts_params_reject_non_finite(field, bad):
+    values = {"nbar1": 1.0, "nbar2": 0.5, "r": 0.7, "phi": 0.3}
+    values[field] = bad
+    with pytest.raises(InvalidParamsError):
+        StsParams(**values)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["kappa1", "kappa2", "theta", "phi"])
+def test_mts_params_reject_non_finite(field, bad):
+    values = {"kappa1": 2.5, "kappa2": 0.7, "theta": 1.0, "phi": 0.3}
+    values[field] = bad
+    with pytest.raises(InvalidParamsError):
+        MtsParams(**values)

@@ -16,6 +16,7 @@ from ghk import (
     NotPositiveDefiniteError,
     StandardForm,
     affinity,
+    correlation_report,
     invariants,
     invariants_from_spectrum,
     is_physical,
@@ -326,6 +327,57 @@ class TestReduceToStandardForm:
             assert got.c >= abs(got.d) - 1e-12
             if p != 0:
                 assert math.copysign(1.0, got.d) == math.copysign(1.0, p)
+
+
+def local_frame(rng) -> np.ndarray:
+    """Random local symplectic S1 (+) S2."""
+    s = np.zeros((4, 4))
+    s[:2, :2] = random_symplectic(1, rng)
+    s[2:, 2:] = random_symplectic(1, rng)
+    return s
+
+
+class TestReductionFrame:
+    """The closed-form reduction reproduces its input and keeps c = -d ties."""
+
+    def inputs(self):
+        rng = np.random.default_rng(21)
+        forms = [random_standard_form(rng) for _ in range(100)]
+        # zero, rank-1, c = |d| of both signs, and det C < 0 cross blocks
+        for b1, b2 in ((1.3, 0.9), (2.0, 2.0), (0.7, 3.1)):
+            for c, d in ((0.0, 0.0), (0.4, 0.0), (0.4, 0.4), (0.4, -0.4), (0.5, -0.2)):
+                forms.append(StandardForm(b1, b2, c, d))
+        for sf in forms:
+            for s in (np.eye(4), local_frame(rng)):
+                m = s @ sf.to_cm().matrix @ s.T
+                yield CovarianceMatrix(0.5 * (m + m.T))
+
+    def test_frame_rebuilds_the_input(self):
+        for cov in self.inputs():
+            sf, s = reduce_to_standard_form(cov)
+            rebuilt = s @ sf.to_cm().matrix @ s.T
+            scale = np.max(np.abs(cov.matrix))
+            assert np.max(np.abs(rebuilt - cov.matrix)) <= 1e-13 * scale
+            assert sf.c >= abs(sf.d)
+
+    def test_frame_blocks_are_symplectic(self):
+        j1 = symplectic_form(1)
+        for cov in self.inputs():
+            _, s = reduce_to_standard_form(cov)
+            assert not s[:2, 2:].any() and not s[2:, :2].any()
+            for block in (s[:2, :2], s[2:, 2:]):
+                np.testing.assert_allclose(block @ j1 @ block.T, j1, rtol=0, atol=1e-13)
+
+    def test_diagonal_cross_block_keeps_the_tie(self):
+        # solving c d = det C as d = det(C) / c misses -c by an ulp here,
+        # and the spectrum formula turns that ulp into an error of 5e-6
+        b, c = 954.1114688507246, 954.0994253547595
+        cm = StandardForm(b, b, c, -c).to_cm()
+        sf, _ = reduce_to_standard_form(cm)
+        assert sf.d == -sf.c
+        exact = math.sqrt((b - c) * (b + c))
+        report = correlation_report(cm)
+        np.testing.assert_allclose(report.symplectic_spectrum, (exact, exact), rtol=0, atol=1e-9)
 
 
 class TestInvariants:
