@@ -3,41 +3,18 @@
 Closed-form Gaussian discord via the maximal affinity with product states,
 entropic correlation measures, the state families realizing them, and
 independent brute-force oracles that certify every closed form.
+
+``import ghk`` loads the numpy-free core only: the float closed forms of
+``ghk.forms``, the error types and the tolerance profiles. Every other
+public name lives in a module built on numpy; that module is imported the
+first time one of its names is looked up on the package, and all of its
+names are then bound here, so later lookups are plain attribute reads.
 """
 
 __version__ = "0.1.0"
 
-from .affinity import (
-    OverlapResult,
-    affinity,
-    affinity_from_sqrt_cms,
-    gaussian_overlap_trace,
-    hellinger_distance,
-    trace_of_sqrt,
-)
-from .checks import (
-    invariants,
-    max_affinity_via_invariants,
-    stationarity_residual,
-    verify_phi_zero,
-)
-from .discord import (
-    ClosestProduct,
-    CorrelationReport,
-    ProductStateParams,
-    classical_correlations,
-    closest_product_state,
-    correlation_report,
-    entanglement_of_formation_symmetric,
-    entropic_discord,
-    hellinger_discord,
-    hellinger_discord_mts,
-    hellinger_discord_sts,
-    hellinger_discord_symmetric,
-    max_affinity,
-    mutual_information,
-    simon_separable,
-)
+from importlib import import_module as _import_module
+
 from .errors import (
     ConsistencyError,
     DegenerateBlocksError,
@@ -54,50 +31,112 @@ from .errors import (
     SingularSumError,
     TruncationInsufficientError,
 )
-from .oracle import (
-    FockOracleConfig,
-    OptimizerConfig,
-    fock_affinity_diagonal,
-    fock_product_trace_diagonal,
-    fock_sqrt_trace_diagonal,
-    fock_thermal_spectrum,
-    fock_trace_distance_diagonal,
-    oracle_max_affinity,
-)
-from .sampling import random_physical_cm, random_standard_form, random_symplectic
-from .states import (
-    GaussianState,
+from .forms import (
+    CorrelationReport,
     MtsParams,
+    StandardForm,
     StsParams,
+    SymplecticInvariants,
     entropic_h,
     mts_standard_form,
-    mts_state,
-    purity,
-    sts_separability_threshold,
     sts_standard_form,
-    sts_state,
-    tensor,
-    thermal_state,
-    vacuum_state,
-    von_neumann_entropy,
-)
-from .symplectic import (
-    CovarianceMatrix,
-    StandardForm,
-    SymplecticInvariants,
-    as_covariance,
-    det2,
-    det4,
-    invariants_from_spectrum,
-    is_physical,
-    reduce_to_standard_form,
-    square_root_cm,
-    square_root_standard_form,
-    standard_form,
-    symplectic_eigenvalues,
-    symplectic_form,
-    williamson,
 )
 from .tolerances import ToleranceProfile, active_profile
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names served from each numpy-layer module, imported on first lookup.
+_LAZY = {
+    "affinity": (
+        "OverlapResult",
+        "affinity",
+        "affinity_from_sqrt_cms",
+        "gaussian_overlap_trace",
+        "hellinger_distance",
+        "trace_of_sqrt",
+    ),
+    "checks": (
+        "invariants",
+        "max_affinity_via_invariants",
+        "stationarity_residual",
+        "verify_phi_zero",
+    ),
+    "discord": (
+        "ClosestProduct",
+        "ProductStateParams",
+        "classical_correlations",
+        "closest_product_state",
+        "correlation_report",
+        "entanglement_of_formation_symmetric",
+        "entropic_discord",
+        "hellinger_discord",
+        "hellinger_discord_mts",
+        "hellinger_discord_sts",
+        "hellinger_discord_symmetric",
+        "max_affinity",
+        "mutual_information",
+        "simon_separable",
+    ),
+    "oracle": (
+        "FockOracleConfig",
+        "OptimizerConfig",
+        "fock_affinity_diagonal",
+        "fock_product_trace_diagonal",
+        "fock_sqrt_trace_diagonal",
+        "fock_thermal_spectrum",
+        "fock_trace_distance_diagonal",
+        "oracle_max_affinity",
+    ),
+    "sampling": ("random_physical_cm", "random_standard_form", "random_symplectic"),
+    "states": (
+        "GaussianState",
+        "mts_state",
+        "purity",
+        "sts_separability_threshold",
+        "sts_state",
+        "tensor",
+        "thermal_state",
+        "vacuum_state",
+        "von_neumann_entropy",
+    ),
+    "symplectic": (
+        "CovarianceMatrix",
+        "as_covariance",
+        "det2",
+        "det4",
+        "invariants_from_spectrum",
+        "is_physical",
+        "reduce_to_standard_form",
+        "square_root_cm",
+        "square_root_standard_form",
+        "standard_form",
+        "symplectic_eigenvalues",
+        "symplectic_form",
+        "williamson",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import the module that serves ``name`` and bind all of its names.
+
+    Binding them all keeps ``ghk.affinity`` the function: importing the
+    submodule of the same name sets the package attribute to the module,
+    and the binding that follows sets it back.
+    """
+    module = _HOME.get(name, name)
+    if module not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = _import_module(f"{__name__}.{module}")
+    namespace = globals()
+    for export in _LAZY[module]:
+        namespace[export] = getattr(loaded, export)
+    return namespace[name]
+
+
+# The submodules count among the exports, as they did when the package
+# imported all of them; the core module ``forms`` is not one of them.
+__all__ = sorted(
+    {name for name in dir() if not name.startswith("_")} - {"forms"}
+    | set(_LAZY)
+    | set(_HOME)
+)

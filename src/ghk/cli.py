@@ -6,6 +6,10 @@ Subcommands:
   verify   oracle-vs-closed-form and spectral cross-check suites
 
 Exit codes: 0 success, 1 verification breach, 2 invalid or unphysical input.
+
+``sweep`` evaluates every row with the closed forms of ``ghk.forms`` and
+never loads numpy; ``report`` and ``verify`` import the numpy layer when
+they run.
 """
 
 from __future__ import annotations
@@ -16,10 +20,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, checks
-from .discord import correlation_report
+from . import __version__
 from .errors import (
     ConsistencyError,
     GhkError,
@@ -29,13 +30,15 @@ from .errors import (
     ParseError,
     TruncationInsufficientError,
 )
-from .states import (
+from .forms import (
     MtsParams,
+    StandardForm,
     StsParams,
+    _form_report,
+    _physical_unscaled,
     mts_standard_form,
     sts_standard_form,
 )
-from .symplectic import CovarianceMatrix, StandardForm, as_covariance
 from .tolerances import active_profile
 
 _MEASURES = (
@@ -140,11 +143,13 @@ def _parse_std_form(text: str) -> StandardForm:
     return StandardForm(*vals)
 
 
-def _parse_matrix(text: str) -> tuple[np.ndarray, np.ndarray]:
+def _parse_matrix(text: str):
     """Parse a 4x4 matrix from a path or inline text; JSON reports re-ingest.
 
-    Returns (matrix, mean).
+    Returns (matrix, mean) as numpy arrays.
     """
+    import numpy as np
+
     path = Path(text)
     try:
         is_file = path.is_file()
@@ -179,8 +184,13 @@ def _parse_matrix(text: str) -> tuple[np.ndarray, np.ndarray]:
     return matrix, np.zeros(4)
 
 
-def _input_cm(args) -> tuple[CovarianceMatrix, np.ndarray, dict]:
-    """Resolve the state input of `report`; returns (cm, mean, input echo)."""
+def _input_state(args):
+    """Resolve the state input of `report`.
+
+    Returns (state, mean, input echo): the state is a ``StandardForm`` for
+    family and standard-form input, and a matrix with its mean otherwise
+    (mean None for the former).
+    """
     chosen = [
         name
         for name, value in (
@@ -196,19 +206,14 @@ def _input_cm(args) -> tuple[CovarianceMatrix, np.ndarray, dict]:
             "exactly one of --sts, --mts, --std-form, --matrix is required"
         )
     kind = chosen[0]
-    mean = np.zeros(4)
     if kind in ("sts", "mts"):
         params = _parse_kv(getattr(args, kind))
-        sf = _family_standard_form(kind, params)
-        echo = {"kind": kind, "params": params}
-    elif kind == "std_form":
+        return _family_standard_form(kind, params), None, {"kind": kind, "params": params}
+    if kind == "std_form":
         sf = _parse_std_form(args.std_form)
-        echo = {"kind": "std-form", "params": _sf_dict(sf)}
-    else:
-        matrix, mean = _parse_matrix(args.matrix)
-        cov = as_covariance(matrix)
-        return cov, mean, {"kind": "matrix"}
-    return sf.to_cm(), mean, echo
+        return sf, None, {"kind": "std-form", "params": _sf_dict(sf)}
+    matrix, mean = _parse_matrix(args.matrix)
+    return matrix, mean, {"kind": "matrix"}
 
 
 def _sf_dict(sf: StandardForm) -> dict:
@@ -218,7 +223,15 @@ def _sf_dict(sf: StandardForm) -> dict:
 
 
 def cmd_report(args) -> int:
-    cov, mean, echo = _input_cm(args)
+    import numpy as np
+
+    from .discord import correlation_report
+    from .symplectic import as_covariance
+
+    state, mean, echo = _input_state(args)
+    cov = state.to_cm() if isinstance(state, StandardForm) else as_covariance(state)
+    if mean is None:
+        mean = np.zeros(4)
     report = correlation_report(cov, mean)
     echo["matrix"] = cov.matrix.tolist()
     echo["mean"] = mean.tolist()
@@ -244,14 +257,26 @@ def cmd_report(args) -> int:
 
 
 def _sweep_row(family: str, params: dict, outputs) -> tuple[bool, dict]:
+    """One sweep row: the report of the family's standard form, as
+    ``correlation_report`` gives it for a ``StandardForm``."""
     try:
-        report = correlation_report(_family_standard_form(family, params))
+        tol = active_profile().phys_tol
+        sf = _physical_unscaled(_family_standard_form(family, params), tol)
+        report = _form_report(sf, tol)
     except (InvalidParamsError, NotPhysicalError):
         return False, {name: None for name in outputs}
     values = {}
     for name in outputs:
         values[name] = getattr(report, name)
     return True, values
+
+
+def _grid(start: float, stop: float, steps: int) -> list[float]:
+    """``np.linspace(start, stop, steps).tolist()``, bit for bit, in floats."""
+    step = (stop - start) / (steps - 1)
+    grid = [i * step + start for i in range(steps)]
+    grid[-1] = stop
+    return grid
 
 
 def cmd_sweep(args) -> int:
@@ -295,13 +320,12 @@ def cmd_sweep(args) -> int:
         if unknown:
             raise ParseError(f"unknown output column(s): {sorted(unknown)}")
 
-    grid = np.linspace(start, stop, steps)
     rows = []
-    for value in grid:
+    for value in _grid(start, stop, steps):
         params = dict(fixed)
-        params[sweep_param] = float(value)
+        params[sweep_param] = value
         physical, values = _sweep_row(family, params, outputs)
-        rows.append((float(value), physical, values))
+        rows.append((value, physical, values))
 
     if args.out == "json":
         payload = {
@@ -333,6 +357,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
+
     failures = 0
     print(f"verification: seed={args.seed} trials={args.trials} "
           f"profile={active_profile().name}")

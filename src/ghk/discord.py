@@ -12,6 +12,10 @@ square-root state:
   * the maximal affinity is
     [4 sqrt(det Vt) / ((sqrt(bt1 bt2) + sqrt(bt1 bt2 - ct^2))
                        (sqrt(bt1 bt2) + sqrt(bt1 bt2 - dt^2)))]^(1/2).
+
+The measures of a standard form and ``CorrelationReport`` are float closed
+forms of ``ghk.forms``; this module reduces matrices to standard form for
+them and adds the closest product state.
 """
 
 from __future__ import annotations
@@ -22,40 +26,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import symplectic
-from .errors import (
-    DimensionMismatchError,
-    InvalidParamsError,
-    NotPhysicalError,
-    OutOfFamilyError,
-)
-from .states import (
-    GaussianState,
-    MtsParams,
-    StsParams,
-    entropic_h,
-)
-from .symplectic import (
+from .errors import DimensionMismatchError, InvalidParamsError, NotPhysicalError
+from .forms import (
+    CorrelationReport,
     StandardForm,
     _checked_form,
-    _form_spectrum,
+    _classical_correlations,
+    _entropic_discord,
+    _eof_symmetric,
+    _form_report,
     _invariants,
+    _is_uncorrelated,
+    _max_affinity,
+    _max_affinity_from_tilde,
+    _mutual_information,
+    _physical_unscaled,
+    _pt_spectrum,
+    _simon_separable,
     _sqrt_form,
+)
+from .states import GaussianState, MtsParams, StsParams
+from .symplectic import (
     as_covariance,
     invariants_from_spectrum,
     reduce_to_standard_form,
     standard_form,
 )
 from .tolerances import active_profile
-
-# Cross-correlations below this (relative) threshold are treated as exactly
-# absent: the state is a product, its discord is exactly zero, and the
-# closest product state is the square-root state's own pair of marginals.
-_PRODUCT_ATOL = 1e-14
-
-# Width of the symmetric |d| = c family within which the entropic closed
-# forms apply.
-_FAMILY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -171,25 +168,6 @@ class ClosestProduct:
             eta2=_sqrt_eigenvalue_inverse(self.params.eta2),
         )
         return p.state()
-
-
-def _is_uncorrelated(sf: StandardForm) -> bool:
-    return max(abs(sf.c), abs(sf.d)) <= _PRODUCT_ATOL * max(1.0, sf.b1 * sf.b2)
-
-
-def _max_affinity_from_tilde(tsf: StandardForm) -> float:
-    bb = tsf.b1 * tsf.b2
-    gc = max(bb - tsf.c * tsf.c, 0.0)
-    gd = max(bb - tsf.d * tsf.d, 0.0)
-    num = 4.0 * math.sqrt(gc * gd)
-    den = (math.sqrt(bb) + math.sqrt(gc)) * (math.sqrt(bb) + math.sqrt(gd))
-    return min(math.sqrt(num / den), 1.0)
-
-
-def _max_affinity(sf: StandardForm, tol: float) -> float:
-    if _is_uncorrelated(sf):
-        return 1.0
-    return _max_affinity_from_tilde(_sqrt_form(sf, tol))
 
 
 def max_affinity(V) -> float:
@@ -308,17 +286,6 @@ def hellinger_discord_mts(p: MtsParams) -> float:
     return 1.0 - 2.0 / (math.sqrt(y) + 1.0)
 
 
-def _pt_spectrum(sf: StandardForm) -> tuple[float, float]:
-    """Spectrum of the partial transpose (d -> -d)."""
-    return _form_spectrum(sf.b1, sf.b2, sf.c, -sf.d)
-
-
-def _simon_separable(
-    sf: StandardForm, pt_spectrum: tuple[float, float], tol: float
-) -> bool:
-    return sf.d >= 0.0 or pt_spectrum[1] >= 0.5 - tol
-
-
 def simon_separable(V) -> bool:
     """PPT separability of a two-mode Gaussian state.
 
@@ -329,46 +296,13 @@ def simon_separable(V) -> bool:
     return _simon_separable(sf, _pt_spectrum(sf), active_profile().phys_tol)
 
 
-def _require_symmetric_dc(sf: StandardForm) -> tuple[float, float]:
-    scale_b = max(1.0, abs(sf.b1), abs(sf.b2))
-    scale_c = max(1.0, abs(sf.c))
-    if abs(sf.b1 - sf.b2) > _FAMILY_RTOL * scale_b:
-        raise OutOfFamilyError("closed form requires equal diagonal strengths")
-    if abs(sf.c - abs(sf.d)) > _FAMILY_RTOL * scale_c:
-        raise OutOfFamilyError("closed form requires |d| = c cross-correlations")
-    return 0.5 * (sf.b1 + sf.b2), sf.c
-
-
-def _entropic_discord(sf: StandardForm) -> float:
-    b, c = _require_symmetric_dc(sf)
-    if _is_uncorrelated(sf):
-        return 0.0
-    k1, k2 = sf.spectrum()
-    y = b - c * c / (b + 0.5)
-    value = entropic_h(b) - entropic_h(k1) - entropic_h(max(k2, 0.5)) + entropic_h(y)
-    return max(value, 0.0)
-
-
 def entropic_discord(V) -> float:
     """Measurement-based Gaussian discord of a symmetric |d| = c state.
 
     h(b) - h(k1) - h(k2) + h(y) with y = b - c^2/(b + 1/2). Nonnegative and
     zero iff the cross-correlations vanish.
     """
-    return _entropic_discord(standard_form(V))
-
-
-def _mutual_information(sf: StandardForm) -> float:
-    if _is_uncorrelated(sf):
-        return 0.0
-    k1, k2 = sf.spectrum()
-    value = (
-        entropic_h(sf.b1)
-        + entropic_h(sf.b2)
-        - entropic_h(k1)
-        - entropic_h(max(k2, 0.5))
-    )
-    return max(value, 0.0)
+    return _entropic_discord(standard_form(V), active_profile().phys_tol)
 
 
 def mutual_information(V) -> float:
@@ -377,15 +311,7 @@ def mutual_information(V) -> float:
     For a product state the spectrum equals the marginals and the value is
     exactly zero.
     """
-    return _mutual_information(standard_form(V))
-
-
-def _classical_correlations(sf: StandardForm) -> float:
-    b, c = _require_symmetric_dc(sf)
-    if _is_uncorrelated(sf):
-        return 0.0
-    y = b - c * c / (b + 0.5)
-    return max(entropic_h(b) - entropic_h(y), 0.0)
+    return _mutual_information(standard_form(V), active_profile().phys_tol)
 
 
 def classical_correlations(V) -> float:
@@ -394,7 +320,7 @@ def classical_correlations(V) -> float:
     Equals mutual_information - entropic_discord and is identical for the
     d = +c and d = -c partners of the same (b, c).
     """
-    return _classical_correlations(standard_form(V))
+    return _classical_correlations(standard_form(V), active_profile().phys_tol)
 
 
 def entanglement_of_formation_symmetric(b: float, c: float) -> float:
@@ -406,50 +332,6 @@ def entanglement_of_formation_symmetric(b: float, c: float) -> float:
     tol = active_profile().phys_tol
     sf = _checked_form(tol, b, b, c, -c)
     return _eof_symmetric(sf.b1, sf.c, tol)
-
-
-def _eof_symmetric(b: float, c: float, tol: float) -> float:
-    if _form_spectrum(b, b, c, -c)[1] < 0.5 - tol:
-        raise NotPhysicalError("symmetric state parameters are unphysical")
-    gap = b - c
-    if gap >= 0.5:
-        return 0.0
-    z = (gap * gap + 0.25) / (2.0 * gap)
-    return entropic_h(z)
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """All correlation measures of a two-mode state.
-
-    Fields that only exist for the symmetric |d| = c family (entropic
-    discord, classical correlations) or for symmetric squeezed thermal
-    states (entanglement of formation, unless separability forces it to 0)
-    are None when unavailable; absence is never encoded as 0.
-    """
-
-    hellinger_discord: float
-    mutual_information: float
-    separable: bool
-    symplectic_spectrum: tuple[float, float]
-    pt_spectrum: tuple[float, float]
-    entropic_discord: float | None
-    classical_correlations: float | None
-    eof: float | None
-    standard_form: StandardForm
-
-
-def _physical_unscaled(sf: StandardForm, tol: float) -> StandardForm:
-    """A given standard form with unit scales, once it is known physical.
-
-    Physicality is read from the closed-form spectrum, as in
-    ``square_root_standard_form``. b1 b2 > c^2 (with c >= |d|) is checked
-    too: the spectrum formula can read above 1/2 on forms that belong to
-    no positive-definite matrix.
-    """
-    if sf.b1 * sf.b2 <= sf.c * sf.c or sf.spectrum()[1] < 0.5 - tol:
-        raise NotPhysicalError("standard form is not a physical state")
-    return _checked_form(tol, sf.b1, sf.b2, sf.c, sf.d)
 
 
 def correlation_report(V, mean=None) -> CorrelationReport:
@@ -467,35 +349,8 @@ def correlation_report(V, mean=None) -> CorrelationReport:
         if m.shape != (4,) or not np.all(np.isfinite(m)):
             raise DimensionMismatchError("mean must be a finite 4-vector")
     tol = active_profile().phys_tol
-    # The class is looked up on its module because a tracer (bench/spans.py)
-    # may swap the imported name for a wrapper function.
-    if isinstance(V, symplectic.StandardForm):
+    if isinstance(V, StandardForm):
         sf = _physical_unscaled(V, tol)
     else:
         sf = standard_form(V)
-    in_family = True
-    try:
-        b, c = _require_symmetric_dc(sf)
-    except OutOfFamilyError:
-        in_family = False
-    pt_spectrum = _pt_spectrum(sf)
-    separable = _simon_separable(sf, pt_spectrum, tol)
-    ent = cc = eof = None
-    if in_family:
-        ent = _entropic_discord(sf)
-        cc = _classical_correlations(sf)
-    if in_family and sf.d <= 0.0:
-        eof = _eof_symmetric(b, c, tol)
-    elif separable:
-        eof = 0.0
-    return CorrelationReport(
-        hellinger_discord=1.0 - _max_affinity(sf, tol),
-        mutual_information=_mutual_information(sf),
-        separable=separable,
-        symplectic_spectrum=sf.spectrum(),
-        pt_spectrum=pt_spectrum,
-        entropic_discord=ent,
-        classical_correlations=cc,
-        eof=eof,
-        standard_form=sf,
-    )
+    return _form_report(sf, tol)

@@ -8,6 +8,11 @@ Conventions used throughout the package:
   * the "square-root" covariance matrix is the CM of the normalized square
     root of the density operator, obtained by the spectral substitution
     kappa -> kappa + sqrt(kappa^2 - 1/4) in the Williamson normal form.
+
+``StandardForm``, its spectrum and the square-root standard form are float
+closed forms of ``ghk.forms``; this module re-exports them and adds the
+matrix routes: validation, spectra, Williamson and the reduction to
+standard form.
 """
 
 from __future__ import annotations
@@ -25,6 +30,14 @@ from .errors import (
     NonSymmetricError,
     NotPhysicalError,
     NotPositiveDefiniteError,
+)
+from .forms import (
+    StandardForm,
+    SymplecticInvariants,
+    _checked_form,
+    _invariants,
+    _radical,
+    _sqrt_form,
 )
 from .tolerances import active_profile
 
@@ -215,19 +228,6 @@ def williamson(V) -> tuple[np.ndarray, np.ndarray]:
     return kappas, s
 
 
-def _radical(kappa: float, tol: float) -> float:
-    """sqrt(kappa^2 - 1/4), with the pure-mode limit within ``tol`` of 1/2.
-
-    Within phys_tol of a pure mode the radical is set to zero, so that
-    kappa_tilde = kappa + radical is kappa: the exact limit for genuinely
-    pure modes, and the only stable choice since
-    d(sqrt(kappa^2 - 1/4))/d kappa diverges at 1/2.
-    """
-    if kappa - 0.5 < tol:
-        return 0.0
-    return math.sqrt(max(kappa * kappa - 0.25, 0.0))
-
-
 def square_root_cm(V) -> CovarianceMatrix:
     """Covariance matrix of the normalized square root of the state.
 
@@ -258,96 +258,6 @@ def _check_sqrt_identity(v: np.ndarray, vt: np.ndarray) -> None:
         raise ConsistencyError(
             f"square-root CM failed its defining identity (rel err {err:.3e})"
         )
-
-
-_FORM_FIELDS = ("b1", "b2", "c", "d", "s1", "s2")
-
-
-@dataclass(frozen=True)
-class StandardForm:
-    """Scaled two-mode standard-form parameters (b1, b2, c, d, s1, s2).
-
-    b1, b2 are the diagonal-block strengths (>= 1/2 for physical states),
-    c and d the cross-correlations of the position-like and momentum-like
-    quadratures (convention c >= |d|), s1, s2 local squeeze scale factors
-    (> 0). The corresponding matrix has blocks diag(b_j s_j, b_j / s_j) on
-    the diagonal and diag(c sqrt(s1 s2), d / sqrt(s1 s2)) off it.
-    """
-
-    b1: float
-    b2: float
-    c: float
-    d: float
-    s1: float = 1.0
-    s2: float = 1.0
-
-    def __post_init__(self) -> None:
-        self._validate(active_profile().phys_tol)
-
-    def _validate(self, tol: float) -> None:
-        vals = [float(getattr(self, f)) for f in _FORM_FIELDS]
-        if not all(map(math.isfinite, vals)):
-            raise InvalidParamsError("standard-form parameters must be finite")
-        for name, value in zip(_FORM_FIELDS, vals):
-            object.__setattr__(self, name, value)
-        if self.b1 < 0.5 - tol or self.b2 < 0.5 - tol:
-            raise NotPhysicalError("diagonal strengths b1, b2 must be >= 1/2")
-        if self.s1 <= 0 or self.s2 <= 0:
-            raise InvalidParamsError("scale factors must be positive")
-        if self.c < abs(self.d) - 1e-12 * max(1.0, abs(self.d)):
-            raise InvalidParamsError("standard form requires c >= |d|")
-
-    def to_cm(self) -> CovarianceMatrix:
-        """Rebuild the 4x4 covariance matrix."""
-        root = math.sqrt(self.s1 * self.s2)
-        m = np.zeros((4, 4))
-        m[0, 0] = self.b1 * self.s1
-        m[1, 1] = self.b1 / self.s1
-        m[2, 2] = self.b2 * self.s2
-        m[3, 3] = self.b2 / self.s2
-        m[0, 2] = m[2, 0] = self.c * root
-        m[1, 3] = m[3, 1] = self.d / root
-        return CovarianceMatrix(m)
-
-    def cm_determinant(self) -> float:
-        """det V = (b1 b2 - c^2)(b1 b2 - d^2); independent of the scales."""
-        bb = self.b1 * self.b2
-        return (bb - self.c * self.c) * (bb - self.d * self.d)
-
-    def spectrum(self) -> tuple[float, float]:
-        """Symplectic eigenvalues (descending) from the closed quadratic."""
-        return _form_spectrum(self.b1, self.b2, self.c, self.d)
-
-    def partial_transpose(self) -> "StandardForm":
-        """Standard form of the partial transpose (d -> -d)."""
-        return StandardForm(self.b1, self.b2, self.c, -self.d, self.s1, self.s2)
-
-
-def _checked_form(tol: float, b1, b2, c, d, s1=1.0, s2=1.0) -> StandardForm:
-    """A ``StandardForm`` validated against the phys_tol ``tol``.
-
-    The same checks as the constructor, for callers that have read the
-    tolerance profile already: the constructor reads it on every call.
-    """
-    sf = object.__new__(StandardForm)
-    vars(sf).update(b1=b1, b2=b2, c=c, d=d, s1=s1, s2=s2)
-    sf._validate(tol)
-    return sf
-
-
-def _form_spectrum(b1: float, b2: float, c: float, d: float) -> tuple[float, float]:
-    """Symplectic eigenvalues (descending) of the standard form (b1, b2, c, d).
-
-    The closed quadratic: kappa^2 = (Delta +/- sqrt(Delta^2 - 4 det V)) / 2
-    with Delta = b1^2 + b2^2 + 2 c d and det V = (b1 b2 - c^2)(b1 b2 - d^2).
-    """
-    bb = b1 * b2
-    delta = b1 * b1 + b2 * b2 + 2.0 * c * d
-    det_v = (bb - c * c) * (bb - d * d)
-    disc = math.sqrt(max(delta * delta - 4.0 * det_v, 0.0))
-    k1 = math.sqrt(max((delta + disc) / 2.0, 0.0))
-    k2 = math.sqrt(max((delta - disc) / 2.0, 0.0))
-    return k1, k2
 
 
 def _two_mode_entries(cov: CovarianceMatrix) -> tuple[float, ...]:
@@ -463,41 +373,6 @@ def reduce_to_standard_form(V) -> tuple[StandardForm, np.ndarray]:
     return sf, s_loc
 
 
-@dataclass(frozen=True)
-class SymplecticInvariants:
-    """Spectrum-derived invariants of a physical two-mode state.
-
-    M1, M2, N1, N2 are the pairwise products (kappa_i +/- 1/2); K is the
-    mixed-radical invariant entering the square-root standard form; L is
-    4 sqrt(det V det Vt); D = det(V + i J / 2) = M1 M2 = N1 N2.
-    """
-
-    K: float
-    L: float
-    M1: float
-    M2: float
-    N1: float
-    N2: float
-    D: float
-
-
-def _invariants(k1: float, k2: float, tol: float) -> SymplecticInvariants:
-    rad1, rad2 = _radical(k1, tol), _radical(k2, tol)
-    gap1 = 0.0 if k1 - 0.5 < tol else k1 - 0.5
-    gap2 = 0.0 if k2 - 0.5 < tol else k2 - 0.5
-    m1 = gap1 * (k2 + 0.5)
-    m2 = (k1 + 0.5) * gap2
-    return SymplecticInvariants(
-        K=k1 * rad2 + k2 * rad1,
-        L=4.0 * k1 * k2 * (k1 + rad1) * (k2 + rad2),
-        M1=m1,
-        M2=m2,
-        N1=(k1 + 0.5) * (k2 + 0.5),
-        N2=gap1 * gap2,
-        D=m1 * m2,
-    )
-
-
 def invariants_from_spectrum(kappas) -> SymplecticInvariants:
     """Evaluate the invariants directly from a two-mode spectrum.
 
@@ -507,37 +382,6 @@ def invariants_from_spectrum(kappas) -> SymplecticInvariants:
     holds identically at the boundary.
     """
     return _invariants(float(kappas[0]), float(kappas[1]), active_profile().phys_tol)
-
-
-def _sqrt_form(sf: StandardForm, tol: float) -> StandardForm:
-    """``square_root_standard_form`` with the phys_tol ``tol`` given."""
-    k1, k2 = sf.spectrum()
-    if k2 < 0.5 - tol:
-        raise NotPhysicalError(
-            f"minimal symplectic eigenvalue {k2:.6g} is below 1/2"
-        )
-    if k1 - 0.5 < tol and k2 - 0.5 < tol:
-        return sf
-    inv = _invariants(k1, k2, tol)
-    pref = 4.0 * k1 * k2 * inv.K
-    bb = sf.b1 * sf.b2
-    gc = bb - sf.c * sf.c
-    gd = bb - sf.d * sf.d
-    x1 = (sf.b1 * inv.L - sf.b2 * gc) / pref
-    x2 = (sf.b2 * inv.L - sf.b1 * gc) / pref
-    y1 = (sf.b1 * inv.L - sf.b2 * gd) / pref
-    y2 = (sf.b2 * inv.L - sf.b1 * gd) / pref
-    zc = (sf.c * inv.L + sf.d * gc) / pref
-    zd = (sf.d * inv.L + sf.c * gd) / pref
-    return _checked_form(
-        tol,
-        math.sqrt(x1 * y1),
-        math.sqrt(x2 * y2),
-        zc * (y1 * y2 / (x1 * x2)) ** 0.25,
-        zd * (x1 * x2 / (y1 * y2)) ** 0.25,
-        sf.s1 * math.sqrt(x1 / y1),
-        sf.s2 * math.sqrt(x2 / y2),
-    )
 
 
 def square_root_standard_form(sf: StandardForm) -> StandardForm:

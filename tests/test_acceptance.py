@@ -64,6 +64,7 @@ def test_criterion_1_symmetric_sts_universality():
           f"max |dev| {worst:.2e}, {elapsed:.3f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_closed_form_vs_brute_force(random_suite):
     started = time.perf_counter()
     below, above = checks.closed_form_vs_oracle(

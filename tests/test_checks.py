@@ -124,9 +124,15 @@ SRC = Path(ghk.__file__).resolve().parent
 def package_imports(path):
     """(module, name) for each import from the package in one source file.
 
-    ``module`` is relative to the package; ``from . import x`` and
-    ``import ghk.x`` give (x, None).
+    ``module`` is relative to the package; ``import ghk.x`` gives (x, None),
+    and so does ``from . import x`` for a submodule x. A name the package
+    serves lazily counts as imported from the module that defines it, both
+    in ``from . import name`` and in the package's own table ``ghk._LAZY``.
     """
+    if path.name == "__init__.py":
+        for module, names in ghk._LAZY.items():
+            for name in names:
+                yield module, name
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
             if node.level == 1:
@@ -136,14 +142,73 @@ def package_imports(path):
             else:
                 continue
             for alias in node.names:
-                if base is None:
-                    yield alias.name, None
-                else:
+                if base is not None:
                     yield base.split(".")[0], alias.name
+                elif alias.name in ghk._HOME:
+                    yield ghk._HOME[alias.name], alias.name
+                else:
+                    yield alias.name, None
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith("ghk."):
                     yield alias.name.split(".")[1], None
+
+
+def _outside_functions(node):
+    """The nodes under ``node`` that run when it runs: no function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _outside_functions(child)
+
+
+def imports_on_load(path):
+    """The modules that importing one source file imports.
+
+    Package modules are named ``ghk.x`` (``ghk`` alone for a name such as
+    ``__version__``), other modules by their top-level package (``numpy``).
+    Imports inside function bodies run later, if ever, and are left out.
+    """
+    found = set()
+    for node in _outside_functions(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(
+                alias.name if alias.name.startswith("ghk.") else alias.name.split(".")[0]
+                for alias in node.names
+            )
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            found.add(f"ghk.{node.module}")
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update(
+                f"ghk.{alias.name}" if (SRC / f"{alias.name}.py").is_file() else "ghk"
+                for alias in node.names
+            )
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module if node.module.startswith("ghk.") else node.module.split(".")[0])
+    return found
+
+
+NUMPY = {"numpy", "scipy"}
+
+
+def numpy_layer():
+    """The package modules whose import loads numpy or scipy."""
+    loads = {f"ghk.{path.stem}": imports_on_load(path) for path in SRC.glob("*.py")}
+    layer = set()
+    while True:
+        grown = {m for m, deps in loads.items() if deps & (NUMPY | layer)}
+        if grown == layer:
+            return layer
+        layer = grown
+
+
+def top_level_definitions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
 
 
 class TestLayering:
@@ -162,3 +227,24 @@ class TestLayering:
             if module == "discord"
         ]
         assert from_discord == ["ProductStateParams"]
+
+    def test_the_numpy_layer(self):
+        assert numpy_layer() == {
+            f"ghk.{m}"
+            for m in ("affinity", "checks", "discord", "oracle", "sampling", "states", "symplectic")
+        }
+
+    @pytest.mark.parametrize("name", ["forms.py", "__init__.py", "cli.py"])
+    def test_loads_no_numpy(self, name):
+        assert not imports_on_load(SRC / name) & (NUMPY | numpy_layer())
+
+    def test_the_core_imports_only_the_standard_library_errors_and_tolerances(self):
+        assert imports_on_load(SRC / "forms.py") == {
+            "__future__", "math", "dataclasses", "ghk.errors", "ghk.tolerances"
+        }
+
+    def test_no_function_is_defined_in_the_core_and_the_numpy_layer(self):
+        core = top_level_definitions(SRC / "forms.py")
+        for module in numpy_layer():
+            path = SRC / f"{module.partition('.')[2]}.py"
+            assert not core & top_level_definitions(path), module

@@ -1,5 +1,7 @@
 """Command-line interface: report, sweep, verify."""
 
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -166,6 +168,27 @@ class TestSweep:
             else:
                 assert eof > 0.0
 
+    # (start, stop) of the benchmark's four grids and of the README's sweeps
+    GRID_ENDS = [
+        (0.05, 3.0), (2.5, 9.0), (0.0, math.pi), (0.05, 12.0),
+        ("0.05", "3"), ("2.5", "9"), ("0", "3.14159"), ("-1", "1"),
+    ]
+
+    @pytest.mark.parametrize("steps", [2, 3, 25, 40, 60, 1000])
+    @pytest.mark.parametrize("start, stop", GRID_ENDS)
+    def test_grid_is_numpy_linspace_bit_for_bit(self, capsys, start, stop, steps):
+        grid = f"{start!s}:{stop!s}:{steps}"
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--mts", "kappa1=2.5", "kappa2=0.5", "theta=1",
+            "--sweep-param", "phi", "--range", grid, "--out", "json",
+            "--outputs", "separable",
+        )
+        assert code == 0
+        values = [row[0] for row in json.loads(out)["rows"]]
+        expected = np.linspace(float(start), float(stop), steps).tolist()
+        assert [x.hex() for x in values] == [x.hex() for x in expected]
+
     def test_negative_range_start(self, capsys):
         # argparse alone reads "-1:1:3" as an option and exits 2
         code, out, _ = run_cli(
@@ -329,15 +352,83 @@ class TestVerify:
         assert "standard form" in out
 
 
-def test_import_loads_no_scipy():
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this package."""
     src = str(Path(ghk.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+def test_import_loads_no_scipy():
     code = (
         "import sys, ghk, ghk.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert run_fresh(code).strip() == "[]"
+
+
+# Runs the three README sweeps in CSV and JSON and a sweep that fails with a
+# ParseError on its first row, noting after each whether numpy is loaded;
+# then reports a matrix, which needs numpy.
+NUMPY_FREE_SWEEPS = """
+import contextlib, dataclasses, io, json, math, sys
+import ghk, ghk.cli
+
+steps = [["import ghk", None, "numpy" in sys.modules]]
+sweeps = [
+    ["--sts", "nbar1=0", "nbar2=20", "--sweep-param", "r", "--range", "0.05:3:60"],
+    ["--symmetric", "b2c2=6.25", "dsign=-1", "--sweep-param", "b", "--range", "2.5:9:40"],
+    ["--mts", "kappa1=2.5", "kappa2=0.5", "--sweep-param", "theta", "--range", "0:3.14159:25"],
+    ["--mts", "kappa1=2.5", "--sweep-param", "theta", "--range", "0:1:3"],
+]
+for argv in sweeps:
+    for out in ("csv", "json"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = ghk.cli.main(["sweep", *argv, "--out", out])
+        steps.append([" ".join([*argv[:1], out]), code, "numpy" in sys.modules])
+b, c = 1.5 * math.cosh(1.4), 1.5 * math.sinh(1.4)
+matrix = [[b, 0.0, c, 0.0], [0.0, b, 0.0, -c], [c, 0.0, b, 0.0], [0.0, -c, 0.0, b]]
+report = dataclasses.asdict(ghk.correlation_report(matrix))
+steps.append(["correlation_report", None, "numpy" in sys.modules])
+print(json.dumps({"steps": steps, "matrix": matrix, "report": report}))
+"""
+
+
+def test_sweeps_run_without_numpy():
+    result = json.loads(run_fresh(NUMPY_FREE_SWEEPS))
+    steps = result["steps"]
+    assert steps[0] == ["import ghk", None, False]
+    assert [code for _, code, _ in steps[1:-3]] == [0] * 6
+    assert [code for _, code, _ in steps[-3:-1]] == [2, 2]
+    assert [loaded for _, _, loaded in steps[:-1]] == [False] * 9
+    assert steps[-1] == ["correlation_report", None, True]
+    # the numpy-layer report, in the same process, is the one this process gives
+    here = dataclasses.asdict(ghk.correlation_report(result["matrix"]))
+    assert result["report"] == json.loads(json.dumps(here))
+    assert result["report"]["hellinger_discord"] == pytest.approx(
+        math.tanh(0.7) ** 2, abs=1e-12
     )
-    assert done.stdout.strip() == "[]"
+
+
+AFFINITY_STEPS = {
+    "checks": "import ghk.checks",
+    "oracle": "import ghk.oracle",
+    "report": (
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    ghk.cli.main(['report', '--sts', 'nbar1=1', 'nbar2=1', 'r=1'])"
+    ),
+}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(AFFINITY_STEPS)))
+def test_package_affinity_stays_the_function(order):
+    # ghk.affinity is also a submodule; importing it directly rebinds the
+    # package attribute unless the package binds the function back
+    lines = ["import contextlib, io, types", "import ghk, ghk.cli"]
+    for step in order:
+        lines += [AFFINITY_STEPS[step], "print(isinstance(ghk.affinity, types.FunctionType))"]
+    assert run_fresh("\n".join(lines)).split() == ["True"] * 3

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -370,6 +371,23 @@ class TestEntropicMeasures:
         assert classical_correlations(cm) == pytest.approx(
             entropic_h(sf.b1), rel=1e-9
         )
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
+    def test_pure_tmsv_measures_against_mpmath(self, r):
+        # both kappas and y are 1/2, so every measure is h(b), the mutual
+        # information twice over; their round-off must not be amplified
+        report = correlation_report(sts_standard_form(StsParams(0.0, 0.0, r)))
+        with mpmath.workdps(50):
+            b = mpmath.cosh(2 * mpmath.mpf(r)) / 2
+            h_b = float((b + 0.5) * mpmath.log(b + 0.5) - (b - 0.5) * mpmath.log(b - 0.5))
+        measures = (
+            report.mutual_information / 2,
+            report.entropic_discord,
+            report.classical_correlations,
+            report.eof,
+        )
+        for value in measures:
+            assert value == pytest.approx(h_b, rel=1e-12)
 
     def test_fixed_purity_boundary_point(self):
         # b = 2.5 on the b^2 - c^2 = 6.25 family forces c = 0

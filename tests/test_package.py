@@ -1,0 +1,72 @@
+"""The package's exports: the names it had when ``import ghk`` loaded every
+module, each the same object from the package and from its own module."""
+
+import importlib
+from types import ModuleType
+
+import pytest
+
+import ghk
+
+EXPORTS = """
+    ClosestProduct ConsistencyError CorrelationReport CovarianceMatrix
+    DegenerateBlocksError DimensionMismatchError FockOracleConfig GaussianState
+    GhkError InvalidParamsError MtsParams NegativeOccupancyError
+    NonSymmetricError NotConvergedError NotPhysicalError
+    NotPositiveDefiniteError OptimizerConfig OutOfFamilyError OverlapResult
+    ParseError ProductStateParams SingularSumError StandardForm StsParams
+    SymplecticInvariants ToleranceProfile TruncationInsufficientError
+    active_profile affinity affinity_from_sqrt_cms as_covariance checks
+    classical_correlations closest_product_state correlation_report det2 det4
+    discord entanglement_of_formation_symmetric entropic_discord entropic_h
+    errors fock_affinity_diagonal fock_product_trace_diagonal
+    fock_sqrt_trace_diagonal fock_thermal_spectrum fock_trace_distance_diagonal
+    gaussian_overlap_trace hellinger_discord hellinger_discord_mts
+    hellinger_discord_sts hellinger_discord_symmetric hellinger_distance
+    invariants invariants_from_spectrum is_physical max_affinity
+    max_affinity_via_invariants mts_standard_form mts_state mutual_information
+    oracle oracle_max_affinity purity random_physical_cm random_standard_form
+    random_symplectic reduce_to_standard_form sampling simon_separable
+    square_root_cm square_root_standard_form standard_form states
+    stationarity_residual sts_separability_threshold sts_standard_form sts_state
+    symplectic symplectic_eigenvalues symplectic_form tensor thermal_state
+    tolerances trace_of_sqrt vacuum_state verify_phi_zero von_neumann_entropy
+    williamson
+""".split()
+
+# Names now defined in the numpy-free core, by the module that defined them
+# before and still re-exports them.
+MOVED_TO_FORMS = {
+    "CorrelationReport": "discord",
+    "MtsParams": "states",
+    "StandardForm": "symplectic",
+    "StsParams": "states",
+    "SymplecticInvariants": "symplectic",
+    "entropic_h": "states",
+    "mts_standard_form": "states",
+    "sts_standard_form": "states",
+}
+
+
+def test_all_is_unchanged():
+    assert ghk.__all__ == EXPORTS
+
+
+def test_star_import_gives_the_same_names():
+    namespace = {}
+    exec("from ghk import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(EXPORTS)
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_each_name_is_one_object_from_the_package_and_its_module(name):
+    value = getattr(ghk, name)
+    if isinstance(value, ModuleType):
+        assert value is importlib.import_module(f"ghk.{name}")
+        return
+    if name in MOVED_TO_FORMS:
+        assert getattr(ghk.forms, name) is value
+        module = MOVED_TO_FORMS[name]
+    else:
+        module = ghk._HOME.get(name) or value.__module__.partition(".")[2]
+    assert getattr(importlib.import_module(f"ghk.{module}"), name) is value

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,6 +201,23 @@ class TestEntropicFunction:
     @given(st.floats(0.5, 50.0), st.floats(1e-6, 1.0))
     def test_monotone(self, x, step):
         assert entropic_h(x + step) > entropic_h(x)
+
+    # Near 1/2 the -(x - 1/2) ln(x - 1/2) term dominates; for large x the
+    # two logarithms cancel; 1.5 is where the two branches meet.
+    ACCURACY_GRID = (
+        [0.5 + 10.0**-k for k in range(12, 0, -1)]
+        + [1.5 - 1e-12, 1.5, 1.5 + 1e-12, 2.0, math.pi]
+        + [10.0**k for k in range(1, 13)]
+        + [0.5 + 2.0**-40, 0.75, 3.3e5, 7.7e9]
+    )
+
+    @pytest.mark.parametrize("x", ACCURACY_GRID)
+    def test_relative_accuracy_against_mpmath(self, x):
+        with mpmath.workdps(50):
+            xm = mpmath.mpf(x)
+            exact = (xm + 0.5) * mpmath.log(xm + 0.5) - (xm - 0.5) * mpmath.log(xm - 0.5)
+            rel = abs((entropic_h(x) - exact) / exact)
+        assert rel <= 1e-15
 
 
 class TestGaussianState:
