@@ -9,11 +9,15 @@ independent brute-force oracles that certify every closed form.
 public name lives in a module built on numpy; that module is imported the
 first time one of its names is looked up on the package, and all of its
 names are then bound here, so later lookups are plain attribute reads.
+``ghk.affinity`` is the function in every import order, although a
+submodule of that name exists.
 """
 
 __version__ = "0.1.0"
 
+import sys as _sys
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .errors import (
     ConsistencyError,
@@ -117,12 +121,7 @@ _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name: str):
-    """Import the module that serves ``name`` and bind all of its names.
-
-    Binding them all keeps ``ghk.affinity`` the function: importing the
-    submodule of the same name sets the package attribute to the module,
-    and the binding that follows sets it back.
-    """
+    """Import the module that serves ``name`` and bind all of its names."""
     module = _HOME.get(name, name)
     if module not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -131,6 +130,31 @@ def __getattr__(name: str):
     for export in _LAZY[module]:
         namespace[export] = getattr(loaded, export)
     return namespace[name]
+
+
+class _Package(_ModuleType):
+    """The package module, with ``affinity`` a data descriptor.
+
+    Once a submodule is loaded, the import system sets it as an attribute
+    of its package, which would make ``ghk.affinity`` the module
+    ``ghk.affinity``. A data descriptor on the module's class answers both
+    the lookup and the assignment before the module namespace does: it
+    drops that one binding and keeps any other value set, such as a
+    wrapper put in and taken out again by a tracer.
+    """
+
+    @property
+    def affinity(self):
+        value = vars(self).get("affinity")
+        return __getattr__("affinity") if value is None else value
+
+    @affinity.setter
+    def affinity(self, value):
+        if not isinstance(value, _ModuleType):
+            vars(self)["affinity"] = value
+
+
+_sys.modules[__name__].__class__ = _Package
 
 
 # The submodules count among the exports, as they did when the package

@@ -11,10 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Through the package, which binds ``ghk.affinity`` to the function once the
-# submodule of that name is loaded; importing the submodule directly here
-# would leave the package attribute pointing at the module.
-from . import affinity, gaussian_overlap_trace, trace_of_sqrt
+from .affinity import affinity, gaussian_overlap_trace, trace_of_sqrt
 from .discord import _is_uncorrelated, _max_affinity_from_tilde, _optimum, max_affinity
 from .errors import ConsistencyError, DimensionMismatchError, NotPhysicalError
 from .oracle import (

@@ -7,8 +7,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification breach, 2 invalid or unphysical input.
 
-``sweep`` evaluates every row with the closed forms of ``ghk.forms`` and
-never loads numpy; ``report`` and ``verify`` import the numpy layer when
+``sweep``, and ``report`` of family or standard-form input (--sts, --mts,
+--std-form), evaluate the float closed forms of ``ghk.forms`` and never
+load numpy. ``report --matrix`` and ``verify`` import the numpy layer when
 they run.
 """
 
@@ -34,8 +35,7 @@ from .forms import (
     MtsParams,
     StandardForm,
     StsParams,
-    _form_report,
-    _physical_unscaled,
+    _given_form_report,
     mts_standard_form,
     sts_standard_form,
 )
@@ -187,9 +187,8 @@ def _parse_matrix(text: str):
 def _input_state(args):
     """Resolve the state input of `report`.
 
-    Returns (state, mean, input echo): the state is a ``StandardForm`` for
-    family and standard-form input, and a matrix with its mean otherwise
-    (mean None for the former).
+    Returns (state, input echo): the state is a ``StandardForm`` for family
+    and standard-form input, and the ``--matrix`` text otherwise.
     """
     chosen = [
         name
@@ -208,12 +207,11 @@ def _input_state(args):
     kind = chosen[0]
     if kind in ("sts", "mts"):
         params = _parse_kv(getattr(args, kind))
-        return _family_standard_form(kind, params), None, {"kind": kind, "params": params}
+        return _family_standard_form(kind, params), {"kind": kind, "params": params}
     if kind == "std_form":
         sf = _parse_std_form(args.std_form)
-        return sf, None, {"kind": "std-form", "params": _sf_dict(sf)}
-    matrix, mean = _parse_matrix(args.matrix)
-    return matrix, mean, {"kind": "matrix"}
+        return sf, {"kind": "std-form", "params": _sf_dict(sf)}
+    return args.matrix, {"kind": "matrix"}
 
 
 def _sf_dict(sf: StandardForm) -> dict:
@@ -222,19 +220,31 @@ def _sf_dict(sf: StandardForm) -> dict:
     }
 
 
-def cmd_report(args) -> int:
-    import numpy as np
+def _form_echo(sf: StandardForm) -> tuple[list[list[float]], list[float]]:
+    """(matrix, mean) echoed for a standard form: its matrix at zero mean."""
+    rows = sf.matrix_rows()
+    if not all(math.isfinite(x) for row in rows for x in row):
+        raise InvalidParamsError("covariance matrix entries must be finite")
+    return rows, [0.0] * 4
 
+
+def _matrix_report(text: str):
+    """(report, matrix, mean) of ``--matrix`` input, through the numpy layer."""
     from .discord import correlation_report
     from .symplectic import as_covariance
 
-    state, mean, echo = _input_state(args)
-    cov = state.to_cm() if isinstance(state, StandardForm) else as_covariance(state)
-    if mean is None:
-        mean = np.zeros(4)
-    report = correlation_report(cov, mean)
-    echo["matrix"] = cov.matrix.tolist()
-    echo["mean"] = mean.tolist()
+    matrix, mean = _parse_matrix(text)
+    cov = as_covariance(matrix)
+    return correlation_report(cov, mean), cov.matrix.tolist(), mean.tolist()
+
+
+def cmd_report(args) -> int:
+    state, echo = _input_state(args)
+    if isinstance(state, StandardForm):
+        echo["matrix"], echo["mean"] = _form_echo(state)
+        report = _given_form_report(state, active_profile().phys_tol)
+    else:
+        report, echo["matrix"], echo["mean"] = _matrix_report(state)
     payload = {
         "schema": 1,
         "library": {"name": "ghk", "version": __version__},
@@ -260,9 +270,8 @@ def _sweep_row(family: str, params: dict, outputs) -> tuple[bool, dict]:
     """One sweep row: the report of the family's standard form, as
     ``correlation_report`` gives it for a ``StandardForm``."""
     try:
-        tol = active_profile().phys_tol
-        sf = _physical_unscaled(_family_standard_form(family, params), tol)
-        report = _form_report(sf, tol)
+        sf = _family_standard_form(family, params)
+        report = _given_form_report(sf, active_profile().phys_tol)
     except (InvalidParamsError, NotPhysicalError):
         return False, {name: None for name in outputs}
     values = {}

@@ -35,12 +35,12 @@ from .forms import (
     _entropic_discord,
     _eof_symmetric,
     _form_report,
+    _given_form_report,
     _invariants,
     _is_uncorrelated,
     _max_affinity,
     _max_affinity_from_tilde,
     _mutual_information,
-    _physical_unscaled,
     _pt_spectrum,
     _simon_separable,
     _sqrt_form,
@@ -350,7 +350,5 @@ def correlation_report(V, mean=None) -> CorrelationReport:
             raise DimensionMismatchError("mean must be a finite 4-vector")
     tol = active_profile().phys_tol
     if isinstance(V, StandardForm):
-        sf = _physical_unscaled(V, tol)
-    else:
-        sf = standard_form(V)
-    return _form_report(sf, tol)
+        return _given_form_report(V, tol)
+    return _form_report(standard_form(V), tol)

@@ -3,8 +3,9 @@
 Standard forms and their symplectic spectrum, the square-root standard
 form, the squeezed thermal and mode-mixed thermal families, the entropic
 function, and every measure of a correlation report evaluated from one
-physical standard form. A family sweep needs nothing else, so ``ghk sweep``
-runs without loading numpy.
+physical standard form. A family sweep and a report of a given standard
+form need nothing else, so ``ghk sweep`` and ``ghk report`` of family or
+standard-form input run without loading numpy.
 
 Only ``math``, ``dataclasses``, the error types and the tolerance profiles
 are imported here. ``ghk.symplectic``, ``ghk.states`` and ``ghk.discord``
@@ -69,20 +70,22 @@ class StandardForm:
         if self.c < abs(self.d) - 1e-12 * max(1.0, abs(self.d)):
             raise InvalidParamsError("standard form requires c >= |d|")
 
+    def matrix_rows(self) -> list[list[float]]:
+        """Rows of the 4x4 covariance matrix, in Python floats."""
+        root = math.sqrt(self.s1 * self.s2)
+        c, d = self.c * root, self.d / root
+        return [
+            [self.b1 * self.s1, 0.0, c, 0.0],
+            [0.0, self.b1 / self.s1, 0.0, d],
+            [c, 0.0, self.b2 * self.s2, 0.0],
+            [0.0, d, 0.0, self.b2 / self.s2],
+        ]
+
     def to_cm(self) -> "CovarianceMatrix":
         """Rebuild the 4x4 covariance matrix."""
         from .symplectic import CovarianceMatrix
 
-        root = math.sqrt(self.s1 * self.s2)
-        c, d = self.c * root, self.d / root
-        return CovarianceMatrix(
-            [
-                [self.b1 * self.s1, 0.0, c, 0.0],
-                [0.0, self.b1 / self.s1, 0.0, d],
-                [c, 0.0, self.b2 * self.s2, 0.0],
-                [0.0, d, 0.0, self.b2 / self.s2],
-            ]
-        )
+        return CovarianceMatrix(self.matrix_rows())
 
     def cm_determinant(self) -> float:
         """det V = (b1 b2 - c^2)(b1 b2 - d^2); independent of the scales."""
@@ -417,19 +420,6 @@ class CorrelationReport:
     standard_form: StandardForm
 
 
-def _physical_unscaled(sf: StandardForm, tol: float) -> StandardForm:
-    """A given standard form with unit scales, once it is known physical.
-
-    Physicality is read from the closed-form spectrum, as in
-    ``square_root_standard_form``. b1 b2 > c^2 (with c >= |d|) is checked
-    too: the spectrum formula can read above 1/2 on forms that belong to
-    no positive-definite matrix.
-    """
-    if sf.b1 * sf.b2 <= sf.c * sf.c or sf.spectrum()[1] < 0.5 - tol:
-        raise NotPhysicalError("standard form is not a physical state")
-    return _checked_form(tol, sf.b1, sf.b2, sf.c, sf.d)
-
-
 def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
     """Every measure of the physical, unit-scale standard form ``sf``."""
     in_family = True
@@ -458,3 +448,19 @@ def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
         eof=eof,
         standard_form=sf,
     )
+
+
+def _given_form_report(sf: StandardForm, tol: float) -> CorrelationReport:
+    """Every measure of a given standard form, once it is known physical.
+
+    The one route of a state that arrives as a ``StandardForm``: a
+    ``correlation_report`` of one, a sweep row, and ``ghk report`` of family
+    or standard-form input. Physicality is read from the closed-form
+    spectrum, as in ``square_root_standard_form``. b1 b2 > c^2 (with
+    c >= |d|) is checked too: the spectrum formula can read above 1/2 on
+    forms that belong to no positive-definite matrix. The scales, which no
+    measure depends on, are reported as 1.
+    """
+    if sf.b1 * sf.b2 <= sf.c * sf.c or sf.spectrum()[1] < 0.5 - tol:
+        raise NotPhysicalError("standard form is not a physical state")
+    return _form_report(_checked_form(tol, sf.b1, sf.b2, sf.c, sf.d), tol)
