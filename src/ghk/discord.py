@@ -31,11 +31,10 @@ from .forms import (
     CorrelationReport,
     StandardForm,
     _checked_form,
-    _classical_correlations,
-    _entropic_discord,
     _eof_symmetric,
     _form_report,
     _given_form_report,
+    _hellinger_discord,
     _invariants,
     _is_uncorrelated,
     _max_affinity,
@@ -43,11 +42,12 @@ from .forms import (
     _mutual_information,
     _pt_spectrum,
     _simon_separable,
+    _spectrum_entropies,
     _sqrt_form,
+    _symmetric_measures,
 )
 from .states import GaussianState, MtsParams, StsParams
 from .symplectic import (
-    as_covariance,
     invariants_from_spectrum,
     reduce_to_standard_form,
     standard_form,
@@ -170,6 +170,13 @@ class ClosestProduct:
         return p.state()
 
 
+def _reduced(V) -> tuple[StandardForm, float]:
+    """The standard form of ``V`` and the phys_tol it was reduced under,
+    from one read of the tolerance profile."""
+    profile = active_profile()
+    return standard_form(V, profile=profile), profile.phys_tol
+
+
 def max_affinity(V) -> float:
     """Maximal affinity between a two-mode state and the product states.
 
@@ -177,8 +184,8 @@ def max_affinity(V) -> float:
     square-root state. Local squeeze scales drop out, so the plain
     (unscaled) standard-form reduction suffices.
     """
-    sf = standard_form(V)
-    return _max_affinity(sf, active_profile().phys_tol)
+    sf, tol = _reduced(V)
+    return _max_affinity(sf, tol, sf.spectrum())
 
 
 def _optimum(tsf: StandardForm) -> tuple[float, float, float, float]:
@@ -205,15 +212,13 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
     the reconstructed state for any physical input. The optimal product
     state copies the input displacement.
     """
-    cov = as_covariance(V)
-    if cov.n != 2:
-        raise DimensionMismatchError("closest product state needs two modes")
     mean = np.zeros(4) if mean is None else np.asarray(mean, dtype=float).reshape(-1)
     if mean.shape != (4,):
         raise DimensionMismatchError("mean must be a 4-vector")
-    sf, frame = reduce_to_standard_form(cov)
-    tol = active_profile().phys_tol
-    tsf = _sqrt_form(sf, tol)
+    profile = active_profile()
+    tol = profile.phys_tol
+    sf, frame = reduce_to_standard_form(V, profile=profile)
+    tsf = _sqrt_form(sf, tol, sf.spectrum())
     value = 1.0 if _is_uncorrelated(sf) else _max_affinity_from_tilde(tsf)
     eta1, eta2, e2r1, e2r2 = _optimum(tsf)
     (f00, f01, _, _), (f10, f11, _, _), (_, _, g00, g01), (_, _, g10, g11) = (
@@ -228,8 +233,13 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
 
 
 def hellinger_discord(V) -> float:
-    """Hellinger discord: 1 - max_affinity. Zero iff the state is a product."""
-    return 1.0 - max_affinity(V)
+    """Hellinger discord: 1 - max_affinity. Zero iff the state is a product.
+
+    Evaluated without forming the difference, so that a small discord keeps
+    its relative accuracy.
+    """
+    sf, tol = _reduced(V)
+    return _hellinger_discord(sf, tol, sf.spectrum())
 
 
 def hellinger_discord_symmetric(b: float, c: float, d: float) -> float:
@@ -259,31 +269,33 @@ def hellinger_discord_sts(p: StsParams) -> float:
 
     1 - 2/(sqrt(X) + 1) with
     X = 1 + 2 (k1 k2 + 1/4 - sqrt(D)) sinh^2(2r). For equal occupancies
-    this collapses to tanh^2(r) for every mixing degree.
+    this collapses to tanh^2(r) for every mixing degree. Evaluated as
+    (X - 1)/(sqrt(X) + 1)^2, with X - 1 formed directly, so that a small
+    discord keeps its relative accuracy.
     """
     if p.r == 0.0:
         return 0.0
     k1, k2 = p.nbar1 + 0.5, p.nbar2 + 0.5
     inv = invariants_from_spectrum((max(k1, k2), min(k1, k2)))
-    x = 1.0 + 2.0 * (k1 * k2 + 0.25 - math.sqrt(inv.D)) * math.sinh(2.0 * p.r) ** 2
-    return 1.0 - 2.0 / (math.sqrt(x) + 1.0)
+    x_minus_1 = 2.0 * (k1 * k2 + 0.25 - math.sqrt(inv.D)) * math.sinh(2.0 * p.r) ** 2
+    return x_minus_1 / (math.sqrt(1.0 + x_minus_1) + 1.0) ** 2
 
 
 def hellinger_discord_mts(p: MtsParams) -> float:
     """Discord of a mode-mixed thermal state, directly from its parameters.
 
-    1 - 2/(sqrt(Y) + 1) with Y = 1 + 2 (k1 k2 - 1/4 - sqrt(D)) sin^2(theta).
+    1 - 2/(sqrt(Y) + 1) with Y = 1 + 2 (k1 k2 - 1/4 - sqrt(D)) sin^2(theta),
+    evaluated as (Y - 1)/(sqrt(Y) + 1)^2 like ``hellinger_discord_sts``.
     """
     if p.theta in (0.0, math.pi) or p.kappa1 == p.kappa2:
         return 0.0
     inv = invariants_from_spectrum((p.kappa1, p.kappa2))
-    y = (
-        1.0
-        + 2.0
+    y_minus_1 = (
+        2.0
         * (p.kappa1 * p.kappa2 - 0.25 - math.sqrt(inv.D))
         * math.sin(p.theta) ** 2
     )
-    return 1.0 - 2.0 / (math.sqrt(y) + 1.0)
+    return y_minus_1 / (math.sqrt(1.0 + y_minus_1) + 1.0) ** 2
 
 
 def simon_separable(V) -> bool:
@@ -292,8 +304,8 @@ def simon_separable(V) -> bool:
     True iff the partial transpose (standard form with d -> -d) is again a
     physical covariance matrix. States with d >= 0 are always separable.
     """
-    sf = standard_form(V)
-    return _simon_separable(sf, _pt_spectrum(sf), active_profile().phys_tol)
+    sf, tol = _reduced(V)
+    return _simon_separable(sf, _pt_spectrum(sf), tol)
 
 
 def entropic_discord(V) -> float:
@@ -302,7 +314,8 @@ def entropic_discord(V) -> float:
     h(b) - h(k1) - h(k2) + h(y) with y = b - c^2/(b + 1/2). Nonnegative and
     zero iff the cross-correlations vanish.
     """
-    return _entropic_discord(standard_form(V), active_profile().phys_tol)
+    sf, tol = _reduced(V)
+    return _symmetric_measures(sf, tol, _spectrum_entropies(sf.spectrum(), tol))[0]
 
 
 def mutual_information(V) -> float:
@@ -311,7 +324,8 @@ def mutual_information(V) -> float:
     For a product state the spectrum equals the marginals and the value is
     exactly zero.
     """
-    return _mutual_information(standard_form(V), active_profile().phys_tol)
+    sf, tol = _reduced(V)
+    return _mutual_information(sf, _spectrum_entropies(sf.spectrum(), tol))
 
 
 def classical_correlations(V) -> float:
@@ -320,7 +334,8 @@ def classical_correlations(V) -> float:
     Equals mutual_information - entropic_discord and is identical for the
     d = +c and d = -c partners of the same (b, c).
     """
-    return _classical_correlations(standard_form(V), active_profile().phys_tol)
+    sf, tol = _reduced(V)
+    return _symmetric_measures(sf, tol, _spectrum_entropies(sf.spectrum(), tol))[1]
 
 
 def entanglement_of_formation_symmetric(b: float, c: float) -> float:
@@ -348,7 +363,7 @@ def correlation_report(V, mean=None) -> CorrelationReport:
         m = np.asarray(mean, dtype=float).reshape(-1)
         if m.shape != (4,) or not np.all(np.isfinite(m)):
             raise DimensionMismatchError("mean must be a finite 4-vector")
-    tol = active_profile().phys_tol
     if isinstance(V, StandardForm):
-        return _given_form_report(V, tol)
-    return _form_report(standard_form(V), tol)
+        return _given_form_report(V, active_profile().phys_tol)
+    sf, tol = _reduced(V)
+    return _form_report(sf, sf.spectrum(), tol)

@@ -58,16 +58,16 @@ class StandardForm:
         self._validate(active_profile().phys_tol)
 
     def _validate(self, tol: float) -> None:
-        vals = [float(getattr(self, f)) for f in _FORM_FIELDS]
+        vals = tuple(map(float, map(vars(self).__getitem__, _FORM_FIELDS)))
         if not all(map(math.isfinite, vals)):
             raise InvalidParamsError("standard-form parameters must be finite")
-        for name, value in zip(_FORM_FIELDS, vals):
-            object.__setattr__(self, name, value)
-        if self.b1 < 0.5 - tol or self.b2 < 0.5 - tol:
+        vars(self).update(zip(_FORM_FIELDS, vals))
+        b1, b2, c, d, s1, s2 = vals
+        if b1 < 0.5 - tol or b2 < 0.5 - tol:
             raise NotPhysicalError("diagonal strengths b1, b2 must be >= 1/2")
-        if self.s1 <= 0 or self.s2 <= 0:
+        if s1 <= 0 or s2 <= 0:
             raise InvalidParamsError("scale factors must be positive")
-        if self.c < abs(self.d) - 1e-12 * max(1.0, abs(self.d)):
+        if c < abs(d) - 1e-12 * max(1.0, abs(d)):
             raise InvalidParamsError("standard form requires c >= |d|")
 
     def matrix_rows(self) -> list[list[float]]:
@@ -116,16 +116,19 @@ def _checked_form(tol: float, b1, b2, c, d, s1=1.0, s2=1.0) -> StandardForm:
 def _form_spectrum(b1: float, b2: float, c: float, d: float) -> tuple[float, float]:
     """Symplectic eigenvalues (descending) of the standard form (b1, b2, c, d).
 
-    The closed quadratic: kappa^2 = (Delta +/- sqrt(Delta^2 - 4 det V)) / 2
-    with Delta = b1^2 + b2^2 + 2 c d and det V = (b1 b2 - c^2)(b1 b2 - d^2).
+    kappa1^2 = (Delta + sqrt(Delta^2 - 4 det V)) / 2 with
+    Delta = b1^2 + b2^2 + 2 c d, and kappa2 = sqrt(det V) / kappa1 from
+    det V = (b1 b2 - c^2)(b1 b2 - d^2), taken factor by factor: the
+    difference (Delta - sqrt(...)) / 2 would cancel when kappa2 << kappa1.
     """
     bb = b1 * b2
     delta = b1 * b1 + b2 * b2 + 2.0 * c * d
     det_v = (bb - c * c) * (bb - d * d)
     disc = math.sqrt(max(delta * delta - 4.0 * det_v, 0.0))
     k1 = math.sqrt(max((delta + disc) / 2.0, 0.0))
-    k2 = math.sqrt(max((delta - disc) / 2.0, 0.0))
-    return k1, k2
+    if k1 == 0.0:
+        return 0.0, 0.0
+    return k1, min(math.sqrt(max(det_v, 0.0)) / k1, k1)
 
 
 def _radical(kappa: float, tol: float) -> float:
@@ -176,9 +179,12 @@ def _invariants(k1: float, k2: float, tol: float) -> SymplecticInvariants:
     )
 
 
-def _sqrt_form(sf: StandardForm, tol: float) -> StandardForm:
-    """``square_root_standard_form`` with the phys_tol ``tol`` given."""
-    k1, k2 = sf.spectrum()
+def _sqrt_form(
+    sf: StandardForm, tol: float, spectrum: tuple[float, float]
+) -> StandardForm:
+    """``square_root_standard_form`` with the phys_tol ``tol`` and the
+    spectrum of ``sf`` given."""
+    k1, k2 = spectrum
     if k2 < 0.5 - tol:
         raise NotPhysicalError(
             f"minimal symplectic eigenvalue {k2:.6g} is below 1/2"
@@ -326,10 +332,32 @@ def _max_affinity_from_tilde(tsf: StandardForm) -> float:
     return min(math.sqrt(num / den), 1.0)
 
 
-def _max_affinity(sf: StandardForm, tol: float) -> float:
+def _max_affinity(sf: StandardForm, tol: float, spectrum: tuple[float, float]) -> float:
     if _is_uncorrelated(sf):
         return 1.0
-    return _max_affinity_from_tilde(_sqrt_form(sf, tol))
+    return _max_affinity_from_tilde(_sqrt_form(sf, tol, spectrum))
+
+
+def _hellinger_discord(
+    sf: StandardForm, tol: float, spectrum: tuple[float, float]
+) -> float:
+    """1 - A*, without the cancellation of the difference for small discord.
+
+    With s = sqrt(bt1 bt2) of the square-root form, x = ct^2/(s + sqrt(gc))
+    = s - sqrt(gc) and y = dt^2/(s + sqrt(gd)) = s - sqrt(gd), where
+    gc = bt1 bt2 - ct^2 and gd = bt1 bt2 - dt^2,
+    1 - A*^2 = (2 s (x + y) - 3 x y) / ((2 s - x)(2 s - y)) keeps its
+    relative accuracy, and 1 - A* = (1 - A*^2) / (1 + A*).
+    """
+    if _is_uncorrelated(sf):
+        return 0.0
+    tsf = _sqrt_form(sf, tol, spectrum)
+    bb = tsf.b1 * tsf.b2
+    s = math.sqrt(bb)
+    x = min(tsf.c * tsf.c / (s + math.sqrt(max(bb - tsf.c * tsf.c, 0.0))), s)
+    y = min(tsf.d * tsf.d / (s + math.sqrt(max(bb - tsf.d * tsf.d, 0.0))), s)
+    one_minus_sq = (2.0 * s * (x + y) - 3.0 * x * y) / ((2.0 * s - x) * (2.0 * s - y))
+    return min(one_minus_sq / (1.0 + _max_affinity_from_tilde(tsf)), 1.0)
 
 
 def _pt_spectrum(sf: StandardForm) -> tuple[float, float]:
@@ -353,40 +381,37 @@ def _require_symmetric_dc(sf: StandardForm) -> tuple[float, float]:
     return 0.5 * (sf.b1 + sf.b2), sf.c
 
 
-def _entropic_discord(sf: StandardForm, tol: float) -> float:
+def _spectrum_entropies(
+    spectrum: tuple[float, float], tol: float
+) -> tuple[float, float]:
+    """(h(kappa1), h(kappa2)) of a physical spectrum."""
+    k1, k2 = spectrum
+    return _mode_entropy(k1, tol), _mode_entropy(max(k2, 0.5), tol)
+
+
+def _symmetric_measures(
+    sf: StandardForm, tol: float, entropies: tuple[float, float]
+) -> tuple[float, float]:
+    """(entropic discord, classical correlations) of a symmetric |d| = c form.
+
+    h(b) - h(k1) - h(k2) + h(y) and h(b) - h(y), with y = b - c^2/(b + 1/2)
+    and ``entropies`` = (h(k1), h(k2)). Raises OutOfFamilyError outside the
+    family.
+    """
     b, c = _require_symmetric_dc(sf)
     if _is_uncorrelated(sf):
-        return 0.0
-    k1, k2 = sf.spectrum()
-    y = b - c * c / (b + 0.5)
-    value = (
-        entropic_h(b)
-        - _mode_entropy(k1, tol)
-        - _mode_entropy(max(k2, 0.5), tol)
-        + _mode_entropy(y, tol)
-    )
-    return max(value, 0.0)
+        return 0.0, 0.0
+    h1, h2 = entropies
+    hb = entropic_h(b)
+    hy = _mode_entropy(b - c * c / (b + 0.5), tol)
+    return max(hb - h1 - h2 + hy, 0.0), max(hb - hy, 0.0)
 
 
-def _mutual_information(sf: StandardForm, tol: float) -> float:
+def _mutual_information(sf: StandardForm, entropies: tuple[float, float]) -> float:
     if _is_uncorrelated(sf):
         return 0.0
-    k1, k2 = sf.spectrum()
-    value = (
-        entropic_h(sf.b1)
-        + entropic_h(sf.b2)
-        - _mode_entropy(k1, tol)
-        - _mode_entropy(max(k2, 0.5), tol)
-    )
-    return max(value, 0.0)
-
-
-def _classical_correlations(sf: StandardForm, tol: float) -> float:
-    b, c = _require_symmetric_dc(sf)
-    if _is_uncorrelated(sf):
-        return 0.0
-    y = b - c * c / (b + 0.5)
-    return max(entropic_h(b) - _mode_entropy(y, tol), 0.0)
+    h1, h2 = entropies
+    return max(entropic_h(sf.b1) + entropic_h(sf.b2) - h1 - h2, 0.0)
 
 
 def _eof_symmetric(b: float, c: float, tol: float) -> float:
@@ -420,28 +445,31 @@ class CorrelationReport:
     standard_form: StandardForm
 
 
-def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
-    """Every measure of the physical, unit-scale standard form ``sf``."""
-    in_family = True
-    try:
-        b, c = _require_symmetric_dc(sf)
-    except OutOfFamilyError:
-        in_family = False
+def _form_report(
+    sf: StandardForm, spectrum: tuple[float, float], tol: float
+) -> CorrelationReport:
+    """Every measure of the physical, unit-scale standard form ``sf``.
+
+    The spectrum, the partial-transpose spectrum and the entropies of the
+    spectrum are evaluated once and shared by the measures.
+    """
     pt_spectrum = _pt_spectrum(sf)
     separable = _simon_separable(sf, pt_spectrum, tol)
-    ent = cc = eof = None
-    if in_family:
-        ent = _entropic_discord(sf, tol)
-        cc = _classical_correlations(sf, tol)
-    if in_family and sf.d <= 0.0:
-        eof = _eof_symmetric(b, c, tol)
+    entropies = _spectrum_entropies(spectrum, tol)
+    try:
+        ent, cc = _symmetric_measures(sf, tol, entropies)
+    except OutOfFamilyError:
+        ent = cc = None
+    eof = None
+    if ent is not None and sf.d <= 0.0:
+        eof = _eof_symmetric(0.5 * (sf.b1 + sf.b2), sf.c, tol)
     elif separable:
         eof = 0.0
     return CorrelationReport(
-        hellinger_discord=1.0 - _max_affinity(sf, tol),
-        mutual_information=_mutual_information(sf, tol),
+        hellinger_discord=_hellinger_discord(sf, tol, spectrum),
+        mutual_information=_mutual_information(sf, entropies),
         separable=separable,
-        symplectic_spectrum=sf.spectrum(),
+        symplectic_spectrum=spectrum,
         pt_spectrum=pt_spectrum,
         entropic_discord=ent,
         classical_correlations=cc,
@@ -461,6 +489,9 @@ def _given_form_report(sf: StandardForm, tol: float) -> CorrelationReport:
     forms that belong to no positive-definite matrix. The scales, which no
     measure depends on, are reported as 1.
     """
-    if sf.b1 * sf.b2 <= sf.c * sf.c or sf.spectrum()[1] < 0.5 - tol:
+    if sf.b1 * sf.b2 <= sf.c * sf.c:
         raise NotPhysicalError("standard form is not a physical state")
-    return _form_report(_checked_form(tol, sf.b1, sf.b2, sf.c, sf.d), tol)
+    spectrum = sf.spectrum()
+    if spectrum[1] < 0.5 - tol:
+        raise NotPhysicalError("standard form is not a physical state")
+    return _form_report(_checked_form(tol, sf.b1, sf.b2, sf.c, sf.d), spectrum, tol)

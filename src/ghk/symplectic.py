@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .forms import (
     _radical,
     _sqrt_form,
 )
-from .tolerances import active_profile
+from .tolerances import ToleranceProfile, active_profile
 
 # Relative tolerance demanded from the internal square-root consistency
 # identity V = (Vt - J Vt^-1 J / 4) / 2. Breaches raise ConsistencyError:
@@ -115,26 +116,39 @@ class CovarianceMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or not m.size:
-            raise DimensionMismatchError(
-                f"covariance matrix must be 2n x 2n, got shape {m.shape}"
-            )
-        if not np.all(np.isfinite(m)):
-            raise InvalidParamsError("covariance matrix entries must be finite")
-        asym = float(np.max(np.abs(m - m.T)))
-        if asym > active_profile().sym_atol:
-            raise NonSymmetricError(
-                f"covariance matrix asymmetry {asym:.3e} exceeds tolerance"
-            )
-        m = 0.5 * (m + m.T)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        matrix, _ = _symmetrised(self.matrix, active_profile().sym_atol)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def n(self) -> int:
         """Number of modes."""
         return self.matrix.shape[0] // 2
+
+
+def _symmetrised(value, sym_atol: float) -> tuple[np.ndarray, list[float]]:
+    """The validated, symmetrised matrix of ``value`` and its entries.
+
+    Checks shape, then finiteness and asymmetry (against ``sym_atol``) on
+    the entries taken once as Python floats. Returns the read-only array
+    (V + V^T) / 2 and its values, row by row, as a flat list.
+    """
+    m = np.asarray(value, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or not m.size:
+        raise DimensionMismatchError(
+            f"covariance matrix must be 2n x 2n, got shape {m.shape}"
+        )
+    entries = m.ravel().tolist()
+    if not all(map(math.isfinite, entries)):
+        raise InvalidParamsError("covariance matrix entries must be finite")
+    asym = max(map(abs, map(sub, entries, m.T.ravel().tolist())))
+    if asym > sym_atol:
+        raise NonSymmetricError(
+            f"covariance matrix asymmetry {asym:.3e} exceeds tolerance"
+        )
+    matrix = m + m.T
+    matrix *= 0.5
+    matrix.flags.writeable = False
+    return matrix, matrix.ravel().tolist()
 
 
 def as_covariance(value) -> CovarianceMatrix:
@@ -184,9 +198,9 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     return np.array(_spectrum(as_covariance(V).matrix))
 
 
-def _is_physical(cov: CovarianceMatrix, tol: float) -> bool:
+def _is_physical(matrix: np.ndarray, tol: float) -> bool:
     try:
-        kappas = _spectrum(cov.matrix)
+        kappas = _spectrum(matrix)
     except NotPositiveDefiniteError:
         return False
     return kappas[-1] >= 0.5 - tol
@@ -194,7 +208,7 @@ def _is_physical(cov: CovarianceMatrix, tol: float) -> bool:
 
 def is_physical(V) -> bool:
     """True iff every symplectic eigenvalue is >= 1/2 (within tolerance)."""
-    return _is_physical(as_covariance(V), active_profile().phys_tol)
+    return _is_physical(as_covariance(V).matrix, active_profile().phys_tol)
 
 
 def williamson(V) -> tuple[np.ndarray, np.ndarray]:
@@ -260,15 +274,66 @@ def _check_sqrt_identity(v: np.ndarray, vt: np.ndarray) -> None:
         )
 
 
-def _two_mode_entries(cov: CovarianceMatrix) -> tuple[float, ...]:
-    """(a00, a01, a11, b00, b01, b11, c00, c01, c10, c11) of [[A, C], [C^T, B]]."""
-    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = (
-        cov.matrix.tolist()
-    )
-    return a00, a01, a11, b00, b01, b11, c00, c01, c10, c11
+def _two_mode(value, profile: ToleranceProfile) -> tuple[np.ndarray, list[float]]:
+    """The validated matrix of a two-mode ``value`` and its entries as floats.
+
+    The checks and the array of the ``CovarianceMatrix`` constructor, under
+    the ``profile`` the caller has read: the constructor reads it on every
+    call. A ``CovarianceMatrix`` is taken as it is.
+    """
+    if isinstance(value, CovarianceMatrix):
+        matrix, entries = value.matrix, value.matrix.ravel().tolist()
+    else:
+        matrix, entries = _symmetrised(value, profile.sym_atol)
+    if matrix.shape[0] != 4:
+        raise DimensionMismatchError("standard form is defined for two modes")
+    return matrix, entries
 
 
-def standard_form(V) -> StandardForm:
+def _unit_root(x00: float, x01: float, x11: float) -> tuple[float, float, float, float]:
+    """(b, n00, n01, n11) for a positive-definite block X = [[x00, x01], [x01, x11]].
+
+    b = sqrt(det X), and N = (X + b I) / sqrt(b (tr X + 2 b)) is the
+    symmetric square root of X / b: det N = 1, so N is symplectic and
+    N diag(b, b) N^T = X. Its inverse is its adjugate.
+    """
+    b = math.sqrt(x00 * x11 - x01 * x01)
+    root = math.sqrt(b * (x00 + x11 + 2.0 * b))
+    return b, (x00 + b) / root, x01 / root, (x11 + b) / root
+
+
+def _reduce(
+    matrix: np.ndarray, entries: list[float], tol: float
+) -> tuple[StandardForm, tuple[float, ...]]:
+    """The float reduction of a validated two-mode matrix to standard form.
+
+    ``entries`` are the values of ``matrix`` row by row; the Cholesky and
+    J V pair checks run on ``matrix`` first. Returns the form and the
+    parts (n00, n01, n11, o00, o01, o11, e, f, g, h) of its local frame;
+    see ``reduce_to_standard_form``.
+    """
+    if not _is_physical(matrix, tol):
+        raise NotPhysicalError("covariance matrix is not a physical state")
+    a00, a01, c00, c01, _, a11, c10, c11, _, _, b00, b01, _, _, _, b11 = entries
+    b1, n00, n01, n11 = _unit_root(a00, a01, a11)
+    b2, o00, o01, o11 = _unit_root(b00, b01, b11)
+    # M = adj(N1) C adj(N2)
+    t00 = n11 * c00 - n01 * c10
+    t01 = n11 * c01 - n01 * c11
+    t10 = n00 * c10 - n01 * c00
+    t11 = n00 * c11 - n01 * c01
+    m00 = t00 * o11 - t01 * o01
+    m01 = t01 * o00 - t00 * o01
+    m10 = t10 * o11 - t11 * o01
+    m11 = t11 * o00 - t10 * o01
+    e, f = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
+    g, h = 0.5 * (m10 + m01), 0.5 * (m10 - m01)
+    q, r = math.hypot(e, h), math.hypot(f, g)
+    sf = _checked_form(tol, b1, b2, q + r, q - r)
+    return sf, (n00, n01, n11, o00, o01, o11, e, f, g, h)
+
+
+def standard_form(V, *, profile: ToleranceProfile | None = None) -> StandardForm:
     """Reduce a physical two-mode CM to its standard-form parameters.
 
     b1 and b2 are the square roots of the diagonal-block determinants; c
@@ -280,10 +345,18 @@ def standard_form(V) -> StandardForm:
     discriminant is still evaluated, from block determinants, as a
     corrupt-input guard. The scale factors are not recovered (they are
     unobservable in every correlation measure) and are emitted as 1.
+
+    One pass over the input: the entries are taken once as floats for the
+    validation, the reduction of ``reduce_to_standard_form`` and the
+    discriminant guard, and no frame is built. ``profile`` is the active
+    tolerance profile, read here when not given: the package's entry
+    points pass the one they have read, so that each call reads it once.
     """
-    cov = as_covariance(V)
-    sf, _ = reduce_to_standard_form(cov)
-    a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = _two_mode_entries(cov)
+    if profile is None:
+        profile = active_profile()
+    matrix, entries = _two_mode(V, profile)
+    sf, _ = _reduce(matrix, entries, profile.phys_tol)
+    a00, a01, c00, c01, _, a11, c10, c11, _, _, b00, b01, _, _, _, b11 = entries
     # det V = det A det B + det(C)^2 - tr(adj A C adj B C^T)
     p = c00 * c11 - c01 * c10
     w00 = a11 * (c00 * b11 - c01 * b01) - a01 * (c10 * b11 - c11 * b01)
@@ -304,19 +377,9 @@ def standard_form(V) -> StandardForm:
     return sf
 
 
-def _unit_root(x00: float, x01: float, x11: float) -> tuple[float, float, float, float]:
-    """(b, n00, n01, n11) for a positive-definite block X = [[x00, x01], [x01, x11]].
-
-    b = sqrt(det X), and N = (X + b I) / sqrt(b (tr X + 2 b)) is the
-    symmetric square root of X / b: det N = 1, so N is symplectic and
-    N diag(b, b) N^T = X. Its inverse is its adjugate.
-    """
-    b = math.sqrt(x00 * x11 - x01 * x01)
-    root = math.sqrt(b * (x00 + x11 + 2.0 * b))
-    return b, (x00 + b) / root, x01 / root, (x11 + b) / root
-
-
-def reduce_to_standard_form(V) -> tuple[StandardForm, np.ndarray]:
+def reduce_to_standard_form(
+    V, *, profile: ToleranceProfile | None = None
+) -> tuple[StandardForm, np.ndarray]:
     """Bring a two-mode CM to standard form by tracked local symplectics.
 
     Returns (sf, S) with sf the unscaled standard form (s1 = s2 = 1) and S
@@ -333,30 +396,16 @@ def reduce_to_standard_form(V) -> tuple[StandardForm, np.ndarray]:
     c = hypot(e, h) + hypot(f, g), d = hypot(e, h) - hypot(f, g) (so
     c >= |d| and sign(d) = sign(det C)), and phi +/- theta = atan2(h, e)
     +/- atan2(g, f). A cross block with c = -d exactly, such as
-    diag(c, -c), keeps d = -c to the last bit.
+    diag(c, -c), keeps d = -c to the last bit. The arithmetic runs on
+    Python floats taken once from the validated input, and only S is
+    built as an array. ``profile`` is as in ``standard_form``.
     """
-    cov = as_covariance(V)
-    if cov.n != 2:
-        raise DimensionMismatchError("standard form is defined for two modes")
-    tol = active_profile().phys_tol
-    if not _is_physical(cov, tol):
-        raise NotPhysicalError("covariance matrix is not a physical state")
-    a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = _two_mode_entries(cov)
-    b1, n00, n01, n11 = _unit_root(a00, a01, a11)
-    b2, o00, o01, o11 = _unit_root(b00, b01, b11)
-    # M = adj(N1) C adj(N2)
-    t00 = n11 * c00 - n01 * c10
-    t01 = n11 * c01 - n01 * c11
-    t10 = n00 * c10 - n01 * c00
-    t11 = n00 * c11 - n01 * c01
-    m00 = t00 * o11 - t01 * o01
-    m01 = t01 * o00 - t00 * o01
-    m10 = t10 * o11 - t11 * o01
-    m11 = t11 * o00 - t10 * o01
-    e, f = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
-    g, h = 0.5 * (m10 + m01), 0.5 * (m10 - m01)
-    q, r = math.hypot(e, h), math.hypot(f, g)
-    sf = _checked_form(tol, b1, b2, q + r, q - r)
+    if profile is None:
+        profile = active_profile()
+    matrix, entries = _two_mode(V, profile)
+    sf, (n00, n01, n11, o00, o01, o11, e, f, g, h) = _reduce(
+        matrix, entries, profile.phys_tol
+    )
     a1, a2 = math.atan2(g, f), math.atan2(h, e)
     phi, theta = 0.5 * (a2 + a1), 0.5 * (a2 - a1)
     cp, sp = math.cos(phi), math.sin(phi)
@@ -393,4 +442,4 @@ def square_root_standard_form(sf: StandardForm) -> StandardForm:
     prefactor 1/(4 kappa1 kappa2 K) degenerates and the analytic limit is
     the state itself (the square root of a pure state is the state).
     """
-    return _sqrt_form(sf, active_profile().phys_tol)
+    return _sqrt_form(sf, active_profile().phys_tol, sf.spectrum())

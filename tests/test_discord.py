@@ -213,6 +213,23 @@ class TestHellingerDiscord:
             assert hellinger_discord(perturbed.to_cm()) > 1e-12
 
 
+    @pytest.mark.parametrize("r", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_small_discord_keeps_relative_accuracy(self, r):
+        # at nbar1 = nbar2 = 1 the discord is tanh^2 r on every route
+        with mpmath.workdps(50):
+            exact = float(mpmath.tanh(mpmath.mpf(r)) ** 2)
+        p = StsParams(1.0, 1.0, r)
+        sf = sts_standard_form(p)
+        values = {
+            "matrix report": correlation_report(sf.to_cm()).hellinger_discord,
+            "matrix": hellinger_discord(sf.to_cm()),
+            "standard form": correlation_report(sf).hellinger_discord,
+            "family": hellinger_discord_sts(p),
+        }
+        for route, value in values.items():
+            assert value == pytest.approx(exact, rel=1e-13, abs=0.0), route
+
+
 class TestSymmetricFormula:
     def test_uncorrelated(self):
         assert hellinger_discord_symmetric(1.7, 0.0, 0.0) == 0.0
@@ -346,6 +363,17 @@ class TestSimonSeparability:
 
     def test_product_separable(self):
         assert simon_separable(thermal_state([1.0, 2.0]).cm)
+
+    def test_small_pt_eigenvalue_keeps_relative_accuracy(self):
+        # the partial transpose of (b, b, c, -c) has spectrum (b + c, |b - c|)
+        rng = np.random.default_rng(33)
+        for _ in range(300):
+            nbar, r = rng.uniform(0.0, 5.0), rng.uniform(0.0, 3.0)
+            sf = sts_standard_form(StsParams(nbar, nbar, r))
+            exact = abs(mpmath.mpf(sf.b1) - mpmath.mpf(sf.c))
+            small = sf.partial_transpose().spectrum()[1]
+            assert abs(small - exact) <= 1e-11 * exact
+            assert correlation_report(sf).pt_spectrum[1] == small
 
 
 class TestEntropicMeasures:

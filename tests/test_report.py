@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-import ghk.discord
 import ghk.symplectic
 from ghk import (
     CovarianceMatrix,
@@ -56,16 +55,16 @@ def family_forms() -> list[StandardForm]:
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """Count calls of reduce_to_standard_form, under both names it has."""
+    """Count calls of the float reduction core of standard_form and
+    reduce_to_standard_form."""
     calls = []
-    original = ghk.symplectic.reduce_to_standard_form
+    original = ghk.symplectic._reduce
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ghk.symplectic, "reduce_to_standard_form", counted)
-    monkeypatch.setattr(ghk.discord, "reduce_to_standard_form", counted)
+    monkeypatch.setattr(ghk.symplectic, "_reduce", counted)
     return calls
 
 

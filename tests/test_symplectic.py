@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from ghk import (
     ConsistencyError,
     CovarianceMatrix,
+    DegenerateBlocksError,
     DimensionMismatchError,
+    InvalidParamsError,
     NonSymmetricError,
     NotPhysicalError,
     NotPositiveDefiniteError,
     StandardForm,
     affinity,
+    closest_product_state,
     correlation_report,
     invariants,
     invariants_from_spectrum,
@@ -35,6 +38,7 @@ from ghk import (
 )
 from ghk.states import StsParams, sts_standard_form, sts_state
 from ghk.symplectic import det2, det4
+from ghk.tolerances import ENV_VAR, PROFILES
 
 
 def rotation_pair(theta1, theta2):
@@ -259,6 +263,31 @@ class TestStandardForm:
     def test_rejects_unphysical(self):
         with pytest.raises(NotPhysicalError):
             standard_form(0.4 * np.eye(4))
+
+    def test_form_requires_c_at_least_abs_d(self):
+        StandardForm(1.5, 1.5, 0.5, -0.5)
+        with pytest.raises(InvalidParamsError):
+            StandardForm(1.5, 1.5, 0.5, -0.5 * (1.0 + 1e-11))
+        with pytest.raises(InvalidParamsError):
+            StandardForm(1.5, 1.5, math.nan, 0.0)
+
+    def test_discriminant_guard(self, monkeypatch):
+        # the reduction always reproduces the invariants of a valid matrix,
+        # so it is made to return b1 b2 = sqrt(det V - det(C)^2): the
+        # quadratic in (c^2, d^2) then has s = c^2 + d^2 = 0 < 2 |c d|
+        from ghk import symplectic
+
+        cm = StandardForm(2.0, 2.0, 1.0, -0.5).to_cm()
+        b = (16.0 - 4.0 * 1.25) ** 0.25
+        reduce = symplectic._reduce
+
+        def corrupt(*args):
+            sf, parts = reduce(*args)
+            return StandardForm(b, b, sf.c, sf.d), parts
+
+        monkeypatch.setattr(symplectic, "_reduce", corrupt)
+        with pytest.raises(DegenerateBlocksError):
+            standard_form(cm)
 
     def test_scale_factors_drop_out(self):
         scaled = StandardForm(2.0, 1.5, 0.9, -0.4, s1=1.7, s2=0.6)
@@ -486,6 +515,66 @@ class TestCovarianceMatrixType:
     def test_rejects_odd_dimension(self):
         with pytest.raises(DimensionMismatchError):
             CovarianceMatrix(np.eye(3))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4,), (0, 0), (2, 2, 2)])
+    def test_rejects_non_square_shapes(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            CovarianceMatrix(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(1, 1), (0, 2)])
+    def test_rejects_non_finite_entries(self, bad, where):
+        m = 0.5 * np.eye(4)
+        m[where] = m[where[::-1]] = bad
+        with pytest.raises(InvalidParamsError):
+            CovarianceMatrix(m)
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_asymmetry_limit_is_sym_atol(self, monkeypatch, profile):
+        monkeypatch.setenv(ENV_VAR, profile)
+        limit = PROFILES[profile].sym_atol
+        m = 0.5 * np.eye(4)
+        m[0, 1] = limit
+        CovarianceMatrix(m)
+        m[0, 1] = np.nextafter(limit, 1.0)
+        with pytest.raises(NonSymmetricError):
+            CovarianceMatrix(m)
+
+    def test_stores_a_read_only_symmetrised_copy(self):
+        rng = np.random.default_rng(21)
+        m = random_physical_cm(2, rng).matrix.copy()
+        m[0, 3] += 3e-11
+        given = m.copy()
+        cov = CovarianceMatrix(m)
+        np.testing.assert_array_equal(m, given)
+        np.testing.assert_array_equal(cov.matrix, 0.5 * (given + given.T))
+        np.testing.assert_array_equal(cov.matrix, cov.matrix.T)
+        assert not cov.matrix.flags.writeable
+        assert cov.matrix is not m
+
+    @pytest.mark.parametrize(
+        "call", [correlation_report, closest_product_state, standard_form, reduce_to_standard_form]
+    )
+    def test_entry_points_check_raw_matrices(self, call):
+        m = StandardForm(1.5, 1.2, 0.3, -0.2).to_cm().matrix.copy()
+        m[0, 2] = math.nan
+        with pytest.raises(InvalidParamsError):
+            call(m)
+        m[0, 2] = 0.3 + 1e-6
+        with pytest.raises(NonSymmetricError):
+            call(m)
+        with pytest.raises(DimensionMismatchError):
+            call(random_physical_cm(3, np.random.default_rng(23)).matrix)
+
+    def test_validates_three_modes(self):
+        m = random_physical_cm(3, np.random.default_rng(22)).matrix.copy()
+        assert CovarianceMatrix(m).n == 3
+        m[1, 5] += 1e-6
+        with pytest.raises(NonSymmetricError):
+            CovarianceMatrix(m)
+        m[1, 5] = math.nan
+        with pytest.raises(InvalidParamsError):
+            CovarianceMatrix(m)
 
     def test_rejects_asymmetry(self):
         m = np.eye(2)

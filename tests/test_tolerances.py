@@ -16,8 +16,11 @@ from ghk import (
     active_profile,
     closest_product_state,
     correlation_report,
+    hellinger_discord,
+    max_affinity,
     random_standard_form,
     random_symplectic,
+    standard_form,
     sts_standard_form,
 )
 from ghk.tolerances import ENV_VAR, PROFILES
@@ -100,12 +103,19 @@ class TestProfileReads:
         in_family = sts_standard_form(StsParams(1.0, 1.0, 0.7)).to_cm().matrix
         return [0.5 * (framed + framed.T), in_family.copy()]
 
-    def test_at_most_three_reads_per_call(self, environ):
+    def test_one_read_per_call(self, environ):
+        calls = (
+            correlation_report,
+            closest_product_state,
+            standard_form,
+            max_affinity,
+            hellinger_discord,
+        )
         for matrix in self.matrices():
-            for call in (correlation_report, closest_product_state):
+            for call in calls:
                 environ.reads = 0
                 call(matrix)
-                assert 1 <= environ.reads <= 3, call.__name__
+                assert environ.reads == 1, call.__name__
 
     def test_change_between_calls_takes_effect(self, monkeypatch):
         # minimal symplectic eigenvalue 1/2 - 1e-10: inside the default
