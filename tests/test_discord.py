@@ -212,7 +212,6 @@ class TestHellingerDiscord:
             perturbed = StandardForm(b1, b2, eps, 0.0)
             assert hellinger_discord(perturbed.to_cm()) > 1e-12
 
-
     @pytest.mark.parametrize("r", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
     def test_small_discord_keeps_relative_accuracy(self, r):
         # at nbar1 = nbar2 = 1 the discord is tanh^2 r on every route

@@ -278,7 +278,8 @@ class TestStandardForm:
         from ghk import symplectic
 
         cm = StandardForm(2.0, 2.0, 1.0, -0.5).to_cm()
-        b = (16.0 - 4.0 * 1.25) ** 0.25
+        det_v, det_c = (4.0 - 1.0) * (4.0 - 0.25), 1.0 * -0.5
+        b = (det_v - det_c * det_c) ** 0.25
         reduce = symplectic._reduce
 
         def corrupt(*args):
@@ -553,7 +554,8 @@ class TestCovarianceMatrixType:
         assert cov.matrix is not m
 
     @pytest.mark.parametrize(
-        "call", [correlation_report, closest_product_state, standard_form, reduce_to_standard_form]
+        "call",
+        [correlation_report, closest_product_state, standard_form, reduce_to_standard_form],
     )
     def test_entry_points_check_raw_matrices(self, call):
         m = StandardForm(1.5, 1.2, 0.3, -0.2).to_cm().matrix.copy()
