@@ -20,6 +20,7 @@ from ghk import (
     max_affinity,
     random_standard_form,
     random_symplectic,
+    reduce_to_standard_form,
     standard_form,
     sts_standard_form,
 )
@@ -129,3 +130,13 @@ class TestProfileReads:
             correlation_report(matrix)
         with pytest.raises(NotPhysicalError):
             closest_product_state(matrix)
+
+    def test_a_given_profile_is_used_without_a_read(self, environ, monkeypatch):
+        matrix = np.diag([1.5, 1.5, 0.5 - 1e-10, 0.5 - 1e-10])
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        environ.reads = 0
+        for reduce in (standard_form, reduce_to_standard_form):
+            reduce(matrix, profile=PROFILES["default"])
+            with pytest.raises(NotPhysicalError):
+                reduce(matrix, profile=PROFILES["strict"])
+        assert environ.reads == 0
