@@ -170,13 +170,6 @@ class ClosestProduct:
         return p.state()
 
 
-def _reduced(V) -> tuple[StandardForm, float]:
-    """The standard form of ``V`` and the phys_tol it was reduced under,
-    from one read of the tolerance profile."""
-    profile = active_profile()
-    return standard_form(V, profile=profile), profile.phys_tol
-
-
 def max_affinity(V) -> float:
     """Maximal affinity between a two-mode state and the product states.
 
@@ -184,8 +177,8 @@ def max_affinity(V) -> float:
     square-root state. Local squeeze scales drop out, so the plain
     (unscaled) standard-form reduction suffices.
     """
-    sf, tol = _reduced(V)
-    return _max_affinity(sf, tol, sf.spectrum())
+    sf = standard_form(V)
+    return _max_affinity(sf, active_profile().phys_tol, sf.spectrum())
 
 
 def _optimum(tsf: StandardForm) -> tuple[float, float, float, float]:
@@ -212,12 +205,11 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
     the reconstructed state for any physical input. The optimal product
     state copies the input displacement.
     """
+    sf, frame = reduce_to_standard_form(V)
     mean = np.zeros(4) if mean is None else np.asarray(mean, dtype=float).reshape(-1)
     if mean.shape != (4,):
         raise DimensionMismatchError("mean must be a 4-vector")
-    profile = active_profile()
-    tol = profile.phys_tol
-    sf, frame = reduce_to_standard_form(V, profile=profile)
+    tol = active_profile().phys_tol
     tsf = _sqrt_form(sf, tol, sf.spectrum())
     value = 1.0 if _is_uncorrelated(sf) else _max_affinity_from_tilde(tsf)
     eta1, eta2, e2r1, e2r2 = _optimum(tsf)
@@ -238,8 +230,8 @@ def hellinger_discord(V) -> float:
     Evaluated without forming the difference, so that a small discord keeps
     its relative accuracy.
     """
-    sf, tol = _reduced(V)
-    return _hellinger_discord(sf, tol, sf.spectrum())
+    sf = standard_form(V)
+    return _hellinger_discord(sf, active_profile().phys_tol, sf.spectrum())
 
 
 def hellinger_discord_symmetric(b: float, c: float, d: float) -> float:
@@ -304,8 +296,8 @@ def simon_separable(V) -> bool:
     True iff the partial transpose (standard form with d -> -d) is again a
     physical covariance matrix. States with d >= 0 are always separable.
     """
-    sf, tol = _reduced(V)
-    return _simon_separable(sf, _pt_spectrum(sf), tol)
+    sf = standard_form(V)
+    return _simon_separable(sf, _pt_spectrum(sf), active_profile().phys_tol)
 
 
 def entropic_discord(V) -> float:
@@ -314,7 +306,8 @@ def entropic_discord(V) -> float:
     h(b) - h(k1) - h(k2) + h(y) with y = b - c^2/(b + 1/2). Nonnegative and
     zero iff the cross-correlations vanish.
     """
-    sf, tol = _reduced(V)
+    sf = standard_form(V)
+    tol = active_profile().phys_tol
     return _symmetric_measures(sf, tol, _spectrum_entropies(sf.spectrum(), tol))[0]
 
 
@@ -324,7 +317,8 @@ def mutual_information(V) -> float:
     For a product state the spectrum equals the marginals and the value is
     exactly zero.
     """
-    sf, tol = _reduced(V)
+    sf = standard_form(V)
+    tol = active_profile().phys_tol
     return _mutual_information(sf, _spectrum_entropies(sf.spectrum(), tol))
 
 
@@ -334,7 +328,8 @@ def classical_correlations(V) -> float:
     Equals mutual_information - entropic_discord and is identical for the
     d = +c and d = -c partners of the same (b, c).
     """
-    sf, tol = _reduced(V)
+    sf = standard_form(V)
+    tol = active_profile().phys_tol
     return _symmetric_measures(sf, tol, _spectrum_entropies(sf.spectrum(), tol))[1]
 
 
@@ -363,7 +358,8 @@ def correlation_report(V, mean=None) -> CorrelationReport:
         m = np.asarray(mean, dtype=float).reshape(-1)
         if m.shape != (4,) or not np.all(np.isfinite(m)):
             raise DimensionMismatchError("mean must be a finite 4-vector")
+    tol = active_profile().phys_tol
     if isinstance(V, StandardForm):
-        return _given_form_report(V, active_profile().phys_tol)
-    sf, tol = _reduced(V)
+        return _given_form_report(V, tol)
+    sf = standard_form(V)
     return _form_report(sf, sf.spectrum(), tol)

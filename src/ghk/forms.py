@@ -343,21 +343,24 @@ def _hellinger_discord(
 ) -> float:
     """1 - A*, without the cancellation of the difference for small discord.
 
-    With s = sqrt(bt1 bt2) of the square-root form, x = ct^2/(s + sqrt(gc))
-    = s - sqrt(gc) and y = dt^2/(s + sqrt(gd)) = s - sqrt(gd), where
-    gc = bt1 bt2 - ct^2 and gd = bt1 bt2 - dt^2,
-    1 - A*^2 = (2 s (x + y) - 3 x y) / ((2 s - x)(2 s - y)) keeps its
-    relative accuracy, and 1 - A* = (1 - A*^2) / (1 + A*).
+    With s = sqrt(bt1 bt2) of the square-root form, rc = sqrt(bt1 bt2 - ct^2),
+    rd = sqrt(bt1 bt2 - dt^2), x = ct^2/(s + rc) = s - rc and
+    y = dt^2/(s + rd) = s - rd, A*^2 = 4 rc rd / ((s + rc)(s + rd)) and
+    1 - A*^2 = (2 s (x + y) - 3 x y) / ((s + rc)(s + rd)) keeps its relative
+    accuracy; 1 - A* = (1 - A*^2) / (1 + A*).
     """
     if _is_uncorrelated(sf):
         return 0.0
     tsf = _sqrt_form(sf, tol, spectrum)
     bb = tsf.b1 * tsf.b2
     s = math.sqrt(bb)
-    x = min(tsf.c * tsf.c / (s + math.sqrt(max(bb - tsf.c * tsf.c, 0.0))), s)
-    y = min(tsf.d * tsf.d / (s + math.sqrt(max(bb - tsf.d * tsf.d, 0.0))), s)
-    one_minus_sq = (2.0 * s * (x + y) - 3.0 * x * y) / ((2.0 * s - x) * (2.0 * s - y))
-    return min(one_minus_sq / (1.0 + _max_affinity_from_tilde(tsf)), 1.0)
+    rc = math.sqrt(max(bb - tsf.c * tsf.c, 0.0))
+    rd = math.sqrt(max(bb - tsf.d * tsf.d, 0.0))
+    den = (s + rc) * (s + rd)
+    x = min(tsf.c * tsf.c / (s + rc), s)
+    y = min(tsf.d * tsf.d / (s + rd), s)
+    affinity = min(math.sqrt(4.0 * rc * rd / den), 1.0)
+    return min((2.0 * s * (x + y) - 3.0 * x * y) / den / (1.0 + affinity), 1.0)
 
 
 def _pt_spectrum(sf: StandardForm) -> tuple[float, float]:

@@ -40,7 +40,7 @@ from .forms import (
     _radical,
     _sqrt_form,
 )
-from .tolerances import ToleranceProfile, active_profile
+from .tolerances import active_profile
 
 # Relative tolerance demanded from the internal square-root consistency
 # identity V = (Vt - J Vt^-1 J / 4) / 2. Breaches raise ConsistencyError:
@@ -116,7 +116,7 @@ class CovarianceMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        matrix, _ = _symmetrised(self.matrix, active_profile().sym_atol)
+        matrix = _symmetrised(self.matrix, active_profile().sym_atol)
         object.__setattr__(self, "matrix", matrix)
 
     @property
@@ -125,12 +125,12 @@ class CovarianceMatrix:
         return self.matrix.shape[0] // 2
 
 
-def _symmetrised(value, sym_atol: float) -> tuple[np.ndarray, list[float]]:
-    """The validated, symmetrised matrix of ``value`` and its entries.
+def _symmetrised(value, sym_atol: float) -> np.ndarray:
+    """The validated, symmetrised matrix of ``value``.
 
     Checks shape, then finiteness and asymmetry (against ``sym_atol``) on
     the entries taken once as Python floats. Returns the read-only array
-    (V + V^T) / 2 and its values, row by row, as a flat list.
+    (V + V^T) / 2.
     """
     m = np.asarray(value, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or not m.size:
@@ -148,7 +148,7 @@ def _symmetrised(value, sym_atol: float) -> tuple[np.ndarray, list[float]]:
     matrix = m + m.T
     matrix *= 0.5
     matrix.flags.writeable = False
-    return matrix, matrix.ravel().tolist()
+    return matrix
 
 
 def as_covariance(value) -> CovarianceMatrix:
@@ -274,20 +274,20 @@ def _check_sqrt_identity(v: np.ndarray, vt: np.ndarray) -> None:
         )
 
 
-def _two_mode(value, profile: ToleranceProfile) -> tuple[np.ndarray, list[float]]:
+def _two_mode(value, sym_atol: float) -> tuple[np.ndarray, list[float]]:
     """The validated matrix of a two-mode ``value`` and its entries as floats.
 
-    The checks and the array of the ``CovarianceMatrix`` constructor, under
-    the ``profile`` the caller has read: the constructor reads it on every
-    call. A ``CovarianceMatrix`` is taken as it is.
+    The checks and the array of the ``CovarianceMatrix`` constructor, with
+    the ``sym_atol`` the caller has read: the constructor reads the profile
+    on every call. A ``CovarianceMatrix`` is taken as it is.
     """
     if isinstance(value, CovarianceMatrix):
-        matrix, entries = value.matrix, value.matrix.ravel().tolist()
+        matrix = value.matrix
     else:
-        matrix, entries = _symmetrised(value, profile.sym_atol)
+        matrix = _symmetrised(value, sym_atol)
     if matrix.shape[0] != 4:
         raise DimensionMismatchError("standard form is defined for two modes")
-    return matrix, entries
+    return matrix, matrix.ravel().tolist()
 
 
 def _unit_root(x00: float, x01: float, x11: float) -> tuple[float, float, float, float]:
@@ -333,7 +333,7 @@ def _reduce(
     return sf, (n00, n01, n11, o00, o01, o11, e, f, g, h)
 
 
-def standard_form(V, *, profile: ToleranceProfile | None = None) -> StandardForm:
+def standard_form(V) -> StandardForm:
     """Reduce a physical two-mode CM to its standard-form parameters.
 
     b1 and b2 are the square roots of the diagonal-block determinants; c
@@ -346,15 +346,13 @@ def standard_form(V, *, profile: ToleranceProfile | None = None) -> StandardForm
     corrupt-input guard. The scale factors are not recovered (they are
     unobservable in every correlation measure) and are emitted as 1.
 
-    One pass over the input: the entries are taken once as floats for the
-    validation, the reduction of ``reduce_to_standard_form`` and the
-    discriminant guard, and no frame is built. ``profile`` is the active
-    tolerance profile, read here when not given: the package's entry
-    points pass the one they have read, so that each call reads it once.
+    One pass over the input: the tolerance profile is read once, the
+    validated entries are taken once as floats for the reduction of
+    ``reduce_to_standard_form`` and the discriminant guard, and no frame
+    is built.
     """
-    if profile is None:
-        profile = active_profile()
-    matrix, entries = _two_mode(V, profile)
+    profile = active_profile()
+    matrix, entries = _two_mode(V, profile.sym_atol)
     sf, _ = _reduce(matrix, entries, profile.phys_tol)
     a00, a01, c00, c01, _, a11, c10, c11, _, _, b00, b01, _, _, _, b11 = entries
     # det V = det A det B + det(C)^2 - tr(adj A C adj B C^T)
@@ -377,9 +375,7 @@ def standard_form(V, *, profile: ToleranceProfile | None = None) -> StandardForm
     return sf
 
 
-def reduce_to_standard_form(
-    V, *, profile: ToleranceProfile | None = None
-) -> tuple[StandardForm, np.ndarray]:
+def reduce_to_standard_form(V) -> tuple[StandardForm, np.ndarray]:
     """Bring a two-mode CM to standard form by tracked local symplectics.
 
     Returns (sf, S) with sf the unscaled standard form (s1 = s2 = 1) and S
@@ -397,12 +393,11 @@ def reduce_to_standard_form(
     c >= |d| and sign(d) = sign(det C)), and phi +/- theta = atan2(h, e)
     +/- atan2(g, f). A cross block with c = -d exactly, such as
     diag(c, -c), keeps d = -c to the last bit. The arithmetic runs on
-    Python floats taken once from the validated input, and only S is
-    built as an array. ``profile`` is as in ``standard_form``.
+    Python floats taken once from the validated input, under one read of
+    the tolerance profile, and only S is built as an array.
     """
-    if profile is None:
-        profile = active_profile()
-    matrix, entries = _two_mode(V, profile)
+    profile = active_profile()
+    matrix, entries = _two_mode(V, profile.sym_atol)
     sf, (n00, n01, n11, o00, o01, o11, e, f, g, h) = _reduce(
         matrix, entries, profile.phys_tol
     )

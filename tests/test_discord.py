@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ghk import (
+    DimensionMismatchError,
     GaussianState,
     InvalidParamsError,
     MtsParams,
@@ -166,6 +167,17 @@ class TestClosestProductState:
         mean = np.array([0.3, -1.0, 2.0, 0.1])
         closest = closest_product_state(tmsv_form(0.5).to_cm(), mean)
         np.testing.assert_allclose(closest.product_state().mean, mean)
+
+    def test_matrix_is_checked_before_the_mean(self):
+        bad_mean = np.zeros(3)
+        m = tmsv_form(0.5).to_cm().matrix.copy()
+        with pytest.raises(DimensionMismatchError, match="mean"):
+            closest_product_state(m, bad_mean)
+        m[0, 2] = m[2, 0] = math.nan
+        with pytest.raises(InvalidParamsError):
+            closest_product_state(m, bad_mean)
+        with pytest.raises(DimensionMismatchError, match="two modes"):
+            closest_product_state(thermal_state([1.0, 2.0, 3.0]).cm, bad_mean)
 
 
 class TestStationarity:

@@ -104,19 +104,26 @@ class TestProfileReads:
         in_family = sts_standard_form(StsParams(1.0, 1.0, 0.7)).to_cm().matrix
         return [0.5 * (framed + framed.T), in_family.copy()]
 
-    def test_one_read_per_call(self, environ):
-        calls = (
-            correlation_report,
-            closest_product_state,
-            standard_form,
-            max_affinity,
-            hellinger_discord,
-        )
+    def test_one_read_per_call_plus_one_per_reduction(self, environ):
+        # a reduction reads the profile once, and an entry point of
+        # ghk.discord reads it once more for the phys_tol of its measures
+        reads = {
+            standard_form: 1,
+            reduce_to_standard_form: 1,
+            correlation_report: 2,
+            closest_product_state: 2,
+            max_affinity: 2,
+            hellinger_discord: 2,
+        }
         for matrix in self.matrices():
-            for call in calls:
+            for call, expected in reads.items():
                 environ.reads = 0
                 call(matrix)
-                assert environ.reads == 1, call.__name__
+                assert environ.reads == expected, call.__name__
+        sf = sts_standard_form(StsParams(1.0, 1.0, 0.7))
+        environ.reads = 0
+        correlation_report(sf)
+        assert environ.reads == 1
 
     def test_change_between_calls_takes_effect(self, monkeypatch):
         # minimal symplectic eigenvalue 1/2 - 1e-10: inside the default
@@ -130,13 +137,3 @@ class TestProfileReads:
             correlation_report(matrix)
         with pytest.raises(NotPhysicalError):
             closest_product_state(matrix)
-
-    def test_a_given_profile_is_used_without_a_read(self, environ, monkeypatch):
-        matrix = np.diag([1.5, 1.5, 0.5 - 1e-10, 0.5 - 1e-10])
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        environ.reads = 0
-        for reduce in (standard_form, reduce_to_standard_form):
-            reduce(matrix, profile=PROFILES["default"])
-            with pytest.raises(NotPhysicalError):
-                reduce(matrix, profile=PROFILES["strict"])
-        assert environ.reads == 0
