@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .affinity import affinity, gaussian_overlap_trace, trace_of_sqrt
-from .discord import _is_uncorrelated, _max_affinity_from_tilde, _optimum, max_affinity
+from .discord import _is_uncorrelated, _optimum, max_affinity
 from .errors import ConsistencyError, DimensionMismatchError, NotPhysicalError
 from .oracle import (
     OptimizerConfig,
@@ -52,15 +52,15 @@ def max_affinity_via_invariants(V) -> float:
 
     Uses only the input standard form, the symplectic spectrum and the
     K/M invariants. Degenerates to 0/0 when both modes are pure (K = 0);
-    that case falls back to the square-root-form route, which has a finite
-    limit there.
+    that case takes the pure-state limit 1/(sqrt(b1 b2) + 1/2), which is
+    1/cosh^2 r for the two-mode squeezed vacuum.
     """
     sf = standard_form(V)
     if _is_uncorrelated(sf):
         return 1.0
     inv = invariants_from_spectrum(sf.spectrum())
     if inv.K <= 0.0:
-        return _max_affinity_from_tilde(square_root_standard_form(sf))
+        return 1.0 / (math.sqrt(sf.b1 * sf.b2) + 0.5)
     bb = sf.b1 * sf.b2
     det_v = sf.cm_determinant()
     b_plus = bb * inv.K**2 + 0.25 * (sf.b1 * sf.c + sf.b2 * sf.d) ** 2

@@ -35,7 +35,7 @@ from .forms import (
     MtsParams,
     StandardForm,
     StsParams,
-    _given_form_report,
+    _form_report,
     mts_standard_form,
     sts_standard_form,
 )
@@ -242,7 +242,7 @@ def cmd_report(args) -> int:
     state, echo = _input_state(args)
     if isinstance(state, StandardForm):
         echo["matrix"], echo["mean"] = _form_echo(state)
-        report = _given_form_report(state, active_profile().phys_tol)
+        report = _form_report(state, active_profile().phys_tol)
     else:
         report, echo["matrix"], echo["mean"] = _matrix_report(state)
     payload = {
@@ -271,7 +271,7 @@ def _sweep_row(family: str, params: dict, outputs) -> tuple[bool, dict]:
     ``correlation_report`` gives it for a ``StandardForm``."""
     try:
         sf = _family_standard_form(family, params)
-        report = _given_form_report(sf, active_profile().phys_tol)
+        report = _form_report(sf, active_profile().phys_tol)
     except (InvalidParamsError, NotPhysicalError):
         return False, {name: None for name in outputs}
     values = {}

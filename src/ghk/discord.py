@@ -30,15 +30,13 @@ from .errors import DimensionMismatchError, InvalidParamsError, NotPhysicalError
 from .forms import (
     CorrelationReport,
     StandardForm,
+    _affinity_and_discord,
     _checked_form,
     _eof_symmetric,
+    _form_affinity_and_discord,
     _form_report,
-    _given_form_report,
-    _hellinger_discord,
     _invariants,
     _is_uncorrelated,
-    _max_affinity,
-    _max_affinity_from_tilde,
     _mutual_information,
     _pt_spectrum,
     _simon_separable,
@@ -47,11 +45,7 @@ from .forms import (
     _symmetric_measures,
 )
 from .states import GaussianState, MtsParams, StsParams
-from .symplectic import (
-    invariants_from_spectrum,
-    reduce_to_standard_form,
-    standard_form,
-)
+from .symplectic import _framed_reduction, invariants_from_spectrum, standard_form
 from .tolerances import active_profile
 
 
@@ -170,6 +164,16 @@ class ClosestProduct:
         return p.state()
 
 
+def _reduced(V) -> tuple[StandardForm, float, tuple[float, float]]:
+    """(sf, phys_tol, spectrum of sf): the preamble of the matrix measures.
+
+    One ``standard_form`` reduction, then one more read of the tolerance
+    profile for the measures' own phys_tol.
+    """
+    sf = standard_form(V)
+    return sf, active_profile().phys_tol, sf.spectrum()
+
+
 def max_affinity(V) -> float:
     """Maximal affinity between a two-mode state and the product states.
 
@@ -177,8 +181,7 @@ def max_affinity(V) -> float:
     square-root state. Local squeeze scales drop out, so the plain
     (unscaled) standard-form reduction suffices.
     """
-    sf = standard_form(V)
-    return _max_affinity(sf, active_profile().phys_tol, sf.spectrum())
+    return _form_affinity_and_discord(*_reduced(V))[0]
 
 
 def _optimum(tsf: StandardForm) -> tuple[float, float, float, float]:
@@ -205,17 +208,15 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
     the reconstructed state for any physical input. The optimal product
     state copies the input displacement.
     """
-    sf, frame = reduce_to_standard_form(V)
+    sf, frame = _framed_reduction(V)
     mean = np.zeros(4) if mean is None else np.asarray(mean, dtype=float).reshape(-1)
     if mean.shape != (4,):
         raise DimensionMismatchError("mean must be a 4-vector")
     tol = active_profile().phys_tol
     tsf = _sqrt_form(sf, tol, sf.spectrum())
-    value = 1.0 if _is_uncorrelated(sf) else _max_affinity_from_tilde(tsf)
+    value = 1.0 if _is_uncorrelated(sf) else _affinity_and_discord(tsf)[0]
     eta1, eta2, e2r1, e2r2 = _optimum(tsf)
-    (f00, f01, _, _), (f10, f11, _, _), (_, _, g00, g01), (_, _, g10, g11) = (
-        frame.tolist()
-    )
+    (f00, f01, _, _), (f10, f11, _, _), (_, _, g00, g01), (_, _, g10, g11) = frame
     e1, rr1, ph1 = _frame_params(f00, f01, f10, f11, eta1, e2r1)
     e2, rr2, ph2 = _frame_params(g00, g01, g10, g11, eta2, e2r2)
     params = _product_params(
@@ -230,8 +231,7 @@ def hellinger_discord(V) -> float:
     Evaluated without forming the difference, so that a small discord keeps
     its relative accuracy.
     """
-    sf = standard_form(V)
-    return _hellinger_discord(sf, active_profile().phys_tol, sf.spectrum())
+    return _form_affinity_and_discord(*_reduced(V))[1]
 
 
 def hellinger_discord_symmetric(b: float, c: float, d: float) -> float:
@@ -296,8 +296,8 @@ def simon_separable(V) -> bool:
     True iff the partial transpose (standard form with d -> -d) is again a
     physical covariance matrix. States with d >= 0 are always separable.
     """
-    sf = standard_form(V)
-    return _simon_separable(sf, _pt_spectrum(sf), active_profile().phys_tol)
+    sf, tol, _ = _reduced(V)
+    return _simon_separable(sf, _pt_spectrum(sf), tol)
 
 
 def entropic_discord(V) -> float:
@@ -306,9 +306,8 @@ def entropic_discord(V) -> float:
     h(b) - h(k1) - h(k2) + h(y) with y = b - c^2/(b + 1/2). Nonnegative and
     zero iff the cross-correlations vanish.
     """
-    sf = standard_form(V)
-    tol = active_profile().phys_tol
-    return _symmetric_measures(sf, tol, _spectrum_entropies(sf.spectrum(), tol))[0]
+    sf, tol, spectrum = _reduced(V)
+    return _symmetric_measures(sf, tol, _spectrum_entropies(spectrum, tol))[0]
 
 
 def mutual_information(V) -> float:
@@ -317,9 +316,8 @@ def mutual_information(V) -> float:
     For a product state the spectrum equals the marginals and the value is
     exactly zero.
     """
-    sf = standard_form(V)
-    tol = active_profile().phys_tol
-    return _mutual_information(sf, _spectrum_entropies(sf.spectrum(), tol))
+    sf, tol, spectrum = _reduced(V)
+    return _mutual_information(sf, _spectrum_entropies(spectrum, tol))
 
 
 def classical_correlations(V) -> float:
@@ -328,9 +326,8 @@ def classical_correlations(V) -> float:
     Equals mutual_information - entropic_discord and is identical for the
     d = +c and d = -c partners of the same (b, c).
     """
-    sf = standard_form(V)
-    tol = active_profile().phys_tol
-    return _symmetric_measures(sf, tol, _spectrum_entropies(sf.spectrum(), tol))[1]
+    sf, tol, spectrum = _reduced(V)
+    return _symmetric_measures(sf, tol, _spectrum_entropies(spectrum, tol))[1]
 
 
 def entanglement_of_formation_symmetric(b: float, c: float) -> float:
@@ -341,25 +338,26 @@ def entanglement_of_formation_symmetric(b: float, c: float) -> float:
     """
     tol = active_profile().phys_tol
     sf = _checked_form(tol, b, b, c, -c)
-    return _eof_symmetric(sf.b1, sf.c, tol)
+    if sf.spectrum()[1] < 0.5 - tol:
+        raise NotPhysicalError("symmetric state parameters are unphysical")
+    return _eof_symmetric(sf.b1, sf.c)
 
 
 def correlation_report(V, mean=None) -> CorrelationReport:
     """Aggregate every measure for one state.
 
     ``V`` is a covariance matrix, reduced once by ``standard_form``, or a
-    ``StandardForm``, which is used as it is: its physicality is read from
-    the closed-form spectrum and its scales, which no measure depends on,
-    are reported as 1. Every field is evaluated from that one standard
-    form. The measures are displacement-invariant; the mean, if given, is
-    only validated.
+    ``StandardForm``, which is used as it is. Both go through the one
+    report route of ``ghk.forms``: physicality is read from the closed-form
+    spectrum of the form, its scales, which no measure depends on, are
+    reported as 1, and every field is evaluated from that one form, so the
+    report of a matrix equals the report of its standard form. The
+    measures are displacement-invariant; the mean, if given, is only
+    validated.
     """
     if mean is not None:
         m = np.asarray(mean, dtype=float).reshape(-1)
         if m.shape != (4,) or not np.all(np.isfinite(m)):
             raise DimensionMismatchError("mean must be a finite 4-vector")
     tol = active_profile().phys_tol
-    if isinstance(V, StandardForm):
-        return _given_form_report(V, tol)
-    sf = standard_form(V)
-    return _form_report(sf, sf.spectrum(), tol)
+    return _form_report(V if isinstance(V, StandardForm) else standard_form(V), tol)

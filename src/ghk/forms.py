@@ -3,9 +3,13 @@
 Standard forms and their symplectic spectrum, the square-root standard
 form, the squeezed thermal and mode-mixed thermal families, the entropic
 function, and every measure of a correlation report evaluated from one
-physical standard form. A family sweep and a report of a given standard
-form need nothing else, so ``ghk sweep`` and ``ghk report`` of family or
-standard-form input run without loading numpy.
+physical standard form. Each quantity has one route here: the maximal
+affinity A* and the Hellinger discord 1 - A* come from one closed form on
+the square-root standard form (``_affinity_and_discord``), and every
+report, of a matrix, of a ``StandardForm``, of a sweep row or of
+``ghk report``, goes through ``_form_report``. A family sweep and a report
+of a given standard form need nothing else, so ``ghk sweep`` and
+``ghk report`` of family or standard-form input run without loading numpy.
 
 Only ``math``, ``dataclasses``, the error types and the tolerance profiles
 are imported here. ``ghk.symplectic``, ``ghk.states`` and ``ghk.discord``
@@ -323,35 +327,16 @@ def _is_uncorrelated(sf: StandardForm) -> bool:
     return max(abs(sf.c), abs(sf.d)) <= _PRODUCT_ATOL * max(1.0, sf.b1 * sf.b2)
 
 
-def _max_affinity_from_tilde(tsf: StandardForm) -> float:
-    bb = tsf.b1 * tsf.b2
-    gc = max(bb - tsf.c * tsf.c, 0.0)
-    gd = max(bb - tsf.d * tsf.d, 0.0)
-    num = 4.0 * math.sqrt(gc * gd)
-    den = (math.sqrt(bb) + math.sqrt(gc)) * (math.sqrt(bb) + math.sqrt(gd))
-    return min(math.sqrt(num / den), 1.0)
+def _affinity_and_discord(tsf: StandardForm) -> tuple[float, float]:
+    """(A*, 1 - A*) from the square-root standard form ``tsf``.
 
-
-def _max_affinity(sf: StandardForm, tol: float, spectrum: tuple[float, float]) -> float:
-    if _is_uncorrelated(sf):
-        return 1.0
-    return _max_affinity_from_tilde(_sqrt_form(sf, tol, spectrum))
-
-
-def _hellinger_discord(
-    sf: StandardForm, tol: float, spectrum: tuple[float, float]
-) -> float:
-    """1 - A*, without the cancellation of the difference for small discord.
-
-    With s = sqrt(bt1 bt2) of the square-root form, rc = sqrt(bt1 bt2 - ct^2),
+    With s = sqrt(bt1 bt2), rc = sqrt(bt1 bt2 - ct^2),
     rd = sqrt(bt1 bt2 - dt^2), x = ct^2/(s + rc) = s - rc and
     y = dt^2/(s + rd) = s - rd, A*^2 = 4 rc rd / ((s + rc)(s + rd)) and
     1 - A*^2 = (2 s (x + y) - 3 x y) / ((s + rc)(s + rd)) keeps its relative
-    accuracy; 1 - A* = (1 - A*^2) / (1 + A*).
+    accuracy; 1 - A* = (1 - A*^2) / (1 + A*) is never formed as a
+    difference, so a small discord keeps its relative accuracy too.
     """
-    if _is_uncorrelated(sf):
-        return 0.0
-    tsf = _sqrt_form(sf, tol, spectrum)
     bb = tsf.b1 * tsf.b2
     s = math.sqrt(bb)
     rc = math.sqrt(max(bb - tsf.c * tsf.c, 0.0))
@@ -360,7 +345,18 @@ def _hellinger_discord(
     x = min(tsf.c * tsf.c / (s + rc), s)
     y = min(tsf.d * tsf.d / (s + rd), s)
     affinity = min(math.sqrt(4.0 * rc * rd / den), 1.0)
-    return min((2.0 * s * (x + y) - 3.0 * x * y) / den / (1.0 + affinity), 1.0)
+    discord = (2.0 * s * (x + y) - 3.0 * x * y) / den / (1.0 + affinity)
+    return affinity, min(discord, 1.0)
+
+
+def _form_affinity_and_discord(
+    sf: StandardForm, tol: float, spectrum: tuple[float, float]
+) -> tuple[float, float]:
+    """(A*, 1 - A*) of the physical standard form ``sf``; (1, 0) for a
+    product."""
+    if _is_uncorrelated(sf):
+        return 1.0, 0.0
+    return _affinity_and_discord(_sqrt_form(sf, tol, spectrum))
 
 
 def _pt_spectrum(sf: StandardForm) -> tuple[float, float]:
@@ -417,9 +413,8 @@ def _mutual_information(sf: StandardForm, entropies: tuple[float, float]) -> flo
     return max(entropic_h(sf.b1) + entropic_h(sf.b2) - h1 - h2, 0.0)
 
 
-def _eof_symmetric(b: float, c: float, tol: float) -> float:
-    if _form_spectrum(b, b, c, -c)[1] < 0.5 - tol:
-        raise NotPhysicalError("symmetric state parameters are unphysical")
+def _eof_symmetric(b: float, c: float) -> float:
+    """EoF of the physical symmetric squeezed thermal form (b, b, c, -c)."""
     gap = b - c
     if gap >= 0.5:
         return 0.0
@@ -448,14 +443,26 @@ class CorrelationReport:
     standard_form: StandardForm
 
 
-def _form_report(
-    sf: StandardForm, spectrum: tuple[float, float], tol: float
-) -> CorrelationReport:
-    """Every measure of the physical, unit-scale standard form ``sf``.
+def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
+    """Every measure of the standard form ``sf``, after its physicality check.
 
-    The spectrum, the partial-transpose spectrum and the entropies of the
-    spectrum are evaluated once and shared by the measures.
+    The one report route: ``correlation_report`` of a matrix (on the form
+    of its reduction) or of a ``StandardForm``, a sweep row, and
+    ``ghk report``. Physicality is read from the closed-form spectrum, as
+    in ``square_root_standard_form``, and b1 b2 > c^2 (with c >= |d|) is
+    checked too: the spectrum formula can read above 1/2 on forms that
+    belong to no positive-definite matrix. The scales, which no measure
+    depends on, are reported as 1. The spectrum, the partial-transpose
+    spectrum and the entropies of the spectrum are evaluated once and
+    shared by the measures.
     """
+    if sf.b1 * sf.b2 <= sf.c * sf.c:
+        raise NotPhysicalError("standard form is not a physical state")
+    spectrum = sf.spectrum()
+    if spectrum[1] < 0.5 - tol:
+        raise NotPhysicalError("standard form is not a physical state")
+    if sf.s1 != 1.0 or sf.s2 != 1.0:
+        sf = _checked_form(tol, sf.b1, sf.b2, sf.c, sf.d)
     pt_spectrum = _pt_spectrum(sf)
     separable = _simon_separable(sf, pt_spectrum, tol)
     entropies = _spectrum_entropies(spectrum, tol)
@@ -465,11 +472,11 @@ def _form_report(
         ent = cc = None
     eof = None
     if ent is not None and sf.d <= 0.0:
-        eof = _eof_symmetric(0.5 * (sf.b1 + sf.b2), sf.c, tol)
+        eof = _eof_symmetric(0.5 * (sf.b1 + sf.b2), sf.c)
     elif separable:
         eof = 0.0
     return CorrelationReport(
-        hellinger_discord=_hellinger_discord(sf, tol, spectrum),
+        hellinger_discord=_form_affinity_and_discord(sf, tol, spectrum)[1],
         mutual_information=_mutual_information(sf, entropies),
         separable=separable,
         symplectic_spectrum=spectrum,
@@ -479,22 +486,3 @@ def _form_report(
         eof=eof,
         standard_form=sf,
     )
-
-
-def _given_form_report(sf: StandardForm, tol: float) -> CorrelationReport:
-    """Every measure of a given standard form, once it is known physical.
-
-    The one route of a state that arrives as a ``StandardForm``: a
-    ``correlation_report`` of one, a sweep row, and ``ghk report`` of family
-    or standard-form input. Physicality is read from the closed-form
-    spectrum, as in ``square_root_standard_form``. b1 b2 > c^2 (with
-    c >= |d|) is checked too: the spectrum formula can read above 1/2 on
-    forms that belong to no positive-definite matrix. The scales, which no
-    measure depends on, are reported as 1.
-    """
-    if sf.b1 * sf.b2 <= sf.c * sf.c:
-        raise NotPhysicalError("standard form is not a physical state")
-    spectrum = sf.spectrum()
-    if spectrum[1] < 0.5 - tol:
-        raise NotPhysicalError("standard form is not a physical state")
-    return _form_report(_checked_form(tol, sf.b1, sf.b2, sf.c, sf.d), spectrum, tol)

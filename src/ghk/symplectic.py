@@ -274,22 +274,6 @@ def _check_sqrt_identity(v: np.ndarray, vt: np.ndarray) -> None:
         )
 
 
-def _two_mode(value, sym_atol: float) -> tuple[np.ndarray, list[float]]:
-    """The validated matrix of a two-mode ``value`` and its entries as floats.
-
-    The checks and the array of the ``CovarianceMatrix`` constructor, with
-    the ``sym_atol`` the caller has read: the constructor reads the profile
-    on every call. A ``CovarianceMatrix`` is taken as it is.
-    """
-    if isinstance(value, CovarianceMatrix):
-        matrix = value.matrix
-    else:
-        matrix = _symmetrised(value, sym_atol)
-    if matrix.shape[0] != 4:
-        raise DimensionMismatchError("standard form is defined for two modes")
-    return matrix, matrix.ravel().tolist()
-
-
 def _unit_root(x00: float, x01: float, x11: float) -> tuple[float, float, float, float]:
     """(b, n00, n01, n11) for a positive-definite block X = [[x00, x01], [x01, x11]].
 
@@ -302,19 +286,29 @@ def _unit_root(x00: float, x01: float, x11: float) -> tuple[float, float, float,
     return b, (x00 + b) / root, x01 / root, (x11 + b) / root
 
 
-def _reduce(
-    matrix: np.ndarray, entries: list[float], tol: float
-) -> tuple[StandardForm, tuple[float, ...]]:
-    """The float reduction of a validated two-mode matrix to standard form.
+def _reduce(V) -> tuple[StandardForm, tuple[float, ...]]:
+    """The one reduction of a two-mode CM to standard form, with every guard.
 
-    ``entries`` are the values of ``matrix`` row by row; the Cholesky and
-    J V pair checks run on ``matrix`` first. Returns the form and the
-    parts (n00, n01, n11, o00, o01, o11, e, f, g, h) of its local frame;
-    see ``reduce_to_standard_form``.
+    Reads the tolerance profile once, validates ``V`` as the
+    ``CovarianceMatrix`` constructor does (a ``CovarianceMatrix`` is taken
+    as it is), runs the Cholesky and J V pair checks, reduces the entries
+    taken once as Python floats, and runs the discriminant guard on the
+    same floats. Returns the form and the parts
+    (n00, n01, n11, o00, o01, o11, e, f, g, h) of its local frame; see
+    ``reduce_to_standard_form``.
     """
-    if not _is_physical(matrix, tol):
+    profile = active_profile()
+    if isinstance(V, CovarianceMatrix):
+        matrix = V.matrix
+    else:
+        matrix = _symmetrised(V, profile.sym_atol)
+    if matrix.shape[0] != 4:
+        raise DimensionMismatchError("standard form is defined for two modes")
+    if not _is_physical(matrix, profile.phys_tol):
         raise NotPhysicalError("covariance matrix is not a physical state")
-    a00, a01, c00, c01, _, a11, c10, c11, _, _, b00, b01, _, _, _, b11 = entries
+    a00, a01, c00, c01, _, a11, c10, c11, _, _, b00, b01, _, _, _, b11 = (
+        matrix.ravel().tolist()
+    )
     b1, n00, n01, n11 = _unit_root(a00, a01, a11)
     b2, o00, o01, o11 = _unit_root(b00, b01, b11)
     # M = adj(N1) C adj(N2)
@@ -329,7 +323,26 @@ def _reduce(
     e, f = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
     g, h = 0.5 * (m10 + m01), 0.5 * (m10 - m01)
     q, r = math.hypot(e, h), math.hypot(f, g)
-    sf = _checked_form(tol, b1, b2, q + r, q - r)
+    sf = _checked_form(profile.phys_tol, b1, b2, q + r, q - r)
+    # Discriminant guard: c^2 and d^2 solve x^2 - s x + det(C)^2 = 0 with
+    # s = (b1^2 b2^2 + det(C)^2 - det V) / (b1 b2), and
+    # det V = det A det B + det(C)^2 - tr(adj A C adj B C^T).
+    p = c00 * c11 - c01 * c10
+    w00 = a11 * (c00 * b11 - c01 * b01) - a01 * (c10 * b11 - c11 * b01)
+    w01 = a11 * (c01 * b00 - c00 * b01) - a01 * (c11 * b00 - c10 * b01)
+    w10 = a00 * (c10 * b11 - c11 * b01) - a01 * (c00 * b11 - c01 * b01)
+    w11 = a00 * (c11 * b00 - c10 * b01) - a01 * (c01 * b00 - c00 * b01)
+    det_v = (
+        (a00 * a11 - a01 * a01) * (b00 * b11 - b01 * b01)
+        + p * p
+        - (c00 * w00 + c01 * w01 + c10 * w10 + c11 * w11)
+    )
+    beta = sf.b1 * sf.b2
+    s = (beta * beta + p * p - det_v) / beta
+    if s * s - 4.0 * p * p < -1e-9 * max(1.0, s * s):
+        raise DegenerateBlocksError(
+            "no real cross-correlation parameters reproduce the invariants"
+        )
     return sf, (n00, n01, n11, o00, o01, o11, e, f, g, h)
 
 
@@ -346,33 +359,27 @@ def standard_form(V) -> StandardForm:
     corrupt-input guard. The scale factors are not recovered (they are
     unobservable in every correlation measure) and are emitted as 1.
 
-    One pass over the input: the tolerance profile is read once, the
-    validated entries are taken once as floats for the reduction of
-    ``reduce_to_standard_form`` and the discriminant guard, and no frame
-    is built.
+    This is the reduction of ``reduce_to_standard_form``, with the same
+    guards and one read of the tolerance profile, without building the
+    frame.
     """
-    profile = active_profile()
-    matrix, entries = _two_mode(V, profile.sym_atol)
-    sf, _ = _reduce(matrix, entries, profile.phys_tol)
-    a00, a01, c00, c01, _, a11, c10, c11, _, _, b00, b01, _, _, _, b11 = entries
-    # det V = det A det B + det(C)^2 - tr(adj A C adj B C^T)
-    p = c00 * c11 - c01 * c10
-    w00 = a11 * (c00 * b11 - c01 * b01) - a01 * (c10 * b11 - c11 * b01)
-    w01 = a11 * (c01 * b00 - c00 * b01) - a01 * (c11 * b00 - c10 * b01)
-    w10 = a00 * (c10 * b11 - c11 * b01) - a01 * (c00 * b11 - c01 * b01)
-    w11 = a00 * (c11 * b00 - c10 * b01) - a01 * (c01 * b00 - c00 * b01)
-    q = (
-        (a00 * a11 - a01 * a01) * (b00 * b11 - b01 * b01)
-        + p * p
-        - (c00 * w00 + c01 * w01 + c10 * w10 + c11 * w11)
-    )
-    beta = sf.b1 * sf.b2
-    s = (beta * beta + p * p - q) / beta
-    if s * s - 4.0 * p * p < -1e-9 * max(1.0, s * s):
-        raise DegenerateBlocksError(
-            "no real cross-correlation parameters reproduce the invariants"
-        )
-    return sf
+    return _reduce(V)[0]
+
+
+def _framed_reduction(V) -> tuple[StandardForm, list[list[float]]]:
+    """``reduce_to_standard_form`` with the rows of S as Python floats."""
+    sf, (n00, n01, n11, o00, o01, o11, e, f, g, h) = _reduce(V)
+    a1, a2 = math.atan2(g, f), math.atan2(h, e)
+    phi, theta = 0.5 * (a2 + a1), 0.5 * (a2 - a1)
+    cp, sp = math.cos(phi), math.sin(phi)
+    ct, st = math.cos(theta), math.sin(theta)
+    # S = N1 R(phi) (+) N2 R(theta)^T
+    return sf, [
+        [n00 * cp + n01 * sp, n01 * cp - n00 * sp, 0.0, 0.0],
+        [n01 * cp + n11 * sp, n11 * cp - n01 * sp, 0.0, 0.0],
+        [0.0, 0.0, o00 * ct - o01 * st, o00 * st + o01 * ct],
+        [0.0, 0.0, o01 * ct - o11 * st, o01 * st + o11 * ct],
+    ]
 
 
 def reduce_to_standard_form(V) -> tuple[StandardForm, np.ndarray]:
@@ -394,27 +401,12 @@ def reduce_to_standard_form(V) -> tuple[StandardForm, np.ndarray]:
     +/- atan2(g, f). A cross block with c = -d exactly, such as
     diag(c, -c), keeps d = -c to the last bit. The arithmetic runs on
     Python floats taken once from the validated input, under one read of
-    the tolerance profile, and only S is built as an array.
+    the tolerance profile, and only S is built as an array. The guards
+    are those of ``standard_form``: validation, the Cholesky and J V pair
+    checks, and the discriminant guard.
     """
-    profile = active_profile()
-    matrix, entries = _two_mode(V, profile.sym_atol)
-    sf, (n00, n01, n11, o00, o01, o11, e, f, g, h) = _reduce(
-        matrix, entries, profile.phys_tol
-    )
-    a1, a2 = math.atan2(g, f), math.atan2(h, e)
-    phi, theta = 0.5 * (a2 + a1), 0.5 * (a2 - a1)
-    cp, sp = math.cos(phi), math.sin(phi)
-    ct, st = math.cos(theta), math.sin(theta)
-    # S = N1 R(phi) (+) N2 R(theta)^T
-    s_loc = np.array(
-        [
-            [n00 * cp + n01 * sp, n01 * cp - n00 * sp, 0.0, 0.0],
-            [n01 * cp + n11 * sp, n11 * cp - n01 * sp, 0.0, 0.0],
-            [0.0, 0.0, o00 * ct - o01 * st, o00 * st + o01 * ct],
-            [0.0, 0.0, o01 * ct - o11 * st, o01 * st + o11 * ct],
-        ]
-    )
-    return sf, s_loc
+    sf, rows = _framed_reduction(V)
+    return sf, np.array(rows)
 
 
 def invariants_from_spectrum(kappas) -> SymplecticInvariants:

@@ -72,10 +72,12 @@ class TestMaxAffinity:
             assert b == pytest.approx(a, rel=1e-8)
 
     def test_invariant_route_pure_fallback(self):
-        cm = tmsv_form(0.8).to_cm()
-        assert max_affinity_via_invariants(cm) == pytest.approx(
-            1.0 / math.cosh(0.8) ** 2, rel=1e-9
-        )
+        # the pure-state limit 1/(sqrt(b1 b2) + 1/2), not the closed form
+        for r in (0.8, 3.0):
+            cm = tmsv_form(r).to_cm()
+            assert max_affinity_via_invariants(cm) == pytest.approx(
+                1.0 / math.cosh(r) ** 2, rel=1e-14, abs=0.0
+            )
 
 
 class TestClosestProductState:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import ghk.forms
 import ghk.symplectic
 from ghk import (
     CovarianceMatrix,
@@ -99,6 +100,24 @@ class TestOneReduction:
         assert reductions == []
 
 
+def test_report_evaluates_each_spectrum_once(monkeypatch):
+    # the spectrum and the partial-transpose spectrum; the entanglement of
+    # formation of a physical report needs no third evaluation
+    calls = []
+    original = ghk.forms._form_spectrum
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(ghk.forms, "_form_spectrum", counted)
+    sf = sts_standard_form(StsParams(1.0, 1.0, 0.7))
+    for state in (sf, sf.to_cm()):
+        calls.clear()
+        assert correlation_report(state).eof is not None
+        assert len(calls) == 2
+
+
 def test_report_fields_equal_the_public_functions():
     rng = np.random.default_rng(13)
     matrices = [in_frame(random_standard_form(rng), local_frame(rng)) for _ in range(200)]
@@ -114,6 +133,8 @@ def test_report_fields_equal_the_public_functions():
         report = correlation_report(cm)
         sf = standard_form(cm)
         assert report.standard_form == sf
+        # one report route: a matrix reports what its standard form reports
+        assert correlation_report(sf) == report
         assert report.hellinger_discord == hellinger_discord(cm)
         assert report.mutual_information == mutual_information(cm)
         assert report.separable == simon_separable(cm)

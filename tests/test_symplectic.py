@@ -273,22 +273,24 @@ class TestStandardForm:
 
     def test_discriminant_guard(self, monkeypatch):
         # the reduction always reproduces the invariants of a valid matrix,
-        # so it is made to return b1 b2 = sqrt(det V - det(C)^2): the
-        # quadratic in (c^2, d^2) then has s = c^2 + d^2 = 0 < 2 |c d|
+        # so both diagonal blocks are made to report b = (det V -
+        # det(C)^2)^(1/4): the quadratic in (c^2, d^2) then has
+        # s = c^2 + d^2 = 0 < 2 |c d|. The guard is part of the one
+        # reduction, so every route through it raises.
         from ghk import symplectic
 
         cm = StandardForm(2.0, 2.0, 1.0, -0.5).to_cm()
         det_v, det_c = (4.0 - 1.0) * (4.0 - 0.25), 1.0 * -0.5
         b = (det_v - det_c * det_c) ** 0.25
-        reduce = symplectic._reduce
+        unit_root = symplectic._unit_root
 
         def corrupt(*args):
-            sf, parts = reduce(*args)
-            return StandardForm(b, b, sf.c, sf.d), parts
+            return (b, *unit_root(*args)[1:])
 
-        monkeypatch.setattr(symplectic, "_reduce", corrupt)
-        with pytest.raises(DegenerateBlocksError):
-            standard_form(cm)
+        monkeypatch.setattr(symplectic, "_unit_root", corrupt)
+        for reduction in (standard_form, reduce_to_standard_form, closest_product_state):
+            with pytest.raises(DegenerateBlocksError):
+                reduction(cm)
 
     def test_scale_factors_drop_out(self):
         scaled = StandardForm(2.0, 1.5, 0.9, -0.4, s1=1.7, s2=0.6)
