@@ -35,9 +35,10 @@ from .forms import (
     MtsParams,
     StandardForm,
     StsParams,
+    _checked_form,
     _form_report,
-    mts_standard_form,
-    sts_standard_form,
+    _mts_form,
+    _sts_form,
 )
 from .tolerances import active_profile
 
@@ -84,7 +85,7 @@ def _check_keys(family: str, params: dict) -> None:
         )
 
 
-def _symmetric_standard_form(params: dict) -> StandardForm:
+def _symmetric_standard_form(params: dict, tol: float) -> StandardForm:
     try:
         b = params["b"]
     except KeyError:
@@ -104,19 +105,21 @@ def _symmetric_standard_form(params: dict) -> StandardForm:
         d = math.copysign(c, params["dsign"])
     else:
         raise ParseError("symmetric family needs d or dsign")
-    return StandardForm(b, b, c, d)
+    return _checked_form(tol, b, b, c, d)
 
 
-def _family_standard_form(family: str, params: dict) -> StandardForm:
-    _check_keys(family, params)
+def _family_standard_form(family: str, params: dict, tol: float) -> StandardForm:
+    """The standard form of ``family`` at ``params``, whose keys the caller
+    has checked, against the phys_tol ``tol``."""
     if family == "sts":
-        return sts_standard_form(
+        return _sts_form(
             StsParams(
                 nbar1=params.get("nbar1", 0.0),
                 nbar2=params.get("nbar2", 0.0),
                 r=params.get("r", 0.0),
                 phi=params.get("phi", 0.0),
-            )
+            ),
+            tol,
         )
     if family == "mts":
         try:
@@ -128,8 +131,8 @@ def _family_standard_form(family: str, params: dict) -> StandardForm:
             )
         except KeyError as missing:
             raise ParseError(f"mts family needs {missing}") from None
-        return mts_standard_form(p)
-    return _symmetric_standard_form(params)
+        return _mts_form(p, tol)
+    return _symmetric_standard_form(params, tol)
 
 
 def _parse_std_form(text: str) -> StandardForm:
@@ -207,7 +210,9 @@ def _input_state(args):
     kind = chosen[0]
     if kind in ("sts", "mts"):
         params = _parse_kv(getattr(args, kind))
-        return _family_standard_form(kind, params), {"kind": kind, "params": params}
+        _check_keys(kind, params)
+        sf = _family_standard_form(kind, params, active_profile().phys_tol)
+        return sf, {"kind": kind, "params": params}
     if kind == "std_form":
         sf = _parse_std_form(args.std_form)
         return sf, {"kind": "std-form", "params": _sf_dict(sf)}
@@ -266,12 +271,13 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _sweep_row(family: str, params: dict, outputs) -> tuple[bool, dict]:
+def _sweep_row(family: str, params: dict, outputs, tol: float) -> tuple[bool, dict]:
     """One sweep row: the report of the family's standard form, as
-    ``correlation_report`` gives it for a ``StandardForm``."""
+    ``correlation_report`` gives it for a ``StandardForm``, with the keys
+    of ``params`` checked and the phys_tol ``tol`` read once per sweep."""
     try:
-        sf = _family_standard_form(family, params)
-        report = _form_report(sf, active_profile().phys_tol)
+        sf = _family_standard_form(family, params, tol)
+        report = _form_report(sf, tol)
     except (InvalidParamsError, NotPhysicalError):
         return False, {name: None for name in outputs}
     values = {}
@@ -329,11 +335,13 @@ def cmd_sweep(args) -> int:
         if unknown:
             raise ParseError(f"unknown output column(s): {sorted(unknown)}")
 
+    _check_keys(family, fixed)
+    tol = active_profile().phys_tol
     rows = []
     for value in _grid(start, stop, steps):
         params = dict(fixed)
         params[sweep_param] = value
-        physical, values = _sweep_row(family, params, outputs)
+        physical, values = _sweep_row(family, params, outputs, tol)
         rows.append((value, physical, values))
 
     if args.out == "json":

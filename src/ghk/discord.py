@@ -26,13 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParamsError, NotPhysicalError
+from .errors import (
+    DimensionMismatchError,
+    InvalidParamsError,
+    NotPhysicalError,
+    OutOfFamilyError,
+)
 from .forms import (
     CorrelationReport,
     StandardForm,
     _affinity_and_discord,
     _checked_form,
     _eof_symmetric,
+    _family_breach,
     _form_affinity_and_discord,
     _form_report,
     _invariants,
@@ -164,14 +170,15 @@ class ClosestProduct:
         return p.state()
 
 
-def _reduced(V) -> tuple[StandardForm, float, tuple[float, float]]:
-    """(sf, phys_tol, spectrum of sf): the preamble of the matrix measures.
+def _reduced(V) -> tuple[StandardForm, float, tuple[float, float], bool]:
+    """(sf, phys_tol, spectrum of sf, ``_is_uncorrelated(sf)``): the preamble
+    of the matrix measures.
 
     One ``standard_form`` reduction, then one more read of the tolerance
     profile for the measures' own phys_tol.
     """
     sf = standard_form(V)
-    return sf, active_profile().phys_tol, sf.spectrum()
+    return sf, active_profile().phys_tol, sf.spectrum(), _is_uncorrelated(sf)
 
 
 def max_affinity(V) -> float:
@@ -187,12 +194,16 @@ def max_affinity(V) -> float:
 def _optimum(tsf: StandardForm) -> tuple[float, float, float, float]:
     """(eta1, eta2, e^{2 r1}, e^{2 r2}) of the optimum's square-root state.
 
-    ``tsf`` is the standard form of the input's square-root state.
+    ``tsf`` is the standard form of the input's square-root state. A
+    square-root form with kt1 kt2 = 0, which round-off can leave on a nearly
+    pure correlated state, is rejected as unphysical.
     """
     bb = tsf.b1 * tsf.b2
     gc = max(bb - tsf.c * tsf.c, 0.0)
     gd = max(bb - tsf.d * tsf.d, 0.0)
     geo = math.sqrt(gc * gd)  # = kt1 * kt2
+    if geo == 0.0:
+        raise NotPhysicalError("square-root standard form is not a physical state")
     eta1 = math.sqrt(tsf.b1 / tsf.b2 * geo)
     eta2 = geo / eta1
     quotient = (gc / gd) ** 0.25
@@ -214,7 +225,10 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
         raise DimensionMismatchError("mean must be a 4-vector")
     tol = active_profile().phys_tol
     tsf = _sqrt_form(sf, tol, sf.spectrum())
-    value = 1.0 if _is_uncorrelated(sf) else _affinity_and_discord(tsf)[0]
+    if _is_uncorrelated(sf):
+        value = 1.0
+    else:
+        value = _affinity_and_discord(tsf.b1, tsf.b2, tsf.c, tsf.d)[0]
     eta1, eta2, e2r1, e2r2 = _optimum(tsf)
     (f00, f01, _, _), (f10, f11, _, _), (_, _, g00, g01), (_, _, g10, g11) = frame
     e1, rr1, ph1 = _frame_params(f00, f01, f10, f11, eta1, e2r1)
@@ -296,8 +310,20 @@ def simon_separable(V) -> bool:
     True iff the partial transpose (standard form with d -> -d) is again a
     physical covariance matrix. States with d >= 0 are always separable.
     """
-    sf, tol, _ = _reduced(V)
+    sf, tol, _, _ = _reduced(V)
     return _simon_separable(sf, _pt_spectrum(sf), tol)
+
+
+def _family_measures(V) -> tuple[float, float]:
+    """(entropic discord, classical correlations) of a state of the
+    symmetric |d| = c family; OutOfFamilyError outside it."""
+    sf, tol, spectrum, uncorrelated = _reduced(V)
+    breach = _family_breach(sf)
+    if breach is not None:
+        raise OutOfFamilyError(breach)
+    return _symmetric_measures(
+        sf, tol, _spectrum_entropies(spectrum, tol), uncorrelated
+    )
 
 
 def entropic_discord(V) -> float:
@@ -306,8 +332,7 @@ def entropic_discord(V) -> float:
     h(b) - h(k1) - h(k2) + h(y) with y = b - c^2/(b + 1/2). Nonnegative and
     zero iff the cross-correlations vanish.
     """
-    sf, tol, spectrum = _reduced(V)
-    return _symmetric_measures(sf, tol, _spectrum_entropies(spectrum, tol))[0]
+    return _family_measures(V)[0]
 
 
 def mutual_information(V) -> float:
@@ -316,8 +341,8 @@ def mutual_information(V) -> float:
     For a product state the spectrum equals the marginals and the value is
     exactly zero.
     """
-    sf, tol, spectrum = _reduced(V)
-    return _mutual_information(sf, _spectrum_entropies(spectrum, tol))
+    sf, tol, spectrum, uncorrelated = _reduced(V)
+    return _mutual_information(sf, _spectrum_entropies(spectrum, tol), uncorrelated)
 
 
 def classical_correlations(V) -> float:
@@ -326,8 +351,7 @@ def classical_correlations(V) -> float:
     Equals mutual_information - entropic_discord and is identical for the
     d = +c and d = -c partners of the same (b, c).
     """
-    sf, tol, spectrum = _reduced(V)
-    return _symmetric_measures(sf, tol, _spectrum_entropies(spectrum, tol))[1]
+    return _family_measures(V)[1]
 
 
 def entanglement_of_formation_symmetric(b: float, c: float) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParamsError, NotPhysicalError, OutOfFamilyError
+from .errors import InvalidParamsError, NotPhysicalError
 from .tolerances import active_profile
 
 # Cross-correlations below this (relative) threshold are treated as exactly
@@ -62,17 +62,12 @@ class StandardForm:
         self._validate(active_profile().phys_tol)
 
     def _validate(self, tol: float) -> None:
-        vals = tuple(map(float, map(vars(self).__getitem__, _FORM_FIELDS)))
-        if not all(map(math.isfinite, vals)):
-            raise InvalidParamsError("standard-form parameters must be finite")
+        vals = (
+            float(self.b1), float(self.b2), float(self.c), float(self.d),
+            float(self.s1), float(self.s2),
+        )
+        _check_form(tol, *vals)
         vars(self).update(zip(_FORM_FIELDS, vals))
-        b1, b2, c, d, s1, s2 = vals
-        if b1 < 0.5 - tol or b2 < 0.5 - tol:
-            raise NotPhysicalError("diagonal strengths b1, b2 must be >= 1/2")
-        if s1 <= 0 or s2 <= 0:
-            raise InvalidParamsError("scale factors must be positive")
-        if c < abs(d) - 1e-12 * max(1.0, abs(d)):
-            raise InvalidParamsError("standard form requires c >= |d|")
 
     def matrix_rows(self) -> list[list[float]]:
         """Rows of the 4x4 covariance matrix, in Python floats."""
@@ -103,6 +98,21 @@ class StandardForm:
     def partial_transpose(self) -> "StandardForm":
         """Standard form of the partial transpose (d -> -d)."""
         return StandardForm(self.b1, self.b2, self.c, -self.d, self.s1, self.s2)
+
+
+def _check_form(
+    tol: float, b1: float, b2: float, c: float, d: float, s1: float, s2: float
+) -> None:
+    """Raise the error ``StandardForm`` raises for these float parameters
+    under the phys_tol ``tol``, if any."""
+    if not all(map(math.isfinite, (b1, b2, c, d, s1, s2))):
+        raise InvalidParamsError("standard-form parameters must be finite")
+    if b1 < 0.5 - tol or b2 < 0.5 - tol:
+        raise NotPhysicalError("diagonal strengths b1, b2 must be >= 1/2")
+    if s1 <= 0 or s2 <= 0:
+        raise InvalidParamsError("scale factors must be positive")
+    if c < abs(d) - 1e-12 * max(1.0, abs(d)):
+        raise InvalidParamsError("standard form requires c >= |d|")
 
 
 def _checked_form(tol: float, b1, b2, c, d, s1=1.0, s2=1.0) -> StandardForm:
@@ -166,15 +176,21 @@ class SymplecticInvariants:
     D: float
 
 
-def _invariants(k1: float, k2: float, tol: float) -> SymplecticInvariants:
+def _k_and_l(k1: float, k2: float, tol: float) -> tuple[float, float]:
+    """The invariants K and L of the spectrum (k1, k2)."""
     rad1, rad2 = _radical(k1, tol), _radical(k2, tol)
+    return k1 * rad2 + k2 * rad1, 4.0 * k1 * k2 * (k1 + rad1) * (k2 + rad2)
+
+
+def _invariants(k1: float, k2: float, tol: float) -> SymplecticInvariants:
+    k, l = _k_and_l(k1, k2, tol)
     gap1 = 0.0 if k1 - 0.5 < tol else k1 - 0.5
     gap2 = 0.0 if k2 - 0.5 < tol else k2 - 0.5
     m1 = gap1 * (k2 + 0.5)
     m2 = (k1 + 0.5) * gap2
     return SymplecticInvariants(
-        K=k1 * rad2 + k2 * rad1,
-        L=4.0 * k1 * k2 * (k1 + rad1) * (k2 + rad2),
+        K=k,
+        L=l,
         M1=m1,
         M2=m2,
         N1=(k1 + 0.5) * (k2 + 0.5),
@@ -183,38 +199,54 @@ def _invariants(k1: float, k2: float, tol: float) -> SymplecticInvariants:
     )
 
 
-def _sqrt_form(
+def _sqrt_params(
     sf: StandardForm, tol: float, spectrum: tuple[float, float]
-) -> StandardForm:
-    """``square_root_standard_form`` with the phys_tol ``tol`` and the
-    spectrum of ``sf`` given."""
+) -> tuple[float, float, float, float, float, float]:
+    """(bt1, bt2, ct, dt, st1, st2) of the square-root form of ``sf``.
+
+    ``spectrum`` is the spectrum of ``sf``. Raises what
+    ``square_root_standard_form`` raises: NotPhysicalError below 1/2, and
+    the ``StandardForm`` checks of the result, run on the floats.
+    """
     k1, k2 = spectrum
     if k2 < 0.5 - tol:
         raise NotPhysicalError(
             f"minimal symplectic eigenvalue {k2:.6g} is below 1/2"
         )
+    b1, b2, c, d, s1, s2 = sf.b1, sf.b2, sf.c, sf.d, sf.s1, sf.s2
     if k1 - 0.5 < tol and k2 - 0.5 < tol:
-        return sf
-    inv = _invariants(k1, k2, tol)
-    pref = 4.0 * k1 * k2 * inv.K
-    bb = sf.b1 * sf.b2
-    gc = bb - sf.c * sf.c
-    gd = bb - sf.d * sf.d
-    x1 = (sf.b1 * inv.L - sf.b2 * gc) / pref
-    x2 = (sf.b2 * inv.L - sf.b1 * gc) / pref
-    y1 = (sf.b1 * inv.L - sf.b2 * gd) / pref
-    y2 = (sf.b2 * inv.L - sf.b1 * gd) / pref
-    zc = (sf.c * inv.L + sf.d * gc) / pref
-    zd = (sf.d * inv.L + sf.c * gd) / pref
-    return _checked_form(
-        tol,
+        return b1, b2, c, d, s1, s2
+    k, l = _k_and_l(k1, k2, tol)
+    pref = 4.0 * k1 * k2 * k
+    bb = b1 * b2
+    gc = bb - c * c
+    gd = bb - d * d
+    x1 = (b1 * l - b2 * gc) / pref
+    x2 = (b2 * l - b1 * gc) / pref
+    y1 = (b1 * l - b2 * gd) / pref
+    y2 = (b2 * l - b1 * gd) / pref
+    zc = (c * l + d * gc) / pref
+    zd = (d * l + c * gd) / pref
+    params = (
         math.sqrt(x1 * y1),
         math.sqrt(x2 * y2),
         zc * (y1 * y2 / (x1 * x2)) ** 0.25,
         zd * (x1 * x2 / (y1 * y2)) ** 0.25,
-        sf.s1 * math.sqrt(x1 / y1),
-        sf.s2 * math.sqrt(x2 / y2),
+        s1 * math.sqrt(x1 / y1),
+        s2 * math.sqrt(x2 / y2),
     )
+    _check_form(tol, *params)
+    return params
+
+
+def _sqrt_form(
+    sf: StandardForm, tol: float, spectrum: tuple[float, float]
+) -> StandardForm:
+    """``square_root_standard_form`` with the phys_tol ``tol`` and the
+    spectrum of ``sf`` given."""
+    tsf = object.__new__(StandardForm)
+    vars(tsf).update(zip(_FORM_FIELDS, _sqrt_params(sf, tol, spectrum)))
+    return tsf
 
 
 # -- the two families ----------------------------------------------------------
@@ -271,21 +303,31 @@ class MtsParams:
 
 def sts_standard_form(p: StsParams) -> StandardForm:
     """Standard form of a squeezed thermal state (d = -c <= 0)."""
+    return _sts_form(p, active_profile().phys_tol)
+
+
+def _sts_form(p: StsParams, tol: float) -> StandardForm:
+    """``sts_standard_form`` checked against the phys_tol ``tol``."""
     k1, k2 = p.nbar1 + 0.5, p.nbar2 + 0.5
     ch, sh = math.cosh(p.r), math.sinh(p.r)
     b1 = k1 * ch * ch + k2 * sh * sh
     b2 = k2 * ch * ch + k1 * sh * sh
     c = (k1 + k2) * ch * sh
-    return StandardForm(b1, b2, c, -c)
+    return _checked_form(tol, b1, b2, c, -c)
 
 
 def mts_standard_form(p: MtsParams) -> StandardForm:
     """Standard form of a mode-mixed thermal state (d = +c >= 0)."""
+    return _mts_form(p, active_profile().phys_tol)
+
+
+def _mts_form(p: MtsParams, tol: float) -> StandardForm:
+    """``mts_standard_form`` checked against the phys_tol ``tol``."""
     co, si = math.cos(p.theta / 2.0), math.sin(p.theta / 2.0)
     b1 = p.kappa1 * co * co + p.kappa2 * si * si
     b2 = p.kappa2 * co * co + p.kappa1 * si * si
     c = (p.kappa1 - p.kappa2) * co * si
-    return StandardForm(b1, b2, c, c)
+    return _checked_form(tol, b1, b2, c, c)
 
 
 def entropic_h(x: float) -> float:
@@ -327,36 +369,38 @@ def _is_uncorrelated(sf: StandardForm) -> bool:
     return max(abs(sf.c), abs(sf.d)) <= _PRODUCT_ATOL * max(1.0, sf.b1 * sf.b2)
 
 
-def _affinity_and_discord(tsf: StandardForm) -> tuple[float, float]:
-    """(A*, 1 - A*) from the square-root standard form ``tsf``.
+def _affinity_and_discord(
+    b1: float, b2: float, c: float, d: float
+) -> tuple[float, float]:
+    """(A*, 1 - A*) from the square-root standard form (b1, b2, c, d).
 
-    With s = sqrt(bt1 bt2), rc = sqrt(bt1 bt2 - ct^2),
-    rd = sqrt(bt1 bt2 - dt^2), x = ct^2/(s + rc) = s - rc and
-    y = dt^2/(s + rd) = s - rd, A*^2 = 4 rc rd / ((s + rc)(s + rd)) and
+    With s = sqrt(b1 b2), rc = sqrt(b1 b2 - c^2), rd = sqrt(b1 b2 - d^2),
+    x = c^2/(s + rc) = s - rc and y = d^2/(s + rd) = s - rd,
+    A*^2 = 4 rc rd / ((s + rc)(s + rd)) and
     1 - A*^2 = (2 s (x + y) - 3 x y) / ((s + rc)(s + rd)) keeps its relative
     accuracy; 1 - A* = (1 - A*^2) / (1 + A*) is never formed as a
     difference, so a small discord keeps its relative accuracy too.
     """
-    bb = tsf.b1 * tsf.b2
+    bb = b1 * b2
     s = math.sqrt(bb)
-    rc = math.sqrt(max(bb - tsf.c * tsf.c, 0.0))
-    rd = math.sqrt(max(bb - tsf.d * tsf.d, 0.0))
+    rc = math.sqrt(max(bb - c * c, 0.0))
+    rd = math.sqrt(max(bb - d * d, 0.0))
     den = (s + rc) * (s + rd)
-    x = min(tsf.c * tsf.c / (s + rc), s)
-    y = min(tsf.d * tsf.d / (s + rd), s)
+    x = min(c * c / (s + rc), s)
+    y = min(d * d / (s + rd), s)
     affinity = min(math.sqrt(4.0 * rc * rd / den), 1.0)
     discord = (2.0 * s * (x + y) - 3.0 * x * y) / den / (1.0 + affinity)
     return affinity, min(discord, 1.0)
 
 
 def _form_affinity_and_discord(
-    sf: StandardForm, tol: float, spectrum: tuple[float, float]
+    sf: StandardForm, tol: float, spectrum: tuple[float, float], uncorrelated: bool
 ) -> tuple[float, float]:
     """(A*, 1 - A*) of the physical standard form ``sf``; (1, 0) for a
-    product."""
-    if _is_uncorrelated(sf):
+    product (``uncorrelated``, from ``_is_uncorrelated``)."""
+    if uncorrelated:
         return 1.0, 0.0
-    return _affinity_and_discord(_sqrt_form(sf, tol, spectrum))
+    return _affinity_and_discord(*_sqrt_params(sf, tol, spectrum)[:4])
 
 
 def _pt_spectrum(sf: StandardForm) -> tuple[float, float]:
@@ -370,14 +414,16 @@ def _simon_separable(
     return sf.d >= 0.0 or pt_spectrum[1] >= 0.5 - tol
 
 
-def _require_symmetric_dc(sf: StandardForm) -> tuple[float, float]:
+def _family_breach(sf: StandardForm) -> str | None:
+    """Why the closed forms of the symmetric |d| = c family do not apply to
+    ``sf``; None when they do."""
     scale_b = max(1.0, abs(sf.b1), abs(sf.b2))
     scale_c = max(1.0, abs(sf.c))
     if abs(sf.b1 - sf.b2) > _FAMILY_RTOL * scale_b:
-        raise OutOfFamilyError("closed form requires equal diagonal strengths")
+        return "closed form requires equal diagonal strengths"
     if abs(sf.c - abs(sf.d)) > _FAMILY_RTOL * scale_c:
-        raise OutOfFamilyError("closed form requires |d| = c cross-correlations")
-    return 0.5 * (sf.b1 + sf.b2), sf.c
+        return "closed form requires |d| = c cross-correlations"
+    return None
 
 
 def _spectrum_entropies(
@@ -389,35 +435,45 @@ def _spectrum_entropies(
 
 
 def _symmetric_measures(
-    sf: StandardForm, tol: float, entropies: tuple[float, float]
+    sf: StandardForm, tol: float, entropies: tuple[float, float], uncorrelated: bool
 ) -> tuple[float, float]:
-    """(entropic discord, classical correlations) of a symmetric |d| = c form.
+    """(entropic discord, classical correlations) of a form of the symmetric
+    |d| = c family (``_family_breach`` is None).
 
-    h(b) - h(k1) - h(k2) + h(y) and h(b) - h(y), with y = b - c^2/(b + 1/2)
-    and ``entropies`` = (h(k1), h(k2)). Raises OutOfFamilyError outside the
-    family.
+    h(b) - h(k1) - h(k2) + h(y) and h(b) - h(y), with b = (b1 + b2)/2,
+    y = b - c^2/(b + 1/2) and ``entropies`` = (h(k1), h(k2)); (0, 0) for a
+    product (``uncorrelated``).
     """
-    b, c = _require_symmetric_dc(sf)
-    if _is_uncorrelated(sf):
+    if uncorrelated:
         return 0.0, 0.0
+    b, c = 0.5 * (sf.b1 + sf.b2), sf.c
     h1, h2 = entropies
     hb = entropic_h(b)
     hy = _mode_entropy(b - c * c / (b + 0.5), tol)
     return max(hb - h1 - h2 + hy, 0.0), max(hb - hy, 0.0)
 
 
-def _mutual_information(sf: StandardForm, entropies: tuple[float, float]) -> float:
-    if _is_uncorrelated(sf):
+def _mutual_information(
+    sf: StandardForm, entropies: tuple[float, float], uncorrelated: bool
+) -> float:
+    if uncorrelated:
         return 0.0
     h1, h2 = entropies
     return max(entropic_h(sf.b1) + entropic_h(sf.b2) - h1 - h2, 0.0)
 
 
 def _eof_symmetric(b: float, c: float) -> float:
-    """EoF of the physical symmetric squeezed thermal form (b, b, c, -c)."""
+    """EoF of the physical symmetric squeezed thermal form (b, b, c, -c).
+
+    h(z) with z = (g^2 + 1/4)/(2 g), g = b - c. A gap g <= 0, which
+    round-off can leave on a nearly pure form that passed b1 b2 > c^2, is
+    rejected as unphysical.
+    """
     gap = b - c
     if gap >= 0.5:
         return 0.0
+    if gap <= 0.0:
+        raise NotPhysicalError("standard form is not a physical state")
     z = (gap * gap + 0.25) / (2.0 * gap)
     return entropic_h(z)
 
@@ -453,31 +509,37 @@ def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
     checked too: the spectrum formula can read above 1/2 on forms that
     belong to no positive-definite matrix. The scales, which no measure
     depends on, are reported as 1. The spectrum, the partial-transpose
-    spectrum and the entropies of the spectrum are evaluated once and
-    shared by the measures.
+    spectrum, the entropies of the spectrum and ``_is_uncorrelated`` are
+    evaluated once and shared by the measures; the square-root form is
+    taken as checked floats (``_sqrt_params``), and the report is built
+    without a second pass over its fields, as ``_checked_form`` builds a
+    form.
     """
-    if sf.b1 * sf.b2 <= sf.c * sf.c:
+    b1, b2, c, d = sf.b1, sf.b2, sf.c, sf.d
+    if b1 * b2 <= c * c:
         raise NotPhysicalError("standard form is not a physical state")
-    spectrum = sf.spectrum()
+    spectrum = _form_spectrum(b1, b2, c, d)
     if spectrum[1] < 0.5 - tol:
         raise NotPhysicalError("standard form is not a physical state")
     if sf.s1 != 1.0 or sf.s2 != 1.0:
-        sf = _checked_form(tol, sf.b1, sf.b2, sf.c, sf.d)
+        sf = _checked_form(tol, b1, b2, c, d)
     pt_spectrum = _pt_spectrum(sf)
     separable = _simon_separable(sf, pt_spectrum, tol)
+    uncorrelated = _is_uncorrelated(sf)
     entropies = _spectrum_entropies(spectrum, tol)
-    try:
-        ent, cc = _symmetric_measures(sf, tol, entropies)
-    except OutOfFamilyError:
-        ent = cc = None
-    eof = None
-    if ent is not None and sf.d <= 0.0:
-        eof = _eof_symmetric(0.5 * (sf.b1 + sf.b2), sf.c)
-    elif separable:
+    ent = cc = eof = None
+    if _family_breach(sf) is None:
+        ent, cc = _symmetric_measures(sf, tol, entropies, uncorrelated)
+        if d <= 0.0:
+            eof = _eof_symmetric(0.5 * (b1 + b2), c)
+    if eof is None and separable:
         eof = 0.0
-    return CorrelationReport(
-        hellinger_discord=_form_affinity_and_discord(sf, tol, spectrum)[1],
-        mutual_information=_mutual_information(sf, entropies),
+    report = object.__new__(CorrelationReport)
+    vars(report).update(
+        hellinger_discord=_form_affinity_and_discord(
+            sf, tol, spectrum, uncorrelated
+        )[1],
+        mutual_information=_mutual_information(sf, entropies, uncorrelated),
         separable=separable,
         symplectic_spectrum=spectrum,
         pt_spectrum=pt_spectrum,
@@ -486,3 +548,4 @@ def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
         eof=eof,
         standard_form=sf,
     )
+    return report

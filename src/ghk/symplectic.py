@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub
+from functools import cache
+from operator import itemgetter, sub
 
 import numpy as np
 
@@ -129,8 +130,9 @@ def _symmetrised(value, sym_atol: float) -> np.ndarray:
     """The validated, symmetrised matrix of ``value``.
 
     Checks shape, then finiteness and asymmetry (against ``sym_atol``) on
-    the entries taken once as Python floats. Returns the read-only array
-    (V + V^T) / 2.
+    one list of the entries taken as Python floats, the asymmetry over the
+    index pairs (i, j), (j, i) above the diagonal. Returns the read-only
+    array (V + V^T) / 2.
     """
     m = np.asarray(value, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or not m.size:
@@ -140,7 +142,8 @@ def _symmetrised(value, sym_atol: float) -> np.ndarray:
     entries = m.ravel().tolist()
     if not all(map(math.isfinite, entries)):
         raise InvalidParamsError("covariance matrix entries must be finite")
-    asym = max(map(abs, map(sub, entries, m.T.ravel().tolist())))
+    upper, lower = _mirror_pairs(m.shape[0])
+    asym = max(map(abs, map(sub, upper(entries), lower(entries))))
     if asym > sym_atol:
         raise NonSymmetricError(
             f"covariance matrix asymmetry {asym:.3e} exceeds tolerance"
@@ -149,6 +152,19 @@ def _symmetrised(value, sym_atol: float) -> np.ndarray:
     matrix *= 0.5
     matrix.flags.writeable = False
     return matrix
+
+
+@cache
+def _mirror_pairs(size: int) -> tuple[itemgetter, itemgetter]:
+    """Getters of the row-major entries (i, j) and (j, i), i < j, of a
+    ``size`` x ``size`` matrix, each returning a tuple."""
+    pairs = [
+        (i * size + j, j * size + i) for i in range(size) for j in range(i + 1, size)
+    ]
+    # a lone index would make itemgetter return the entry, not a tuple
+    pairs.append((0, 0))
+    upper, lower = zip(*pairs)
+    return itemgetter(*upper), itemgetter(*lower)
 
 
 def as_covariance(value) -> CovarianceMatrix:
@@ -167,16 +183,66 @@ def _cholesky_or_raise(matrix: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def _spectrum(matrix: np.ndarray) -> list[float]:
+# The float Cholesky of a 4x4 matrix decides positive definiteness alone
+# only when its diagonal is at least _PD_DIAG_MIN, away from underflow, and
+# the product of its pivots over the product of the diagonal,
+# det H for H = D^-1/2 V D^-1/2, D = diag(V), is at least _PD_DET_MIN. H has
+# unit diagonal, so lambda_max(H) <= 4 and lambda_min(H) >= det H / 64
+# >= 1.5e-13, while the float factor's backward error moves lambda_min(H)
+# by at most 4 gamma_5 = 2.2e-15 (Higham, Accuracy and Stability of
+# Numerical Algorithms, Thm 10.3); then V is positive definite and, as
+# lambda_min(H) > n gamma_(n+1) / (1 - n gamma_(n+1)) = 2.2e-15, LAPACK's
+# Cholesky succeeds on it too (Thm 10.7). Every other matrix is decided by
+# np.linalg.cholesky, so the decision is LAPACK's on every input.
+_PD_DET_MIN = 1e-11
+_PD_DIAG_MIN = 1e-150
+
+
+def _certified_positive_definite(entries: list[float]) -> bool:
+    """True when the float Cholesky certifies the 4x4 matrix of row-major
+    ``entries`` positive definite with the margin above.
+
+    False means "not certified": the matrix may still be positive definite.
+    """
+    a00, _, _, _, a10, a11, _, _, a20, a21, a22, _, a30, a31, a32, a33 = entries
+    if not min(a00, a11, a22, a33) >= _PD_DIAG_MIN:
+        return False
+    r0 = math.sqrt(a00)
+    l10, l20, l30 = a10 / r0, a20 / r0, a30 / r0
+    d1 = a11 - l10 * l10
+    if not d1 > 0.0:
+        return False
+    r1 = math.sqrt(d1)
+    l21, l31 = (a21 - l20 * l10) / r1, (a31 - l30 * l10) / r1
+    d2 = a22 - l20 * l20 - l21 * l21
+    if not d2 > 0.0:
+        return False
+    l32 = (a32 - l30 * l20 - l31 * l21) / math.sqrt(d2)
+    d3 = a33 - l30 * l30 - l31 * l31 - l32 * l32
+    return d3 > 0.0 and d1 / a11 * (d2 / a22) * (d3 / a33) >= _PD_DET_MIN
+
+
+def _spectrum(matrix: np.ndarray, entries: list[float] | None = None) -> list[float]:
     """Symplectic eigenvalues (descending) of a validated covariance matrix.
 
-    Raises NotPositiveDefiniteError from the Cholesky check, and
-    ConsistencyError when the +/- partners among the eigenvalues of J V do
-    not match in magnitude to PAIR_MATCH_RTOL.
+    Raises NotPositiveDefiniteError when the matrix is not positive
+    definite, and ConsistencyError when the +/- partners among the
+    eigenvalues of J V do not match in magnitude to PAIR_MATCH_RTOL. A 4x4
+    matrix is first checked by ``_certified_positive_definite`` on its
+    row-major ``entries`` (taken from ``matrix`` when not given); the
+    matrices it does not certify, and every larger one, go to
+    np.linalg.cholesky, so the decision is the same as LAPACK's.
     """
-    _cholesky_or_raise(matrix)
     n = matrix.shape[0] // 2
-    j = _J2 if n == 2 else symplectic_form(n)
+    if n == 2:
+        if not _certified_positive_definite(
+            matrix.ravel().tolist() if entries is None else entries
+        ):
+            _cholesky_or_raise(matrix)
+        j = _J2
+    else:
+        _cholesky_or_raise(matrix)
+        j = symplectic_form(n)
     mags = sorted(map(abs, np.linalg.eigvals(j @ matrix).tolist()))
     kappas = []
     for lo, hi in zip(mags[0::2], mags[1::2]):
@@ -198,9 +264,11 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     return np.array(_spectrum(as_covariance(V).matrix))
 
 
-def _is_physical(matrix: np.ndarray, tol: float) -> bool:
+def _is_physical(
+    matrix: np.ndarray, tol: float, entries: list[float] | None = None
+) -> bool:
     try:
-        kappas = _spectrum(matrix)
+        kappas = _spectrum(matrix, entries)
     except NotPositiveDefiniteError:
         return False
     return kappas[-1] >= 0.5 - tol
@@ -291,9 +359,11 @@ def _reduce(V) -> tuple[StandardForm, tuple[float, ...]]:
 
     Reads the tolerance profile once, validates ``V`` as the
     ``CovarianceMatrix`` constructor does (a ``CovarianceMatrix`` is taken
-    as it is), runs the Cholesky and J V pair checks, reduces the entries
-    taken once as Python floats, and runs the discriminant guard on the
-    same floats. Returns the form and the parts
+    as it is), and takes the entries once as Python floats. The positive
+    definiteness check runs on those floats when they certify it (see
+    ``_certified_positive_definite``; LAPACK decides the rest), the J V
+    pair check on the matrix, and the reduction and the discriminant guard
+    on the same floats. Returns the form and the parts
     (n00, n01, n11, o00, o01, o11, e, f, g, h) of its local frame; see
     ``reduce_to_standard_form``.
     """
@@ -304,11 +374,10 @@ def _reduce(V) -> tuple[StandardForm, tuple[float, ...]]:
         matrix = _symmetrised(V, profile.sym_atol)
     if matrix.shape[0] != 4:
         raise DimensionMismatchError("standard form is defined for two modes")
-    if not _is_physical(matrix, profile.phys_tol):
+    entries = matrix.ravel().tolist()
+    if not _is_physical(matrix, profile.phys_tol, entries):
         raise NotPhysicalError("covariance matrix is not a physical state")
-    a00, a01, c00, c01, _, a11, c10, c11, _, _, b00, b01, _, _, _, b11 = (
-        matrix.ravel().tolist()
-    )
+    a00, a01, c00, c01, _, a11, c10, c11, _, _, b00, b01, _, _, _, b11 = entries
     b1, n00, n01, n11 = _unit_root(a00, a01, a11)
     b2, o00, o01, o11 = _unit_root(b00, b01, b11)
     # M = adj(N1) C adj(N2)

@@ -37,7 +37,7 @@ def random_state(rng, displaced=True):
 class TestOverlapTrace:
     def test_vacuum_self_overlap(self):
         value = gaussian_overlap_trace(0.5 * np.eye(2), 0.5 * np.eye(2), np.zeros(2))
-        assert value == pytest.approx(1.0, rel=1e-14)
+        assert value == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
     def test_displacement_factor(self):
         # dv = (2, 0) against V1 + V2 = I: exponent -dv.dv/2 = -2; equals the

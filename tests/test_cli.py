@@ -69,6 +69,34 @@ class TestReport:
         assert code == 2
         assert "physical" in err.lower()
 
+    def test_zero_gap_matrix_exits_2_without_a_traceback(self, tmp_path):
+        # the two-mode squeezed vacuum at r = 9.7 in a random local frame,
+        # whose reduced gap b - c rounds to 0 (ZERO_GAP_STATE of
+        # test_report.py)
+        rows = [
+            [42847270.22270572, -2977356.2788595976, 47089549.912544414,
+             5785223.64423796],
+            [-2977356.2788595976, 103621703.87119381, 30575733.669980034,
+             -90341807.19136986],
+            [47089549.912544414, 30575733.669980034, 62830332.54702492,
+             -23079463.84087229],
+            [5785223.64423796, -90341807.19136986, -23079463.84087229,
+             79001716.94558592],
+        ]
+        path = tmp_path / "cm.txt"
+        path.write_text("\n".join(" ".join(map(repr, row)) for row in rows))
+        src = str(Path(ghk.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "ghk.cli", "report", "--matrix", str(path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
     def test_full_precision_inline_matrix(self, capsys):
         # repr-precision entries make the text longer than a file name may be
         cm = random_physical_cm(2, np.random.default_rng(3))

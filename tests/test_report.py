@@ -95,7 +95,9 @@ class TestOneReduction:
         assert reductions == []
 
     def test_sweep_row(self, reductions):
-        physical, _ = _sweep_row("sts", {"nbar1": 1.0, "nbar2": 1.0, "r": 0.7}, _MEASURES)
+        physical, _ = _sweep_row(
+            "sts", {"nbar1": 1.0, "nbar2": 1.0, "r": 0.7}, _MEASURES, 1e-9
+        )
         assert physical
         assert reductions == []
 
@@ -202,3 +204,56 @@ class TestStandardFormInput:
             correlation_report(sf)
         with pytest.raises(NotPhysicalError):
             correlation_report(sf.to_cm())
+
+
+# The two-mode squeezed vacuum at r = 9.7 in a random local frame. Its
+# reduced form has b1 b2 > c^2, but the gap b - c that the entanglement of
+# formation divides by rounds to 0, and so does kt1 kt2 of its square-root
+# form, which the closest product state divides by.
+ZERO_GAP_STATE = [
+    [42847270.22270572, -2977356.2788595976, 47089549.912544414, 5785223.64423796],
+    [-2977356.2788595976, 103621703.87119381, 30575733.669980034,
+     -90341807.19136986],
+    [47089549.912544414, 30575733.669980034, 62830332.54702492, -23079463.84087229],
+    [5785223.64423796, -90341807.19136986, -23079463.84087229, 79001716.94558592],
+]
+
+
+@pytest.mark.parametrize("call", [correlation_report, closest_product_state])
+def test_a_zero_gap_is_rejected_as_unphysical(call):
+    with pytest.raises(NotPhysicalError):
+        call(ZERO_GAP_STATE)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Count the calls of np.linalg.cholesky and np.linalg.eigvals."""
+    calls = {"cholesky": 0, "eigvals": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestHotPath:
+    """A well-conditioned matrix is checked positive definite in floats;
+    only the J V pair check calls numpy's linear algebra."""
+
+    def test_matrix(self, linalg_calls):
+        rng = np.random.default_rng(15)
+        for _ in range(8):
+            cm = in_frame(random_standard_form(rng), local_frame(rng))
+            for call in (correlation_report, closest_product_state):
+                linalg_calls.update(cholesky=0, eigvals=0)
+                call(cm)
+                assert linalg_calls == {"cholesky": 0, "eigvals": 1}
+
+    def test_standard_form(self, linalg_calls):
+        for sf in family_forms():
+            correlation_report(sf)
+        assert linalg_calls == {"cholesky": 0, "eigvals": 0}

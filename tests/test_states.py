@@ -191,7 +191,9 @@ class TestEntropicFunction:
         assert entropic_h(0.5) == 0.0
 
     def test_reference_value(self):
-        assert entropic_h(1.5) == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
+        assert entropic_h(1.5) == pytest.approx(
+            2.0 * math.log(2.0), rel=1e-14, abs=0.0
+        )
 
     def test_rejects_below_half(self):
         with pytest.raises(InvalidParamsError):

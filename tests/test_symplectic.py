@@ -618,3 +618,89 @@ class TestCovarianceMatrixType:
                 symplectic_eigenvalues(cm)
         else:
             np.testing.assert_allclose(symplectic_eigenvalues(cm), (3.0, 0.7), rtol=1e-6)
+
+
+def unit_diagonal_matrix(lam_min: float, rng) -> np.ndarray:
+    """A random 4x4 symmetric matrix with unit diagonal and smallest
+    eigenvalue lam_min, up to round-off, scaled by a random diagonal."""
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    g = q @ np.diag(rng.uniform(0.5, 2.0, 4)) @ q.T
+    g /= np.sqrt(np.outer(np.diag(g), np.diag(g)))
+    g_min = np.linalg.eigvalsh(g)[0]
+    # shift the spectrum so that lam_min survives rescaling to unit diagonal
+    t = lam_min * (1.0 - g_min) / (1.0 - lam_min)
+    h = (g + (t - g_min) * np.eye(4)) / (1.0 - g_min + t)
+    s = np.diag(10.0 ** rng.uniform(-2.0, 2.0, 4))
+    v = s @ h @ s
+    return 0.5 * (v + v.T)
+
+
+def in_random_frame(sf: StandardForm, rng) -> np.ndarray:
+    """The matrix of ``sf`` in a random local frame S1 (+) S2, symmetrised."""
+    s = np.zeros((4, 4))
+    s[:2, :2] = random_symplectic(1, rng)
+    s[2:, 2:] = random_symplectic(1, rng)
+    m = s @ sf.to_cm().matrix @ s.T
+    return 0.5 * (m + m.T)
+
+
+class TestPositiveDefiniteDecision:
+    """The float Cholesky of a 4x4 matrix only decides what it certifies:
+    positive definiteness is decided as np.linalg.cholesky decides it."""
+
+    LAM_MIN = (1e-3, 1e-9, 1e-13, 1e-15, 0.0, -1e-15, -1e-3)
+    SQUEEZES = (4.0, 4.5, 5.0, 8.0, 9.7, 10.0, 12.0)
+
+    @staticmethod
+    def outcome(call, matrix):
+        try:
+            value = call(matrix)
+        except (NotPhysicalError, NotPositiveDefiniteError, ConsistencyError) as exc:
+            return type(exc)
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    @classmethod
+    def matrices(cls):
+        rng = np.random.default_rng(31)
+        out = [unit_diagonal_matrix(lam, rng) for lam in cls.LAM_MIN for _ in range(8)]
+        # a diagonal below the float path's floor leaves the decision to LAPACK
+        out.append(1e-160 * np.eye(4))
+        for r in cls.SQUEEZES:
+            sf = sts_standard_form(StsParams(0.0, 0.0, r))
+            out.append(sf.to_cm().matrix)
+            out.extend(in_random_frame(sf, rng) for _ in range(4))
+        return out
+
+    def test_positive_definite_iff_lapack_cholesky_succeeds(self):
+        for m in self.matrices():
+            try:
+                np.linalg.cholesky(m)
+                lapack = True
+            except np.linalg.LinAlgError:
+                lapack = False
+            try:
+                symplectic_eigenvalues(m)
+                ours = True
+            except NotPositiveDefiniteError:
+                ours = False
+            except ConsistencyError:  # raised by the pair check, after it
+                ours = True
+            assert ours == lapack
+
+    @pytest.mark.parametrize(
+        "call", [standard_form, symplectic_eigenvalues, is_physical]
+    )
+    def test_same_outcome_as_the_numpy_check_alone(self, monkeypatch, call):
+        from ghk import symplectic
+
+        fast = [self.outcome(call, m) for m in self.matrices()]
+        monkeypatch.setattr(symplectic, "_certified_positive_definite", lambda _: False)
+        assert [self.outcome(call, m) for m in self.matrices()] == fast
+
+    def test_random_forms_in_random_frames_take_the_float_path(self):
+        from ghk import symplectic
+
+        rng = np.random.default_rng(32)
+        for _ in range(256):
+            m = in_random_frame(random_standard_form(rng), rng)
+            assert symplectic._certified_positive_definite(m.ravel().tolist())
