@@ -12,7 +12,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .affinity import affinity, gaussian_overlap_trace, trace_of_sqrt
-from .discord import _is_uncorrelated, _optimum, max_affinity
+from .discord import (
+    _is_uncorrelated,
+    _optimum,
+    hellinger_discord_symmetric,
+    max_affinity,
+)
 from .errors import ConsistencyError, DimensionMismatchError, NotPhysicalError
 from .oracle import (
     OptimizerConfig,
@@ -78,6 +83,25 @@ def max_affinity_via_invariants(V) -> float:
         + math.sqrt(b_plus * b_minus)
     )
     return min(2.0 * inv.K * root4 / math.sqrt(den), 1.0)
+
+
+def hellinger_discord_pt(b: float, c: float, d: float) -> float:
+    """Cross-check route for the discord of a symmetric state (b1 = b2 = b).
+
+    The paper's formula in the spectrum k_pt of the partial transpose:
+    1 - 4 (det V)^(1/4) / [k1_pt + k2_pt + 2 (det V)^(1/4)(sqrt(N1) - sqrt(N2))].
+    Covers both signs of d. The difference cancels for a small discord, so
+    it checks the closed form only where the discord is not small.
+    """
+    sf = StandardForm(b, b, c, d)
+    if _is_uncorrelated(sf):
+        return 0.0
+    inv = invariants_from_spectrum(sf.spectrum())
+    k1_pt = math.sqrt(max((b + c) * (b - d), 0.0))
+    k2_pt = math.sqrt(max((b - c) * (b + d), 0.0))
+    root4 = sf.cm_determinant() ** 0.25
+    den = k1_pt + k2_pt + 2.0 * root4 * (math.sqrt(inv.N1) - math.sqrt(inv.N2))
+    return 1.0 - 4.0 * root4 / den
 
 
 def stationarity_residual(V) -> float:
@@ -214,6 +238,21 @@ def stationarity(forms) -> Record:
     return _record("stationarity residual", 1e-9, devs)
 
 
+def symmetric_pt_formula() -> Record:
+    """The closed form against the partial-transpose formula, relative, on
+    symmetric forms (b, b, c, d) with c = f (b - 1/2) and d = e c, all
+    physical."""
+    devs = []
+    for b in (0.6, 1.0, 2.5, 6.0):
+        for f in (0.2, 0.5, 0.9):
+            for e in (-1.0, -0.5, 0.0, 0.5, 1.0):
+                c = f * (b - 0.5)
+                closed = hellinger_discord_symmetric(b, c, e * c)
+                pt = hellinger_discord_pt(b, c, e * c)
+                devs.append((abs(pt - closed) / closed, f"b={b} c={c!r} d={e * c!r}"))
+    return _record("symmetric discord vs PT formula", 1e-10, devs)
+
+
 def photon_number() -> Record:
     """Tr sqrt(rho), the affinity and Tr(rho1 rho2) on ``THERMAL_GRID``."""
     devs = []
@@ -271,6 +310,7 @@ def suites(seed: int, trials: int):
     yield route_equivalence(forms)
     yield square_root_routes(forms)
     yield stationarity(forms)
+    yield symmetric_pt_formula()
     yield photon_number()
     yield trace_distance_sandwich()
     yield affinity_invariance(rng, min(trials, 40))

@@ -41,7 +41,6 @@ from .forms import (
     _family_breach,
     _form_affinity_and_discord,
     _form_report,
-    _invariants,
     _is_uncorrelated,
     _mutual_information,
     _pt_spectrum,
@@ -249,25 +248,16 @@ def hellinger_discord(V) -> float:
 
 
 def hellinger_discord_symmetric(b: float, c: float, d: float) -> float:
-    """Discord of a symmetric state (b1 = b2 = b) from its PT spectrum.
+    """Discord of a symmetric state (b1 = b2 = b), for either sign of d.
 
-    1 - 4 (det V)^(1/4) / [k1_pt + k2_pt + 2 (det V)^(1/4)(sqrt(N1) - sqrt(N2))]
-    where k_pt are the symplectic eigenvalues of the partial transpose.
-    Covers both signs of d.
+    The one closed form of the discord (``hellinger_discord``), evaluated
+    on the standard form (b, b, c, d), so that a small discord keeps its
+    relative accuracy. The paper's partial-transpose formula is the
+    cross-check ``ghk.checks.hellinger_discord_pt``.
     """
     tol = active_profile().phys_tol
     sf = _checked_form(tol, b, b, c, d)
-    k1, k2 = sf.spectrum()
-    if k2 < 0.5 - tol:
-        raise NotPhysicalError("symmetric state parameters are unphysical")
-    if _is_uncorrelated(sf):
-        return 0.0
-    inv = _invariants(k1, k2, tol)
-    k1_pt = math.sqrt(max((b + c) * (b - d), 0.0))
-    k2_pt = math.sqrt(max((b - c) * (b + d), 0.0))
-    root4 = sf.cm_determinant() ** 0.25
-    den = k1_pt + k2_pt + 2.0 * root4 * (math.sqrt(inv.N1) - math.sqrt(inv.N2))
-    return 1.0 - 4.0 * root4 / den
+    return _form_affinity_and_discord(sf, tol, sf.spectrum(), _is_uncorrelated(sf))[1]
 
 
 def hellinger_discord_sts(p: StsParams) -> float:

@@ -134,11 +134,21 @@ def _form_spectrum(b1: float, b2: float, c: float, d: float) -> tuple[float, flo
     Delta = b1^2 + b2^2 + 2 c d, and kappa2 = sqrt(det V) / kappa1 from
     det V = (b1 b2 - c^2)(b1 b2 - d^2), taken factor by factor: the
     difference (Delta - sqrt(...)) / 2 would cancel when kappa2 << kappa1.
+    The discriminant Delta^2 - 4 det V is evaluated as the equal sum
+    (b1 + b2)^2 (c + d)^2 + (b1 - b2)^2 (b1 + b2 - c + d)(b1 + b2 + c - d),
+    whose terms are nonnegative on a physical form (b1 + b2 > 2c >= c - d).
+    It is exactly 0 at the double root kappa1 = kappa2 of every symmetric
+    squeezed thermal form, where the difference would leave a rounding
+    error whose square root splits kappa1 from kappa2.
     """
     bb = b1 * b2
     delta = b1 * b1 + b2 * b2 + 2.0 * c * d
     det_v = (bb - c * c) * (bb - d * d)
-    disc = math.sqrt(max(delta * delta - 4.0 * det_v, 0.0))
+    total, split = b1 + b2, b1 - b2
+    plus = total * (c + d)
+    disc = math.sqrt(
+        max(plus * plus + split * split * (total - c + d) * (total + c - d), 0.0)
+    )
     k1 = math.sqrt(max((delta + disc) / 2.0, 0.0))
     if k1 == 0.0:
         return 0.0, 0.0
@@ -205,8 +215,10 @@ def _sqrt_params(
     """(bt1, bt2, ct, dt, st1, st2) of the square-root form of ``sf``.
 
     ``spectrum`` is the spectrum of ``sf``. Raises what
-    ``square_root_standard_form`` raises: NotPhysicalError below 1/2, and
-    the ``StandardForm`` checks of the result, run on the floats.
+    ``square_root_standard_form`` raises: NotPhysicalError below 1/2 or
+    where the floats of ``sf`` break b1 + b2 > 2c, which the form of every
+    positive-definite matrix keeps (b1 b2 > c^2 >= c |d|), and the
+    ``StandardForm`` checks of the result, run on the floats.
     """
     k1, k2 = spectrum
     if k2 < 0.5 - tol:
@@ -214,6 +226,8 @@ def _sqrt_params(
             f"minimal symplectic eigenvalue {k2:.6g} is below 1/2"
         )
     b1, b2, c, d, s1, s2 = sf.b1, sf.b2, sf.c, sf.d, sf.s1, sf.s2
+    if b1 + b2 <= 2.0 * c:
+        raise NotPhysicalError("standard form is not a physical state")
     if k1 - 0.5 < tol and k2 - 0.5 < tol:
         return b1, b2, c, d, s1, s2
     k, l = _k_and_l(k1, k2, tol)

@@ -3,10 +3,13 @@
 Two kinds of brute force, deliberately ignorant of the closed forms they
 check:
 
-  * a multi-start simplex search maximizing the affinity over product
-    Gaussian states, parameterized through the square-root state of the
-    candidate product (so each objective evaluation is a plain Gaussian
-    integral, no spectral decomposition in the hot loop);
+  * a multi-start search maximizing the affinity over product Gaussian
+    states, parameterized through the square-root state of the candidate
+    product, so that each objective evaluation is a plain Gaussian
+    integral with no spectral decomposition. It runs in two phases, both
+    batched over the starts: a short simplex phase that brings each start
+    into its basin, then a Newton polish on the analytic gradient and
+    Hessian of the log of that integral, which stops on stationarity;
   * truncated photon-number sums for diagonal (thermal) states, with the
     geometric tail certified below a configured bound before any
     comparison is accepted.
@@ -38,18 +41,33 @@ from .symplectic import (
 
 _ETA_EPS = 1e-12  # offset in the log transform keeping eta above 1/2
 _MAX_FOCK_CUTOFF = 2**14
+# Iteration budgets per start of the simplex phase, which only has to bring
+# each start into its basin, and of the Newton polish
+_SIMPLEX_ITERS = 60
+_NEWTON_ITERS = 30
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multi-start simplex search settings.
+    """Multi-start product-state search settings.
 
     The search runs over (eta1, eta2, r1, r2, phi1, phi2) of the candidate
     product state's square root; eta is optimized through
-    log(eta - 1/2 + eps) so the simplex can never propose an unphysical
-    value. eta_bounds defaults to [1/2, 10 max(kt1, kt2)] of the input
-    state, which contains the closed-form optimum for every family in
-    scope.
+    t = log(eta - 1/2 + eps), so no phase can propose an unphysical value.
+    Each of the ``starts`` starts is drawn from the box eta_bounds x
+    r_bounds x phi_bounds; eta_bounds defaults to [1/2, 10 max(kt1, kt2)]
+    of the input state, which contains the closed-form optimum for every
+    family in scope.
+
+    * max_iters: the iteration budget of each start over both phases. The
+      simplex phase runs min(max_iters, 60) iterations, and the Newton
+      polish at most 30 of the iterations left.
+    * xtol: the polish stops a start once its Newton step is below xtol in
+      every coordinate of the smooth chart (t, sinh 2r cos phi,
+      sinh 2r sin phi).
+    * ftol: the polish also stops a start once a step raises the log of
+      the affinity by less than ftol; the best two starts must then agree
+      to 10 ftol in the affinity.
     """
 
     starts: int = 32
@@ -226,16 +244,123 @@ def _nelder_mead(fn, x0, steps, max_iters, xtol, ftol):
     return values[lanes, best], points[lanes, best]
 
 
+def _make_log_affinity_terms(vt_in: np.ndarray):
+    """Batched g = log(affinity / (4 det(Vt_in)^(1/4))) with its derivatives.
+
+    Each row x = (t1, t2, u1, u2, v1, v2) is a point of the smooth chart:
+    eta_j = 1/2 - eps + exp(t_j) and u + i v = sinh(2 r) e^{i phi}, so that
+    mode j of the candidate's square root is the block
+    P_j = eta_j [[w_j + u_j, v_j], [v_j, w_j - u_j]], w = sqrt(1 + u^2 + v^2),
+    with no phi degeneracy at r = 0. Then
+    g = (log eta1 + log eta2)/2 - log det M / 2 with M = Vt_in + P, and
+    d log det M = tr(M^-1 dM) gives the gradient; the Hessian is
+    tr(M^-1 d2M) - tr(M^-1 dM M^-1 dM). The second derivatives of each
+    block are multiples of its first derivatives or of the identity, so
+    tr(M^-1 d2M) follows from the first-derivative traces and tr(M^-1)_jj.
+
+    ``terms(x)`` maps an (n, 6) array to g (n,), the gradient (n, 6) and
+    the Hessian (n, 6, 6). A row that overflows, as on a diverging Newton
+    step, reads NaN.
+    """
+    eta0 = 0.5 - _ETA_EPS
+    mode = np.arange(2)
+    rows, cols = 2 * mode, 2 * mode + 1  # the (x, p) entries of each mode
+    tu, tv = mode + 2, mode + 4  # the u and v columns of x
+
+    @np.errstate(all="ignore")
+    def terms(x: np.ndarray):
+        n = len(x)
+        t, u, v = x[:, :2], x[:, 2:4], x[:, 4:]
+        et = np.exp(t)
+        eta = eta0 + et
+        w = np.sqrt(1.0 + u * u + v * v)
+        m = np.repeat(vt_in[None], n, axis=0)
+        m[:, rows, rows] += eta * (w + u)
+        m[:, rows, cols] += eta * v
+        m[:, cols, rows] += eta * v
+        m[:, cols, cols] += eta * (w - u)
+        g = 0.5 * (np.log(eta).sum(axis=1) - np.linalg.slogdet(m)[1])
+        # dM along t_j, u_j, v_j: one 2x2 block each, in the layout of x
+        dm = np.zeros((n, 6, 4, 4))
+        for kind, (d00, d01, d11) in enumerate((
+            (et * (w + u), et * v, et * (w - u)),
+            (eta * (u / w + 1.0), 0.0, eta * (u / w - 1.0)),
+            (eta * v / w, eta, eta * v / w),
+        )):
+            k = 2 * kind + mode
+            dm[:, k, rows, rows] = d00
+            dm[:, k, rows, cols] = dm[:, k, cols, rows] = d01
+            dm[:, k, cols, cols] = d11
+        inv = np.linalg.inv(m)
+        y = inv[:, None] @ dm
+        tr = np.einsum("nijj->ni", y)
+        # tr(M^-1 d2M): d2/dt2 and d2/dt d(u, v) repeat the first-derivative
+        # blocks scaled by 1 and exp(t)/eta; d2/d(u, v)2 is eta d2w times I
+        ratio = et / eta
+        second = np.zeros((n, 6, 6))
+        second[:, mode, mode] = tr[:, mode]
+        second[:, mode, tu] = second[:, tu, mode] = ratio * tr[:, tu]
+        second[:, mode, tv] = second[:, tv, mode] = ratio * tr[:, tv]
+        scale = eta * (inv[:, rows, rows] + inv[:, cols, cols]) / (w * w * w)
+        second[:, tu, tu] = scale * (1.0 + v * v)
+        second[:, tu, tv] = second[:, tv, tu] = -scale * u * v
+        second[:, tv, tv] = scale * (1.0 + u * u)
+        hess = 0.5 * (np.einsum("nipq,nkqp->nik", y, y) - second)
+        hess[:, mode, mode] += 0.5 * ratio * eta0 / eta
+        grad = -0.5 * tr
+        grad[:, :2] += 0.5 * ratio
+        return g, grad, hess
+
+    return terms
+
+
+def _newton_polish(terms, x, max_iters: int, xtol: float, ftol: float):
+    """Maximize g from every row of x by Newton steps run in lockstep.
+
+    ``terms`` is a function made by ``_make_log_affinity_terms``. A lane
+    takes the step -H^-1 grad only where g does not decrease, and stops once
+    a step is rejected, once every coordinate of its step is below xtol, or
+    once an accepted step raises g by less than ftol. The last rule ends
+    lanes whose optimum lies on the eta = 1/2 boundary: there t runs to
+    -infinity and each step gains only a fixed fraction of what is left.
+    Returns (g, x, iterations run).
+    """
+    x = x.copy()
+    g, grad, hess = terms(x)
+    best_g, best_x = g.copy(), x.copy()
+    lanes = np.arange(len(x))
+    iterations = 0
+    while lanes.size and iterations < max_iters:
+        iterations += 1
+        step = np.linalg.solve(hess, -grad[..., None])[..., 0]
+        trial = x + step
+        g_trial, grad_trial, hess_trial = terms(trial)
+        gain = g_trial - g
+        accept = gain >= 0.0  # False for NaN, as on a diverging step
+        x[accept], g[accept] = trial[accept], g_trial[accept]
+        grad[accept], hess[accept] = grad_trial[accept], hess_trial[accept]
+        done = ~accept | (np.abs(step).max(axis=1) < xtol) | (gain < ftol)
+        best_x[lanes[done]], best_g[lanes[done]] = x[done], g[done]
+        go = ~done
+        lanes, x, g, grad, hess = lanes[go], x[go], g[go], grad[go], hess[go]
+    best_x[lanes], best_g[lanes] = x, g
+    return best_g, best_x, iterations
+
+
 def oracle_max_affinity(
     V, cfg: OptimizerConfig | None = None, rng: np.random.Generator | None = None
 ) -> tuple[float, ProductStateParams]:
     """Brute-force maximal product-state affinity of a zero-mean state.
 
-    Runs ``cfg.starts`` simplex searches from random points in the search
-    box, in lockstep, and keeps the best. The two best starts must agree
-    to 10 ftol, otherwise NotConverged is raised. Returns the best value
-    and the optimal parameters in the same square-root parameterization
-    used by ``closest_product_state``.
+    Draws every start from the search box first, runs ``cfg.starts``
+    simplex searches from them in lockstep until each is in its basin,
+    then polishes the best vertex of every simplex by Newton steps on the
+    analytic derivatives of the Gaussian integral, and keeps the best
+    start (``OptimizerConfig`` gives the stopping rules). The two best
+    starts must agree to 10 ftol, otherwise NotConverged is raised.
+    Returns the best value and the optimal parameters in the same
+    square-root parameterization used by ``closest_product_state``, with
+    r >= 0 and phi in (-pi, pi].
     """
     cfg = cfg or OptimizerConfig()
     rng = rng or np.random.default_rng(0)
@@ -248,7 +373,6 @@ def oracle_max_affinity(
         eta_lo, eta_hi = 0.5, 10.0 * kt_max
     else:
         eta_lo, eta_hi = cfg.eta_bounds
-    objective = _make_negative_affinity(vt_in)
     steps = [0.7, 0.7, 0.25, 0.25, 0.5, 0.5]
     x0 = np.empty((cfg.starts, 6))
     for row in x0:
@@ -261,25 +385,34 @@ def oracle_max_affinity(
             rng.uniform(*cfg.phi_bounds),
             rng.uniform(*cfg.phi_bounds),
         )
-    f_best, x_best = _nelder_mead(
-        objective, x0, steps, cfg.max_iters, cfg.xtol, cfg.ftol
+    simplex_iters = min(cfg.max_iters, _SIMPLEX_ITERS)
+    # zero tolerances: every simplex runs the whole budget
+    _, x = _nelder_mead(
+        _make_negative_affinity(vt_in), x0, steps, simplex_iters, 0.0, 0.0
     )
-    order = np.argsort(f_best, kind="stable")
-    if len(order) > 1 and f_best[order[1]] - f_best[order[0]] > 10.0 * cfg.ftol:
+    sinh = np.sinh(2.0 * x[:, 2:4])
+    x[:, 2:4], x[:, 4:] = sinh * np.cos(x[:, 4:]), sinh * np.sin(x[:, 4:])
+    g, x, _ = _newton_polish(
+        _make_log_affinity_terms(vt_in), x,
+        min(cfg.max_iters - simplex_iters, _NEWTON_ITERS), cfg.xtol, cfg.ftol,
+    )
+    values = 4.0 * det4(vt_in) ** 0.25 * np.exp(g)
+    order = np.argsort(-values, kind="stable")
+    if len(order) > 1 and values[order[0]] - values[order[1]] > 10.0 * cfg.ftol:
         raise NotConvergedError(
             "best two starts disagree: "
-            f"{-f_best[order[0]]:.12g} vs {-f_best[order[1]]:.12g}"
+            f"{values[order[0]]:.12g} vs {values[order[1]]:.12g}"
         )
-    f_opt, x_opt = float(f_best[order[0]]), x_best[order[0]].tolist()
+    t1, t2, u1, u2, v1, v2 = x[order[0]].tolist()
     params = ProductStateParams(
-        eta1=0.5 - _ETA_EPS + math.exp(x_opt[0]),
-        eta2=0.5 - _ETA_EPS + math.exp(x_opt[1]),
-        r1=x_opt[2],
-        r2=x_opt[3],
-        phi1=x_opt[4],
-        phi2=x_opt[5],
+        eta1=0.5 - _ETA_EPS + math.exp(t1),
+        eta2=0.5 - _ETA_EPS + math.exp(t2),
+        r1=0.5 * math.asinh(math.hypot(u1, v1)),
+        r2=0.5 * math.asinh(math.hypot(u2, v2)),
+        phi1=math.atan2(v1, u1),
+        phi2=math.atan2(v2, u2),
     )
-    return -f_opt, params
+    return float(values[order[0]]), params
 
 
 def _certified_cutoff(nbar: float, cfg: FockOracleConfig) -> int:

@@ -73,6 +73,24 @@ def test_stationarity(monkeypatch):
     assert_breach(checks.stationarity(FORMS))
 
 
+def test_symmetric_pt_formula(monkeypatch):
+    monkeypatch.setattr(
+        checks,
+        "hellinger_discord_symmetric",
+        shifted(checks.hellinger_discord_symmetric),
+    )
+    assert_breach(checks.symmetric_pt_formula())
+
+
+def test_pt_formula_on_the_squeezed_vacuum():
+    r = 0.94
+    b, c = 0.5 * math.cosh(2 * r), 0.5 * math.sinh(2 * r)
+    assert checks.hellinger_discord_pt(b, c, -c) == pytest.approx(
+        math.tanh(r) ** 2, rel=1e-10
+    )
+    assert checks.hellinger_discord_pt(1.7, 0.0, 0.0) == 0.0
+
+
 @pytest.mark.parametrize(
     "name", ["trace_of_sqrt", "affinity", "gaussian_overlap_trace"]
 )

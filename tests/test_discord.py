@@ -254,6 +254,13 @@ class TestSymmetricFormula:
             math.tanh(r) ** 2, rel=1e-10
         )
 
+    @pytest.mark.parametrize("r", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_small_squeeze_keeps_relative_accuracy(self, r):
+        sf = sts_standard_form(StsParams(1.0, 1.0, r))
+        assert hellinger_discord_symmetric(sf.b1, sf.c, sf.d) == pytest.approx(
+            math.tanh(r) ** 2, rel=1e-14, abs=0.0
+        )
+
     def test_agrees_with_general_route(self):
         rng = np.random.default_rng(28)
         count = 0

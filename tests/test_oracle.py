@@ -21,6 +21,7 @@ from ghk import (
     mts_standard_form,
     oracle_max_affinity,
     random_standard_form,
+    square_root_cm,
     sts_standard_form,
     verify_phi_zero,
 )
@@ -234,6 +235,62 @@ class TestOracleMaxAffinity:
         a, _ = oracle_max_affinity(cm, FAST, np.random.default_rng(7))
         b, _ = oracle_max_affinity(cm, FAST, np.random.default_rng(7))
         assert a == b
+
+
+def random_lanes(rng, n):
+    """Points (t1, t2, u1, u2, v1, v2) of the polish's smooth chart."""
+    return np.column_stack(
+        [rng.uniform(-3.0, 1.5, (n, 2)), rng.uniform(-1.5, 1.5, (n, 4))]
+    )
+
+
+class TestNewtonPolish:
+    def test_derivatives_match_central_differences(self):
+        rng = np.random.default_rng(21)
+        for _ in range(6):
+            sf = random_standard_form(rng)
+            terms = oracle_module._make_log_affinity_terms(
+                square_root_cm(sf.to_cm()).matrix
+            )
+            x = random_lanes(rng, 5)
+            _, grad, hess = terms(x)
+
+            def g(shift):
+                return terms(x + shift)[0]
+
+            h, hh = 1e-5, 2e-4
+            eye = np.eye(6)
+            fd_grad = np.empty_like(grad)
+            fd_hess = np.empty_like(hess)
+            for i, ei in enumerate(eye):
+                fd_grad[:, i] = (g(h * ei) - g(-h * ei)) / (2 * h)
+                for j, ej in enumerate(eye):
+                    fd_hess[:, i, j] = (
+                        g(hh * (ei + ej)) - g(hh * (ei - ej))
+                        - g(hh * (ej - ei)) + g(-hh * (ei + ej))
+                    ) / (4 * hh * hh)
+            for fd, exact in ((fd_grad, grad), (fd_hess, hess)):
+                error = np.abs(fd - exact).reshape(len(x), -1).max(axis=1)
+                scale = np.abs(exact).reshape(len(x), -1).max(axis=1)
+                assert np.all(error <= 1e-6 * scale)
+
+    def test_boundary_optimum_stops_before_the_cap(self, monkeypatch):
+        # the pure state's optimum has eta = 1/2, where t runs to -infinity
+        runs = []
+        polish = oracle_module._newton_polish
+
+        def recording(*args):
+            out = polish(*args)
+            runs.append(out[2])
+            return out
+
+        monkeypatch.setattr(oracle_module, "_newton_polish", recording)
+        cm = tmsv_form(1.3).to_cm()
+        value, params = oracle_max_affinity(cm, FAST, np.random.default_rng(6))
+        assert runs[0] < oracle_module._NEWTON_ITERS
+        assert value == pytest.approx(1.0 / math.cosh(1.3) ** 2, abs=1e-9)
+        assert params.eta1 == pytest.approx(0.5, abs=1e-4)
+        assert params.eta2 == pytest.approx(0.5, abs=1e-4)
 
 
 class TestVerifyPhiZero:

@@ -21,6 +21,7 @@ from ghk import (
     entanglement_of_formation_symmetric,
     entropic_discord,
     hellinger_discord,
+    is_physical,
     mts_standard_form,
     mutual_information,
     random_standard_form,
@@ -125,11 +126,7 @@ def test_report_fields_equal_the_public_functions():
     matrices = [in_frame(random_standard_form(rng), local_frame(rng)) for _ in range(200)]
     for sf in family_forms():
         matrices.append(sf.to_cm())
-        # a pure state in a random frame can be rejected as unphysical by
-        # every route that reduces it (its reduced spectrum falls short of
-        # 1/2 by more than phys_tol), so only mixed states are framed here
-        if sf.spectrum()[1] > 0.5 + 1e-6:
-            matrices.append(in_frame(sf, local_frame(rng)))
+        matrices.append(in_frame(sf, local_frame(rng)))
     in_family = 0
     for cm in matrices:
         report = correlation_report(cm)
@@ -156,6 +153,35 @@ def test_report_fields_equal_the_public_functions():
                 0.5 * (sf.b1 + sf.b2), sf.c
             )
     assert in_family >= 4
+
+
+class TestFramedDoubleRoot:
+    """Symmetric squeezed thermal forms have kappa1 = kappa2: the double
+    root of the spectrum's quadratic, where a rounded discriminant would
+    split the two eigenvalues by the square root of its error."""
+
+    @pytest.mark.parametrize("r", [0.3, 1.3, 3.0])
+    def test_framed_pure_state_is_accepted_when_physical(self, r):
+        sf = sts_standard_form(StsParams(0.0, 0.0, r))
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            cm = in_frame(sf, local_frame(rng))
+            physical = is_physical(cm)
+            for call in (hellinger_discord, correlation_report, closest_product_state):
+                try:
+                    call(cm)
+                    accepted = True
+                except NotPhysicalError:
+                    accepted = False
+                assert accepted == physical, call.__name__
+
+    def test_framed_thermal_spectrum(self):
+        sf = sts_standard_form(StsParams(1.0, 1.0, 0.7))
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            spectrum = correlation_report(in_frame(sf, local_frame(rng))).symplectic_spectrum
+            for kappa in spectrum:
+                assert kappa == pytest.approx(1.5, rel=1e-13, abs=0.0)
 
 
 class TestStandardFormInput:
@@ -207,9 +233,9 @@ class TestStandardFormInput:
 
 
 # The two-mode squeezed vacuum at r = 9.7 in a random local frame. Its
-# reduced form has b1 b2 > c^2, but the gap b - c that the entanglement of
-# formation divides by rounds to 0, and so does kt1 kt2 of its square-root
-# form, which the closest product state divides by.
+# reduced form has b1 b2 > c^2, but b1 + b2 - 2c, twice the gap b - c that
+# the entanglement of formation divides by, rounds to 0: the floats break
+# b1 + b2 > 2c, which the form of a positive-definite matrix keeps.
 ZERO_GAP_STATE = [
     [42847270.22270572, -2977356.2788595976, 47089549.912544414, 5785223.64423796],
     [-2977356.2788595976, 103621703.87119381, 30575733.669980034,
