@@ -390,6 +390,7 @@ def oracle_max_affinity(
     _, x = _nelder_mead(
         _make_negative_affinity(vt_in), x0, steps, simplex_iters, 0.0, 0.0
     )
+    # each best vertex into the smooth chart (t, sinh 2r cos phi, sinh 2r sin phi)
     sinh = np.sinh(2.0 * x[:, 2:4])
     x[:, 2:4], x[:, 4:] = sinh * np.cos(x[:, 4:]), sinh * np.sin(x[:, 4:])
     g, x, _ = _newton_polish(
