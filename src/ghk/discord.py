@@ -43,6 +43,7 @@ from .forms import (
     _form_report,
     _is_uncorrelated,
     _mutual_information,
+    _physical_spectrum,
     _pt_spectrum,
     _simon_separable,
     _spectrum_entropies,
@@ -257,7 +258,8 @@ def hellinger_discord_symmetric(b: float, c: float, d: float) -> float:
     """
     tol = active_profile().phys_tol
     sf = _checked_form(tol, b, b, c, d)
-    return _form_affinity_and_discord(sf, tol, sf.spectrum(), _is_uncorrelated(sf))[1]
+    spectrum = _physical_spectrum(sf, tol)
+    return _form_affinity_and_discord(sf, tol, spectrum, _is_uncorrelated(sf))[1]
 
 
 def hellinger_discord_sts(p: StsParams) -> float:
@@ -352,20 +354,20 @@ def entanglement_of_formation_symmetric(b: float, c: float) -> float:
     """
     tol = active_profile().phys_tol
     sf = _checked_form(tol, b, b, c, -c)
-    if sf.spectrum()[1] < 0.5 - tol:
-        raise NotPhysicalError("symmetric state parameters are unphysical")
+    _physical_spectrum(sf, tol)
     return _eof_symmetric(sf.b1, sf.c)
 
 
 def correlation_report(V, mean=None) -> CorrelationReport:
     """Aggregate every measure for one state.
 
-    ``V`` is a covariance matrix, reduced once by ``standard_form``, or a
-    ``StandardForm``, which is used as it is. Both go through the one
-    report route of ``ghk.forms``: physicality is read from the closed-form
-    spectrum of the form, its scales, which no measure depends on, are
-    reported as 1, and every field is evaluated from that one form, so the
-    report of a matrix equals the report of its standard form. The
+    ``V`` is a covariance matrix, reduced once as by ``standard_form``, or
+    a ``StandardForm``, which is used as it is. Both go through the one
+    report route of ``ghk.forms``: physicality is decided once, on the
+    closed-form spectrum of the form (for a matrix, by the reduction, which
+    also checks its J V spectrum), its scales, which no measure depends
+    on, are reported as 1, and every field is evaluated from that one form,
+    so the report of a matrix equals the report of its standard form. The
     measures are displacement-invariant; the mean, if given, is only
     validated.
     """

@@ -7,7 +7,8 @@ physical standard form. Each quantity has one route here: the maximal
 affinity A* and the Hellinger discord 1 - A* come from one closed form on
 the square-root standard form (``_affinity_and_discord``), and every
 report, of a matrix, of a ``StandardForm``, of a sweep row or of
-``ghk report``, goes through ``_form_report``. A family sweep and a report
+``ghk report``, goes through ``_form_report``, and ``_physical_spectrum``
+decides whether a form is physical. A family sweep and a report
 of a given standard form need nothing else, so ``ghk sweep`` and
 ``ghk report`` of family or standard-form input run without loading numpy.
 
@@ -92,8 +93,11 @@ class StandardForm:
         return (bb - self.c * self.c) * (bb - self.d * self.d)
 
     def spectrum(self) -> tuple[float, float]:
-        """Symplectic eigenvalues (descending) from the closed quadratic."""
-        return _form_spectrum(self.b1, self.b2, self.c, self.d)
+        """Symplectic eigenvalues (descending) from the closed quadratic,
+        evaluated once per form."""
+        if "_spectrum" not in vars(self):
+            vars(self)["_spectrum"] = _form_spectrum(self.b1, self.b2, self.c, self.d)
+        return vars(self)["_spectrum"]
 
     def partial_transpose(self) -> "StandardForm":
         """Standard form of the partial transpose (d -> -d)."""
@@ -155,6 +159,20 @@ def _form_spectrum(b1: float, b2: float, c: float, d: float) -> tuple[float, flo
     return k1, min(math.sqrt(max(det_v, 0.0)) / k1, k1)
 
 
+def _physical_spectrum(sf: StandardForm, tol: float) -> tuple[float, float]:
+    """The spectrum of the form ``sf`` if it is a physical state, else
+    NotPhysicalError: the one decision for a form, given or reduced from a
+    matrix. b1 b2 > c^2 and b1 + b2 > 2c, which the spectrum formula does
+    not check and the form of every positive-definite matrix keeps
+    (b1 b2 > c^2 >= c |d|), then kappa2 >= 1/2 - ``tol``."""
+    b1, b2, c = sf.b1, sf.b2, sf.c
+    if b1 * b2 > c * c and b1 + b2 > 2.0 * c:
+        spectrum = sf.spectrum()
+        if spectrum[1] >= 0.5 - tol:
+            return spectrum
+    raise NotPhysicalError("standard form is not a physical state")
+
+
 def _radical(kappa: float, tol: float) -> float:
     """sqrt(kappa^2 - 1/4), with the pure-mode limit within ``tol`` of 1/2.
 
@@ -214,20 +232,12 @@ def _sqrt_params(
 ) -> tuple[float, float, float, float, float, float]:
     """(bt1, bt2, ct, dt, st1, st2) of the square-root form of ``sf``.
 
-    ``spectrum`` is the spectrum of ``sf``. Raises what
-    ``square_root_standard_form`` raises: NotPhysicalError below 1/2 or
-    where the floats of ``sf`` break b1 + b2 > 2c, which the form of every
-    positive-definite matrix keeps (b1 b2 > c^2 >= c |d|), and the
-    ``StandardForm`` checks of the result, run on the floats.
+    ``spectrum`` is the spectrum ``_physical_spectrum`` returned for ``sf``,
+    which has passed its physicality decision. Raises the ``StandardForm``
+    checks of the result, run on the floats.
     """
     k1, k2 = spectrum
-    if k2 < 0.5 - tol:
-        raise NotPhysicalError(
-            f"minimal symplectic eigenvalue {k2:.6g} is below 1/2"
-        )
     b1, b2, c, d, s1, s2 = sf.b1, sf.b2, sf.c, sf.d, sf.s1, sf.s2
-    if b1 + b2 <= 2.0 * c:
-        raise NotPhysicalError("standard form is not a physical state")
     if k1 - 0.5 < tol and k2 - 0.5 < tol:
         return b1, b2, c, d, s1, s2
     k, l = _k_and_l(k1, k2, tol)
@@ -479,15 +489,13 @@ def _mutual_information(
 def _eof_symmetric(b: float, c: float) -> float:
     """EoF of the physical symmetric squeezed thermal form (b, b, c, -c).
 
-    h(z) with z = (g^2 + 1/4)/(2 g), g = b - c. A gap g <= 0, which
-    round-off can leave on a nearly pure form that passed b1 b2 > c^2, is
-    rejected as unphysical.
+    h(z) with z = (g^2 + 1/4)/(2 g), g = b - c. The gap is positive: b is
+    half the float b1 + b2 that ``_physical_spectrum`` found above 2c, so
+    b > c exactly.
     """
     gap = b - c
     if gap >= 0.5:
         return 0.0
-    if gap <= 0.0:
-        raise NotPhysicalError("standard form is not a physical state")
     z = (gap * gap + 0.25) / (2.0 * gap)
     return entropic_h(z)
 
@@ -514,27 +522,21 @@ class CorrelationReport:
 
 
 def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
-    """Every measure of the standard form ``sf``, after its physicality check.
+    """Every measure of the standard form ``sf``, after its physicality
+    decision (``_physical_spectrum``).
 
     The one report route: ``correlation_report`` of a matrix (on the form
-    of its reduction) or of a ``StandardForm``, a sweep row, and
-    ``ghk report``. Physicality is read from the closed-form spectrum, as
-    in ``square_root_standard_form``, and b1 b2 > c^2 (with c >= |d|) is
-    checked too: the spectrum formula can read above 1/2 on forms that
-    belong to no positive-definite matrix. The scales, which no measure
-    depends on, are reported as 1. The spectrum, the partial-transpose
-    spectrum, the entropies of the spectrum and ``_is_uncorrelated`` are
-    evaluated once and shared by the measures; the square-root form is
-    taken as checked floats (``_sqrt_params``), and the report is built
-    without a second pass over its fields, as ``_checked_form`` builds a
-    form.
+    of its reduction, which took this decision and evaluated the spectrum)
+    or of a ``StandardForm``, a sweep row, and ``ghk report``. The scales,
+    which no measure depends on, are reported as 1. The spectrum, the
+    partial-transpose spectrum, the entropies of the spectrum and
+    ``_is_uncorrelated`` are evaluated once and shared by the measures;
+    the square-root form is taken as checked floats (``_sqrt_params``),
+    and the report is built without a second pass over its fields, as
+    ``_checked_form`` builds a form.
     """
+    spectrum = _physical_spectrum(sf, tol)
     b1, b2, c, d = sf.b1, sf.b2, sf.c, sf.d
-    if b1 * b2 <= c * c:
-        raise NotPhysicalError("standard form is not a physical state")
-    spectrum = _form_spectrum(b1, b2, c, d)
-    if spectrum[1] < 0.5 - tol:
-        raise NotPhysicalError("standard form is not a physical state")
     if sf.s1 != 1.0 or sf.s2 != 1.0:
         sf = _checked_form(tol, b1, b2, c, d)
     pt_spectrum = _pt_spectrum(sf)

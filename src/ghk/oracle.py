@@ -27,17 +27,9 @@ from .errors import (
     InvalidParamsError,
     NegativeOccupancyError,
     NotConvergedError,
-    NotPhysicalError,
     TruncationInsufficientError,
 )
-from .symplectic import (
-    as_covariance,
-    det2,
-    det4,
-    is_physical,
-    square_root_cm,
-    symplectic_eigenvalues,
-)
+from .symplectic import det2, det4, square_root_cm, symplectic_eigenvalues
 
 _ETA_EPS = 1e-12  # offset in the log transform keeping eta above 1/2
 _MAX_FOCK_CUTOFF = 2**14
@@ -170,42 +162,29 @@ def _make_negative_affinity(vt_in: np.ndarray):
     return negative_affinity
 
 
-def _nelder_mead(fn, x0, steps, max_iters, xtol, ftol):
+def _nelder_mead(fn, x0, steps, max_iters):
     """Minimize fn from every row of x0 by simplex searches run in lockstep.
 
     fn maps an (n, dim) array of points to their (n,) values. Each start
-    runs the plain simplex method on its own simplex: stable sort by value,
-    reflection/expansion/contraction/shrink with the standard coefficients,
-    and a stop once both the f-spread and the coordinate spread of the
-    simplex fall below the tolerances, after which that simplex is frozen.
-    The reflection, expansion and both contraction points follow from the
-    centroid and the worst vertex, so each iteration evaluates all four for
-    every running simplex in one call of fn; shrinks are evaluated only
-    where they happen.
+    runs the plain simplex method on its own simplex for max_iters
+    iterations: stable sort by value, then reflection/expansion/
+    contraction/shrink with the standard coefficients. The reflection,
+    expansion and both contraction points follow from the centroid and the
+    worst vertex, so each iteration evaluates all four for every simplex in
+    one call of fn; shrinks are evaluated only where they happen.
 
     Returns (fbest, xbest) of shapes (starts,) and (starts, dim).
     """
     x0 = np.asarray(x0, dtype=float)
     starts, dim = x0.shape
-    points = np.repeat(x0[:, None, :], dim + 1, axis=1)
+    p = np.repeat(x0[:, None, :], dim + 1, axis=1)
     diag = np.arange(dim)
-    points[:, diag + 1, diag] += np.asarray(steps, dtype=float)
-    values = fn(points.reshape(-1, dim)).reshape(starts, dim + 1)
-    # p, v hold the running simplices; frozen ones are written back
-    lanes = rows = np.arange(starts)
-    p, v = points, values
+    p[:, diag + 1, diag] += np.asarray(steps, dtype=float)
+    v = fn(p.reshape(-1, dim)).reshape(starts, dim + 1)
+    rows = np.arange(starts)
     for _ in range(max_iters):
         order = np.argsort(v, axis=1, kind="stable")
         p, v = p[rows[:, None], order], v[rows[:, None], order]
-        flat = v[:, -1] - v[:, 0] < ftol
-        if np.count_nonzero(flat):
-            done = flat & (np.abs(p - p[:, :1]).max(axis=(1, 2)) < xtol)
-            points[lanes[done]], values[lanes[done]] = p[done], v[done]
-            go = ~done
-            lanes, p, v = lanes[go], p[go], v[go]
-            if not lanes.size:
-                break
-            rows = rows[: len(lanes)]
         centroid = p[:, :-1].sum(axis=1) / dim
         worst = p[:, -1]
         # the replacement candidates; choosing the worst vertex means shrink
@@ -237,11 +216,8 @@ def _nelder_mead(fn, x0, steps, max_iters, xtol, ftol):
             shrunk = best + 0.5 * (p[shrink, 1:] - best)
             p[shrink, 1:] = shrunk
             v[shrink, 1:] = fn(shrunk.reshape(-1, dim)).reshape(-1, dim)
-    else:  # iteration cap: write back the simplices still running
-        points[lanes], values[lanes] = p, v
-    best = np.argmin(values, axis=1)
-    lanes = np.arange(starts)
-    return values[lanes, best], points[lanes, best]
+    best = np.argmin(v, axis=1)
+    return v[rows, best], p[rows, best]
 
 
 def _make_log_affinity_terms(vt_in: np.ndarray):
@@ -360,14 +336,14 @@ def oracle_max_affinity(
     starts must agree to 10 ftol, otherwise NotConverged is raised.
     Returns the best value and the optimal parameters in the same
     square-root parameterization used by ``closest_product_state``, with
-    r >= 0 and phi in (-pi, pi].
+    r >= 0 and phi in (-pi, pi]. An unphysical input is rejected by the
+    Williamson route of ``square_root_cm``, not by the closed forms under
+    test: NotPhysicalError below 1/2, NotPositiveDefiniteError where the
+    matrix is not positive definite.
     """
     cfg = cfg or OptimizerConfig()
     rng = rng or np.random.default_rng(0)
-    cov = as_covariance(V)
-    if not is_physical(cov):
-        raise NotPhysicalError("covariance matrix is not a physical state")
-    vt_in = square_root_cm(cov).matrix
+    vt_in = square_root_cm(V).matrix
     if cfg.eta_bounds is None:
         kt_max = float(np.max(symplectic_eigenvalues(vt_in)))
         eta_lo, eta_hi = 0.5, 10.0 * kt_max
@@ -386,10 +362,7 @@ def oracle_max_affinity(
             rng.uniform(*cfg.phi_bounds),
         )
     simplex_iters = min(cfg.max_iters, _SIMPLEX_ITERS)
-    # zero tolerances: every simplex runs the whole budget
-    _, x = _nelder_mead(
-        _make_negative_affinity(vt_in), x0, steps, simplex_iters, 0.0, 0.0
-    )
+    _, x = _nelder_mead(_make_negative_affinity(vt_in), x0, steps, simplex_iters)
     # each best vertex into the smooth chart (t, sinh 2r cos phi, sinh 2r sin phi)
     sinh = np.sinh(2.0 * x[:, 2:4])
     x[:, 2:4], x[:, 4:] = sinh * np.cos(x[:, 4:]), sinh * np.sin(x[:, 4:])

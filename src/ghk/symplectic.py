@@ -36,8 +36,8 @@ from .errors import (
 from .forms import (
     StandardForm,
     SymplecticInvariants,
-    _checked_form,
     _invariants,
+    _physical_spectrum,
     _radical,
     _sqrt_form,
 )
@@ -222,27 +222,25 @@ def _certified_positive_definite(entries: list[float]) -> bool:
     return d3 > 0.0 and d1 / a11 * (d2 / a22) * (d3 / a33) >= _PD_DET_MIN
 
 
-def _spectrum(matrix: np.ndarray, entries: list[float] | None = None) -> list[float]:
-    """Symplectic eigenvalues (descending) of a validated covariance matrix.
-
-    Raises NotPositiveDefiniteError when the matrix is not positive
-    definite, and ConsistencyError when the +/- partners among the
-    eigenvalues of J V do not match in magnitude to PAIR_MATCH_RTOL. A 4x4
-    matrix is first checked by ``_certified_positive_definite`` on its
-    row-major ``entries`` (taken from ``matrix`` when not given); the
-    matrices it does not certify, and every larger one, go to
-    np.linalg.cholesky, so the decision is the same as LAPACK's.
+def _spectrum(matrix: np.ndarray) -> list[float]:
+    """``_jv_spectrum`` of a validated covariance matrix, after a positive
+    definiteness check that raises NotPositiveDefiniteError. A 4x4 matrix
+    is first checked by ``_certified_positive_definite``; the matrices it
+    does not certify, and every larger one, go to np.linalg.cholesky, so
+    the decision is the same as LAPACK's.
     """
     n = matrix.shape[0] // 2
-    if n == 2:
-        if not _certified_positive_definite(
-            matrix.ravel().tolist() if entries is None else entries
-        ):
-            _cholesky_or_raise(matrix)
-        j = _J2
-    else:
+    if n != 2 or not _certified_positive_definite(matrix.ravel().tolist()):
         _cholesky_or_raise(matrix)
-        j = symplectic_form(n)
+    return _jv_spectrum(matrix)
+
+
+def _jv_spectrum(matrix: np.ndarray) -> list[float]:
+    """Symplectic eigenvalues (descending) of a positive-definite matrix
+    from the eigenvalues of J V, whose +/- partners must match in magnitude
+    to PAIR_MATCH_RTOL (else ConsistencyError)."""
+    n = matrix.shape[0] // 2
+    j = _J2 if n == 2 else symplectic_form(n)
     mags = sorted(map(abs, np.linalg.eigvals(j @ matrix).tolist()))
     kappas = []
     for lo, hi in zip(mags[0::2], mags[1::2]):
@@ -264,19 +262,21 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     return np.array(_spectrum(as_covariance(V).matrix))
 
 
-def _is_physical(
-    matrix: np.ndarray, tol: float, entries: list[float] | None = None
-) -> bool:
-    try:
-        kappas = _spectrum(matrix, entries)
-    except NotPositiveDefiniteError:
-        return False
-    return kappas[-1] >= 0.5 - tol
-
-
 def is_physical(V) -> bool:
-    """True iff every symplectic eigenvalue is >= 1/2 (within tolerance)."""
-    return _is_physical(as_covariance(V).matrix, active_profile().phys_tol)
+    """True iff every symplectic eigenvalue is >= 1/2 (within tolerance).
+
+    A two-mode matrix must pass the reduction's decision (``_reduce``), as
+    for every measure: the ``symplectic_eigenvalues`` and the closed-form
+    spectrum of its reduced form must both reach 1/2 - phys_tol.
+    """
+    cov = as_covariance(V)
+    try:
+        if cov.n == 2:
+            _reduce(cov)
+            return True
+        return _spectrum(cov.matrix)[-1] >= 0.5 - active_profile().phys_tol
+    except (NotPhysicalError, NotPositiveDefiniteError):
+        return False
 
 
 def williamson(V) -> tuple[np.ndarray, np.ndarray]:
@@ -359,15 +359,22 @@ def _reduce(V) -> tuple[StandardForm, tuple[float, ...]]:
 
     Reads the tolerance profile once, validates ``V`` as the
     ``CovarianceMatrix`` constructor does (a ``CovarianceMatrix`` is taken
-    as it is), and takes the entries once as Python floats. The positive
-    definiteness check runs on those floats when they certify it (see
-    ``_certified_positive_definite``; LAPACK decides the rest), the J V
-    pair check on the matrix, and the reduction and the discriminant guard
-    on the same floats. Returns the form and the parts
+    as it is), and takes the entries once as Python floats. Positive
+    definiteness is checked on those floats when they certify it (see
+    ``_certified_positive_definite``; LAPACK decides the rest), and a
+    matrix that is not positive definite is not a physical state. The
+    reduction and the discriminant guard run on the same floats.
+    Physicality is then decided once for every measure: the closed-form
+    spectrum of the reduced form must pass ``_physical_spectrum``, and the
+    J V spectrum, with its pair check, must reach 1/2 - phys_tol too; the
+    form's own checks follow. Neither spectrum is accurate to phys_tol on a
+    strongly squeezed matrix, so both must accept. The form keeps its
+    spectrum. Returns the form and the parts
     (n00, n01, n11, o00, o01, o11, e, f, g, h) of its local frame; see
     ``reduce_to_standard_form``.
     """
     profile = active_profile()
+    tol = profile.phys_tol
     if isinstance(V, CovarianceMatrix):
         matrix = V.matrix
     else:
@@ -375,8 +382,13 @@ def _reduce(V) -> tuple[StandardForm, tuple[float, ...]]:
     if matrix.shape[0] != 4:
         raise DimensionMismatchError("standard form is defined for two modes")
     entries = matrix.ravel().tolist()
-    if not _is_physical(matrix, profile.phys_tol, entries):
-        raise NotPhysicalError("covariance matrix is not a physical state")
+    if not _certified_positive_definite(entries):
+        try:
+            _cholesky_or_raise(matrix)
+        except NotPositiveDefiniteError:
+            raise NotPhysicalError(
+                "covariance matrix is not a physical state"
+            ) from None
     a00, a01, c00, c01, _, a11, c10, c11, _, _, b00, b01, _, _, _, b11 = entries
     b1, n00, n01, n11 = _unit_root(a00, a01, a11)
     b2, o00, o01, o11 = _unit_root(b00, b01, b11)
@@ -392,7 +404,10 @@ def _reduce(V) -> tuple[StandardForm, tuple[float, ...]]:
     e, f = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
     g, h = 0.5 * (m10 + m01), 0.5 * (m10 - m01)
     q, r = math.hypot(e, h), math.hypot(f, g)
-    sf = _checked_form(profile.phys_tol, b1, b2, q + r, q - r)
+    # validated after the decision, so that an unphysical matrix such as
+    # 0.4 I is rejected as one rather than for its b1 < 1/2
+    sf = object.__new__(StandardForm)
+    vars(sf).update(b1=b1, b2=b2, c=q + r, d=q - r, s1=1.0, s2=1.0)
     # Discriminant guard: c^2 and d^2 solve x^2 - s x + det(C)^2 = 0 with
     # s = (b1^2 b2^2 + det(C)^2 - det V) / (b1 b2), and
     # det V = det A det B + det(C)^2 - tr(adj A C adj B C^T).
@@ -412,6 +427,10 @@ def _reduce(V) -> tuple[StandardForm, tuple[float, ...]]:
         raise DegenerateBlocksError(
             "no real cross-correlation parameters reproduce the invariants"
         )
+    _physical_spectrum(sf, tol)
+    if _jv_spectrum(matrix)[-1] < 0.5 - tol:
+        raise NotPhysicalError("covariance matrix is not a physical state")
+    sf._validate(tol)
     return sf, (n00, n01, n11, o00, o01, o11, e, f, g, h)
 
 
@@ -471,8 +490,9 @@ def reduce_to_standard_form(V) -> tuple[StandardForm, np.ndarray]:
     diag(c, -c), keeps d = -c to the last bit. The arithmetic runs on
     Python floats taken once from the validated input, under one read of
     the tolerance profile, and only S is built as an array. The guards
-    are those of ``standard_form``: validation, the Cholesky and J V pair
-    checks, and the discriminant guard.
+    are those of ``standard_form``: validation, the Cholesky check, the
+    discriminant guard, and the one physicality decision, on the
+    closed-form spectrum of the reduced form and on the J V spectrum.
     """
     sf, rows = _framed_reduction(V)
     return sf, np.array(rows)
@@ -496,6 +516,8 @@ def square_root_standard_form(sf: StandardForm) -> StandardForm:
     invariants K and L; must agree with the Williamson route
     ``square_root_cm`` on the rebuilt matrix. When both modes are pure the
     prefactor 1/(4 kappa1 kappa2 K) degenerates and the analytic limit is
-    the state itself (the square root of a pure state is the state).
+    the state itself (the square root of a pure state is the state). Raises
+    NotPhysicalError where ``sf`` is not a physical state.
     """
-    return _sqrt_form(sf, active_profile().phys_tol, sf.spectrum())
+    tol = active_profile().phys_tol
+    return _sqrt_form(sf, tol, _physical_spectrum(sf, tol))

@@ -18,6 +18,7 @@ from ghk import (
     GhkError,
     MtsParams,
     NotConvergedError,
+    NotPhysicalError,
     StandardForm,
     StsParams,
     TruncationInsufficientError,
@@ -96,6 +97,18 @@ class TestReport:
         assert done.stderr.startswith("error:")
         assert "Traceback" not in done.stderr
         assert done.stdout == ""
+
+    def test_pure_squeezed_vacuum_at_r_9_7_exits_2(self, capsys):
+        # b and c of the family form round to one float, so the matrix is
+        # singular; LAPACK's Cholesky passes it, and b1 b2 > c^2 fails on
+        # its reduced form
+        matrix = sts_standard_form(StsParams(0.0, 0.0, 9.7)).to_cm().matrix
+        with pytest.raises(NotPhysicalError):
+            correlation_report(matrix)
+        text = ",".join(repr(x) for x in matrix.ravel().tolist())
+        code, out, err = run_cli(capsys, "report", "--matrix", text)
+        assert (code, out) == (2, "")
+        assert "physical" in err
 
     def test_full_precision_inline_matrix(self, capsys):
         # repr-precision entries make the text longer than a file name may be
@@ -427,9 +440,10 @@ class TestSweep:
         assert seen_unphysical
 
     def test_pure_sts_edge_grid_completes(self, capsys):
-        # reducing the matrices of this grid raises ConsistencyError at
-        # r = 9.7 and 10.95, which would end the sweep; rows beyond r ~ 5
-        # lose accuracy to cancellation and are not checked here
+        # reducing the matrices of this grid raises NotPhysicalError at
+        # r = 9.7 and 10.95 (b and c round to one float), which would end
+        # the sweep; rows beyond r ~ 5 lose accuracy to cancellation and
+        # are not checked here
         code, out, _ = run_cli(
             capsys, "sweep", "--sts", "nbar1=0", "nbar2=0",
             "--sweep-param", "r", "--range", "0.05:12:240",

@@ -10,6 +10,8 @@ from ghk import (
     InvalidParamsError,
     MtsParams,
     NotConvergedError,
+    NotPhysicalError,
+    NotPositiveDefiniteError,
     OptimizerConfig,
     StandardForm,
     StsParams,
@@ -38,7 +40,7 @@ def tmsv_form(r):
 FAST = OptimizerConfig(starts=8)
 
 
-def scalar_nelder_mead(fn, x0, steps, max_iters, xtol, ftol):
+def scalar_nelder_mead(fn, x0, steps, max_iters):
     """Reference: one plain simplex search on python floats."""
     dim = len(x0)
     points = [list(x0)]
@@ -51,12 +53,6 @@ def scalar_nelder_mead(fn, x0, steps, max_iters, xtol, ftol):
         order = sorted(range(dim + 1), key=values.__getitem__)
         points = [points[i] for i in order]
         values = [values[i] for i in order]
-        if values[-1] - values[0] < ftol:
-            spread = max(
-                max(abs(p[i] - points[0][i]) for p in points) for i in range(dim)
-            )
-            if spread < xtol:
-                break
         centroid = [sum(p[i] for p in points[:-1]) / dim for i in range(dim)]
         worst = points[-1]
         reflected = [2.0 * centroid[i] - worst[i] for i in range(dim)]
@@ -121,8 +117,7 @@ class TestNelderMead:
             return (x[0] - 1.0) ** 2 + 3.0 * (x[1] + 2.0) ** 2 + 0.5
 
         values, points = _nelder_mead(
-            lockstep(bowl), [[4.0, 4.0], [-3.0, 1.0]], [0.5, 0.5],
-            max_iters=500, xtol=1e-10, ftol=1e-14,
+            lockstep(bowl), [[4.0, 4.0], [-3.0, 1.0]], [0.5, 0.5], max_iters=500
         )
         for value, point in zip(values, points):
             assert value == pytest.approx(0.5, abs=1e-10)
@@ -131,8 +126,7 @@ class TestNelderMead:
 
     def test_rosenbrock_progress(self):
         values, _ = _nelder_mead(
-            lockstep(rosenbrock), [[-1.0, 1.0]], [0.4, 0.4],
-            max_iters=4000, xtol=1e-11, ftol=1e-15,
+            lockstep(rosenbrock), [[-1.0, 1.0]], [0.4, 0.4], max_iters=4000
         )
         assert values[0] < 1e-9
 
@@ -143,15 +137,13 @@ class TestNelderMead:
     def test_lanes_match_scalar_reference(self, fn, dim, max_iters):
         # +, -, * and / round identically on python floats and numpy
         # arrays, so every lane must reproduce the scalar search bit for bit,
-        # whether it converges early, late, or hits the iteration cap.
+        # after a short budget and long after its simplex has collapsed.
         x0 = np.random.default_rng(5).uniform(-2.0, 2.0, (7, dim))
         steps = [0.3, 0.6, 0.45][:dim]
-        values, points = _nelder_mead(
-            lockstep(fn), x0, steps, max_iters, xtol=1e-9, ftol=1e-12
-        )
+        values, points = _nelder_mead(lockstep(fn), x0, steps, max_iters)
         for start, value, point in zip(x0, values, points):
             ref_value, ref_point = scalar_nelder_mead(
-                fn, start.tolist(), steps, max_iters, 1e-9, 1e-12
+                fn, start.tolist(), steps, max_iters
             )
             assert value == ref_value
             assert point.tolist() == ref_point
@@ -196,6 +188,13 @@ class TestOracleMaxAffinity:
             assert params.eta1 * params.eta2 == pytest.approx(
                 kt[0] * kt[1], abs=1e-4, rel=1e-4
             )
+
+    def test_unphysical_input_is_rejected_by_the_williamson_route(self):
+        # square_root_cm decides, not the closed-form physicality check
+        with pytest.raises(NotPhysicalError):
+            oracle_max_affinity(0.4 * np.eye(4), FAST)
+        with pytest.raises(NotPositiveDefiniteError):
+            oracle_max_affinity(np.diag([1.0, 1.0, 1.0, -1.0]), FAST)
 
     def test_disagreeing_starts_raise(self):
         # one simplex step per start leaves the best two starts far apart

@@ -15,6 +15,7 @@ from ghk import (
     OutOfFamilyError,
     StandardForm,
     StsParams,
+    active_profile,
     classical_correlations,
     closest_product_state,
     correlation_report,
@@ -22,6 +23,7 @@ from ghk import (
     entropic_discord,
     hellinger_discord,
     is_physical,
+    max_affinity,
     mts_standard_form,
     mutual_information,
     random_standard_form,
@@ -29,6 +31,7 @@ from ghk import (
     simon_separable,
     standard_form,
     sts_standard_form,
+    symplectic_eigenvalues,
 )
 from ghk.cli import _MEASURES, _sweep_row
 
@@ -155,19 +158,40 @@ def test_report_fields_equal_the_public_functions():
     assert in_family >= 4
 
 
+# Every public function that decides whether a two-mode matrix is a state.
+DECIDERS = [
+    standard_form,
+    max_affinity,
+    hellinger_discord,
+    mutual_information,
+    simon_separable,
+    correlation_report,
+    closest_product_state,
+]
+
+
 class TestFramedDoubleRoot:
     """Symmetric squeezed thermal forms have kappa1 = kappa2: the double
     root of the spectrum's quadratic, where a rounded discriminant would
     split the two eigenvalues by the square root of its error."""
 
-    @pytest.mark.parametrize("r", [0.3, 1.3, 3.0])
+    # Up to r = 4 the float matrix of every frame is a state (its kappa2,
+    # evaluated to 50 digits, is within phys_tol of 1/2) and must be
+    # accepted. From r = 4.5 it lies within round-off of 1/2, and frames are
+    # accepted or rejected; each function must take the one decision that
+    # is_physical takes, which requires the J V spectrum to reach 1/2 too.
+    @pytest.mark.parametrize("r", [0.3, 1.3, 3.0, 4.0, 4.5, 5.0, 6.0, 7.0, 9.7])
     def test_framed_pure_state_is_accepted_when_physical(self, r):
         sf = sts_standard_form(StsParams(0.0, 0.0, r))
+        floor = 0.5 - active_profile().phys_tol
         rng = np.random.default_rng(13)
         for _ in range(60):
             cm = in_frame(sf, local_frame(rng))
             physical = is_physical(cm)
-            for call in (hellinger_discord, correlation_report, closest_product_state):
+            assert physical or r > 4.0
+            if physical:
+                assert symplectic_eigenvalues(cm)[-1] >= floor
+            for call in DECIDERS:
                 try:
                     call(cm)
                     accepted = True
@@ -235,7 +259,8 @@ class TestStandardFormInput:
 # The two-mode squeezed vacuum at r = 9.7 in a random local frame. Its
 # reduced form has b1 b2 > c^2, but b1 + b2 - 2c, twice the gap b - c that
 # the entanglement of formation divides by, rounds to 0: the floats break
-# b1 + b2 > 2c, which the form of a positive-definite matrix keeps.
+# b1 + b2 > 2c, which the form of a positive-definite matrix keeps, and the
+# reduction rejects it.
 ZERO_GAP_STATE = [
     [42847270.22270572, -2977356.2788595976, 47089549.912544414, 5785223.64423796],
     [-2977356.2788595976, 103621703.87119381, 30575733.669980034,
@@ -245,10 +270,24 @@ ZERO_GAP_STATE = [
 ]
 
 
-@pytest.mark.parametrize("call", [correlation_report, closest_product_state])
+@pytest.mark.parametrize("call", DECIDERS)
 def test_a_zero_gap_is_rejected_as_unphysical(call):
+    assert not is_physical(ZERO_GAP_STATE)
     with pytest.raises(NotPhysicalError):
         call(ZERO_GAP_STATE)
+
+
+@pytest.mark.parametrize("call", DECIDERS)
+def test_a_rounded_matrix_below_half_is_rejected(call):
+    # The pure squeezed vacuum at r = 9 as a float matrix: its kappa2,
+    # evaluated to 50 digits, is 1/2 - 5.4e-3. The closed-form spectrum of
+    # its reduced form rounds to 1/2; the J V spectrum does not, and every
+    # function rejects it, as is_physical does.
+    cm = sts_standard_form(StsParams(0.0, 0.0, 9.0)).to_cm()
+    assert symplectic_eigenvalues(cm)[-1] < 0.5 - active_profile().phys_tol
+    assert not is_physical(cm)
+    with pytest.raises(NotPhysicalError):
+        call(cm)
 
 
 @pytest.fixture
@@ -274,7 +313,9 @@ class TestHotPath:
         rng = np.random.default_rng(15)
         for _ in range(8):
             cm = in_frame(random_standard_form(rng), local_frame(rng))
-            for call in (correlation_report, closest_product_state):
+            for call in (
+                correlation_report, closest_product_state, standard_form, is_physical
+            ):
                 linalg_calls.update(cholesky=0, eigvals=0)
                 call(cm)
                 assert linalg_calls == {"cholesky": 0, "eigvals": 1}
