@@ -13,12 +13,14 @@ import numpy as np
 
 from .affinity import affinity, gaussian_overlap_trace, trace_of_sqrt
 from .discord import (
-    _is_uncorrelated,
     _optimum,
+    hellinger_discord_mts,
+    hellinger_discord_sts,
     hellinger_discord_symmetric,
     max_affinity,
 )
 from .errors import ConsistencyError, DimensionMismatchError, NotPhysicalError
+from .forms import _is_uncorrelated
 from .oracle import (
     OptimizerConfig,
     fock_affinity_diagonal,
@@ -28,7 +30,7 @@ from .oracle import (
     oracle_max_affinity,
 )
 from .sampling import random_standard_form, random_symplectic
-from .states import GaussianState, thermal_state
+from .states import GaussianState, MtsParams, StsParams, thermal_state
 from .symplectic import (
     StandardForm,
     SymplecticInvariants,
@@ -102,6 +104,39 @@ def hellinger_discord_pt(b: float, c: float, d: float) -> float:
     root4 = sf.cm_determinant() ** 0.25
     den = k1_pt + k2_pt + 2.0 * root4 * (math.sqrt(inv.N1) - math.sqrt(inv.N2))
     return 1.0 - 4.0 * root4 / den
+
+
+def hellinger_discord_x(p: StsParams) -> float:
+    """Cross-check route for the discord of a squeezed thermal state.
+
+    The paper's formula 1 - 2/(sqrt(X) + 1) with
+    X = 1 + 2 (k1 k2 + 1/4 - sqrt(D)) sinh^2(2r), evaluated as
+    (X - 1)/(sqrt(X) + 1)^2 with X - 1 formed directly. k1 k2 + 1/4 - sqrt(D)
+    cancels at large occupancies, so it checks the closed form only where
+    they are moderate.
+    """
+    k1, k2 = p.nbar1 + 0.5, p.nbar2 + 0.5
+    inv = invariants_from_spectrum((max(k1, k2), min(k1, k2)))
+    x_minus_1 = 2.0 * (k1 * k2 + 0.25 - math.sqrt(inv.D)) * math.sinh(2.0 * p.r) ** 2
+    return x_minus_1 / (math.sqrt(1.0 + x_minus_1) + 1.0) ** 2
+
+
+def hellinger_discord_y(p: MtsParams) -> float:
+    """Cross-check route for the discord of a mode-mixed thermal state.
+
+    The paper's formula 1 - 2/(sqrt(Y) + 1) with
+    Y = 1 + 2 (k1 k2 - 1/4 - sqrt(D)) sin^2(theta), evaluated like
+    ``hellinger_discord_x``. k1 k2 - 1/4 - sqrt(D) cancels when k1 is close
+    to k2 or both are large, so it checks the closed form only away from
+    there.
+    """
+    inv = invariants_from_spectrum((p.kappa1, p.kappa2))
+    y_minus_1 = (
+        2.0
+        * (p.kappa1 * p.kappa2 - 0.25 - math.sqrt(inv.D))
+        * math.sin(p.theta) ** 2
+    )
+    return y_minus_1 / (math.sqrt(1.0 + y_minus_1) + 1.0) ** 2
 
 
 def stationarity_residual(V) -> float:
@@ -253,6 +288,30 @@ def symmetric_pt_formula() -> Record:
     return _record("symmetric discord vs PT formula", 1e-10, devs)
 
 
+def family_xy_formulas() -> Record:
+    """The family discords against the paper's X and Y formulas, relative,
+    where the formulas are well-conditioned: occupancies up to 20 with
+    r in [0.05, 3], and kappa2 <= 3 with theta in [0.1, pi - 0.1]."""
+    devs = []
+    for nbar1 in (0.0, 0.3, 1.0, 5.0, 20.0):
+        for nbar2 in (0.0, 0.3, 1.0, 5.0, 20.0):
+            for r in np.linspace(0.05, 3.0, 7).tolist():
+                p = StsParams(nbar1, nbar2, r)
+                closed = hellinger_discord_sts(p)
+                dev = abs(hellinger_discord_x(p) - closed) / closed
+                devs.append((dev, f"sts nbar1={nbar1} nbar2={nbar2} r={r!r}"))
+    for kappa2 in (0.5, 0.8, 1.5, 3.0):
+        for split in (0.1, 0.5, 3.0, 10.0):
+            for theta in np.linspace(0.1, math.pi - 0.1, 7).tolist():
+                p = MtsParams(kappa2 + split, kappa2, theta)
+                closed = hellinger_discord_mts(p)
+                dev = abs(hellinger_discord_y(p) - closed) / closed
+                devs.append(
+                    (dev, f"mts kappa1={p.kappa1!r} kappa2={kappa2} theta={theta!r}")
+                )
+    return _record("family discords vs X/Y formulas", 1e-10, devs)
+
+
 def photon_number() -> Record:
     """Tr sqrt(rho), the affinity and Tr(rho1 rho2) on ``THERMAL_GRID``."""
     devs = []
@@ -311,6 +370,7 @@ def suites(seed: int, trials: int):
     yield square_root_routes(forms)
     yield stationarity(forms)
     yield symmetric_pt_formula()
+    yield family_xy_formulas()
     yield photon_number()
     yield trace_distance_sandwich()
     yield affinity_invariance(rng, min(trials, 40))

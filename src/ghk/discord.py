@@ -15,7 +15,11 @@ square-root state:
 
 The measures of a standard form and ``CorrelationReport`` are float closed
 forms of ``ghk.forms``; this module reduces matrices to standard form for
-them and adds the closest product state.
+them and adds the closest product state. The single-measure functions
+return their field of ``correlation_report``, and every discord is the one
+closed form ``forms._affinity_and_discord``, the family discords on the
+family's exact square root; the paper's X and Y formulas are cross-checks
+in ``ghk.checks``.
 """
 
 from __future__ import annotations
@@ -42,16 +46,14 @@ from .forms import (
     _form_affinity_and_discord,
     _form_report,
     _is_uncorrelated,
-    _mutual_information,
+    _mts_entries,
     _physical_spectrum,
-    _pt_spectrum,
-    _simon_separable,
-    _spectrum_entropies,
+    _radical,
     _sqrt_form,
-    _symmetric_measures,
+    _sts_entries,
 )
 from .states import GaussianState, MtsParams, StsParams
-from .symplectic import _framed_reduction, invariants_from_spectrum, standard_form
+from .symplectic import _framed_reduction, standard_form
 from .tolerances import active_profile
 
 
@@ -86,6 +88,8 @@ class ProductStateParams:
         mean = np.array(self.mean, dtype=float).reshape(-1)
         if mean.shape != (4,):
             raise DimensionMismatchError("mean must be a 4-vector")
+        if not all(map(math.isfinite, mean.tolist())):
+            raise InvalidParamsError("mean vector must be finite")
         mean.flags.writeable = False
         object.__setattr__(self, "mean", mean)
 
@@ -170,25 +174,15 @@ class ClosestProduct:
         return p.state()
 
 
-def _reduced(V) -> tuple[StandardForm, float, tuple[float, float], bool]:
-    """(sf, phys_tol, spectrum of sf, ``_is_uncorrelated(sf)``): the preamble
-    of the matrix measures.
-
-    One ``standard_form`` reduction, then one more read of the tolerance
-    profile for the measures' own phys_tol.
-    """
-    sf = standard_form(V)
-    return sf, active_profile().phys_tol, sf.spectrum(), _is_uncorrelated(sf)
-
-
 def max_affinity(V) -> float:
     """Maximal affinity between a two-mode state and the product states.
 
-    Production route: evaluate the closed form on the standard form of the
-    square-root state. Local squeeze scales drop out, so the plain
-    (unscaled) standard-form reduction suffices.
+    ``V`` is what ``correlation_report`` takes. The closed form on the
+    standard form of the square-root state; local squeeze scales drop out.
+    Not a report field: 1 - discord would lose the relative accuracy of A*.
     """
-    return _form_affinity_and_discord(*_reduced(V))[0]
+    sf = V if isinstance(V, StandardForm) else standard_form(V)
+    return _form_affinity_and_discord(sf, active_profile().phys_tol)[0]
 
 
 def _optimum(tsf: StandardForm) -> tuple[float, float, float, float]:
@@ -225,10 +219,12 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
         raise DimensionMismatchError("mean must be a 4-vector")
     tol = active_profile().phys_tol
     tsf = _sqrt_form(sf, tol, sf.spectrum())
-    if _is_uncorrelated(sf):
-        value = 1.0
-    else:
-        value = _affinity_and_discord(tsf.b1, tsf.b2, tsf.c, tsf.d)[0]
+    value = 1.0
+    if not _is_uncorrelated(sf):
+        bb = tsf.b1 * tsf.b2
+        value = _affinity_and_discord(
+            tsf.b1, tsf.b2, tsf.c, tsf.d, bb - tsf.c * tsf.c, bb - tsf.d * tsf.d
+        )[0]
     eta1, eta2, e2r1, e2r2 = _optimum(tsf)
     (f00, f01, _, _), (f10, f11, _, _), (_, _, g00, g01), (_, _, g10, g11) = frame
     e1, rr1, ph1 = _frame_params(f00, f01, f10, f11, eta1, e2r1)
@@ -242,58 +238,58 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
 def hellinger_discord(V) -> float:
     """Hellinger discord: 1 - max_affinity. Zero iff the state is a product.
 
-    Evaluated without forming the difference, so that a small discord keeps
-    its relative accuracy.
+    The report's field, evaluated without forming the difference, so that
+    a small discord keeps its relative accuracy.
     """
-    return _form_affinity_and_discord(*_reduced(V))[1]
+    return correlation_report(V).hellinger_discord
 
 
 def hellinger_discord_symmetric(b: float, c: float, d: float) -> float:
     """Discord of a symmetric state (b1 = b2 = b), for either sign of d.
 
-    The one closed form of the discord (``hellinger_discord``), evaluated
-    on the standard form (b, b, c, d), so that a small discord keeps its
-    relative accuracy. The paper's partial-transpose formula is the
-    cross-check ``ghk.checks.hellinger_discord_pt``.
+    The one closed form of the discord on the form (b, b, c, d), alone: the
+    full report of a form gated by round-off (the pure STS form at r = 9.2)
+    raises in its entropic measures. The paper's partial-transpose formula
+    is the cross-check ``ghk.checks.hellinger_discord_pt``.
     """
     tol = active_profile().phys_tol
-    sf = _checked_form(tol, b, b, c, d)
-    spectrum = _physical_spectrum(sf, tol)
-    return _form_affinity_and_discord(sf, tol, spectrum, _is_uncorrelated(sf))[1]
+    return _form_affinity_and_discord(_checked_form(tol, b, b, c, d), tol)[1]
 
 
 def hellinger_discord_sts(p: StsParams) -> float:
     """Discord of a squeezed thermal state, directly from its parameters.
 
-    1 - 2/(sqrt(X) + 1) with
-    X = 1 + 2 (k1 k2 + 1/4 - sqrt(D)) sinh^2(2r). For equal occupancies
-    this collapses to tanh^2(r) for every mixing degree. Evaluated as
-    (X - 1)/(sqrt(X) + 1)^2, with X - 1 formed directly, so that a small
-    discord keeps its relative accuracy.
+    The one closed form of the discord on the family's exact square root,
+    the state (kt1, kt2, r) with kt = k + sqrt(k^2 - 1/4), k = nbar + 1/2,
+    whose gaps b1 b2 - c^2 = b1 b2 - d^2 are exactly kt1 kt2, so it keeps
+    its relative accuracy. Equal occupancies give tanh^2(r). The paper's
+    X formula is the cross-check ``ghk.checks.hellinger_discord_x``.
     """
-    if p.r == 0.0:
-        return 0.0
+    tol = active_profile().phys_tol
     k1, k2 = p.nbar1 + 0.5, p.nbar2 + 0.5
-    inv = invariants_from_spectrum((max(k1, k2), min(k1, k2)))
-    x_minus_1 = 2.0 * (k1 * k2 + 0.25 - math.sqrt(inv.D)) * math.sinh(2.0 * p.r) ** 2
-    return x_minus_1 / (math.sqrt(1.0 + x_minus_1) + 1.0) ** 2
+    kt1, kt2 = k1 + _radical(p.nbar1, tol), k2 + _radical(p.nbar2, tol)
+    b1, b2, c = _sts_entries(kt1, kt2, p.r)
+    return _affinity_and_discord(b1, b2, c, -c, kt1 * kt2, kt1 * kt2)[1]
 
 
 def hellinger_discord_mts(p: MtsParams) -> float:
     """Discord of a mode-mixed thermal state, directly from its parameters.
 
-    1 - 2/(sqrt(Y) + 1) with Y = 1 + 2 (k1 k2 - 1/4 - sqrt(D)) sin^2(theta),
-    evaluated as (Y - 1)/(sqrt(Y) + 1)^2 like ``hellinger_discord_sts``.
+    As ``hellinger_discord_sts``, on the state (kt1, kt2, theta), with
+    kt1 - kt2 = (k1 - k2)(1 + (k1 + k2)/(rho1 + rho2)), rho = sqrt(k^2 - 1/4),
+    which does not cancel. The paper's Y formula is the cross-check
+    ``ghk.checks.hellinger_discord_y``.
     """
-    if p.theta in (0.0, math.pi) or p.kappa1 == p.kappa2:
-        return 0.0
-    inv = invariants_from_spectrum((p.kappa1, p.kappa2))
-    y_minus_1 = (
-        2.0
-        * (p.kappa1 * p.kappa2 - 0.25 - math.sqrt(inv.D))
-        * math.sin(p.theta) ** 2
-    )
-    return y_minus_1 / (math.sqrt(1.0 + y_minus_1) + 1.0) ** 2
+    tol = active_profile().phys_tol
+    k1, k2 = p.kappa1, p.kappa2
+    rho1, rho2 = _radical(k1 - 0.5, tol), _radical(k2 - 0.5, tol)
+    if rho2 == 0.0:  # kt2 = k2, so nothing cancels; rho1 + rho2 may be 0
+        split = k1 - k2 + rho1
+    else:
+        split = (k1 - k2) * (1.0 + (k1 + k2) / (rho1 + rho2))
+    b1, b2, c = _mts_entries(k1 + rho1, k2 + rho2, split, p.theta)
+    gap = (k1 + rho1) * (k2 + rho2)
+    return _affinity_and_discord(b1, b2, c, c, gap, gap)[1]
 
 
 def simon_separable(V) -> bool:
@@ -301,56 +297,54 @@ def simon_separable(V) -> bool:
 
     True iff the partial transpose (standard form with d -> -d) is again a
     physical covariance matrix. States with d >= 0 are always separable.
+    The report's ``separable`` field.
     """
-    sf, tol, _, _ = _reduced(V)
-    return _simon_separable(sf, _pt_spectrum(sf), tol)
+    return correlation_report(V).separable
 
 
-def _family_measures(V) -> tuple[float, float]:
-    """(entropic discord, classical correlations) of a state of the
-    symmetric |d| = c family; OutOfFamilyError outside it."""
-    sf, tol, spectrum, uncorrelated = _reduced(V)
-    breach = _family_breach(sf)
-    if breach is not None:
-        raise OutOfFamilyError(breach)
-    return _symmetric_measures(
-        sf, tol, _spectrum_entropies(spectrum, tol), uncorrelated
-    )
+def _family_field(V, name: str) -> float:
+    """The field ``name`` of ``correlation_report(V)``, which is None
+    outside the symmetric |d| = c family: OutOfFamilyError there."""
+    report = correlation_report(V)
+    value = getattr(report, name)
+    if value is None:
+        raise OutOfFamilyError(_family_breach(report.standard_form))
+    return value
 
 
 def entropic_discord(V) -> float:
     """Measurement-based Gaussian discord of a symmetric |d| = c state.
 
     h(b) - h(k1) - h(k2) + h(y) with y = b - c^2/(b + 1/2). Nonnegative and
-    zero iff the cross-correlations vanish.
+    zero iff the cross-correlations vanish. The report's field.
     """
-    return _family_measures(V)[0]
+    return _family_field(V, "entropic_discord")
 
 
 def mutual_information(V) -> float:
     """Quantum mutual information h(b1) + h(b2) - h(k1) - h(k2).
 
     For a product state the spectrum equals the marginals and the value is
-    exactly zero.
+    exactly zero. The report's field.
     """
-    sf, tol, spectrum, uncorrelated = _reduced(V)
-    return _mutual_information(sf, _spectrum_entropies(spectrum, tol), uncorrelated)
+    return correlation_report(V).mutual_information
 
 
 def classical_correlations(V) -> float:
     """Classical correlations h(b) - h(y) of a symmetric |d| = c state.
 
     Equals mutual_information - entropic_discord and is identical for the
-    d = +c and d = -c partners of the same (b, c).
+    d = +c and d = -c partners of the same (b, c). The report's field.
     """
-    return _family_measures(V)[1]
+    return _family_field(V, "classical_correlations")
 
 
 def entanglement_of_formation_symmetric(b: float, c: float) -> float:
     """Entanglement of formation of a symmetric squeezed thermal state.
 
     For the d = -c family: zero when b - c >= 1/2 (separable), otherwise
-    h(z) with z = ((b - c)^2 + 1/4) / (2 (b - c)).
+    h(z) with z = ((b - c)^2 + 1/4) / (2 (b - c)). Evaluated alone, as
+    ``hellinger_discord_symmetric`` is.
     """
     tol = active_profile().phys_tol
     sf = _checked_form(tol, b, b, c, -c)

@@ -5,12 +5,15 @@ form, the squeezed thermal and mode-mixed thermal families, the entropic
 function, and every measure of a correlation report evaluated from one
 physical standard form. Each quantity has one route here: the maximal
 affinity A* and the Hellinger discord 1 - A* come from one closed form on
-the square-root standard form (``_affinity_and_discord``), and every
-report, of a matrix, of a ``StandardForm``, of a sweep row or of
-``ghk report``, goes through ``_form_report``, and ``_physical_spectrum``
-decides whether a form is physical. A family sweep and a report
-of a given standard form need nothing else, so ``ghk sweep`` and
-``ghk report`` of family or standard-form input run without loading numpy.
+a square-root standard form and its two gaps (``_affinity_and_discord``),
+which a form reduced from a matrix or given forms from its floats and a
+family takes exactly from its square root, the same family at
+kt = k + sqrt(k^2 - 1/4). Every report, of a matrix, of a ``StandardForm``,
+of a sweep row or of ``ghk report``, and every single-measure function,
+goes through ``_form_report``, and ``_physical_spectrum`` decides whether
+a form is physical. A family sweep and a report of a given standard form
+need nothing else, so ``ghk sweep`` and ``ghk report`` of family or
+standard-form input run without loading numpy.
 
 Only ``math``, ``dataclasses``, the error types and the tolerance profiles
 are imported here. ``ghk.symplectic``, ``ghk.states`` and ``ghk.discord``
@@ -173,17 +176,22 @@ def _physical_spectrum(sf: StandardForm, tol: float) -> tuple[float, float]:
     raise NotPhysicalError("standard form is not a physical state")
 
 
-def _radical(kappa: float, tol: float) -> float:
-    """sqrt(kappa^2 - 1/4), with the pure-mode limit within ``tol`` of 1/2.
+def _radical(excess: float, tol: float) -> float:
+    """sqrt(kappa^2 - 1/4) of the eigenvalue kappa = 1/2 + ``excess``, with
+    the pure-mode limit within ``tol`` of 1/2.
 
     Within phys_tol of a pure mode the radical is set to zero, so that
     kappa_tilde = kappa + radical is kappa: the exact limit for genuinely
     pure modes, and the only stable choice since
-    d(sqrt(kappa^2 - 1/4))/d kappa diverges at 1/2.
+    d(sqrt(kappa^2 - 1/4))/d kappa diverges at 1/2. Above it the radicand
+    is taken as excess (excess + 1), which does not cancel near 1/2, as
+    kappa^2 - 1/4 would. The caller passes the excess (kappa - 1/2, exact
+    in floats, or a thermal occupancy as it is), since rounding it into
+    kappa first would be amplified by that slope too.
     """
-    if kappa - 0.5 < tol:
+    if excess < tol:
         return 0.0
-    return math.sqrt(max(kappa * kappa - 0.25, 0.0))
+    return math.sqrt(excess * (excess + 1.0))
 
 
 @dataclass(frozen=True)
@@ -206,25 +214,8 @@ class SymplecticInvariants:
 
 def _k_and_l(k1: float, k2: float, tol: float) -> tuple[float, float]:
     """The invariants K and L of the spectrum (k1, k2)."""
-    rad1, rad2 = _radical(k1, tol), _radical(k2, tol)
+    rad1, rad2 = _radical(k1 - 0.5, tol), _radical(k2 - 0.5, tol)
     return k1 * rad2 + k2 * rad1, 4.0 * k1 * k2 * (k1 + rad1) * (k2 + rad2)
-
-
-def _invariants(k1: float, k2: float, tol: float) -> SymplecticInvariants:
-    k, l = _k_and_l(k1, k2, tol)
-    gap1 = 0.0 if k1 - 0.5 < tol else k1 - 0.5
-    gap2 = 0.0 if k2 - 0.5 < tol else k2 - 0.5
-    m1 = gap1 * (k2 + 0.5)
-    m2 = (k1 + 0.5) * gap2
-    return SymplecticInvariants(
-        K=k,
-        L=l,
-        M1=m1,
-        M2=m2,
-        N1=(k1 + 0.5) * (k2 + 0.5),
-        N2=gap1 * gap2,
-        D=m1 * m2,
-    )
 
 
 def _sqrt_params(
@@ -332,12 +323,16 @@ def sts_standard_form(p: StsParams) -> StandardForm:
 
 def _sts_form(p: StsParams, tol: float) -> StandardForm:
     """``sts_standard_form`` checked against the phys_tol ``tol``."""
-    k1, k2 = p.nbar1 + 0.5, p.nbar2 + 0.5
-    ch, sh = math.cosh(p.r), math.sinh(p.r)
-    b1 = k1 * ch * ch + k2 * sh * sh
-    b2 = k2 * ch * ch + k1 * sh * sh
-    c = (k1 + k2) * ch * sh
+    b1, b2, c = _sts_entries(p.nbar1 + 0.5, p.nbar2 + 0.5, p.r)
     return _checked_form(tol, b1, b2, c, -c)
+
+
+def _sts_entries(k1: float, k2: float, r: float) -> tuple[float, float, float]:
+    """(b1, b2, c) of the squeezed thermal form (d = -c) of spectrum
+    (k1, k2) and squeeze r. Its gaps b1 b2 - c^2 = b1 b2 - d^2 are exactly
+    k1 k2."""
+    ch, sh = math.cosh(r), math.sinh(r)
+    return k1 * ch * ch + k2 * sh * sh, k2 * ch * ch + k1 * sh * sh, (k1 + k2) * ch * sh
 
 
 def mts_standard_form(p: MtsParams) -> StandardForm:
@@ -347,11 +342,18 @@ def mts_standard_form(p: MtsParams) -> StandardForm:
 
 def _mts_form(p: MtsParams, tol: float) -> StandardForm:
     """``mts_standard_form`` checked against the phys_tol ``tol``."""
-    co, si = math.cos(p.theta / 2.0), math.sin(p.theta / 2.0)
-    b1 = p.kappa1 * co * co + p.kappa2 * si * si
-    b2 = p.kappa2 * co * co + p.kappa1 * si * si
-    c = (p.kappa1 - p.kappa2) * co * si
+    b1, b2, c = _mts_entries(p.kappa1, p.kappa2, p.kappa1 - p.kappa2, p.theta)
     return _checked_form(tol, b1, b2, c, c)
+
+
+def _mts_entries(
+    k1: float, k2: float, split: float, theta: float
+) -> tuple[float, float, float]:
+    """(b1, b2, c) of the mode-mixed thermal form (d = c) of spectrum
+    (k1, k2) and co-latitude theta. ``split`` is k1 - k2, which the caller
+    forms; the gaps b1 b2 - c^2 = b1 b2 - d^2 are exactly k1 k2."""
+    co, si = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return k1 * co * co + k2 * si * si, k2 * co * co + k1 * si * si, split * co * si
 
 
 def entropic_h(x: float) -> float:
@@ -394,21 +396,24 @@ def _is_uncorrelated(sf: StandardForm) -> bool:
 
 
 def _affinity_and_discord(
-    b1: float, b2: float, c: float, d: float
+    b1: float, b2: float, c: float, d: float, gc: float, gd: float
 ) -> tuple[float, float]:
-    """(A*, 1 - A*) from the square-root standard form (b1, b2, c, d).
+    """(A*, 1 - A*) from the square-root standard form (b1, b2, c, d) and its
+    gaps gc = b1 b2 - c^2 and gd = b1 b2 - d^2.
 
-    With s = sqrt(b1 b2), rc = sqrt(b1 b2 - c^2), rd = sqrt(b1 b2 - d^2),
+    The one closed form of A* and the discord. A form reduced from a matrix
+    or given as a ``StandardForm`` passes the gaps it forms from its floats;
+    a family passes its exact gaps kt1 kt2, which no rounding of its
+    entries can cancel. With s = sqrt(b1 b2), rc = sqrt(gc), rd = sqrt(gd),
     x = c^2/(s + rc) = s - rc and y = d^2/(s + rd) = s - rd,
     A*^2 = 4 rc rd / ((s + rc)(s + rd)) and
     1 - A*^2 = (2 s (x + y) - 3 x y) / ((s + rc)(s + rd)) keeps its relative
     accuracy; 1 - A* = (1 - A*^2) / (1 + A*) is never formed as a
     difference, so a small discord keeps its relative accuracy too.
     """
-    bb = b1 * b2
-    s = math.sqrt(bb)
-    rc = math.sqrt(max(bb - c * c, 0.0))
-    rd = math.sqrt(max(bb - d * d, 0.0))
+    s = math.sqrt(b1 * b2)
+    rc = math.sqrt(max(gc, 0.0))
+    rd = math.sqrt(max(gd, 0.0))
     den = (s + rc) * (s + rd)
     x = min(c * c / (s + rc), s)
     y = min(d * d / (s + rd), s)
@@ -417,25 +422,15 @@ def _affinity_and_discord(
     return affinity, min(discord, 1.0)
 
 
-def _form_affinity_and_discord(
-    sf: StandardForm, tol: float, spectrum: tuple[float, float], uncorrelated: bool
-) -> tuple[float, float]:
-    """(A*, 1 - A*) of the physical standard form ``sf``; (1, 0) for a
-    product (``uncorrelated``, from ``_is_uncorrelated``)."""
-    if uncorrelated:
+def _form_affinity_and_discord(sf: StandardForm, tol: float) -> tuple[float, float]:
+    """(A*, 1 - A*) of the standard form ``sf`` after its physicality
+    decision; (1, 0) for a product (``_is_uncorrelated``)."""
+    spectrum = _physical_spectrum(sf, tol)
+    if _is_uncorrelated(sf):
         return 1.0, 0.0
-    return _affinity_and_discord(*_sqrt_params(sf, tol, spectrum)[:4])
-
-
-def _pt_spectrum(sf: StandardForm) -> tuple[float, float]:
-    """Spectrum of the partial transpose (d -> -d)."""
-    return _form_spectrum(sf.b1, sf.b2, sf.c, -sf.d)
-
-
-def _simon_separable(
-    sf: StandardForm, pt_spectrum: tuple[float, float], tol: float
-) -> bool:
-    return sf.d >= 0.0 or pt_spectrum[1] >= 0.5 - tol
+    b1, b2, c, d = _sqrt_params(sf, tol, spectrum)[:4]
+    bb = b1 * b2
+    return _affinity_and_discord(b1, b2, c, d, bb - c * c, bb - d * d)
 
 
 def _family_breach(sf: StandardForm) -> str | None:
@@ -448,42 +443,6 @@ def _family_breach(sf: StandardForm) -> str | None:
     if abs(sf.c - abs(sf.d)) > _FAMILY_RTOL * scale_c:
         return "closed form requires |d| = c cross-correlations"
     return None
-
-
-def _spectrum_entropies(
-    spectrum: tuple[float, float], tol: float
-) -> tuple[float, float]:
-    """(h(kappa1), h(kappa2)) of a physical spectrum."""
-    k1, k2 = spectrum
-    return _mode_entropy(k1, tol), _mode_entropy(max(k2, 0.5), tol)
-
-
-def _symmetric_measures(
-    sf: StandardForm, tol: float, entropies: tuple[float, float], uncorrelated: bool
-) -> tuple[float, float]:
-    """(entropic discord, classical correlations) of a form of the symmetric
-    |d| = c family (``_family_breach`` is None).
-
-    h(b) - h(k1) - h(k2) + h(y) and h(b) - h(y), with b = (b1 + b2)/2,
-    y = b - c^2/(b + 1/2) and ``entropies`` = (h(k1), h(k2)); (0, 0) for a
-    product (``uncorrelated``).
-    """
-    if uncorrelated:
-        return 0.0, 0.0
-    b, c = 0.5 * (sf.b1 + sf.b2), sf.c
-    h1, h2 = entropies
-    hb = entropic_h(b)
-    hy = _mode_entropy(b - c * c / (b + 0.5), tol)
-    return max(hb - h1 - h2 + hy, 0.0), max(hb - hy, 0.0)
-
-
-def _mutual_information(
-    sf: StandardForm, entropies: tuple[float, float], uncorrelated: bool
-) -> float:
-    if uncorrelated:
-        return 0.0
-    h1, h2 = entropies
-    return max(entropic_h(sf.b1) + entropic_h(sf.b2) - h1 - h2, 0.0)
 
 
 def _eof_symmetric(b: float, c: float) -> float:
@@ -527,35 +486,53 @@ def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
 
     The one report route: ``correlation_report`` of a matrix (on the form
     of its reduction, which took this decision and evaluated the spectrum)
-    or of a ``StandardForm``, a sweep row, and ``ghk report``. The scales,
-    which no measure depends on, are reported as 1. The spectrum, the
-    partial-transpose spectrum, the entropies of the spectrum and
-    ``_is_uncorrelated`` are evaluated once and shared by the measures;
-    the square-root form is taken as checked floats (``_sqrt_params``),
-    and the report is built without a second pass over its fields, as
-    ``_checked_form`` builds a form.
+    or of a ``StandardForm``, a sweep row, ``ghk report``, and the
+    single-measure functions of ``ghk.discord``, which return one field.
+    The scales, which no measure depends on, are reported as 1. The
+    spectrum, the partial-transpose spectrum, the entropies h(k1), h(k2) of
+    the spectrum and ``_is_uncorrelated`` are evaluated once and shared by
+    the measures; a product has every correlation exactly 0. The square-root
+    form is taken as checked floats (``_sqrt_params``), and the report is
+    built without a second pass over its fields, as ``_checked_form``
+    builds a form.
+
+    - separable (PPT): d >= 0, or the partial transpose (d -> -d) is
+      physical;
+    - mutual information: h(b1) + h(b2) - h(k1) - h(k2);
+    - in the symmetric |d| = c family (``_family_breach`` is None), the
+      entropic discord h(b) - h(k1) - h(k2) + h(y) and the classical
+      correlations h(b) - h(y), with b = (b1 + b2)/2 and
+      y = b - c^2/(b + 1/2), and for d <= 0 the EoF.
     """
     spectrum = _physical_spectrum(sf, tol)
     b1, b2, c, d = sf.b1, sf.b2, sf.c, sf.d
     if sf.s1 != 1.0 or sf.s2 != 1.0:
         sf = _checked_form(tol, b1, b2, c, d)
-    pt_spectrum = _pt_spectrum(sf)
-    separable = _simon_separable(sf, pt_spectrum, tol)
+    pt_spectrum = _form_spectrum(b1, b2, c, -d)
+    separable = d >= 0.0 or pt_spectrum[1] >= 0.5 - tol
     uncorrelated = _is_uncorrelated(sf)
-    entropies = _spectrum_entropies(spectrum, tol)
+    h1 = _mode_entropy(spectrum[0], tol)
+    h2 = _mode_entropy(max(spectrum[1], 0.5), tol)
     ent = cc = eof = None
     if _family_breach(sf) is None:
-        ent, cc = _symmetric_measures(sf, tol, entropies, uncorrelated)
+        ent = cc = 0.0
+        if not uncorrelated:
+            b = 0.5 * (b1 + b2)
+            hb = entropic_h(b)
+            hy = _mode_entropy(b - c * c / (b + 0.5), tol)
+            ent, cc = max(hb - h1 - h2 + hy, 0.0), max(hb - hy, 0.0)
         if d <= 0.0:
             eof = _eof_symmetric(0.5 * (b1 + b2), c)
     if eof is None and separable:
         eof = 0.0
+    discord = _form_affinity_and_discord(sf, tol)[1]
+    mutual = 0.0
+    if not uncorrelated:
+        mutual = max(entropic_h(b1) + entropic_h(b2) - h1 - h2, 0.0)
     report = object.__new__(CorrelationReport)
     vars(report).update(
-        hellinger_discord=_form_affinity_and_discord(
-            sf, tol, spectrum, uncorrelated
-        )[1],
-        mutual_information=_mutual_information(sf, entropies, uncorrelated),
+        hellinger_discord=discord,
+        mutual_information=mutual,
         separable=separable,
         symplectic_spectrum=spectrum,
         pt_spectrum=pt_spectrum,

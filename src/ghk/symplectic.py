@@ -36,7 +36,7 @@ from .errors import (
 from .forms import (
     StandardForm,
     SymplecticInvariants,
-    _invariants,
+    _k_and_l,
     _physical_spectrum,
     _radical,
     _sqrt_form,
@@ -324,7 +324,7 @@ def square_root_cm(V) -> CovarianceMatrix:
         raise NotPhysicalError(
             f"minimal symplectic eigenvalue {kappas[-1]:.6g} is below 1/2"
         )
-    kt = [k + _radical(k, tol) for k in kappas.tolist()]
+    kt = [k + _radical(k - 0.5, tol) for k in kappas.tolist()]
     vt = (s * np.repeat(kt, 2)[None, :]) @ s.T
     out = CovarianceMatrix(0.5 * (vt + vt.T))
     _check_sqrt_identity(cov.matrix, out.matrix)
@@ -504,9 +504,25 @@ def invariants_from_spectrum(kappas) -> SymplecticInvariants:
     Within phys_tol of a pure mode the factor (kappa - 1/2) is taken as
     exactly zero, matching the pure-mode limit used for the square-root
     spectrum; the factorization of K through the M and N products then
-    holds identically at the boundary.
+    holds identically at the boundary. No measure reads these invariants:
+    ``ghk.checks`` evaluates the paper's formulas from them.
     """
-    return _invariants(float(kappas[0]), float(kappas[1]), active_profile().phys_tol)
+    k1, k2 = float(kappas[0]), float(kappas[1])
+    tol = active_profile().phys_tol
+    k, l = _k_and_l(k1, k2, tol)
+    gap1 = 0.0 if k1 - 0.5 < tol else k1 - 0.5
+    gap2 = 0.0 if k2 - 0.5 < tol else k2 - 0.5
+    m1 = gap1 * (k2 + 0.5)
+    m2 = (k1 + 0.5) * gap2
+    return SymplecticInvariants(
+        K=k,
+        L=l,
+        M1=m1,
+        M2=m2,
+        N1=(k1 + 0.5) * (k2 + 0.5),
+        N2=gap1 * gap2,
+        D=m1 * m2,
+    )
 
 
 def square_root_standard_form(sf: StandardForm) -> StandardForm:

@@ -91,6 +91,24 @@ def test_pt_formula_on_the_squeezed_vacuum():
     assert checks.hellinger_discord_pt(1.7, 0.0, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("name", ["hellinger_discord_sts", "hellinger_discord_mts"])
+def test_family_xy_formulas(monkeypatch, name):
+    monkeypatch.setattr(checks, name, shifted(getattr(checks, name)))
+    assert_breach(checks.family_xy_formulas())
+
+
+def test_xy_formulas_on_known_values():
+    # equal occupancies: tanh^2 r; kappa = (2.5, 0.5) at theta = pi/2: 2 - sqrt 3
+    assert checks.hellinger_discord_x(ghk.StsParams(3.0, 3.0, 1.0)) == pytest.approx(
+        math.tanh(1.0) ** 2, rel=1e-12
+    )
+    assert checks.hellinger_discord_y(
+        ghk.MtsParams(2.5, 0.5, math.pi / 2)
+    ) == pytest.approx(2.0 - math.sqrt(3.0), rel=1e-12)
+    assert checks.hellinger_discord_x(ghk.StsParams(1.0, 2.0, 0.0)) == 0.0
+    assert checks.hellinger_discord_y(ghk.MtsParams(2.5, 0.5, 0.0)) == 0.0
+
+
 @pytest.mark.parametrize(
     "name", ["trace_of_sqrt", "affinity", "gaussian_overlap_trace"]
 )
@@ -237,6 +255,26 @@ class TestLayering:
             if any(module == "oracle" for module, _ in package_imports(path))
         }
         assert importers == {"checks.py", "__init__.py"}
+
+    def test_only_checks_reads_the_spectrum_invariants(self):
+        # the paper's invariant formulas are cross-checks, not a second route
+        namers = {
+            path.stem
+            for path in SRC.glob("*.py")
+            if "invariants_from_spectrum" in path.read_text(encoding="utf-8")
+        }
+        assert namers == {"symplectic", "checks", "__init__"}
+
+    def test_discord_imports_no_helper_of_the_report(self):
+        # each single-measure function is a field of the one report
+        folded = {
+            "_mutual_information",
+            "_pt_spectrum",
+            "_simon_separable",
+            "_spectrum_entropies",
+            "_symmetric_measures",
+        }
+        assert not folded & {name for _, name in package_imports(SRC / "discord.py")}
 
     def test_oracle_takes_only_product_state_params_from_discord(self):
         from_discord = [

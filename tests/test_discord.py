@@ -361,6 +361,68 @@ class TestMtsFormula:
             assert direct == pytest.approx(general, abs=1e-9)
 
 
+STS_GRID_NBAR = (0.0, 1e-6, 1e-3, 0.3, 1.0, 5.0, 20.0, 1e4, 1e8)
+STS_GRID_R = (1e-10, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
+MTS_GRID_KAPPA2 = (0.5, 0.5 + 1e-6, 0.5 + 1e-3, 0.8, 1.5, 10.0, 1e4)
+MTS_GRID_SPLIT = (1e-8, 1e-3, 0.5, 3.0, 100.0, 1e6)
+MTS_GRID_THETA = (1e-8, 1e-3, 0.3, math.pi / 2, 2.5, math.pi - 1e-6)
+
+
+def paper_discord(k1, k2, weight, sts):
+    """The paper's (Z - 1)/(sqrt(Z) + 1)^2 in mpmath, Z = X (``sts``) or Y.
+
+    Z - 1 = 2 weight (k1 k2 +/- 1/4 - sqrt(D)), D = (k1^2 - 1/4)(k2^2 - 1/4),
+    with the difference taken as (k1 +/- k2)^2 / (4 (k1 k2 +/- 1/4 + sqrt(D))),
+    which does not cancel.
+    """
+    quarter = mpmath.mpf(1) / 4 if sts else -mpmath.mpf(1) / 4
+    pair = k1 + k2 if sts else k1 - k2
+    root = mpmath.sqrt((k1 * k1 - 0.25) * (k2 * k2 - 0.25))
+    z_minus_1 = 2 * weight * pair**2 / (4 * (k1 * k2 + quarter + root))
+    return z_minus_1 / (mpmath.sqrt(1 + z_minus_1) + 1) ** 2
+
+
+class TestFamilyAccuracy:
+    """Both family discords against 50-digit mpmath on their float
+    parameters, from near-pure modes to nbar = 1e8 and kappa1 - kappa2 down
+    to 1e-8, where the discord falls to 1e-26."""
+
+    def test_squeezed_thermal(self):
+        worst = 0.0
+        with mpmath.workdps(50):
+            for nbar1 in STS_GRID_NBAR:
+                for nbar2 in STS_GRID_NBAR:
+                    for r in STS_GRID_R:
+                        value = hellinger_discord_sts(StsParams(nbar1, nbar2, r))
+                        exact = paper_discord(
+                            mpmath.mpf(nbar1) + 0.5,
+                            mpmath.mpf(nbar2) + 0.5,
+                            mpmath.sinh(2 * mpmath.mpf(r)) ** 2,
+                            sts=True,
+                        )
+                        assert value >= 0.0, (nbar1, nbar2, r)
+                        worst = max(worst, float(abs(value - exact) / exact))
+        assert worst <= 1e-14
+
+    def test_mode_mixed_thermal(self):
+        worst = 0.0
+        with mpmath.workdps(50):
+            for kappa2 in MTS_GRID_KAPPA2:
+                for split in MTS_GRID_SPLIT:
+                    for theta in MTS_GRID_THETA:
+                        kappa1 = kappa2 + split
+                        value = hellinger_discord_mts(MtsParams(kappa1, kappa2, theta))
+                        exact = paper_discord(
+                            mpmath.mpf(kappa1),
+                            mpmath.mpf(kappa2),
+                            mpmath.sin(mpmath.mpf(theta)) ** 2,
+                            sts=False,
+                        )
+                        assert value >= 0.0, (kappa1, kappa2, theta)
+                        worst = max(worst, float(abs(value - exact) / exact))
+        assert worst <= 1e-14
+
+
 class TestSimonSeparability:
     def test_mode_mixed_always_separable(self):
         rng = np.random.default_rng(32)
@@ -592,3 +654,12 @@ def test_product_state_params_reject_non_finite(field, bad):
     values[field] = bad
     with pytest.raises(InvalidParamsError):
         ProductStateParams(**values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_mean_is_rejected_when_the_params_are_built(bad):
+    mean = [bad, 0.0, 0.0, 0.0]
+    with pytest.raises(InvalidParamsError):
+        ProductStateParams(1.0, 0.7, 0.2, -0.3, mean=mean)
+    with pytest.raises(InvalidParamsError):
+        closest_product_state(tmsv_form(0.5).to_cm(), mean)

@@ -137,20 +137,25 @@ def test_report_fields_equal_the_public_functions():
         assert report.standard_form == sf
         # one report route: a matrix reports what its standard form reports
         assert correlation_report(sf) == report
-        assert report.hellinger_discord == hellinger_discord(cm)
-        assert report.mutual_information == mutual_information(cm)
-        assert report.separable == simon_separable(cm)
         assert report.symplectic_spectrum == sf.spectrum()
         assert report.pt_spectrum == sf.partial_transpose().spectrum()
+        # the single-measure functions take what the report takes
+        assert max_affinity(sf) == max_affinity(cm)
+        for state in (cm, sf):
+            assert report.hellinger_discord == hellinger_discord(state)
+            assert report.mutual_information == mutual_information(state)
+            assert report.separable == simon_separable(state)
+            if report.entropic_discord is None:
+                with pytest.raises(OutOfFamilyError):
+                    entropic_discord(state)
+                with pytest.raises(OutOfFamilyError):
+                    classical_correlations(state)
+            else:
+                assert report.entropic_discord == entropic_discord(state)
+                assert report.classical_correlations == classical_correlations(state)
         if report.entropic_discord is None:
-            with pytest.raises(OutOfFamilyError):
-                entropic_discord(cm)
-            with pytest.raises(OutOfFamilyError):
-                classical_correlations(cm)
             continue
         in_family += 1
-        assert report.entropic_discord == entropic_discord(cm)
-        assert report.classical_correlations == classical_correlations(cm)
         if sf.d <= 0.0:
             assert report.eof == entanglement_of_formation_symmetric(
                 0.5 * (sf.b1 + sf.b2), sf.c
