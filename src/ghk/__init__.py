@@ -40,7 +40,6 @@ from .forms import (
     MtsParams,
     StandardForm,
     StsParams,
-    SymplecticInvariants,
     entropic_h,
     mts_standard_form,
     sts_standard_form,
@@ -58,7 +57,9 @@ _LAZY = {
         "trace_of_sqrt",
     ),
     "checks": (
+        "SymplecticInvariants",
         "invariants",
+        "invariants_from_spectrum",
         "max_affinity_via_invariants",
         "stationarity_residual",
         "verify_phi_zero",
@@ -80,8 +81,8 @@ _LAZY = {
         "simon_separable",
     ),
     "oracle": (
-        "FockOracleConfig",
-        "OptimizerConfig",
+        "det2",
+        "det4",
         "fock_affinity_diagonal",
         "fock_product_trace_diagonal",
         "fock_sqrt_trace_diagonal",
@@ -104,9 +105,6 @@ _LAZY = {
     "symplectic": (
         "CovarianceMatrix",
         "as_covariance",
-        "det2",
-        "det4",
-        "invariants_from_spectrum",
         "is_physical",
         "reduce_to_standard_form",
         "square_root_cm",

@@ -7,6 +7,7 @@ records of ``suites``; the acceptance tests call the same checks.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,9 +21,10 @@ from .discord import (
     max_affinity,
 )
 from .errors import ConsistencyError, DimensionMismatchError, NotPhysicalError
-from .forms import _is_uncorrelated
+from .forms import _is_uncorrelated, _k_and_l
 from .oracle import (
-    OptimizerConfig,
+    det2,
+    det4,
     fock_affinity_diagonal,
     fock_product_trace_diagonal,
     fock_sqrt_trace_diagonal,
@@ -33,17 +35,14 @@ from .sampling import random_standard_form, random_symplectic
 from .states import GaussianState, MtsParams, StsParams, thermal_state
 from .symplectic import (
     StandardForm,
-    SymplecticInvariants,
     as_covariance,
-    det2,
-    det4,
-    invariants_from_spectrum,
     is_physical,
     square_root_cm,
     square_root_standard_form,
     standard_form,
     symplectic_eigenvalues,
 )
+from .tolerances import active_profile
 
 # Relative tolerance demanded from the two determinant routes to the
 # invariant D. A breach raises ConsistencyError: it indicates a numerically
@@ -52,6 +51,51 @@ DET_IDENTITY_RTOL = 1e-9
 
 # Mean occupancies of the thermal states the photon-number checks pair up.
 THERMAL_GRID = (0.0, 0.3, 1.0, 3.0, 10.0)
+
+
+@dataclass(frozen=True)
+class SymplecticInvariants:
+    """Spectrum-derived invariants of a physical two-mode state.
+
+    M1, M2, N1, N2 are the pairwise products (kappa_i +/- 1/2); K is the
+    mixed-radical invariant entering the square-root standard form; L is
+    4 sqrt(det V det Vt); D = det(V + i J / 2) = M1 M2 = N1 N2.
+    """
+
+    K: float
+    L: float
+    M1: float
+    M2: float
+    N1: float
+    N2: float
+    D: float
+
+
+def invariants_from_spectrum(kappas) -> SymplecticInvariants:
+    """Evaluate the invariants directly from a two-mode spectrum.
+
+    Within phys_tol of a pure mode the factor (kappa - 1/2) is taken as
+    exactly zero, matching the pure-mode limit used for the square-root
+    spectrum; the factorization of K through the M and N products then
+    holds identically at the boundary. No measure reads these invariants:
+    the cross-check routes below evaluate the paper's formulas from them.
+    """
+    k1, k2 = float(kappas[0]), float(kappas[1])
+    tol = active_profile().phys_tol
+    k, l = _k_and_l(k1, k2, tol)
+    gap1 = 0.0 if k1 - 0.5 < tol else k1 - 0.5
+    gap2 = 0.0 if k2 - 0.5 < tol else k2 - 0.5
+    m1 = gap1 * (k2 + 0.5)
+    m2 = (k1 + 0.5) * gap2
+    return SymplecticInvariants(
+        K=k,
+        L=l,
+        M1=m1,
+        M2=m2,
+        N1=(k1 + 0.5) * (k2 + 0.5),
+        N2=gap1 * gap2,
+        D=m1 * m2,
+    )
 
 
 def max_affinity_via_invariants(V) -> float:
@@ -195,16 +239,14 @@ def _fold_half_pi(phi: float) -> float:
     return x
 
 
-def verify_phi_zero(
-    V, cfg: OptimizerConfig | None = None, rng: np.random.Generator | None = None
-) -> bool:
+def verify_phi_zero(V, rng: np.random.Generator | None = None) -> bool:
     """Check that the brute-force optimum needs no squeeze rotation.
 
     True when both optimal angles fold to within 1e-3 of zero. Angles are
     meaningless where the optimal squeezing vanishes, so |r| < 1e-4 counts
     as zero.
     """
-    _, params = oracle_max_affinity(V, cfg, rng)
+    _, params = oracle_max_affinity(V, rng)
     for r, phi in ((params.r1, params.phi1), (params.r2, params.phi2)):
         if abs(r) < 1e-4:
             continue

@@ -256,6 +256,27 @@ def hellinger_discord_symmetric(b: float, c: float, d: float) -> float:
     return _form_affinity_and_discord(_checked_form(tol, b, b, c, d), tol)[1]
 
 
+def _family_discord(
+    b1: float, b2: float, c: float, d: float, kt1: float, kt2: float
+) -> float:
+    """The discord of a family's exact square root (b1, b2, c, d), whose
+    gaps are kt1 kt2; c >= 0 and kt1, kt2 <= b1 + b2.
+
+    From 2^510 on, the products of ``_affinity_and_discord`` (b1 b2, c^2 and
+    a denominator up to 4 max^2) would overflow. So the entries are scaled
+    by 2^-m and the gaps by 2^-2m, which is exact and leaves A* and the
+    discord unchanged, since they do not depend on a common scale; below
+    2^510 nothing is scaled. InvalidParamsError where an entry overflowed,
+    as ``sts_standard_form`` raises for the state's own form.
+    """
+    if not all(map(math.isfinite, (b1, b2, c, kt1, kt2))):
+        raise InvalidParamsError("the family's square-root form is not finite")
+    m = math.frexp(max(b1, b2, c, kt1, kt2))[1] - 510
+    if m > 0:
+        b1, b2, c, d, kt1, kt2 = (math.ldexp(x, -m) for x in (b1, b2, c, d, kt1, kt2))
+    return _affinity_and_discord(b1, b2, c, d, kt1 * kt2, kt1 * kt2)[1]
+
+
 def hellinger_discord_sts(p: StsParams) -> float:
     """Discord of a squeezed thermal state, directly from its parameters.
 
@@ -269,7 +290,7 @@ def hellinger_discord_sts(p: StsParams) -> float:
     k1, k2 = p.nbar1 + 0.5, p.nbar2 + 0.5
     kt1, kt2 = k1 + _radical(p.nbar1, tol), k2 + _radical(p.nbar2, tol)
     b1, b2, c = _sts_entries(kt1, kt2, p.r)
-    return _affinity_and_discord(b1, b2, c, -c, kt1 * kt2, kt1 * kt2)[1]
+    return _family_discord(b1, b2, c, -c, kt1, kt2)
 
 
 def hellinger_discord_mts(p: MtsParams) -> float:
@@ -288,8 +309,7 @@ def hellinger_discord_mts(p: MtsParams) -> float:
     else:
         split = (k1 - k2) * (1.0 + (k1 + k2) / (rho1 + rho2))
     b1, b2, c = _mts_entries(k1 + rho1, k2 + rho2, split, p.theta)
-    gap = (k1 + rho1) * (k2 + rho2)
-    return _affinity_and_discord(b1, b2, c, c, gap, gap)[1]
+    return _family_discord(b1, b2, c, c, k1 + rho1, k2 + rho2)
 
 
 def simon_separable(V) -> bool:
@@ -367,7 +387,9 @@ def correlation_report(V, mean=None) -> CorrelationReport:
     """
     if mean is not None:
         m = np.asarray(mean, dtype=float).reshape(-1)
-        if m.shape != (4,) or not np.all(np.isfinite(m)):
-            raise DimensionMismatchError("mean must be a finite 4-vector")
+        if m.shape != (4,):
+            raise DimensionMismatchError("mean must be a 4-vector")
+        if not np.all(np.isfinite(m)):
+            raise InvalidParamsError("mean vector must be finite")
     tol = active_profile().phys_tol
     return _form_report(V if isinstance(V, StandardForm) else standard_form(V), tol)

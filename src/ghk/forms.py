@@ -194,24 +194,6 @@ def _radical(excess: float, tol: float) -> float:
     return math.sqrt(excess * (excess + 1.0))
 
 
-@dataclass(frozen=True)
-class SymplecticInvariants:
-    """Spectrum-derived invariants of a physical two-mode state.
-
-    M1, M2, N1, N2 are the pairwise products (kappa_i +/- 1/2); K is the
-    mixed-radical invariant entering the square-root standard form; L is
-    4 sqrt(det V det Vt); D = det(V + i J / 2) = M1 M2 = N1 N2.
-    """
-
-    K: float
-    L: float
-    M1: float
-    M2: float
-    N1: float
-    N2: float
-    D: float
-
-
 def _k_and_l(k1: float, k2: float, tol: float) -> tuple[float, float]:
     """The invariants K and L of the spectrum (k1, k2)."""
     rad1, rad2 = _radical(k1 - 0.5, tol), _radical(k2 - 0.5, tol)
@@ -330,8 +312,11 @@ def _sts_form(p: StsParams, tol: float) -> StandardForm:
 def _sts_entries(k1: float, k2: float, r: float) -> tuple[float, float, float]:
     """(b1, b2, c) of the squeezed thermal form (d = -c) of spectrum
     (k1, k2) and squeeze r. Its gaps b1 b2 - c^2 = b1 b2 - d^2 are exactly
-    k1 k2."""
-    ch, sh = math.cosh(r), math.sinh(r)
+    k1 k2. InvalidParamsError where cosh r overflows."""
+    try:
+        ch, sh = math.cosh(r), math.sinh(r)
+    except OverflowError:
+        raise InvalidParamsError("squeeze parameter too large") from None
     return k1 * ch * ch + k2 * sh * sh, k2 * ch * ch + k1 * sh * sh, (k1 + k2) * ch * sh
 
 

@@ -11,84 +11,74 @@ check:
     into its basin, then a Newton polish on the analytic gradient and
     Hessian of the log of that integral, which stops on stationarity;
   * truncated photon-number sums for diagonal (thermal) states, with the
-    geometric tail certified below a configured bound before any
-    comparison is accepted.
+    geometric tail certified below a fixed bound before any comparison
+    is accepted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .discord import ProductStateParams
 from .errors import (
-    InvalidParamsError,
     NegativeOccupancyError,
     NotConvergedError,
     TruncationInsufficientError,
 )
-from .symplectic import det2, det4, square_root_cm, symplectic_eigenvalues
+from .symplectic import square_root_cm, symplectic_eigenvalues
 
 _ETA_EPS = 1e-12  # offset in the log transform keeping eta above 1/2
-_MAX_FOCK_CUTOFF = 2**14
-# Iteration budgets per start of the simplex phase, which only has to bring
-# each start into its basin, and of the Newton polish
+# The search: 32 starts per state, each drawn from the box
+# eta in [1/2, 10 max(kt1, kt2)] (which contains the closed-form optimum of
+# every family in scope) x r in [-5, 5] x phi in [-pi, pi]. A start runs
+# 60 simplex iterations, which only have to bring it into its basin, then
+# at most 30 Newton steps; the polish stops a start once its step is below
+# _XTOL in every coordinate of its chart or raises the log of the affinity
+# by less than _FTOL, and the two best starts must agree to 10 _FTOL.
+_STARTS = 32
+_R_BOUNDS = (-5.0, 5.0)
+_PHI_BOUNDS = (-math.pi, math.pi)
 _SIMPLEX_ITERS = 60
 _NEWTON_ITERS = 30
+_XTOL = 1e-8
+_FTOL = 1e-10
+# Photon-number sums start at _FOCK_TERMS terms and double, up to
+# _MAX_FOCK_CUTOFF, until the geometric tail is below _FOCK_TAIL.
+_FOCK_TERMS = 400
+_FOCK_TAIL = 1e-12
+_MAX_FOCK_CUTOFF = 2**14
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Multi-start product-state search settings.
+def det2(m) -> float:
+    """Determinant of a 2x2 matrix by the explicit cofactor formula."""
+    return float(m[0][0] * m[1][1] - m[0][1] * m[1][0])
 
-    The search runs over (eta1, eta2, r1, r2, phi1, phi2) of the candidate
-    product state's square root; eta is optimized through
-    t = log(eta - 1/2 + eps), so no phase can propose an unphysical value.
-    Each of the ``starts`` starts is drawn from the box eta_bounds x
-    r_bounds x phi_bounds; eta_bounds defaults to [1/2, 10 max(kt1, kt2)]
-    of the input state, which contains the closed-form optimum for every
-    family in scope.
 
-    * max_iters: the iteration budget of each start over both phases. The
-      simplex phase runs min(max_iters, 60) iterations, and the Newton
-      polish at most 30 of the iterations left.
-    * xtol: the polish stops a start once its Newton step is below xtol in
-      every coordinate of the smooth chart (t, sinh 2r cos phi,
-      sinh 2r sin phi).
-    * ftol: the polish also stops a start once a step raises the log of
-      the affinity by less than ftol; the best two starts must then agree
-      to 10 ftol in the affinity.
+def _det3(m) -> float:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def det4(m) -> float:
+    """Determinant of a 4x4 matrix by cofactor expansion (no LU pivoting).
+
+    Used instead of a factorization so that repeated runs and platforms
+    produce bit-identical values on the small matrices of this package.
     """
-
-    starts: int = 32
-    max_iters: int = 1000
-    xtol: float = 1e-8
-    ftol: float = 1e-10
-    eta_bounds: tuple[float, float] | None = None
-    r_bounds: tuple[float, float] = (-5.0, 5.0)
-    phi_bounds: tuple[float, float] = (-math.pi, math.pi)
-
-    def __post_init__(self) -> None:
-        if self.starts < 1 or self.max_iters < 1:
-            raise InvalidParamsError("starts and max_iters must be >= 1")
-        if self.xtol <= 0 or self.ftol <= 0:
-            raise InvalidParamsError("tolerances must be positive")
-
-
-@dataclass(frozen=True)
-class FockOracleConfig:
-    """Photon-number truncation settings for the diagonal-state oracle."""
-
-    truncation: int = 400
-    tail_bound: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.truncation < 1:
-            raise InvalidParamsError("truncation must be >= 1")
-        if not 0.0 < self.tail_bound < 1.0:
-            raise InvalidParamsError("tail bound must lie in (0, 1)")
+    m = np.asarray(m, dtype=float)
+    rows = m.tolist()
+    total = 0.0
+    sign = 1.0
+    for col in range(4):
+        minor = [[rows[r][cc] for cc in range(4) if cc != col] for r in (1, 2, 3)]
+        total += sign * rows[0][col] * _det3(minor)
+        sign = -sign
+    return float(total)
 
 
 def _make_negative_affinity(vt_in: np.ndarray):
@@ -324,16 +314,18 @@ def _newton_polish(terms, x, max_iters: int, xtol: float, ftol: float):
 
 
 def oracle_max_affinity(
-    V, cfg: OptimizerConfig | None = None, rng: np.random.Generator | None = None
+    V, rng: np.random.Generator | None = None
 ) -> tuple[float, ProductStateParams]:
     """Brute-force maximal product-state affinity of a zero-mean state.
 
-    Draws every start from the search box first, runs ``cfg.starts``
-    simplex searches from them in lockstep until each is in its basin,
-    then polishes the best vertex of every simplex by Newton steps on the
-    analytic derivatives of the Gaussian integral, and keeps the best
-    start (``OptimizerConfig`` gives the stopping rules). The two best
-    starts must agree to 10 ftol, otherwise NotConverged is raised.
+    The search runs over (eta1, eta2, r1, r2, phi1, phi2) of the candidate
+    product state's square root; eta is optimized through
+    t = log(eta - 1/2 + eps), so no phase can propose an unphysical value.
+    Draws all 32 starts from the search box first, runs 32 simplex searches
+    from them in lockstep until each is in its basin, then polishes the
+    best vertex of every simplex by Newton steps on the analytic
+    derivatives of the Gaussian integral, and keeps the best start. The
+    two best starts must agree to 1e-9, otherwise NotConverged is raised.
     Returns the best value and the optimal parameters in the same
     square-root parameterization used by ``closest_product_state``, with
     r >= 0 and phi in (-pi, pi]. An unphysical input is rejected by the
@@ -341,38 +333,31 @@ def oracle_max_affinity(
     test: NotPhysicalError below 1/2, NotPositiveDefiniteError where the
     matrix is not positive definite.
     """
-    cfg = cfg or OptimizerConfig()
     rng = rng or np.random.default_rng(0)
     vt_in = square_root_cm(V).matrix
-    if cfg.eta_bounds is None:
-        kt_max = float(np.max(symplectic_eigenvalues(vt_in)))
-        eta_lo, eta_hi = 0.5, 10.0 * kt_max
-    else:
-        eta_lo, eta_hi = cfg.eta_bounds
+    eta_hi = 10.0 * float(np.max(symplectic_eigenvalues(vt_in)))
     steps = [0.7, 0.7, 0.25, 0.25, 0.5, 0.5]
-    x0 = np.empty((cfg.starts, 6))
+    x0 = np.empty((_STARTS, 6))
     for row in x0:
-        etas = rng.uniform(max(eta_lo, 0.5), eta_hi, 2)
+        etas = rng.uniform(0.5, eta_hi, 2)
         row[:] = (
             math.log(etas[0] - 0.5 + _ETA_EPS),
             math.log(etas[1] - 0.5 + _ETA_EPS),
-            rng.uniform(*cfg.r_bounds),
-            rng.uniform(*cfg.r_bounds),
-            rng.uniform(*cfg.phi_bounds),
-            rng.uniform(*cfg.phi_bounds),
+            rng.uniform(*_R_BOUNDS),
+            rng.uniform(*_R_BOUNDS),
+            rng.uniform(*_PHI_BOUNDS),
+            rng.uniform(*_PHI_BOUNDS),
         )
-    simplex_iters = min(cfg.max_iters, _SIMPLEX_ITERS)
-    _, x = _nelder_mead(_make_negative_affinity(vt_in), x0, steps, simplex_iters)
+    _, x = _nelder_mead(_make_negative_affinity(vt_in), x0, steps, _SIMPLEX_ITERS)
     # each best vertex into the smooth chart (t, sinh 2r cos phi, sinh 2r sin phi)
     sinh = np.sinh(2.0 * x[:, 2:4])
     x[:, 2:4], x[:, 4:] = sinh * np.cos(x[:, 4:]), sinh * np.sin(x[:, 4:])
     g, x, _ = _newton_polish(
-        _make_log_affinity_terms(vt_in), x,
-        min(cfg.max_iters - simplex_iters, _NEWTON_ITERS), cfg.xtol, cfg.ftol,
+        _make_log_affinity_terms(vt_in), x, _NEWTON_ITERS, _XTOL, _FTOL
     )
     values = 4.0 * det4(vt_in) ** 0.25 * np.exp(g)
     order = np.argsort(-values, kind="stable")
-    if len(order) > 1 and values[order[0]] - values[order[1]] > 10.0 * cfg.ftol:
+    if values[order[0]] - values[order[1]] > 10.0 * _FTOL:
         raise NotConvergedError(
             "best two starts disagree: "
             f"{values[order[0]]:.12g} vs {values[order[1]]:.12g}"
@@ -389,80 +374,70 @@ def oracle_max_affinity(
     return float(values[order[0]]), params
 
 
-def _certified_cutoff(nbar: float, cfg: FockOracleConfig) -> int:
-    """Smallest admissible cutoff with geometric tail below the bound."""
+def _certified_cutoff(nbar: float, tail: float) -> int:
+    """Smallest admissible cutoff with geometric tail below ``tail``."""
     if nbar < 0:
         raise NegativeOccupancyError("mean occupancy must be >= 0")
     if nbar == 0:
-        return cfg.truncation
+        return _FOCK_TERMS
     log_ratio = math.log(nbar / (nbar + 1.0))
-    cutoff = cfg.truncation
-    while (cutoff + 1) * log_ratio > math.log(cfg.tail_bound):
+    cutoff = _FOCK_TERMS
+    while (cutoff + 1) * log_ratio > math.log(tail):
         cutoff *= 2
         if cutoff > _MAX_FOCK_CUTOFF:
             raise TruncationInsufficientError(
-                f"tail bound {cfg.tail_bound} not reachable below cutoff "
+                f"tail bound {tail} not reachable below cutoff "
                 f"{_MAX_FOCK_CUTOFF} for nbar = {nbar}"
             )
     return cutoff
 
 
-def fock_thermal_spectrum(nbar: float, cfg: FockOracleConfig | None = None) -> np.ndarray:
+def _geometric_spectrum(nbar: float, cutoff: int) -> np.ndarray:
+    """p_n = nbar^n / (nbar + 1)^(n+1) for n <= cutoff."""
+    n = np.arange(cutoff + 1)
+    return (1.0 / (nbar + 1.0)) * (nbar / (nbar + 1.0)) ** n
+
+
+def fock_thermal_spectrum(nbar: float) -> np.ndarray:
     """Photon-number probabilities p_n = nbar^n / (nbar + 1)^(n+1), n <= N.
 
-    N starts at cfg.truncation and doubles until the (exactly known)
-    geometric tail drops below cfg.tail_bound.
+    N starts at 400 and doubles until the (exactly known) geometric tail
+    drops below 1e-12.
     """
-    cfg = cfg or FockOracleConfig()
-    cutoff = _certified_cutoff(nbar, cfg)
-    n = np.arange(cutoff + 1)
-    ratio = nbar / (nbar + 1.0)
-    return (1.0 / (nbar + 1.0)) * ratio**n
+    return _geometric_spectrum(nbar, _certified_cutoff(nbar, _FOCK_TAIL))
 
 
-def _paired_spectra(nbar1, nbar2, cfg) -> tuple[np.ndarray, np.ndarray]:
-    cutoff = max(_certified_cutoff(nbar1, cfg), _certified_cutoff(nbar2, cfg))
-    n = np.arange(cutoff + 1)
-    p = (1.0 / (nbar1 + 1.0)) * (nbar1 / (nbar1 + 1.0)) ** n
-    q = (1.0 / (nbar2 + 1.0)) * (nbar2 / (nbar2 + 1.0)) ** n
-    return p, q
+def _paired_spectra(nbar1: float, nbar2: float) -> tuple[np.ndarray, np.ndarray]:
+    cutoff = max(
+        _certified_cutoff(nbar1, _FOCK_TAIL), _certified_cutoff(nbar2, _FOCK_TAIL)
+    )
+    return _geometric_spectrum(nbar1, cutoff), _geometric_spectrum(nbar2, cutoff)
 
 
-def fock_affinity_diagonal(
-    nbar1: float, nbar2: float, cfg: FockOracleConfig | None = None
-) -> float:
+def fock_affinity_diagonal(nbar1: float, nbar2: float) -> float:
     """Affinity of two thermal states from the spectral sum sum sqrt(p q).
 
     The truncation error is bounded by sqrt(tail_p tail_q) (Cauchy-Schwarz)
     and both factors are certified below the tail bound.
     """
-    cfg = cfg or FockOracleConfig()
-    p, q = _paired_spectra(nbar1, nbar2, cfg)
+    p, q = _paired_spectra(nbar1, nbar2)
     return float(np.sum(np.sqrt(p * q)))
 
 
-def fock_trace_distance_diagonal(
-    nbar1: float, nbar2: float, cfg: FockOracleConfig | None = None
-) -> float:
+def fock_trace_distance_diagonal(nbar1: float, nbar2: float) -> float:
     """Trace distance of two thermal states: sum |p_n - q_n| / 2."""
-    cfg = cfg or FockOracleConfig()
-    p, q = _paired_spectra(nbar1, nbar2, cfg)
+    p, q = _paired_spectra(nbar1, nbar2)
     return float(0.5 * np.sum(np.abs(p - q)))
 
 
-def fock_sqrt_trace_diagonal(nbar: float, cfg: FockOracleConfig | None = None) -> float:
+def fock_sqrt_trace_diagonal(nbar: float) -> float:
     """Tr sqrt(rho) of a thermal state from the spectral sum sum sqrt(p_n)."""
-    cfg = cfg or FockOracleConfig()
     # sqrt weakens the geometric decay: certify with the squared tail bound
-    strict = FockOracleConfig(cfg.truncation, cfg.tail_bound**2)
-    p = fock_thermal_spectrum(nbar, strict)
+    p = _geometric_spectrum(nbar, _certified_cutoff(nbar, _FOCK_TAIL**2))
     return float(np.sum(np.sqrt(p)))
 
 
-def fock_product_trace_diagonal(
-    nbar1: float, nbar2: float, cfg: FockOracleConfig | None = None
-) -> float:
+def fock_product_trace_diagonal(nbar1: float, nbar2: float) -> float:
     """Tr(rho1 rho2) of two thermal states from the spectral sum sum p q."""
-    cfg = cfg or FockOracleConfig()
-    p, q = _paired_spectra(nbar1, nbar2, cfg)
+    p, q = _paired_spectra(nbar1, nbar2)
     return float(np.sum(p * q))

@@ -35,8 +35,6 @@ from .errors import (
 )
 from .forms import (
     StandardForm,
-    SymplecticInvariants,
-    _k_and_l,
     _physical_spectrum,
     _radical,
     _sqrt_form,
@@ -71,36 +69,6 @@ def symplectic_form(n: int) -> np.ndarray:
 # The two-mode J, shared by every two-mode call.
 _J2 = symplectic_form(2)
 _J2.flags.writeable = False
-
-
-def det2(m) -> float:
-    """Determinant of a 2x2 matrix by the explicit cofactor formula."""
-    return float(m[0][0] * m[1][1] - m[0][1] * m[1][0])
-
-
-def _det3(m) -> float:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def det4(m) -> float:
-    """Determinant of a 4x4 matrix by cofactor expansion (no LU pivoting).
-
-    Used instead of a factorization so that repeated runs and platforms
-    produce bit-identical values on the small matrices of this package.
-    """
-    m = np.asarray(m, dtype=float)
-    rows = m.tolist()
-    total = 0.0
-    sign = 1.0
-    for col in range(4):
-        minor = [[rows[r][cc] for cc in range(4) if cc != col] for r in (1, 2, 3)]
-        total += sign * rows[0][col] * _det3(minor)
-        sign = -sign
-    return float(total)
 
 
 @dataclass(frozen=True)
@@ -496,33 +464,6 @@ def reduce_to_standard_form(V) -> tuple[StandardForm, np.ndarray]:
     """
     sf, rows = _framed_reduction(V)
     return sf, np.array(rows)
-
-
-def invariants_from_spectrum(kappas) -> SymplecticInvariants:
-    """Evaluate the invariants directly from a two-mode spectrum.
-
-    Within phys_tol of a pure mode the factor (kappa - 1/2) is taken as
-    exactly zero, matching the pure-mode limit used for the square-root
-    spectrum; the factorization of K through the M and N products then
-    holds identically at the boundary. No measure reads these invariants:
-    ``ghk.checks`` evaluates the paper's formulas from them.
-    """
-    k1, k2 = float(kappas[0]), float(kappas[1])
-    tol = active_profile().phys_tol
-    k, l = _k_and_l(k1, k2, tol)
-    gap1 = 0.0 if k1 - 0.5 < tol else k1 - 0.5
-    gap2 = 0.0 if k2 - 0.5 < tol else k2 - 0.5
-    m1 = gap1 * (k2 + 0.5)
-    m2 = (k1 + 0.5) * gap2
-    return SymplecticInvariants(
-        K=k,
-        L=l,
-        M1=m1,
-        M2=m2,
-        N1=(k1 + 0.5) * (k2 + 0.5),
-        N2=gap1 * gap2,
-        D=m1 * m2,
-    )
 
 
 def square_root_standard_form(sf: StandardForm) -> StandardForm:

@@ -263,7 +263,23 @@ class TestLayering:
             for path in SRC.glob("*.py")
             if "invariants_from_spectrum" in path.read_text(encoding="utf-8")
         }
-        assert namers == {"symplectic", "checks", "__init__"}
+        assert namers == {"checks", "__init__"}
+
+    @pytest.mark.parametrize(
+        "home, names",
+        [
+            ("checks.py", {"SymplecticInvariants", "invariants_from_spectrum"}),
+            ("oracle.py", {"det2", "_det3", "det4"}),
+        ],
+    )
+    def test_verification_only_helpers_live_with_their_readers(self, home, names):
+        # only checks reads the invariants; only oracle and checks (which
+        # imports oracle) read the determinants
+        definers = {
+            path.name for path in SRC.glob("*.py") if names & top_level_definitions(path)
+        }
+        assert definers == {home}
+        assert names <= top_level_definitions(SRC / home)
 
     def test_discord_imports_no_helper_of_the_report(self):
         # each single-measure function is a field of the one report

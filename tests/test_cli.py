@@ -556,6 +556,69 @@ class TestVerify:
         assert "FAIL" in out
         assert "standard form" in out
 
+    def test_an_oracle_that_does_not_converge_exits_1(self, capsys, monkeypatch):
+        def stalled(seed, trials):
+            raise NotConvergedError("best two starts disagree: 0.45 vs 0.36")
+            yield
+
+        monkeypatch.setattr(ghk.checks, "suites", stalled)
+        code, _, err = run_cli(capsys, "verify", "--trials", "1")
+        assert code == 1
+        assert err.startswith("verification error: best two starts disagree")
+
+
+SWEEP_STS = ("sweep", "--sts", "nbar1=1", "nbar2=1", "--sweep-param", "r")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # key=value tokens and family keys
+        ("report", "--sts", "nbar1"),
+        ("report", "--sts", "nbar1=one"),
+        ("report", "--sts", "kappa1=1"),
+        ("report", "--mts", "kappa2=1", "theta=1"),
+        # the symmetric family: b, then c or b2c2, then d or dsign
+        ("sweep", "--symmetric", "c=1", "dsign=-1", "--sweep-param", "d", "--range", "0:1:2"),
+        ("sweep", "--symmetric", "b=2", "dsign=-1", "--sweep-param", "d", "--range", "0:1:2"),
+        ("sweep", "--symmetric", "c=1", "--sweep-param", "b", "--range", "2:3:2"),
+        # --std-form and --matrix text
+        ("report", "--std-form", "1,1,0"),
+        ("report", "--std-form", "1,1,zero,0"),
+        ("report", "--std-form", "1e200,1e200,0,0,1e200,1"),
+        ("report", "--matrix", '{"input": '),
+        ("report", "--matrix", "1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 x"),
+        ("report", "--matrix", "1 0 0 0; 0 1 0 0; 0 0 1 0"),
+        ("report", "--matrix", "1 0 0 0 0; 1 0 0 0; 0 1 0 0; 1 0 0"),
+        # the sweep's family flag, grid and columns
+        ("sweep", "--sweep-param", "r", "--range", "0:1:2"),
+        ("sweep", "--sts", "nbar1=1", "--range", "0:1:2"),
+        SWEEP_STS,
+        SWEEP_STS + ("--range", "0:1"),
+        SWEEP_STS + ("--range", "0:1:two"),
+        SWEEP_STS + ("--range", "0:1:1"),
+        SWEEP_STS + ("--range", "0:1:2", "--outputs", "hellinger_discord,bogus"),
+    ],
+)
+def test_input_errors_exit_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_symmetric_rows_with_direct_d_and_an_unreachable_b2c2(capsys):
+    # b2c2 = 5 asks for c^2 = b^2 - 5 < 0: that row is flagged, not fatal
+    code, out, _ = run_cli(
+        capsys, "sweep", "--symmetric", "b=2", "d=0", "--sweep-param", "b2c2",
+        "--range", "2:5:2", "--outputs", "hellinger_discord",
+    )
+    assert code == 0
+    rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["2", "true"], ["5", "false"]]
+    assert float(rows[0][2]) > 0.0 and rows[1][2] == ""
+
 
 def run_fresh(code: str) -> str:
     """Standard output of ``code`` run in a fresh interpreter on this package."""

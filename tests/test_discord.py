@@ -181,6 +181,23 @@ class TestClosestProductState:
         with pytest.raises(DimensionMismatchError, match="two modes"):
             closest_product_state(thermal_state([1.0, 2.0, 3.0]).cm, bad_mean)
 
+    @pytest.mark.parametrize(
+        "mean, error",
+        [
+            ([math.nan, 0.0, 0.0, 0.0], InvalidParamsError),
+            ([0.0, 0.0, -math.inf, 0.0], InvalidParamsError),
+            ([0.0, 0.0, 0.0], DimensionMismatchError),
+        ],
+    )
+    def test_every_mean_taker_raises_one_error_per_defect(self, mean, error):
+        # a non-finite mean is an invalid value, a wrong length a wrong shape
+        cm = tmsv_form(0.5).to_cm()
+        for call in (correlation_report, closest_product_state):
+            with pytest.raises(error, match="mean"):
+                call(cm, mean)
+        with pytest.raises(error, match="mean"):
+            GaussianState(mean, cm)
+
 
 class TestStationarity:
     def test_residual_small_on_random_states(self):
@@ -421,6 +438,35 @@ class TestFamilyAccuracy:
                         assert value >= 0.0, (kappa1, kappa2, theta)
                         worst = max(worst, float(abs(value - exact) / exact))
         assert worst <= 1e-14
+
+    @pytest.mark.parametrize("nbar, r", [(1e8, 170.0), (0.0, 180.0)])
+    def test_squeezed_thermal_past_the_square_overflow(self, nbar, r):
+        # b1 b2 of the square root overflows here: the entries are scaled
+        value = hellinger_discord_sts(StsParams(nbar, nbar, r))
+        with mpmath.workdps(50):
+            k = mpmath.mpf(nbar) + 0.5
+            exact = paper_discord(k, k, mpmath.sinh(2 * mpmath.mpf(r)) ** 2, sts=True)
+        assert float(abs(value - exact) / exact) <= 1e-14
+
+    def test_mode_mixed_past_the_square_overflow(self):
+        kappa1, kappa2, theta = 1e154, 0.6, math.pi / 2
+        value = hellinger_discord_mts(MtsParams(kappa1, kappa2, theta))
+        with mpmath.workdps(50):
+            exact = paper_discord(
+                mpmath.mpf(kappa1),
+                mpmath.mpf(kappa2),
+                mpmath.sin(mpmath.mpf(theta)) ** 2,
+                sts=False,
+            )
+        assert float(abs(value - exact) / exact) <= 1e-14
+
+    @pytest.mark.parametrize("r", [400.0, 800.0])
+    def test_an_overflowing_square_root_form_raises(self, r):
+        # cosh(r)^2 overflows at r = 400, cosh(r) itself at r = 800
+        with pytest.raises(InvalidParamsError):
+            hellinger_discord_sts(StsParams(0.0, 0.0, r))
+        with pytest.raises(InvalidParamsError):
+            sts_standard_form(StsParams(0.0, 0.0, r))
 
 
 class TestSimonSeparability:

@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from ghk import (
-    FockOracleConfig,
-    InvalidParamsError,
     MtsParams,
     NotConvergedError,
     NotPhysicalError,
     NotPositiveDefiniteError,
-    OptimizerConfig,
     StandardForm,
     StsParams,
     TruncationInsufficientError,
@@ -25,6 +22,7 @@ from ghk import (
     random_standard_form,
     square_root_cm,
     sts_standard_form,
+    symplectic_eigenvalues,
     verify_phi_zero,
 )
 from ghk import oracle as oracle_module
@@ -35,9 +33,6 @@ def tmsv_form(r):
     b = 0.5 * math.cosh(2 * r)
     c = 0.5 * math.sinh(2 * r)
     return StandardForm(b, b, c, -c)
-
-
-FAST = OptimizerConfig(starts=8)
 
 
 def scalar_nelder_mead(fn, x0, steps, max_iters):
@@ -152,7 +147,7 @@ class TestNelderMead:
 class TestOracleMaxAffinity:
     def test_product_input(self):
         value, params = oracle_max_affinity(
-            np.diag([1.5, 1.5, 0.7, 0.7]), FAST, np.random.default_rng(1)
+            np.diag([1.5, 1.5, 0.7, 0.7]), np.random.default_rng(1)
         )
         assert value == pytest.approx(1.0, abs=1e-9)
         kt1 = 1.5 + math.sqrt(2.0)
@@ -163,13 +158,13 @@ class TestOracleMaxAffinity:
 
     def test_symmetric_mode_mixed(self):
         cm = StandardForm(1.5, 1.5, 1.0, 1.0).to_cm()
-        value, params = oracle_max_affinity(cm, FAST, np.random.default_rng(2))
+        value, params = oracle_max_affinity(cm, np.random.default_rng(2))
         assert value == pytest.approx(2.0 / (math.sqrt(3.0) + 1.0), abs=1e-7)
         assert abs(params.r1) < 1e-4 and abs(params.r2) < 1e-4
 
     def test_two_mode_squeezed_vacuum(self):
         cm = tmsv_form(0.8).to_cm()
-        value, params = oracle_max_affinity(cm, FAST, np.random.default_rng(3))
+        value, params = oracle_max_affinity(cm, np.random.default_rng(3))
         assert value == pytest.approx(1.0 / math.cosh(0.8) ** 2, abs=1e-7)
         assert params.eta1 == pytest.approx(0.5, abs=1e-4)
         assert params.eta2 == pytest.approx(0.5, abs=1e-4)
@@ -180,7 +175,7 @@ class TestOracleMaxAffinity:
             sf = random_standard_form(rng)
             cm = sf.to_cm()
             closed = max_affinity(cm)
-            value, params = oracle_max_affinity(cm, FAST, rng)
+            value, params = oracle_max_affinity(cm, rng)
             assert value <= closed + 1e-7
             assert value >= closed - 1e-5
             # optimal eta product equals the sqrt-spectrum product
@@ -192,15 +187,17 @@ class TestOracleMaxAffinity:
     def test_unphysical_input_is_rejected_by_the_williamson_route(self):
         # square_root_cm decides, not the closed-form physicality check
         with pytest.raises(NotPhysicalError):
-            oracle_max_affinity(0.4 * np.eye(4), FAST)
+            oracle_max_affinity(0.4 * np.eye(4))
         with pytest.raises(NotPositiveDefiniteError):
-            oracle_max_affinity(np.diag([1.0, 1.0, 1.0, -1.0]), FAST)
+            oracle_max_affinity(np.diag([1.0, 1.0, 1.0, -1.0]))
 
-    def test_disagreeing_starts_raise(self):
-        # one simplex step per start leaves the best two starts far apart
+    def test_disagreeing_starts_raise(self, monkeypatch):
+        # one simplex step and no polish leave the best two starts far apart
+        monkeypatch.setattr(oracle_module, "_SIMPLEX_ITERS", 1)
+        monkeypatch.setattr(oracle_module, "_NEWTON_ITERS", 0)
         cm = StandardForm(2.0, 1.5, 1.0, -0.5).to_cm()
-        with pytest.raises(NotConvergedError):
-            oracle_max_affinity(cm, OptimizerConfig(starts=4, max_iters=1))
+        with pytest.raises(NotConvergedError, match="best two starts disagree"):
+            oracle_max_affinity(cm)
 
     def test_rng_draws_two_etas_then_four_coordinates_per_start(self, monkeypatch):
         seen = []
@@ -210,29 +207,27 @@ class TestOracleMaxAffinity:
             return _nelder_mead(fn, x0, *args)
 
         monkeypatch.setattr(oracle_module, "_nelder_mead", recording)
-        cfg = OptimizerConfig(starts=5, max_iters=20, eta_bounds=(0.6, 4.0))
         cm = StandardForm(2.0, 1.5, 1.0, -0.5).to_cm()
         rng = np.random.default_rng(13)
-        try:
-            oracle_max_affinity(cm, cfg, rng)
-        except NotConvergedError:
-            pass  # the draws, not the search, are under test
+        oracle_max_affinity(cm, rng)
+        # the box: eta in [1/2, 10 max(kt)], r in [-5, 5], phi in [-pi, pi]
+        eta_hi = 10.0 * max(symplectic_eigenvalues(square_root_cm(cm).matrix))
         twin = np.random.default_rng(13)
         expected = []
-        for _ in range(cfg.starts):
-            etas = twin.uniform(0.6, 4.0, 2)
+        for _ in range(32):
+            etas = twin.uniform(0.5, eta_hi, 2)
             expected.append(
                 [math.log(eta - 0.5 + oracle_module._ETA_EPS) for eta in etas]
-                + [twin.uniform(*cfg.r_bounds) for _ in range(2)]
-                + [twin.uniform(*cfg.phi_bounds) for _ in range(2)]
+                + [twin.uniform(-5.0, 5.0) for _ in range(2)]
+                + [twin.uniform(-math.pi, math.pi) for _ in range(2)]
             )
         assert seen[0].tolist() == expected
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_deterministic_given_rng(self):
         cm = sts_standard_form(StsParams(1.0, 2.0, 0.7)).to_cm()
-        a, _ = oracle_max_affinity(cm, FAST, np.random.default_rng(7))
-        b, _ = oracle_max_affinity(cm, FAST, np.random.default_rng(7))
+        a, _ = oracle_max_affinity(cm, np.random.default_rng(7))
+        b, _ = oracle_max_affinity(cm, np.random.default_rng(7))
         assert a == b
 
 
@@ -285,7 +280,7 @@ class TestNewtonPolish:
 
         monkeypatch.setattr(oracle_module, "_newton_polish", recording)
         cm = tmsv_form(1.3).to_cm()
-        value, params = oracle_max_affinity(cm, FAST, np.random.default_rng(6))
+        value, params = oracle_max_affinity(cm, np.random.default_rng(6))
         assert runs[0] < oracle_module._NEWTON_ITERS
         assert value == pytest.approx(1.0 / math.cosh(1.3) ** 2, abs=1e-9)
         assert params.eta1 == pytest.approx(0.5, abs=1e-4)
@@ -295,20 +290,20 @@ class TestNewtonPolish:
 class TestVerifyPhiZero:
     def test_squeezed_thermal(self):
         cm = sts_standard_form(StsParams(0.5, 1.5, 0.9)).to_cm()
-        assert verify_phi_zero(cm, FAST, np.random.default_rng(8))
+        assert verify_phi_zero(cm, np.random.default_rng(8))
 
     def test_mode_mixed(self):
         cm = mts_standard_form(MtsParams(2.0, 0.7, 1.1)).to_cm()
-        assert verify_phi_zero(cm, FAST, np.random.default_rng(9))
+        assert verify_phi_zero(cm, np.random.default_rng(9))
 
     def test_product_vacuously_true(self):
         assert verify_phi_zero(
-            np.diag([1.2, 1.2, 0.8, 0.8]), FAST, np.random.default_rng(10)
+            np.diag([1.2, 1.2, 0.8, 0.8]), np.random.default_rng(10)
         )
 
     def test_generic_asymmetric_state(self):
         cm = StandardForm(2.0, 1.2, 0.8, -0.3).to_cm()
-        assert verify_phi_zero(cm, FAST, np.random.default_rng(11))
+        assert verify_phi_zero(cm, np.random.default_rng(11))
 
 
 class TestFockThermalSpectrum:
@@ -322,23 +317,24 @@ class TestFockThermalSpectrum:
         np.testing.assert_allclose(p[:4], [0.5, 0.25, 0.125, 0.0625], rtol=1e-14)
 
     def test_tail_certified(self):
-        cfg = FockOracleConfig(truncation=400, tail_bound=1e-30)
-        p = fock_thermal_spectrum(5.0, cfg)
+        p = fock_thermal_spectrum(5.0)
+        assert len(p) == 401
         tail = (5.0 / 6.0) ** len(p)
-        assert tail < 1e-30
+        assert tail < 1e-12
         # analytic tail certified; the sum check is limited by float addition
         assert np.sum(p) == pytest.approx(1.0, abs=1e-13)
 
     def test_truncation_escalates(self):
-        cfg = FockOracleConfig(truncation=4, tail_bound=1e-12)
-        p = fock_thermal_spectrum(10.0, cfg)
-        assert len(p) > 5
+        # (ratio)^401 is above 1e-12 at nbar = 50; 1 601 terms take it below
+        p = fock_thermal_spectrum(50.0)
+        assert len(p) == 1601
+        assert (50.0 / 51.0) ** len(p) < 1e-12
         assert np.sum(p) == pytest.approx(1.0, abs=1e-11)
 
     def test_truncation_insufficient(self):
-        cfg = FockOracleConfig(truncation=4, tail_bound=1e-300)
+        # the tail at nbar = 1 000 needs more than 2^14 terms
         with pytest.raises(TruncationInsufficientError):
-            fock_thermal_spectrum(50.0, cfg)
+            fock_thermal_spectrum(1000.0)
 
     def test_rejects_negative(self):
         from ghk import NegativeOccupancyError
@@ -376,14 +372,3 @@ class TestFockTraceDistance:
         t = fock_trace_distance_diagonal(1.0, 2.0)
         assert 1.0 - a <= t <= math.sqrt(1.0 - a * a)
 
-
-class TestConfigs:
-    def test_bad_optimizer_config(self):
-        with pytest.raises(InvalidParamsError):
-            OptimizerConfig(starts=0)
-
-    def test_bad_fock_config(self):
-        with pytest.raises(InvalidParamsError):
-            FockOracleConfig(truncation=0)
-        with pytest.raises(InvalidParamsError):
-            FockOracleConfig(tail_bound=2.0)

@@ -10,10 +10,10 @@ import ghk
 
 EXPORTS = """
     ClosestProduct ConsistencyError CorrelationReport CovarianceMatrix
-    DegenerateBlocksError DimensionMismatchError FockOracleConfig GaussianState
+    DegenerateBlocksError DimensionMismatchError GaussianState
     GhkError InvalidParamsError MtsParams NegativeOccupancyError
     NonSymmetricError NotConvergedError NotPhysicalError
-    NotPositiveDefiniteError OptimizerConfig OutOfFamilyError OverlapResult
+    NotPositiveDefiniteError OutOfFamilyError OverlapResult
     ParseError ProductStateParams SingularSumError StandardForm StsParams
     SymplecticInvariants ToleranceProfile TruncationInsufficientError
     active_profile affinity affinity_from_sqrt_cms as_covariance checks
@@ -41,7 +41,6 @@ MOVED_TO_FORMS = {
     "MtsParams": "states",
     "StandardForm": "symplectic",
     "StsParams": "states",
-    "SymplecticInvariants": "symplectic",
     "entropic_h": "states",
     "mts_standard_form": "states",
     "sts_standard_form": "states",

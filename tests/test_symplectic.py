@@ -20,6 +20,8 @@ from ghk import (
     affinity,
     closest_product_state,
     correlation_report,
+    det2,
+    det4,
     invariants,
     invariants_from_spectrum,
     is_physical,
@@ -37,7 +39,6 @@ from ghk import (
     williamson,
 )
 from ghk.states import StsParams, sts_standard_form, sts_state
-from ghk.symplectic import det2, det4
 from ghk.tolerances import ENV_VAR, PROFILES
 
 
