@@ -337,17 +337,14 @@ def oracle_max_affinity(
     vt_in = square_root_cm(V).matrix
     eta_hi = 10.0 * float(np.max(symplectic_eigenvalues(vt_in)))
     steps = [0.7, 0.7, 0.25, 0.25, 0.5, 0.5]
-    x0 = np.empty((_STARTS, 6))
-    for row in x0:
-        etas = rng.uniform(0.5, eta_hi, 2)
-        row[:] = (
-            math.log(etas[0] - 0.5 + _ETA_EPS),
-            math.log(etas[1] - 0.5 + _ETA_EPS),
-            rng.uniform(*_R_BOUNDS),
-            rng.uniform(*_R_BOUNDS),
-            rng.uniform(*_PHI_BOUNDS),
-            rng.uniform(*_PHI_BOUNDS),
-        )
+    # one draw, row by row: (eta1, eta2, r1, r2, phi1, phi2) per start; the
+    # etas' logs by math.log, which np.log does not match in every last bit
+    low, high = zip(
+        (0.5, eta_hi), (0.5, eta_hi), _R_BOUNDS, _R_BOUNDS, _PHI_BOUNDS, _PHI_BOUNDS
+    )
+    x0 = rng.uniform(low, high, (_STARTS, 6))
+    etas = (x0[:, :2] - 0.5 + _ETA_EPS).ravel().tolist()
+    x0[:, :2] = np.reshape(list(map(math.log, etas)), (_STARTS, 2))
     _, x = _nelder_mead(_make_negative_affinity(vt_in), x0, steps, _SIMPLEX_ITERS)
     # each best vertex into the smooth chart (t, sinh 2r cos phi, sinh 2r sin phi)
     sinh = np.sinh(2.0 * x[:, 2:4])

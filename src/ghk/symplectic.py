@@ -190,6 +190,81 @@ def _certified_positive_definite(entries: list[float]) -> bool:
     return d3 > 0.0 and d1 / a11 * (d2 / a22) * (d3 / a33) >= _PD_DET_MIN
 
 
+# The J V check of a 4x4 matrix is skipped only where floats prove that it
+# accepts. kappa2^2 = 2 D / (Delta + sqrt(Delta^2 - 4 D)), with D = det V and
+# Delta = det A + det B + 2 det C, rises with D and falls with Delta, so a
+# lower bound D_lo and an upper bound Delta_hi give a lower bound kappa_lo.
+# Each expansion has at most 9 roundings along any path, so its float value
+# is within gamma_9 of the same expansion in absolute values (Higham,
+# Accuracy and Stability of Numerical Algorithms, Sec. 3.1);
+# _EXPANSION_ROUNDING also covers the rounding of the bound itself. With
+# V = S D S^T, J V = S^-T (J D) S^T is similar to the normal J D, so by
+# Bauer-Fike every eigenvalue that dgeev computes, exact for J V + E with
+# ||E|| <= P u ||V||, lies within r = P u ||V|| ||S||^2 of some +/- i kappa_j,
+# and ||S||^2 <= lambda_max(V) / kappa2 <= ||V||_F / kappa_lo. Where
+# r < kappa_lo no disk meets the real axis, so dgeev returns two exact
+# conjugate pairs: their magnitudes pair exactly and the smallest is at least
+# kappa_lo - r. _DGEEV_BACKWARD is a generous P for n = 4 (LAPACK Users'
+# Guide, Sec. 4.8), and _KAPPA_ULPS covers the rounding of kappa_lo and of
+# the eigenvalue magnitudes; the derivation is in CHANGES.md.
+_UNIT_ROUNDOFF = 2.0**-53
+_EXPANSION_ROUNDING = 32 * _UNIT_ROUNDOFF
+_DGEEV_BACKWARD = 1000.0
+_KAPPA_ULPS = 16 * _UNIT_ROUNDOFF
+
+
+def _eigvals_certified(
+    entries: list[float], det_v: float, p: float, tol: float
+) -> bool:
+    """True when ``_jv_spectrum`` of the positive-definite 4x4 matrix of
+    row-major ``entries`` provably returns a smallest kappa of at least
+    1/2 - ``tol`` without raising; ``det_v`` and ``p`` = det C are its
+    determinants as ``_reduce`` evaluates them.
+
+    False means "not certified": the J V check may still accept.
+    """
+    a00, a01, c00, c01, _, a11, c10, c11, _, _, b00, b01, _, _, _, b11 = map(
+        abs, entries
+    )
+    x0, x1 = c00 * b11 + c01 * b01, c10 * b11 + c11 * b01
+    y0, y1 = c01 * b00 + c00 * b01, c11 * b00 + c10 * b01
+    p_abs = c00 * c11 + c01 * c10
+    det_abs = (
+        (a00 * a11 + a01 * a01) * (b00 * b11 + b01 * b01)
+        + p_abs * p_abs
+        + (
+            c00 * (a11 * x0 + a01 * x1)
+            + c01 * (a11 * y0 + a01 * y1)
+            + c10 * (a00 * x1 + a01 * x0)
+            + c11 * (a00 * y1 + a01 * y0)
+        )
+    )
+    d_lo = det_v - _EXPANSION_ROUNDING * det_abs
+    delta_hi = (
+        (a00 * a11 - a01 * a01)
+        + (b00 * b11 - b01 * b01)
+        + 2.0 * p
+        + _EXPANSION_ROUNDING
+        * (a00 * a11 + a01 * a01 + b00 * b11 + b01 * b01 + 2.0 * p_abs)
+    )
+    square = delta_hi * delta_hi
+    # an upper bound on Delta_hi^2 - 4 D_lo despite its cancellation
+    disc = square - 4.0 * d_lo + 8.0 * _UNIT_ROUNDOFF * square
+    if not (d_lo > 0.0 and disc >= 0.0):
+        return False
+    kappa_lo = math.sqrt(2.0 * d_lo / (delta_hi + math.sqrt(disc)))
+    slack = kappa_lo * (1.0 - _KAPPA_ULPS) - (0.5 - tol)
+    frobenius2 = (
+        a00 * a00 + a11 * a11 + b00 * b00 + b11 * b11
+        + 2.0 * (a01 * a01 + b01 * b01 + c00 * c00 + c01 * c01 + c10 * c10 + c11 * c11)
+    )
+    # r <= slack, that is P u ||V||_F^2 / kappa_lo <= slack, which also
+    # gives r < kappa_lo
+    return slack > 0.0 and _DGEEV_BACKWARD * _UNIT_ROUNDOFF * frobenius2 <= (
+        kappa_lo * slack
+    )
+
+
 def _spectrum(matrix: np.ndarray) -> list[float]:
     """``_jv_spectrum`` of a validated covariance matrix, after a positive
     definiteness check that raises NotPositiveDefiniteError. A 4x4 matrix
@@ -234,8 +309,10 @@ def is_physical(V) -> bool:
     """True iff every symplectic eigenvalue is >= 1/2 (within tolerance).
 
     A two-mode matrix must pass the reduction's decision (``_reduce``), as
-    for every measure: the ``symplectic_eigenvalues`` and the closed-form
-    spectrum of its reduced form must both reach 1/2 - phys_tol.
+    for every measure: the closed-form spectrum of its reduced form and the
+    J V spectrum of ``symplectic_eigenvalues`` must both reach
+    1/2 - phys_tol. ``eigvals(J V)`` runs only where a float certificate
+    does not already prove that it would accept.
     """
     cov = as_covariance(V)
     try:
@@ -336,7 +413,10 @@ def _reduce(V) -> tuple[StandardForm, tuple[float, ...]]:
     spectrum of the reduced form must pass ``_physical_spectrum``, and the
     J V spectrum, with its pair check, must reach 1/2 - phys_tol too; the
     form's own checks follow. Neither spectrum is accurate to phys_tol on a
-    strongly squeezed matrix, so both must accept. The form keeps its
+    strongly squeezed matrix, so both must accept. ``eigvals(J V)`` runs
+    only where ``_eigvals_certified`` does not already prove, from the
+    floats of det V and of the invariant Delta, that it would accept, so
+    the decision is the J V check's on every input. The form keeps its
     spectrum. Returns the form and the parts
     (n00, n01, n11, o00, o01, o11, e, f, g, h) of its local frame; see
     ``reduce_to_standard_form``.
@@ -396,7 +476,10 @@ def _reduce(V) -> tuple[StandardForm, tuple[float, ...]]:
             "no real cross-correlation parameters reproduce the invariants"
         )
     _physical_spectrum(sf, tol)
-    if _jv_spectrum(matrix)[-1] < 0.5 - tol:
+    if (
+        not _eigvals_certified(entries, det_v, p, tol)
+        and _jv_spectrum(matrix)[-1] < 0.5 - tol
+    ):
         raise NotPhysicalError("covariance matrix is not a physical state")
     sf._validate(tol)
     return sf, (n00, n01, n11, o00, o01, o11, e, f, g, h)
@@ -417,7 +500,9 @@ def standard_form(V) -> StandardForm:
 
     This is the reduction of ``reduce_to_standard_form``, with the same
     guards and one read of the tolerance profile, without building the
-    frame.
+    frame. Physicality is decided on the closed-form spectrum of the form
+    and on the J V spectrum; ``eigvals(J V)`` runs only where a float
+    certificate does not already prove that it would accept.
     """
     return _reduce(V)[0]
 
@@ -460,7 +545,9 @@ def reduce_to_standard_form(V) -> tuple[StandardForm, np.ndarray]:
     the tolerance profile, and only S is built as an array. The guards
     are those of ``standard_form``: validation, the Cholesky check, the
     discriminant guard, and the one physicality decision, on the
-    closed-form spectrum of the reduced form and on the J V spectrum.
+    closed-form spectrum of the reduced form and on the J V spectrum, whose
+    ``eigvals`` runs only where a float certificate does not already prove
+    that it would accept.
     """
     sf, rows = _framed_reduction(V)
     return sf, np.array(rows)

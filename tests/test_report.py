@@ -34,6 +34,8 @@ from ghk import (
     symplectic_eigenvalues,
 )
 from ghk.cli import _MEASURES, _sweep_row
+from ghk.errors import GhkError
+from ghk.tolerances import ENV_VAR, PROFILES
 
 
 def local_frame(rng) -> np.ndarray:
@@ -311,21 +313,108 @@ def linalg_calls(monkeypatch):
 
 
 class TestHotPath:
-    """A well-conditioned matrix is checked positive definite in floats;
-    only the J V pair check calls numpy's linear algebra."""
+    """A well-conditioned matrix is checked positive definite and physical
+    in Python floats, with no call of numpy's linear algebra; a matrix
+    whose physicality the floats cannot prove runs eigvals(J V) once."""
+
+    CALLS = (correlation_report, closest_product_state, standard_form, is_physical)
 
     def test_matrix(self, linalg_calls):
         rng = np.random.default_rng(15)
         for _ in range(8):
             cm = in_frame(random_standard_form(rng), local_frame(rng))
-            for call in (
-                correlation_report, closest_product_state, standard_form, is_physical
-            ):
+            for call in self.CALLS:
                 linalg_calls.update(cholesky=0, eigvals=0)
                 call(cm)
-                assert linalg_calls == {"cholesky": 0, "eigvals": 1}
+                assert linalg_calls == {"cholesky": 0, "eigvals": 0}
+
+    # a pure state, and a state 1e-10 above the bound, whose kappa2 the
+    # certificate cannot bound within phys_tol of 1/2
+    @pytest.mark.parametrize(
+        "params", [StsParams(0.0, 0.0, 1.3), StsParams(1e-10, 1e-10, 0.7)]
+    )
+    def test_uncertified_matrix_runs_eigvals_once(self, linalg_calls, params):
+        cm = in_frame(sts_standard_form(params), local_frame(np.random.default_rng(15)))
+        for call in self.CALLS:
+            linalg_calls.update(cholesky=0, eigvals=0)
+            call(cm)
+            assert linalg_calls == {"cholesky": 0, "eigvals": 1}
 
     def test_standard_form(self, linalg_calls):
         for sf in family_forms():
             correlation_report(sf)
         assert linalg_calls == {"cholesky": 0, "eigvals": 0}
+
+
+def near_boundary_matrices() -> list[np.ndarray]:
+    """Matrices at and around kappa2 = 1/2 where the float certificate and
+    eigvals(J V) could part: framed pure and nearly pure squeezed states,
+    random states with kappa2 within 1e-3 of 1/2 on both sides, squeezed
+    thermal states up to r = 12, and ZERO_GAP_STATE."""
+    rng = np.random.default_rng(16)
+    out = [np.array(ZERO_GAP_STATE)]
+    for r in (0.3, 1.3, 3.0, 4.5, 5.0, 6.0, 7.0, 9.7):
+        sf = sts_standard_form(StsParams(0.0, 0.0, r))
+        out += [in_frame(sf, local_frame(rng)).matrix for _ in range(6)]
+    for nbar in np.logspace(-12.0, -4.0, 9).tolist():
+        for r in (0.0, 0.5, 2.0):
+            sf = sts_standard_form(StsParams(nbar, nbar, r))
+            out.append(in_frame(sf, local_frame(rng)).matrix)
+    for gap in np.logspace(-12.0, -3.0, 10).tolist():
+        for kappa2 in (0.5 + gap, 0.5 - gap):
+            kappa1 = kappa2 + rng.uniform(0.0, 3.0)
+            s = random_symplectic(2, rng)
+            m = s @ np.diag([kappa1, kappa1, kappa2, kappa2]) @ s.T
+            out.append(0.5 * (m + m.T))
+    for r in np.linspace(0.5, 12.0, 12).tolist():
+        nbar1, nbar2 = rng.uniform(0.0, 3.0, 2).tolist()
+        sf = sts_standard_form(StsParams(nbar1, nbar2, r))
+        out += [sf.to_cm().matrix, in_frame(sf, local_frame(rng)).matrix]
+    return out
+
+
+class TestEigvalsCertificate:
+    """The float certificate only skips eigvals(J V) where the J V check
+    would accept: every decision, exception and output bit is the one of
+    the J V check alone."""
+
+    @staticmethod
+    def outcomes(matrices) -> list:
+        out = []
+        for m in matrices:
+            for call in (ghk.symplectic._reduce, is_physical, correlation_report):
+                try:
+                    out.append(repr(call(m)))
+                except GhkError as exc:
+                    out.append(type(exc))
+        return out
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_same_outcome_as_the_eigvals_check_alone(self, monkeypatch, profile):
+        monkeypatch.setenv(ENV_VAR, profile)
+        matrices = near_boundary_matrices()
+        certified = self.outcomes(matrices)
+        monkeypatch.setattr(ghk.symplectic, "_eigvals_certified", lambda *_: False)
+        assert self.outcomes(matrices) == certified
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_certifies_only_what_eigvals_accepts(self, monkeypatch, profile):
+        monkeypatch.setenv(ENV_VAR, profile)
+        original = ghk.symplectic._eigvals_certified
+        seen = []
+
+        def recording(entries, det_v, p, tol):
+            seen.append((entries, tol, original(entries, det_v, p, tol)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(ghk.symplectic, "_eigvals_certified", recording)
+        for m in near_boundary_matrices():
+            try:
+                standard_form(m)
+            except GhkError:
+                pass
+        assert {ok for *_, ok in seen} == {True, False}
+        for entries, tol, ok in seen:
+            if ok:
+                matrix = np.array(entries).reshape(4, 4)
+                assert ghk.symplectic._jv_spectrum(matrix)[-1] >= 0.5 - tol
