@@ -379,8 +379,9 @@ def correlation_report(V, mean=None) -> CorrelationReport:
     a ``StandardForm``, which is used as it is. Both go through the one
     report route of ``ghk.forms``: physicality is decided once, on the
     closed-form spectrum of the form (for a matrix, by the reduction, which
-    also checks its J V spectrum), its scales, which no measure depends
-    on, are reported as 1, and every field is evaluated from that one form,
+    first decides the matrix itself: a float certificate, else an exact
+    decision on integers), its scales, which no measure depends on, are
+    reported as 1, and every field is evaluated from that one form,
     so the report of a matrix equals the report of its standard form. The
     measures are displacement-invariant; the mean, if given, is only
     validated.

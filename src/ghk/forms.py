@@ -187,10 +187,14 @@ def _radical(excess: float, tol: float) -> float:
     is taken as excess (excess + 1), which does not cancel near 1/2, as
     kappa^2 - 1/4 would. The caller passes the excess (kappa - 1/2, exact
     in floats, or a thermal occupancy as it is), since rounding it into
-    kappa first would be amplified by that slope too.
+    kappa first would be amplified by that slope too. Above 1e150 the
+    product would overflow, and the radicand's two factors are rooted
+    apart.
     """
     if excess < tol:
         return 0.0
+    if excess > 1e150:
+        return math.sqrt(excess) * math.sqrt(excess + 1.0)
     return math.sqrt(excess * (excess + 1.0))
 
 

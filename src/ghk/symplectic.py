@@ -12,7 +12,10 @@ Conventions used throughout the package:
 ``StandardForm``, its spectrum and the square-root standard form are float
 closed forms of ``ghk.forms``; this module re-exports them and adds the
 matrix routes: validation, spectra, Williamson and the reduction to
-standard form.
+standard form. A two-mode matrix is decided physical without numpy's linear
+algebra: a float certificate on its determinants accepts where its rounding
+bounds prove acceptance, every other matrix is decided exactly on integers,
+and the closed-form gate of its reduced form follows.
 """
 
 from __future__ import annotations
@@ -151,130 +154,141 @@ def _cholesky_or_raise(matrix: np.ndarray) -> np.ndarray:
         ) from None
 
 
-# The float Cholesky of a 4x4 matrix decides positive definiteness alone
-# only when its diagonal is at least _PD_DIAG_MIN, away from underflow, and
-# the product of its pivots over the product of the diagonal,
-# det H for H = D^-1/2 V D^-1/2, D = diag(V), is at least _PD_DET_MIN. H has
-# unit diagonal, so lambda_max(H) <= 4 and lambda_min(H) >= det H / 64
-# >= 1.5e-13, while the float factor's backward error moves lambda_min(H)
-# by at most 4 gamma_5 = 2.2e-15 (Higham, Accuracy and Stability of
-# Numerical Algorithms, Thm 10.3); then V is positive definite and, as
-# lambda_min(H) > n gamma_(n+1) / (1 - n gamma_(n+1)) = 2.2e-15, LAPACK's
-# Cholesky succeeds on it too (Thm 10.7). Every other matrix is decided by
-# np.linalg.cholesky, so the decision is LAPACK's on every input.
-_PD_DET_MIN = 1e-11
-_PD_DIAG_MIN = 1e-150
-
-
-def _certified_positive_definite(entries: list[float]) -> bool:
-    """True when the float Cholesky certifies the 4x4 matrix of row-major
-    ``entries`` positive definite with the margin above.
-
-    False means "not certified": the matrix may still be positive definite.
-    """
-    a00, _, _, _, a10, a11, _, _, a20, a21, a22, _, a30, a31, a32, a33 = entries
-    if not min(a00, a11, a22, a33) >= _PD_DIAG_MIN:
-        return False
-    r0 = math.sqrt(a00)
-    l10, l20, l30 = a10 / r0, a20 / r0, a30 / r0
-    d1 = a11 - l10 * l10
-    if not d1 > 0.0:
-        return False
-    r1 = math.sqrt(d1)
-    l21, l31 = (a21 - l20 * l10) / r1, (a31 - l30 * l10) / r1
-    d2 = a22 - l20 * l20 - l21 * l21
-    if not d2 > 0.0:
-        return False
-    l32 = (a32 - l30 * l20 - l31 * l21) / math.sqrt(d2)
-    d3 = a33 - l30 * l30 - l31 * l31 - l32 * l32
-    return d3 > 0.0 and d1 / a11 * (d2 / a22) * (d3 / a33) >= _PD_DET_MIN
-
-
-# The J V check of a 4x4 matrix is skipped only where floats prove that it
-# accepts. kappa2^2 = 2 D / (Delta + sqrt(Delta^2 - 4 D)), with D = det V and
-# Delta = det A + det B + 2 det C, rises with D and falls with Delta, so a
-# lower bound D_lo and an upper bound Delta_hi give a lower bound kappa_lo.
-# Each expansion has at most 9 roundings along any path, so its float value
-# is within gamma_9 of the same expansion in absolute values (Higham,
+# Physicality of a 4x4 matrix is decided on its ten distinct entries
+# (a00, a01, a11, b00, b01, b11, c00, c01, c10, c11), V = [[A, C], [C^T, B]],
+# which _TWO_MODE_ENTRIES picks from its row-major entries:
+# V is positive definite iff its leading minors a00, det A, the 3x3 minor and
+# det V are positive (Sylvester), and then kappa2 >= t iff
+# t^4 - Delta t^2 + det V >= 0 and 2 t^2 <= Delta, with
+# Delta = det A + det B + 2 det C: kappa1^2 and kappa2^2 are the roots of
+# x^2 - Delta x + det V (Serafini, Illuminati and De Siena, J. Phys. B 37,
+# L21, 2004). Floats decide where their rounding bounds prove acceptance;
+# every other matrix is decided exactly on integers (the derivation is in
+# CHANGES.md). Each float expansion has at most 9 roundings along any path,
+# so it is within gamma_9 of the same expansion in absolute values (Higham,
 # Accuracy and Stability of Numerical Algorithms, Sec. 3.1);
-# _EXPANSION_ROUNDING also covers the rounding of the bound itself. With
-# V = S D S^T, J V = S^-T (J D) S^T is similar to the normal J D, so by
-# Bauer-Fike every eigenvalue that dgeev computes, exact for J V + E with
-# ||E|| <= P u ||V||, lies within r = P u ||V|| ||S||^2 of some +/- i kappa_j,
-# and ||S||^2 <= lambda_max(V) / kappa2 <= ||V||_F / kappa_lo. Where
-# r < kappa_lo no disk meets the real axis, so dgeev returns two exact
-# conjugate pairs: their magnitudes pair exactly and the smallest is at least
-# kappa_lo - r. _DGEEV_BACKWARD is a generous P for n = 4 (LAPACK Users'
-# Guide, Sec. 4.8), and _KAPPA_ULPS covers the rounding of kappa_lo and of
-# the eigenvalue magnitudes; the derivation is in CHANGES.md.
+# _EXPANSION_ROUNDING also covers the rounding of the bounds themselves,
+# and _KAPPA_ULPS the rounding of the kappa2 bound. With every nonzero
+# |entry| at least _FLOAT_FLOOR, each product of the expansions in absolute
+# values is 0 or a normal float, so a product of a float expansion that
+# underflows is off by at most u times its counterpart there; an overflow
+# gives inf or NaN, which no test below accepts.
+_TWO_MODE_ENTRIES = itemgetter(0, 1, 5, 10, 11, 15, 2, 3, 6, 7)
 _UNIT_ROUNDOFF = 2.0**-53
 _EXPANSION_ROUNDING = 32 * _UNIT_ROUNDOFF
-_DGEEV_BACKWARD = 1000.0
 _KAPPA_ULPS = 16 * _UNIT_ROUNDOFF
+_FLOAT_FLOOR = 2.0**-200
 
 
-def _eigvals_certified(
-    entries: list[float], det_v: float, p: float, tol: float
-) -> bool:
-    """True when ``_jv_spectrum`` of the positive-definite 4x4 matrix of
-    row-major ``entries`` provably returns a smallest kappa of at least
-    1/2 - ``tol`` without raising; ``det_v`` and ``p`` = det C are its
-    determinants as ``_reduce`` evaluates them.
+def _determinants(a00, a01, a11, b00, b01, b11, c00, c01, c10, c11):
+    """(det A, det B, det C, the leading 3x3 minor, det V) of the two-mode
+    matrix with these entries, by one expansion, exact on Python ints.
 
-    False means "not certified": the J V check may still accept.
+    det V = det A det B + det(C)^2 - tr(adj(A) C adj(B) C^T), and the 3x3
+    minor is b00 det A - u^T adj(A) u for u = (c00, c10), both through
+    X = adj(A) C.
     """
-    a00, a01, c00, c01, _, a11, c10, c11, _, _, b00, b01, _, _, _, b11 = map(
-        abs, entries
+    det_a = a00 * a11 - a01 * a01
+    det_b = b00 * b11 - b01 * b01
+    det_c = c00 * c11 - c01 * c10
+    x00, x01 = a11 * c00 - a01 * c10, a11 * c01 - a01 * c11
+    x10, x11 = a00 * c10 - a01 * c00, a00 * c11 - a01 * c01
+    minor = b00 * det_a - (c00 * x00 + c10 * x10)
+    det_v = det_a * det_b + det_c * det_c - (
+        c00 * (x00 * b11 - x01 * b01)
+        + c01 * (x01 * b00 - x00 * b01)
+        + c10 * (x10 * b11 - x11 * b01)
+        + c11 * (x11 * b00 - x10 * b01)
     )
-    x0, x1 = c00 * b11 + c01 * b01, c10 * b11 + c11 * b01
-    y0, y1 = c01 * b00 + c00 * b01, c11 * b00 + c10 * b01
-    p_abs = c00 * c11 + c01 * c10
-    det_abs = (
-        (a00 * a11 + a01 * a01) * (b00 * b11 + b01 * b01)
-        + p_abs * p_abs
-        + (
-            c00 * (a11 * x0 + a01 * x1)
-            + c01 * (a11 * y0 + a01 * y1)
-            + c10 * (a00 * x1 + a01 * x0)
-            + c11 * (a00 * y1 + a01 * y0)
-        )
+    return det_a, det_b, det_c, minor, det_v
+
+
+def _certified_physical(entries: tuple[float, ...], dets: tuple, tol: float) -> bool:
+    """True when floats prove that the two-mode matrix of ``entries`` is
+    positive definite with kappa2 >= 1/2 - ``tol``; ``dets`` is
+    ``_determinants(*entries)``.
+
+    Subtracting 32u times the expansion in absolute values from each
+    determinant gives lower bounds on the leading minors and on det V, and
+    adding it an upper bound on Delta. kappa2^2 =
+    2 det V / (Delta + sqrt(Delta^2 - 4 det V)) rises with det V and falls
+    with Delta, which gives a lower bound on kappa2. False means "not
+    certified": the matrix may still be physical.
+    """
+    absolute = tuple(map(abs, entries))
+    if not min(filter(None, absolute), default=0.0) >= _FLOAT_FLOOR:
+        return False
+    a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = absolute
+    # _determinants with every subtraction turned into an addition
+    abs_a, abs_b = a00 * a11 + a01 * a01, b00 * b11 + b01 * b01
+    abs_c = c00 * c11 + c01 * c10
+    x00, x01 = a11 * c00 + a01 * c10, a11 * c01 + a01 * c11
+    x10, x11 = a00 * c10 + a01 * c00, a00 * c11 + a01 * c01
+    abs_minor = b00 * abs_a + (c00 * x00 + c10 * x10)
+    abs_v = abs_a * abs_b + abs_c * abs_c + (
+        c00 * (x00 * b11 + x01 * b01)
+        + c01 * (x01 * b00 + x00 * b01)
+        + c10 * (x10 * b11 + x11 * b01)
+        + c11 * (x11 * b00 + x10 * b01)
     )
-    d_lo = det_v - _EXPANSION_ROUNDING * det_abs
-    delta_hi = (
-        (a00 * a11 - a01 * a01)
-        + (b00 * b11 - b01 * b01)
-        + 2.0 * p
-        + _EXPANSION_ROUNDING
-        * (a00 * a11 + a01 * a01 + b00 * b11 + b01 * b01 + 2.0 * p_abs)
+    det_a, det_b, det_c, minor, det_v = dets
+    d_lo = det_v - _EXPANSION_ROUNDING * abs_v
+    delta_hi = det_a + det_b + 2.0 * det_c + _EXPANSION_ROUNDING * (
+        abs_a + abs_b + 2.0 * abs_c
     )
     square = delta_hi * delta_hi
     # an upper bound on Delta_hi^2 - 4 D_lo despite its cancellation
     disc = square - 4.0 * d_lo + 8.0 * _UNIT_ROUNDOFF * square
-    if not (d_lo > 0.0 and disc >= 0.0):
+    if not (
+        entries[0] > 0.0
+        and det_a > _EXPANSION_ROUNDING * abs_a
+        and minor > _EXPANSION_ROUNDING * abs_minor
+        and d_lo > 0.0
+        and disc >= 0.0
+    ):
         return False
     kappa_lo = math.sqrt(2.0 * d_lo / (delta_hi + math.sqrt(disc)))
-    slack = kappa_lo * (1.0 - _KAPPA_ULPS) - (0.5 - tol)
-    frobenius2 = (
-        a00 * a00 + a11 * a11 + b00 * b00 + b11 * b11
-        + 2.0 * (a01 * a01 + b01 * b01 + c00 * c00 + c01 * c01 + c10 * c10 + c11 * c11)
-    )
-    # r <= slack, that is P u ||V||_F^2 / kappa_lo <= slack, which also
-    # gives r < kappa_lo
-    return slack > 0.0 and _DGEEV_BACKWARD * _UNIT_ROUNDOFF * frobenius2 <= (
-        kappa_lo * slack
-    )
+    return kappa_lo * (1.0 - _KAPPA_ULPS) >= 0.5 - tol
+
+
+def _exactly_physical(entries: tuple[float, ...], tol: float) -> tuple | None:
+    """``_determinants`` of the two-mode matrix of ``entries``, each
+    correctly rounded, when it is positive definite with kappa2 >= t =
+    1/2 - ``tol`` (the float t), else None; decided exactly.
+
+    The entries are scaled by their common power of two into Python ints,
+    which scales each determinant by a power of it and keeps its sign, and
+    t enters as its exact ratio num / den. The float expansion, which the
+    rounded determinants replace, may cancel to 0 where no certificate holds.
+    """
+    ratios = [x.as_integer_ratio() for x in entries]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    dets = _determinants(*ints)
+    det_a, det_b, det_c, minor, det_v = dets
+    if not (ints[0] > 0 and det_a > 0 and minor > 0 and det_v > 0):
+        return None
+    num, den = (0.5 - tol).as_integer_ratio()
+    # t^2 and Delta, both times (scale den)^2
+    t2 = (num * scale) ** 2
+    delta = (det_a + det_b + 2 * det_c) * den * den
+    if not (t2 * t2 - delta * t2 + det_v * den**4 >= 0 and 2 * t2 <= delta):
+        return None
+    return tuple(_quotient(det, scale**k) for det, k in zip(dets, (2, 2, 2, 3, 4)))
+
+
+def _quotient(num: int, den: int) -> float:
+    """num / den correctly rounded, or +/-inf beyond the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _spectrum(matrix: np.ndarray) -> list[float]:
-    """``_jv_spectrum`` of a validated covariance matrix, after a positive
-    definiteness check that raises NotPositiveDefiniteError. A 4x4 matrix
-    is first checked by ``_certified_positive_definite``; the matrices it
-    does not certify, and every larger one, go to np.linalg.cholesky, so
-    the decision is the same as LAPACK's.
-    """
-    n = matrix.shape[0] // 2
-    if n != 2 or not _certified_positive_definite(matrix.ravel().tolist()):
-        _cholesky_or_raise(matrix)
+    """``_jv_spectrum`` of a validated covariance matrix, after LAPACK's
+    Cholesky check, which raises NotPositiveDefiniteError."""
+    _cholesky_or_raise(matrix)
     return _jv_spectrum(matrix)
 
 
@@ -309,10 +323,11 @@ def is_physical(V) -> bool:
     """True iff every symplectic eigenvalue is >= 1/2 (within tolerance).
 
     A two-mode matrix must pass the reduction's decision (``_reduce``), as
-    for every measure: the closed-form spectrum of its reduced form and the
-    J V spectrum of ``symplectic_eigenvalues`` must both reach
-    1/2 - phys_tol. ``eigvals(J V)`` runs only where a float certificate
-    does not already prove that it would accept.
+    for every measure: positive definiteness and kappa2 >= 1/2 - phys_tol
+    of the float matrix, proved by the float certificate or else decided
+    exactly, then the closed-form gate on its reduced form. Larger matrices
+    are decided on LAPACK's Cholesky and the J V spectrum of
+    ``symplectic_eigenvalues``.
     """
     cov = as_covariance(V)
     try:
@@ -387,14 +402,17 @@ def _check_sqrt_identity(v: np.ndarray, vt: np.ndarray) -> None:
         )
 
 
-def _unit_root(x00: float, x01: float, x11: float) -> tuple[float, float, float, float]:
-    """(b, n00, n01, n11) for a positive-definite block X = [[x00, x01], [x01, x11]].
+def _unit_root(
+    x00: float, x01: float, x11: float, det: float
+) -> tuple[float, float, float, float]:
+    """(b, n00, n01, n11) for a positive-definite block X = [[x00, x01], [x01, x11]]
+    with determinant ``det``.
 
     b = sqrt(det X), and N = (X + b I) / sqrt(b (tr X + 2 b)) is the
     symmetric square root of X / b: det N = 1, so N is symplectic and
     N diag(b, b) N^T = X. Its inverse is its adjugate.
     """
-    b = math.sqrt(x00 * x11 - x01 * x01)
+    b = math.sqrt(det)
     root = math.sqrt(b * (x00 + x11 + 2.0 * b))
     return b, (x00 + b) / root, x01 / root, (x11 + b) / root
 
@@ -404,20 +422,17 @@ def _reduce(V) -> tuple[StandardForm, tuple[float, ...]]:
 
     Reads the tolerance profile once, validates ``V`` as the
     ``CovarianceMatrix`` constructor does (a ``CovarianceMatrix`` is taken
-    as it is), and takes the entries once as Python floats. Positive
-    definiteness is checked on those floats when they certify it (see
-    ``_certified_positive_definite``; LAPACK decides the rest), and a
-    matrix that is not positive definite is not a physical state. The
-    reduction and the discriminant guard run on the same floats.
-    Physicality is then decided once for every measure: the closed-form
-    spectrum of the reduced form must pass ``_physical_spectrum``, and the
-    J V spectrum, with its pair check, must reach 1/2 - phys_tol too; the
-    form's own checks follow. Neither spectrum is accurate to phys_tol on a
-    strongly squeezed matrix, so both must accept. ``eigvals(J V)`` runs
-    only where ``_eigvals_certified`` does not already prove, from the
-    floats of det V and of the invariant Delta, that it would accept, so
-    the decision is the J V check's on every input. The form keeps its
-    spectrum. Returns the form and the parts
+    as it is), and takes the entries once as Python floats. Physicality is
+    decided once for every measure, before the reduction: the matrix must
+    be positive definite with kappa2 >= 1/2 - phys_tol, which
+    ``_certified_physical`` proves from the floats of its determinants
+    where their rounding bounds allow, and ``_exactly_physical`` decides
+    exactly on every other matrix and then rounds its determinants
+    correctly. The reduction and the discriminant guard run on these
+    determinants and the entries; then the closed-form spectrum of the reduced
+    form must pass ``_physical_spectrum``, the gate every ``StandardForm``
+    passes, and the form's own checks follow. The form keeps its spectrum.
+    Returns the form and the parts
     (n00, n01, n11, o00, o01, o11, e, f, g, h) of its local frame; see
     ``reduce_to_standard_form``.
     """
@@ -429,17 +444,15 @@ def _reduce(V) -> tuple[StandardForm, tuple[float, ...]]:
         matrix = _symmetrised(V, profile.sym_atol)
     if matrix.shape[0] != 4:
         raise DimensionMismatchError("standard form is defined for two modes")
-    entries = matrix.ravel().tolist()
-    if not _certified_positive_definite(entries):
-        try:
-            _cholesky_or_raise(matrix)
-        except NotPositiveDefiniteError:
-            raise NotPhysicalError(
-                "covariance matrix is not a physical state"
-            ) from None
-    a00, a01, c00, c01, _, a11, c10, c11, _, _, b00, b01, _, _, _, b11 = entries
-    b1, n00, n01, n11 = _unit_root(a00, a01, a11)
-    b2, o00, o01, o11 = _unit_root(b00, b01, b11)
+    entries = _TWO_MODE_ENTRIES(matrix.ravel().tolist())
+    a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = entries
+    dets = _determinants(*entries)
+    if not _certified_physical(entries, dets, tol):
+        dets = _exactly_physical(entries, tol)
+        if dets is None:
+            raise NotPhysicalError("covariance matrix is not a physical state")
+    b1, n00, n01, n11 = _unit_root(a00, a01, a11, dets[0])
+    b2, o00, o01, o11 = _unit_root(b00, b01, b11, dets[1])
     # M = adj(N1) C adj(N2)
     t00 = n11 * c00 - n01 * c10
     t01 = n11 * c01 - n01 * c11
@@ -452,23 +465,13 @@ def _reduce(V) -> tuple[StandardForm, tuple[float, ...]]:
     e, f = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
     g, h = 0.5 * (m10 + m01), 0.5 * (m10 - m01)
     q, r = math.hypot(e, h), math.hypot(f, g)
-    # validated after the decision, so that an unphysical matrix such as
-    # 0.4 I is rejected as one rather than for its b1 < 1/2
+    # validated after the closed-form gate, so that a form whose floats
+    # round below 1/2 or overflow is rejected as unphysical
     sf = object.__new__(StandardForm)
     vars(sf).update(b1=b1, b2=b2, c=q + r, d=q - r, s1=1.0, s2=1.0)
     # Discriminant guard: c^2 and d^2 solve x^2 - s x + det(C)^2 = 0 with
-    # s = (b1^2 b2^2 + det(C)^2 - det V) / (b1 b2), and
-    # det V = det A det B + det(C)^2 - tr(adj A C adj B C^T).
-    p = c00 * c11 - c01 * c10
-    w00 = a11 * (c00 * b11 - c01 * b01) - a01 * (c10 * b11 - c11 * b01)
-    w01 = a11 * (c01 * b00 - c00 * b01) - a01 * (c11 * b00 - c10 * b01)
-    w10 = a00 * (c10 * b11 - c11 * b01) - a01 * (c00 * b11 - c01 * b01)
-    w11 = a00 * (c11 * b00 - c10 * b01) - a01 * (c01 * b00 - c00 * b01)
-    det_v = (
-        (a00 * a11 - a01 * a01) * (b00 * b11 - b01 * b01)
-        + p * p
-        - (c00 * w00 + c01 * w01 + c10 * w10 + c11 * w11)
-    )
+    # s = (b1^2 b2^2 + det(C)^2 - det V) / (b1 b2).
+    p, det_v = dets[2], dets[4]
     beta = sf.b1 * sf.b2
     s = (beta * beta + p * p - det_v) / beta
     if s * s - 4.0 * p * p < -1e-9 * max(1.0, s * s):
@@ -476,11 +479,6 @@ def _reduce(V) -> tuple[StandardForm, tuple[float, ...]]:
             "no real cross-correlation parameters reproduce the invariants"
         )
     _physical_spectrum(sf, tol)
-    if (
-        not _eigvals_certified(entries, det_v, p, tol)
-        and _jv_spectrum(matrix)[-1] < 0.5 - tol
-    ):
-        raise NotPhysicalError("covariance matrix is not a physical state")
     sf._validate(tol)
     return sf, (n00, n01, n11, o00, o01, o11, e, f, g, h)
 
@@ -500,9 +498,8 @@ def standard_form(V) -> StandardForm:
 
     This is the reduction of ``reduce_to_standard_form``, with the same
     guards and one read of the tolerance profile, without building the
-    frame. Physicality is decided on the closed-form spectrum of the form
-    and on the J V spectrum; ``eigvals(J V)`` runs only where a float
-    certificate does not already prove that it would accept.
+    frame. Physicality is decided on the matrix, by the float certificate
+    or else exactly, and then on the closed-form spectrum of the form.
     """
     return _reduce(V)[0]
 
@@ -543,11 +540,10 @@ def reduce_to_standard_form(V) -> tuple[StandardForm, np.ndarray]:
     diag(c, -c), keeps d = -c to the last bit. The arithmetic runs on
     Python floats taken once from the validated input, under one read of
     the tolerance profile, and only S is built as an array. The guards
-    are those of ``standard_form``: validation, the Cholesky check, the
-    discriminant guard, and the one physicality decision, on the
-    closed-form spectrum of the reduced form and on the J V spectrum, whose
-    ``eigvals`` runs only where a float certificate does not already prove
-    that it would accept.
+    are those of ``standard_form``: validation, the one physicality
+    decision on the matrix (the float certificate, else the exact
+    decision), the discriminant guard, and the closed-form gate on the
+    reduced form.
     """
     sf, rows = _framed_reduction(V)
     return sf, np.array(rows)

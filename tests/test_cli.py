@@ -303,12 +303,6 @@ class TestReportRoutes:
         # both physical and unphysical forms were drawn
         assert codes.count(0) >= 120 and codes.count(2) >= 60
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the matrix route rejects the pure squeezed vacuum from r = 4.5 "
-        "(the eigvals(J V) spectrum of the rounded matrix falls below 1/2); "
-        "ROADMAP item 1",
-    )
     def test_pure_squeezed_vacuum_at_large_squeeze(self, capsys):
         argv = ("--sts", "nbar1=0", "nbar2=0", "r=4.5")
         code, _ = form_route(capsys, argv)

@@ -460,6 +460,26 @@ class TestFamilyAccuracy:
             )
         assert float(abs(value - exact) / exact) <= 1e-14
 
+    @pytest.mark.parametrize(
+        "params",
+        [MtsParams(1e200, 0.5, 1.0), MtsParams(1e300, 1e299, 0.3), StsParams(1e250, 1e250, 0.5)],
+    )
+    def test_past_the_radicand_overflow(self, params):
+        # kappa (kappa + 1) overflows past kappa = 1.3e154: the radical
+        # sqrt(kappa^2 - 1/4) of the square root must not
+        if isinstance(params, StsParams):
+            value = hellinger_discord_sts(params)
+            k1, k2, weight, sts = params.nbar1 + 0.5, params.nbar2 + 0.5, "sinh", True
+        else:
+            value = hellinger_discord_mts(params)
+            k1, k2, weight, sts = params.kappa1, params.kappa2, "sin", False
+        with mpmath.workdps(50):
+            angle = 2 * mpmath.mpf(params.r) if sts else mpmath.mpf(params.theta)
+            exact = paper_discord(
+                mpmath.mpf(k1), mpmath.mpf(k2), getattr(mpmath, weight)(angle) ** 2, sts=sts
+            )
+        assert float(abs(value - exact) / exact) <= 1e-15
+
     @pytest.mark.parametrize("r", [400.0, 800.0])
     def test_an_overflowing_square_root_form_raises(self, r):
         # cosh(r)^2 overflows at r = 400, cosh(r) itself at r = 800

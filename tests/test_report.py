@@ -1,8 +1,11 @@
 """correlation_report: one standard-form reduction, the same numbers as the
 public functions, and StandardForm input."""
 
+import itertools
 import math
+from functools import cache
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,7 +34,6 @@ from ghk import (
     simon_separable,
     standard_form,
     sts_standard_form,
-    symplectic_eigenvalues,
 )
 from ghk.cli import _MEASURES, _sweep_row
 from ghk.errors import GhkError
@@ -177,16 +179,46 @@ DECIDERS = [
 ]
 
 
+def leibniz_det(rows) -> mpmath.mpf:
+    """The determinant of a square matrix of floats by the Leibniz sum, in
+    mpmath: each term is exact at 80 digits, whatever the entries' scale,
+    where mpmath's LU factorisation takes a pivot below its tolerance for
+    zero."""
+    n = len(rows)
+    total = mpmath.mpf(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = mpmath.mpf(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= mpmath.mpf(float(rows[i][j]))
+        total += term
+    return total
+
+
+def reference_kappa2(matrix: np.ndarray):
+    """kappa2 of the float ``matrix`` from its det V and Delta in 80-digit
+    mpmath, or None where mpmath's eigsy finds it not positive definite.
+    Independent of the integer decision of ghk.symplectic."""
+    m = np.asarray(matrix, dtype=float)
+    with mpmath.workdps(80):
+        if min(mpmath.eigsy(mpmath.matrix(m.tolist()), eigvals_only=True)) <= 0:
+            return None
+        det_v = leibniz_det(m)
+        delta = leibniz_det(m[:2, :2]) + leibniz_det(m[2:, 2:]) + 2 * leibniz_det(m[:2, 2:])
+        return mpmath.sqrt((delta - mpmath.sqrt(delta * delta - 4 * det_v)) / 2)
+
+
 class TestFramedDoubleRoot:
     """Symmetric squeezed thermal forms have kappa1 = kappa2: the double
     root of the spectrum's quadratic, where a rounded discriminant would
     split the two eigenvalues by the square root of its error."""
 
     # Up to r = 4 the float matrix of every frame is a state (its kappa2,
-    # evaluated to 50 digits, is within phys_tol of 1/2) and must be
+    # evaluated to 80 digits, is within phys_tol of 1/2) and must be
     # accepted. From r = 4.5 it lies within round-off of 1/2, and frames are
     # accepted or rejected; each function must take the one decision that
-    # is_physical takes, which requires the J V spectrum to reach 1/2 too.
+    # is_physical takes, and accept only a matrix whose own kappa2 reaches
+    # the floor.
     @pytest.mark.parametrize("r", [0.3, 1.3, 3.0, 4.0, 4.5, 5.0, 6.0, 7.0, 9.7])
     def test_framed_pure_state_is_accepted_when_physical(self, r):
         sf = sts_standard_form(StsParams(0.0, 0.0, r))
@@ -197,7 +229,7 @@ class TestFramedDoubleRoot:
             physical = is_physical(cm)
             assert physical or r > 4.0
             if physical:
-                assert symplectic_eigenvalues(cm)[-1] >= floor
+                assert reference_kappa2(cm.matrix) >= floor
             for call in DECIDERS:
                 try:
                     call(cm)
@@ -267,7 +299,8 @@ class TestStandardFormInput:
 # reduced form has b1 b2 > c^2, but b1 + b2 - 2c, twice the gap b - c that
 # the entanglement of formation divides by, rounds to 0: the floats break
 # b1 + b2 > 2c, which the form of a positive-definite matrix keeps, and the
-# reduction rejects it.
+# closed-form gate on the reduced form rejects it, although the exact
+# decision on the matrix accepts it (its kappa2 is 0.6997).
 ZERO_GAP_STATE = [
     [42847270.22270572, -2977356.2788595976, 47089549.912544414, 5785223.64423796],
     [-2977356.2788595976, 103621703.87119381, 30575733.669980034,
@@ -287,11 +320,11 @@ def test_a_zero_gap_is_rejected_as_unphysical(call):
 @pytest.mark.parametrize("call", DECIDERS)
 def test_a_rounded_matrix_below_half_is_rejected(call):
     # The pure squeezed vacuum at r = 9 as a float matrix: its kappa2,
-    # evaluated to 50 digits, is 1/2 - 5.4e-3. The closed-form spectrum of
-    # its reduced form rounds to 1/2; the J V spectrum does not, and every
-    # function rejects it, as is_physical does.
+    # evaluated to 80 digits, is 1/2 - 5.4e-3. The closed-form spectrum of
+    # its reduced form rounds to 1/2; the exact decision on the matrix
+    # rejects it, and every function rejects it, as is_physical does.
     cm = sts_standard_form(StsParams(0.0, 0.0, 9.0)).to_cm()
-    assert symplectic_eigenvalues(cm)[-1] < 0.5 - active_profile().phys_tol
+    assert reference_kappa2(cm.matrix) < 0.5 - active_profile().phys_tol
     assert not is_physical(cm)
     with pytest.raises(NotPhysicalError):
         call(cm)
@@ -313,9 +346,9 @@ def linalg_calls(monkeypatch):
 
 
 class TestHotPath:
-    """A well-conditioned matrix is checked positive definite and physical
-    in Python floats, with no call of numpy's linear algebra; a matrix
-    whose physicality the floats cannot prove runs eigvals(J V) once."""
+    """A two-mode matrix is decided positive definite and physical in
+    Python, with no call of numpy's linear algebra: by the float
+    certificate where it proves acceptance, else exactly, on integers."""
 
     CALLS = (correlation_report, closest_product_state, standard_form, is_physical)
 
@@ -333,24 +366,45 @@ class TestHotPath:
     @pytest.mark.parametrize(
         "params", [StsParams(0.0, 0.0, 1.3), StsParams(1e-10, 1e-10, 0.7)]
     )
-    def test_uncertified_matrix_runs_eigvals_once(self, linalg_calls, params):
+    def test_uncertified_matrix_is_decided_exactly(self, linalg_calls, monkeypatch, params):
         cm = in_frame(sts_standard_form(params), local_frame(np.random.default_rng(15)))
+        exact = []
+        original = ghk.symplectic._exactly_physical
+
+        def counted(*args):
+            exact.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(ghk.symplectic, "_exactly_physical", counted)
         for call in self.CALLS:
             linalg_calls.update(cholesky=0, eigvals=0)
+            exact.clear()
             call(cm)
-            assert linalg_calls == {"cholesky": 0, "eigvals": 1}
+            assert linalg_calls == {"cholesky": 0, "eigvals": 0}
+            assert len(exact) == 1
 
     def test_standard_form(self, linalg_calls):
         for sf in family_forms():
             correlation_report(sf)
         assert linalg_calls == {"cholesky": 0, "eigvals": 0}
 
+    def test_no_linear_algebra_near_the_boundary(self, linalg_calls):
+        matrices = near_boundary_matrices() + framed_tmsv_grid() + framed_sts_9_25()
+        linalg_calls.update(cholesky=0, eigvals=0)
+        for m in matrices:
+            for call in (is_physical, correlation_report):
+                try:
+                    call(m)
+                except GhkError:
+                    pass
+        assert linalg_calls == {"cholesky": 0, "eigvals": 0}
+
 
 def near_boundary_matrices() -> list[np.ndarray]:
     """Matrices at and around kappa2 = 1/2 where the float certificate and
-    eigvals(J V) could part: framed pure and nearly pure squeezed states,
-    random states with kappa2 within 1e-3 of 1/2 on both sides, squeezed
-    thermal states up to r = 12, and ZERO_GAP_STATE."""
+    the exact decision could part: framed pure and nearly pure squeezed
+    states, random states with kappa2 within 1e-3 of 1/2 on both sides,
+    squeezed thermal states up to r = 12, and ZERO_GAP_STATE."""
     rng = np.random.default_rng(16)
     out = [np.array(ZERO_GAP_STATE)]
     for r in (0.3, 1.3, 3.0, 4.5, 5.0, 6.0, 7.0, 9.7):
@@ -373,41 +427,79 @@ def near_boundary_matrices() -> list[np.ndarray]:
     return out
 
 
-class TestEigvalsCertificate:
-    """The float certificate only skips eigvals(J V) where the J V check
-    would accept: every decision, exception and output bit is the one of
-    the J V check alone."""
+def framed_tmsv_grid() -> list[np.ndarray]:
+    """The pure two-mode squeezed vacuum from r = 4, 100 frames per squeeze."""
+    out = []
+    for r in (4.0, 4.5, 5.0, 6.0, 7.0, 9.7):
+        sf = sts_standard_form(StsParams(0.0, 0.0, r))
+        rng = np.random.default_rng(13)
+        out += [in_frame(sf, local_frame(rng)).matrix for _ in range(100)]
+    return out
+
+
+def framed_sts_9_25() -> list[np.ndarray]:
+    """A strongly squeezed thermal state in 20 frames for each of the seeds
+    0-9, with entries about 1e8, on some of which LAPACK's eigvals(J V)
+    returns real eigenvalues."""
+    sf = sts_standard_form(StsParams(2.49421507582407, 0.33678453102238004, 9.25))
+    out = []
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        out += [in_frame(sf, local_frame(rng)).matrix for _ in range(20)]
+    return out
+
+
+def entries_of(matrix: np.ndarray) -> tuple[float, ...]:
+    """The ten distinct entries of a two-mode matrix, as ghk.symplectic
+    takes them."""
+    flat = np.asarray(matrix, dtype=float).ravel().tolist()
+    return ghk.symplectic._TWO_MODE_ENTRIES(flat)
+
+
+class TestPhysicalityCertificate:
+    """The float certificate only decides what it proves: every decision
+    and exception is the one of the exact decision alone. The reduced forms
+    differ only by the rounding of the determinants, which the exact
+    decision rounds once where the float expansion rounds each operation."""
 
     @staticmethod
-    def outcomes(matrices) -> list:
-        out = []
+    def outcomes(matrices) -> tuple[list, list]:
+        """(the exception of each call on each matrix, or None, or the bool
+        of is_physical; the (b1, b2, c, d) of each accepted reduction)."""
+        decisions, forms = [], []
         for m in matrices:
-            for call in (ghk.symplectic._reduce, is_physical, correlation_report):
+            for call in (standard_form, is_physical, correlation_report):
                 try:
-                    out.append(repr(call(m)))
+                    value = call(m)
                 except GhkError as exc:
-                    out.append(type(exc))
-        return out
+                    decisions.append(type(exc))
+                    continue
+                decisions.append(value if call is is_physical else None)
+                if call is standard_form:
+                    forms.append((value.b1, value.b2, value.c, value.d))
+        return decisions, forms
 
     @pytest.mark.parametrize("profile", sorted(PROFILES))
-    def test_same_outcome_as_the_eigvals_check_alone(self, monkeypatch, profile):
+    def test_same_outcome_as_the_exact_decision_alone(self, monkeypatch, profile):
         monkeypatch.setenv(ENV_VAR, profile)
         matrices = near_boundary_matrices()
-        certified = self.outcomes(matrices)
-        monkeypatch.setattr(ghk.symplectic, "_eigvals_certified", lambda *_: False)
-        assert self.outcomes(matrices) == certified
+        decisions, forms = self.outcomes(matrices)
+        monkeypatch.setattr(ghk.symplectic, "_certified_physical", lambda *_: False)
+        exact_decisions, exact_forms = self.outcomes(matrices)
+        assert exact_decisions == decisions
+        np.testing.assert_allclose(exact_forms, forms, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("profile", sorted(PROFILES))
-    def test_certifies_only_what_eigvals_accepts(self, monkeypatch, profile):
+    def test_certifies_only_what_is_exactly_physical(self, monkeypatch, profile):
         monkeypatch.setenv(ENV_VAR, profile)
-        original = ghk.symplectic._eigvals_certified
+        original = ghk.symplectic._certified_physical
         seen = []
 
-        def recording(entries, det_v, p, tol):
-            seen.append((entries, tol, original(entries, det_v, p, tol)))
+        def recording(entries, dets, tol):
+            seen.append((entries, tol, original(entries, dets, tol)))
             return seen[-1][-1]
 
-        monkeypatch.setattr(ghk.symplectic, "_eigvals_certified", recording)
+        monkeypatch.setattr(ghk.symplectic, "_certified_physical", recording)
         for m in near_boundary_matrices():
             try:
                 standard_form(m)
@@ -416,5 +508,82 @@ class TestEigvalsCertificate:
         assert {ok for *_, ok in seen} == {True, False}
         for entries, tol, ok in seen:
             if ok:
-                matrix = np.array(entries).reshape(4, 4)
-                assert ghk.symplectic._jv_spectrum(matrix)[-1] >= 0.5 - tol
+                assert ghk.symplectic._exactly_physical(entries, tol) is not None
+
+
+@cache
+def decision_cases() -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(matrices whose decision the closed-form gate leaves alone, matrices
+    near 1/2 in strongly squeezed frames), for the exact decision."""
+    plain = [
+        np.diag([2.0**600 / 2, 2.0**-600 / 2, 2.0**500 / 2, 2.0**-500 / 2]),
+        np.diag([2.0**1000 / 2, 2.0**-1000 / 2, 2.0**1000 / 2, 2.0**-1000 / 2]),
+        0.5 * np.eye(4),
+        (0.5 - 2e-9) * np.eye(4),
+        (0.5 - 0.5e-9) * np.eye(4),
+        np.diag([1.0, 1.0, -1.0, -1.0]),
+        -np.eye(4),
+    ]
+    return plain, near_boundary_matrices() + framed_sts_9_25()
+
+
+@cache
+def reference_kappas() -> tuple[list, list]:
+    plain, squeezed = decision_cases()
+    return [reference_kappa2(m) for m in plain], [reference_kappa2(m) for m in squeezed]
+
+
+class TestExactDecision:
+    """The exact decision against an independent 80-digit reference."""
+
+    @staticmethod
+    def reference(kappa2, tol: float) -> bool:
+        return kappa2 is not None and kappa2 >= mpmath.mpf(0.5 - tol)
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_equals_the_reference(self, monkeypatch, profile):
+        monkeypatch.setenv(ENV_VAR, profile)
+        tol = PROFILES[profile].phys_tol
+        plain, squeezed = decision_cases()
+        plain_kappas, squeezed_kappas = reference_kappas()
+        for m, kappa2 in zip(plain, plain_kappas):
+            expected = self.reference(kappa2, tol)
+            exact = ghk.symplectic._exactly_physical(entries_of(m), tol)
+            assert (exact is not None) == expected
+            assert is_physical(m) == expected
+        for m, kappa2 in zip(squeezed, squeezed_kappas):
+            expected = self.reference(kappa2, tol)
+            exact = ghk.symplectic._exactly_physical(entries_of(m), tol)
+            assert (exact is not None) == expected
+            # the closed-form gate on the reduced form may still reject
+            assert is_physical(m) in (expected, False)
+
+    # local blocks with a00 a11 about 1e17 and det A about 6: the float
+    # expansion a00 a11 - a01^2 cancels to 0
+    @pytest.mark.parametrize(
+        "a00, a11, a01",
+        [
+            (74895282.1520023, 1342832049.969274, 317130549.2462062),
+            (665936961.4542572, 427568323.11517453, 533604300.8722956),
+        ],
+    )
+    def test_squeezed_local_block_whose_float_determinant_cancels(self, a00, a11, a01):
+        assert a00 * a11 - a01 * a01 == 0.0
+        m = np.diag([a00, a11, 0.5, 0.5])
+        m[0, 1] = m[1, 0] = a01
+        with mpmath.workdps(50):
+            b1 = float(mpmath.sqrt(mpmath.mpf(a00) * a11 - mpmath.mpf(a01) ** 2))
+        assert is_physical(m)
+        report = correlation_report(m)
+        assert report.standard_form.b1 == pytest.approx(b1, rel=1e-15)
+        assert report.standard_form.b2 == 0.5
+        assert report.hellinger_discord == 0.0
+        assert report.mutual_information == 0.0
+
+    def test_determinants_past_the_float_range(self):
+        tol = active_profile().phys_tol
+        for scale in (1e160, 1e200, 1e300):
+            m = scale * np.eye(4)
+            dets = ghk.symplectic._exactly_physical(entries_of(m), tol)
+            assert dets == (math.inf, math.inf, 0.0, math.inf, math.inf)
+            assert isinstance(is_physical(m), bool)

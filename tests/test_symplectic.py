@@ -646,8 +646,9 @@ def in_random_frame(sf: StandardForm, rng) -> np.ndarray:
 
 
 class TestPositiveDefiniteDecision:
-    """The float Cholesky of a 4x4 matrix only decides what it certifies:
-    positive definiteness is decided as np.linalg.cholesky decides it."""
+    """Positive definiteness of a 4x4 matrix: symplectic_eigenvalues
+    decides it as np.linalg.cholesky does, and the float certificate of the
+    two-mode decision only decides what it proves."""
 
     LAM_MIN = (1e-3, 1e-9, 1e-13, 1e-15, 0.0, -1e-15, -1e-3)
     SQUEEZES = (4.0, 4.5, 5.0, 8.0, 9.7, 10.0, 12.0)
@@ -664,7 +665,8 @@ class TestPositiveDefiniteDecision:
     def matrices(cls):
         rng = np.random.default_rng(31)
         out = [unit_diagonal_matrix(lam, rng) for lam in cls.LAM_MIN for _ in range(8)]
-        # a diagonal below the float path's floor leaves the decision to LAPACK
+        # entries below the certificate's float range leave the decision to
+        # the exact one
         out.append(1e-160 * np.eye(4))
         for r in cls.SQUEEZES:
             sf = sts_standard_form(StsParams(0.0, 0.0, r))
@@ -688,20 +690,30 @@ class TestPositiveDefiniteDecision:
                 ours = True
             assert ours == lapack
 
-    @pytest.mark.parametrize(
-        "call", [standard_form, symplectic_eigenvalues, is_physical]
-    )
-    def test_same_outcome_as_the_numpy_check_alone(self, monkeypatch, call):
+    @pytest.mark.parametrize("call", [standard_form, is_physical])
+    def test_same_outcome_as_the_exact_decision_alone(self, monkeypatch, call):
         from ghk import symplectic
 
         fast = [self.outcome(call, m) for m in self.matrices()]
-        monkeypatch.setattr(symplectic, "_certified_positive_definite", lambda _: False)
-        assert [self.outcome(call, m) for m in self.matrices()] == fast
+        monkeypatch.setattr(symplectic, "_certified_physical", lambda *_: False)
+        exact = [self.outcome(call, m) for m in self.matrices()]
+        assert [type(x) for x in exact] == [type(x) for x in fast]
+        for x, y in zip(exact, fast):
+            if isinstance(y, StandardForm):
+                # the exact decision rounds the determinants once
+                assert (x.b1, x.b2, x.c, x.d) == pytest.approx(
+                    (y.b1, y.b2, y.c, y.d), rel=1e-12, abs=0.0
+                )
+            else:
+                assert x == y
 
     def test_random_forms_in_random_frames_take_the_float_path(self):
         from ghk import symplectic
 
         rng = np.random.default_rng(32)
+        tol = PROFILES["default"].phys_tol
         for _ in range(256):
             m = in_random_frame(random_standard_form(rng), rng)
-            assert symplectic._certified_positive_definite(m.ravel().tolist())
+            entries = symplectic._TWO_MODE_ENTRIES(m.ravel().tolist())
+            dets = symplectic._determinants(*entries)
+            assert symplectic._certified_physical(entries, dets, tol)
