@@ -4,13 +4,16 @@ Closed-form Gaussian discord via the maximal affinity with product states,
 entropic correlation measures, the state families realizing them, and
 independent brute-force oracles that certify every closed form.
 
-``import ghk`` loads the numpy-free core only: the float closed forms of
-``ghk.forms``, the error types and the tolerance profiles. Every other
-public name lives in a module built on numpy; that module is imported the
-first time one of its names is looked up on the package, and all of its
-names are then bound here, so later lookups are plain attribute reads.
-``ghk.affinity`` is the function in every import order, although a
-submodule of that name exists.
+``import ghk`` loads the float closed forms of ``ghk.forms``, the error
+types and the tolerance profiles, and nothing else. Every other public name
+lives in a module that is imported the first time one of its names is
+looked up on the package, and all of its names are then bound here, so
+later lookups are plain attribute reads. ``ghk.symplectic`` and
+``ghk.discord`` import no numpy themselves: their two-mode functions, among
+them ``correlation_report``, ``standard_form`` and every discord, run on
+Python floats, and only the functions that build or read arrays import
+numpy. The other modules are built on numpy. ``ghk.affinity`` is the
+function in every import order, although a submodule of that name exists.
 """
 
 __version__ = "0.1.0"
@@ -46,7 +49,7 @@ from .forms import (
 )
 from .tolerances import ToleranceProfile, active_profile
 
-# The names served from each numpy-layer module, imported on first lookup.
+# The names served from each module, imported on first lookup.
 _LAZY = {
     "affinity": (
         "OverlapResult",

@@ -8,9 +8,11 @@ Subcommands:
 Exit codes: 0 success, 1 verification breach, 2 invalid or unphysical input.
 
 ``sweep``, and ``report`` of family or standard-form input (--sts, --mts,
---std-form), evaluate the float closed forms of ``ghk.forms`` and never
-load numpy. ``report --matrix`` and ``verify`` import the numpy layer when
-they run.
+--std-form), evaluate the float closed forms of ``ghk.forms``; ``report
+--matrix`` reads the matrix and mean into Python floats and reduces it with
+the float route of ``ghk.symplectic``. None of them loads numpy, except to
+read a report document whose matrix or mean is not made of numbers.
+``verify`` imports the numpy layer when it runs.
 """
 
 from __future__ import annotations
@@ -146,13 +148,30 @@ def _parse_std_form(text: str) -> StandardForm:
     return StandardForm(*vals)
 
 
+def _float_lists(value) -> list:
+    """``value`` of a report document with each number a float: a list of
+    numbers, or a list of such lists of one length, as it is; anything else
+    as numpy reads it into floats, which raises ValueError or TypeError
+    where it cannot. Numbers are the entries of the ``_REALS`` types."""
+    from .symplectic import _REALS
+
+    if isinstance(value, list):
+        if _REALS.issuperset(map(type, value)):
+            return [float(x) for x in value]
+        if all(isinstance(row, list) for row in value) and len(set(map(len, value))) == 1:
+            if all(_REALS.issuperset(map(type, row)) for row in value):
+                return [[float(x) for x in row] for row in value]
+    import numpy as np
+
+    return np.array(value, dtype=float).tolist()
+
+
 def _parse_matrix(text: str):
     """Parse a 4x4 matrix from a path or inline text; JSON reports re-ingest.
 
-    Returns (matrix, mean) as numpy arrays.
+    Returns (matrix, mean) as lists of Python floats: the rows, and the
+    mean.
     """
-    import numpy as np
-
     path = Path(text)
     try:
         is_file = path.is_file()
@@ -163,8 +182,8 @@ def _parse_matrix(text: str):
     if content.startswith("{"):
         try:
             payload = json.loads(content)
-            matrix = np.array(payload["input"]["matrix"], dtype=float)
-            mean = np.array(payload["input"].get("mean", [0.0] * 4), dtype=float)
+            matrix = _float_lists(payload["input"]["matrix"])
+            mean = _float_lists(payload["input"].get("mean", [0.0] * 4))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"could not read a report document: {exc}") from None
         return matrix, mean
@@ -179,12 +198,10 @@ def _parse_matrix(text: str):
     if len(flat) != 16:
         raise ParseError(f"expected 16 matrix entries, got {len(flat)}")
     if len(values) == 1:
-        matrix = np.array(flat, dtype=float).reshape(4, 4)
-    else:
-        if len(values) != 4 or any(len(r) != 4 for r in values):
-            raise ParseError("matrix text must have 4 rows of 4 entries")
-        matrix = np.array(values, dtype=float)
-    return matrix, np.zeros(4)
+        values = [flat[i : i + 4] for i in range(0, 16, 4)]
+    elif len(values) != 4 or any(len(r) != 4 for r in values):
+        raise ParseError("matrix text must have 4 rows of 4 entries")
+    return values, [0.0] * 4
 
 
 def _input_state(args):
@@ -234,13 +251,15 @@ def _form_echo(sf: StandardForm) -> tuple[list[list[float]], list[float]]:
 
 
 def _matrix_report(text: str):
-    """(report, matrix, mean) of ``--matrix`` input, through the numpy layer."""
+    """(report, matrix, mean) of ``--matrix`` input; the matrix echoed is the
+    validated, symmetrised one."""
     from .discord import correlation_report
-    from .symplectic import as_covariance
+    from .symplectic import _two_mode_entries
 
     matrix, mean = _parse_matrix(text)
-    cov = as_covariance(matrix)
-    return correlation_report(cov, mean), cov.matrix.tolist(), mean.tolist()
+    entries = _two_mode_entries(matrix, active_profile().sym_atol)
+    rows = [entries[i : i + 4] for i in range(0, 16, 4)]
+    return correlation_report(matrix, mean), rows, mean
 
 
 def cmd_report(args) -> int:

@@ -20,6 +20,13 @@ return their field of ``correlation_report``, and every discord is the one
 closed form ``forms._affinity_and_discord``, the family discords on the
 family's exact square root; the paper's X and Y formulas are cross-checks
 in ``ghk.checks``.
+
+Every function whose result holds no array runs on Python floats through
+the two-mode reduction of ``ghk.symplectic``, and importing this module
+loads no numpy: a report of a matrix given as nested lists never loads
+it. ``ProductStateParams``, ``ClosestProduct`` and
+``closest_product_state``, whose results hold arrays and build Gaussian
+states, import numpy and ``ghk.states`` when they run.
 """
 
 from __future__ import annotations
@@ -27,8 +34,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     DimensionMismatchError,
@@ -38,7 +43,9 @@ from .errors import (
 )
 from .forms import (
     CorrelationReport,
+    MtsParams,
     StandardForm,
+    StsParams,
     _affinity_and_discord,
     _checked_form,
     _eof_symmetric,
@@ -52,8 +59,7 @@ from .forms import (
     _sqrt_form,
     _sts_entries,
 )
-from .states import GaussianState, MtsParams, StsParams
-from .symplectic import _framed_reduction, standard_form
+from .symplectic import _REALS, _framed_reduction, _reduce, standard_form
 from .tolerances import active_profile
 
 
@@ -74,12 +80,15 @@ class ProductStateParams:
     r2: float
     phi1: float = 0.0
     phi2: float = 0.0
-    mean: np.ndarray = dataclasses.field(default_factory=lambda: np.zeros(4))
+    # validated into a read-only array
+    mean: np.ndarray = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
         self._validate(active_profile().phys_tol)
 
     def _validate(self, tol: float) -> None:
+        import numpy as np
+
         scalars = (self.eta1, self.eta2, self.r1, self.r2, self.phi1, self.phi2)
         if not all(map(math.isfinite, scalars)):
             raise InvalidParamsError("product-state parameters must be finite")
@@ -94,12 +103,16 @@ class ProductStateParams:
         object.__setattr__(self, "mean", mean)
 
     def cm(self) -> np.ndarray:
+        import numpy as np
+
         m = np.zeros((4, 4))
         m[:2, :2] = _squeezed_thermal_block(self.eta1, self.r1, self.phi1)
         m[2:, 2:] = _squeezed_thermal_block(self.eta2, self.r2, self.phi2)
         return m
 
     def state(self) -> GaussianState:
+        from .states import GaussianState
+
         return GaussianState(self.mean, self.cm())
 
 
@@ -112,6 +125,8 @@ def _product_params(tol: float, **fields) -> ProductStateParams:
 
 
 def _squeezed_thermal_block(eta: float, r: float, phi: float) -> np.ndarray:
+    import numpy as np
+
     ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
     co, si = math.cos(phi), math.sin(phi)
     return eta * np.array([[ch + co * sh, si * sh], [si * sh, ch - co * sh]])
@@ -180,9 +195,11 @@ def max_affinity(V) -> float:
     ``V`` is what ``correlation_report`` takes. The closed form on the
     standard form of the square-root state; local squeeze scales drop out.
     Not a report field: 1 - discord would lose the relative accuracy of A*.
+    The tolerance profile is read once, for the reduction and the form.
     """
-    sf = V if isinstance(V, StandardForm) else standard_form(V)
-    return _form_affinity_and_discord(sf, active_profile().phys_tol)[0]
+    profile = active_profile()
+    sf = V if isinstance(V, StandardForm) else _reduce(V, profile)[0]
+    return _form_affinity_and_discord(sf, profile.phys_tol)[0]
 
 
 def _optimum(tsf: StandardForm) -> tuple[float, float, float, float]:
@@ -213,11 +230,14 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
     the reconstructed state for any physical input. The optimal product
     state copies the input displacement.
     """
-    sf, frame = _framed_reduction(V)
+    import numpy as np
+
+    profile = active_profile()
+    sf, frame = _framed_reduction(V, profile)
     mean = np.zeros(4) if mean is None else np.asarray(mean, dtype=float).reshape(-1)
     if mean.shape != (4,):
         raise DimensionMismatchError("mean must be a 4-vector")
-    tol = active_profile().phys_tol
+    tol = profile.phys_tol
     tsf = _sqrt_form(sf, tol, sf.spectrum())
     value = 1.0
     if not _is_uncorrelated(sf):
@@ -384,13 +404,34 @@ def correlation_report(V, mean=None) -> CorrelationReport:
     reported as 1, and every field is evaluated from that one form,
     so the report of a matrix equals the report of its standard form. The
     measures are displacement-invariant; the mean, if given, is only
-    validated.
+    validated (``_check_mean``). A matrix is reduced by ``standard_form``,
+    which reads the tolerance profile for the reduction.
     """
     if mean is not None:
-        m = np.asarray(mean, dtype=float).reshape(-1)
-        if m.shape != (4,):
-            raise DimensionMismatchError("mean must be a 4-vector")
-        if not np.all(np.isfinite(m)):
-            raise InvalidParamsError("mean vector must be finite")
+        _check_mean(mean)
     tol = active_profile().phys_tol
     return _form_report(V if isinstance(V, StandardForm) else standard_form(V), tol)
+
+
+def _check_mean(mean) -> None:
+    """Raise the error of an invalid mean vector, if any: not 4 entries
+    (after flattening), or an entry that is not finite.
+
+    A sequence of 4 entries of the ``_REALS`` types, or an array whose
+    ``tolist`` is one, is checked on its floats; anything else is read by
+    numpy, flattened, as the mean of ``closest_product_state`` is.
+    """
+    values = mean.tolist() if hasattr(mean, "tolist") else mean
+    if not (
+        isinstance(values, (list, tuple))
+        and len(values) == 4
+        and _REALS.issuperset(map(type, values))
+    ):
+        import numpy as np
+
+        flat = np.asarray(mean, dtype=float).reshape(-1)
+        if flat.shape != (4,):
+            raise DimensionMismatchError("mean must be a 4-vector")
+        values = flat.tolist()
+    if not all(map(math.isfinite, values)):
+        raise InvalidParamsError("mean vector must be finite")

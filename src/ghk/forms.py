@@ -17,8 +17,10 @@ standard-form input run without loading numpy.
 
 Only ``math``, ``dataclasses``, the error types and the tolerance profiles
 are imported here. ``ghk.symplectic``, ``ghk.states`` and ``ghk.discord``
-build on this module and re-export its names; only ``StandardForm.to_cm``
-reaches into that layer, when it is called.
+build on this module and re-export its names. ``ghk.symplectic`` adds the
+two-mode reduction of a matrix in floats and ``ghk.discord`` the reports of
+a matrix, both without loading numpy; ``StandardForm.to_cm`` reaches into
+the array layer, when it is called.
 """
 
 from __future__ import annotations

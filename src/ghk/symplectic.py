@@ -12,10 +12,20 @@ Conventions used throughout the package:
 ``StandardForm``, its spectrum and the square-root standard form are float
 closed forms of ``ghk.forms``; this module re-exports them and adds the
 matrix routes: validation, spectra, Williamson and the reduction to
-standard form. A two-mode matrix is decided physical without numpy's linear
-algebra: a float certificate on its determinants accepts where its rounding
-bounds prove acceptance, every other matrix is decided exactly on integers,
-and the closed-form gate of its reduced form follows.
+standard form.
+
+The two-mode reduction runs on Python floats and loads no numpy: a 4x4
+matrix given as nested sequences, an array or a ``CovarianceMatrix`` is
+validated and symmetrised on its 16 entries, decided physical by a float
+certificate on its determinants where their rounding bounds prove
+acceptance and exactly on integers everywhere else, reduced, and passed
+through the closed-form gate of its reduced form. ``standard_form`` and
+``square_root_standard_form`` therefore run without numpy, and so does
+importing this module; numpy is imported by the functions that build or
+read arrays (``CovarianceMatrix``, the n-mode spectra, Williamson, the
+square-root matrix and the frame of ``reduce_to_standard_form``), and by
+the validation of input that is not 4 rows of 4 real numbers, which keeps
+numpy's reading of it and its errors.
 """
 
 from __future__ import annotations
@@ -24,8 +34,6 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter, sub
-
-import numpy as np
 
 from .errors import (
     ConsistencyError,
@@ -42,7 +50,7 @@ from .forms import (
     _radical,
     _sqrt_form,
 )
-from .tolerances import active_profile
+from .tolerances import ToleranceProfile, active_profile
 
 # Relative tolerance demanded from the internal square-root consistency
 # identity V = (Vt - J Vt^-1 J / 4) / 2. Breaches raise ConsistencyError:
@@ -60,6 +68,8 @@ def symplectic_form(n: int) -> np.ndarray:
     Block diagonal with [[0, 1], [-1, 0]] per mode; satisfies J @ J = -I
     and J.T = -J.
     """
+    import numpy as np
+
     if n < 1:
         raise DimensionMismatchError("mode count must be positive")
     j = np.zeros((2 * n, 2 * n))
@@ -67,11 +77,6 @@ def symplectic_form(n: int) -> np.ndarray:
         j[2 * k, 2 * k + 1] = 1.0
         j[2 * k + 1, 2 * k] = -1.0
     return j
-
-
-# The two-mode J, shared by every two-mode call.
-_J2 = symplectic_form(2)
-_J2.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -105,24 +110,32 @@ def _symmetrised(value, sym_atol: float) -> np.ndarray:
     index pairs (i, j), (j, i) above the diagonal. Returns the read-only
     array (V + V^T) / 2.
     """
+    import numpy as np
+
     m = np.asarray(value, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or not m.size:
         raise DimensionMismatchError(
             f"covariance matrix must be 2n x 2n, got shape {m.shape}"
         )
-    entries = m.ravel().tolist()
+    _check_entries(m.ravel().tolist(), m.shape[0], sym_atol)
+    matrix = m + m.T
+    matrix *= 0.5
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _check_entries(entries: list[float], size: int, sym_atol: float) -> None:
+    """Raise the error of a ``size`` x ``size`` covariance matrix with these
+    row-major entries, if any: an entry that is not finite, or an asymmetry
+    above ``sym_atol``."""
     if not all(map(math.isfinite, entries)):
         raise InvalidParamsError("covariance matrix entries must be finite")
-    upper, lower = _mirror_pairs(m.shape[0])
+    upper, lower = _mirror_pairs(size)
     asym = max(map(abs, map(sub, upper(entries), lower(entries))))
     if asym > sym_atol:
         raise NonSymmetricError(
             f"covariance matrix asymmetry {asym:.3e} exceeds tolerance"
         )
-    matrix = m + m.T
-    matrix *= 0.5
-    matrix.flags.writeable = False
-    return matrix
 
 
 @cache
@@ -138,14 +151,69 @@ def _mirror_pairs(size: int) -> tuple[itemgetter, itemgetter]:
     return itemgetter(*upper), itemgetter(*lower)
 
 
+# The Python types of the entries that the float route reads: float() gives
+# each the float that numpy's conversion to dtype float gives. Any other
+# entry (a string, a numpy scalar, an object) is left to numpy.
+_REALS = frozenset({float, int, bool})
+
+# The row-major entries of the transpose of a 4x4 matrix.
+_TRANSPOSED = itemgetter(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15)
+
+
+def _real_rows(value) -> list[float] | None:
+    """The 16 row-major entries of ``value`` as Python floats when it is 4
+    rows of 4 entries of the ``_REALS`` types, else None. An array, or
+    anything else with ``tolist``, is read through ``tolist``."""
+    rows = value.tolist() if hasattr(value, "tolist") else value
+    if not (isinstance(rows, (list, tuple)) and len(rows) == 4):
+        return None
+    entries = []
+    for row in rows:
+        if not (isinstance(row, (list, tuple)) and len(row) == 4):
+            return None
+        entries += row
+    if not _REALS.issuperset(map(type, entries)):
+        return None
+    try:
+        return list(map(float, entries))
+    except OverflowError:  # an int past the float range
+        return None
+
+
+def _two_mode_entries(V, sym_atol: float) -> list[float]:
+    """The 16 row-major entries of the two-mode covariance matrix ``V`` as
+    Python floats, validated and symmetrised as by the ``CovarianceMatrix``
+    constructor; a ``CovarianceMatrix`` is taken as it is.
+
+    4 rows of 4 real numbers (``_real_rows``) are checked for finiteness and
+    for asymmetry against ``sym_atol`` on their floats, and entry (i, j) is
+    (v_ij + v_ji) * 0.5, bit for bit numpy's (V + V^T) * 0.5. Any other
+    input goes to ``_symmetrised``, which reads it with numpy and raises its
+    errors; a valid matrix of another size is not a two-mode matrix.
+    """
+    if isinstance(V, CovarianceMatrix):
+        matrix = V.matrix
+    else:
+        entries = _real_rows(V)
+        if entries is not None:
+            _check_entries(entries, 4, sym_atol)
+            return [(x + y) * 0.5 for x, y in zip(entries, _TRANSPOSED(entries))]
+        matrix = _symmetrised(V, sym_atol)
+    if matrix.shape[0] != 4:
+        raise DimensionMismatchError("standard form is defined for two modes")
+    return matrix.ravel().tolist()
+
+
 def as_covariance(value) -> CovarianceMatrix:
     """Coerce an array-like or CovarianceMatrix to CovarianceMatrix."""
     if isinstance(value, CovarianceMatrix):
         return value
-    return CovarianceMatrix(np.asarray(value, dtype=float))
+    return CovarianceMatrix(value)
 
 
 def _cholesky_or_raise(matrix: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     try:
         return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
@@ -172,10 +240,16 @@ def _cholesky_or_raise(matrix: np.ndarray) -> np.ndarray:
 # |entry| at least _FLOAT_FLOOR, each product of the expansions in absolute
 # values is 0 or a normal float, so a product of a float expansion that
 # underflows is off by at most u times its counterpart there; an overflow
-# gives inf or NaN, which no test below accepts.
+# gives inf or NaN, which no test below accepts. The reduction takes b1 and
+# b2 from the square roots of the float det A and det B, so the certificate
+# also demands det A > _DET_MARGIN |A| and det B > _DET_MARGIN |B| (|X| the
+# expansion in absolute values): each is then within 2^-32 of its exact
+# value, relative, and every other matrix takes its correctly rounded
+# determinants from the exact decision.
 _TWO_MODE_ENTRIES = itemgetter(0, 1, 5, 10, 11, 15, 2, 3, 6, 7)
 _UNIT_ROUNDOFF = 2.0**-53
 _EXPANSION_ROUNDING = 32 * _UNIT_ROUNDOFF
+_DET_MARGIN = 2.0**32 * _EXPANSION_ROUNDING
 _KAPPA_ULPS = 16 * _UNIT_ROUNDOFF
 _FLOAT_FLOOR = 2.0**-200
 
@@ -205,15 +279,18 @@ def _determinants(a00, a01, a11, b00, b01, b11, c00, c01, c10, c11):
 
 def _certified_physical(entries: tuple[float, ...], dets: tuple, tol: float) -> bool:
     """True when floats prove that the two-mode matrix of ``entries`` is
-    positive definite with kappa2 >= 1/2 - ``tol``; ``dets`` is
+    positive definite with kappa2 >= 1/2 - ``tol``, and that its float det A
+    and det B are within 2^-32 of their exact values; ``dets`` is
     ``_determinants(*entries)``.
 
     Subtracting 32u times the expansion in absolute values from each
     determinant gives lower bounds on the leading minors and on det V, and
     adding it an upper bound on Delta. kappa2^2 =
     2 det V / (Delta + sqrt(Delta^2 - 4 det V)) rises with det V and falls
-    with Delta, which gives a lower bound on kappa2. False means "not
-    certified": the matrix may still be physical.
+    with Delta, which gives a lower bound on kappa2. det A and det B must
+    exceed 2^32 times their error bound (``_DET_MARGIN``), which also proves
+    det A > 0. False means "not certified": the matrix may still be
+    physical.
     """
     absolute = tuple(map(abs, entries))
     if not min(filter(None, absolute), default=0.0) >= _FLOAT_FLOOR:
@@ -241,7 +318,8 @@ def _certified_physical(entries: tuple[float, ...], dets: tuple, tol: float) -> 
     disc = square - 4.0 * d_lo + 8.0 * _UNIT_ROUNDOFF * square
     if not (
         entries[0] > 0.0
-        and det_a > _EXPANSION_ROUNDING * abs_a
+        and det_a > _DET_MARGIN * abs_a
+        and det_b > _DET_MARGIN * abs_b
         and minor > _EXPANSION_ROUNDING * abs_minor
         and d_lo > 0.0
         and disc >= 0.0
@@ -296,8 +374,9 @@ def _jv_spectrum(matrix: np.ndarray) -> list[float]:
     """Symplectic eigenvalues (descending) of a positive-definite matrix
     from the eigenvalues of J V, whose +/- partners must match in magnitude
     to PAIR_MATCH_RTOL (else ConsistencyError)."""
-    n = matrix.shape[0] // 2
-    j = _J2 if n == 2 else symplectic_form(n)
+    import numpy as np
+
+    j = symplectic_form(matrix.shape[0] // 2)
     mags = sorted(map(abs, np.linalg.eigvals(j @ matrix).tolist()))
     kappas = []
     for lo, hi in zip(mags[0::2], mags[1::2]):
@@ -316,6 +395,8 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     match in magnitude to PAIR_MATCH_RTOL; a mismatch means the input was
     numerically corrupt.
     """
+    import numpy as np
+
     return np.array(_spectrum(as_covariance(V).matrix))
 
 
@@ -332,7 +413,7 @@ def is_physical(V) -> bool:
     cov = as_covariance(V)
     try:
         if cov.n == 2:
-            _reduce(cov)
+            _reduce(cov, active_profile())
             return True
         return _spectrum(cov.matrix)[-1] >= 0.5 - active_profile().phys_tol
     except (NotPhysicalError, NotPositiveDefiniteError):
@@ -355,6 +436,8 @@ def williamson(V) -> tuple[np.ndarray, np.ndarray]:
         (kappas, S): spectrum sorted descending, modes of S reordered to
         match.
     """
+    import numpy as np
+
     cov = as_covariance(V)
     n = cov.n
     low = _cholesky_or_raise(cov.matrix)
@@ -377,6 +460,8 @@ def square_root_cm(V) -> CovarianceMatrix:
     kappa_tilde = kappa + sqrt(kappa^2 - 1/4). The result is validated
     against the identity V = (Vt - J Vt^-1 J / 4) / 2.
     """
+    import numpy as np
+
     cov = as_covariance(V)
     tol = active_profile().phys_tol
     kappas, s = williamson(cov)
@@ -392,8 +477,9 @@ def square_root_cm(V) -> CovarianceMatrix:
 
 
 def _check_sqrt_identity(v: np.ndarray, vt: np.ndarray) -> None:
-    n = v.shape[0] // 2
-    j = _J2 if n == 2 else symplectic_form(n)
+    import numpy as np
+
+    j = symplectic_form(v.shape[0] // 2)
     recovered = 0.5 * (vt - 0.25 * j @ np.linalg.inv(vt) @ j)
     err = np.max(np.abs(recovered - v)) / max(np.max(np.abs(v)), 1.0)
     if err > SQRT_IDENTITY_RTOL:
@@ -417,12 +503,15 @@ def _unit_root(
     return b, (x00 + b) / root, x01 / root, (x11 + b) / root
 
 
-def _reduce(V) -> tuple[StandardForm, tuple[float, ...]]:
+def _reduce(
+    V, profile: ToleranceProfile
+) -> tuple[StandardForm, tuple[float, ...]]:
     """The one reduction of a two-mode CM to standard form, with every guard.
 
-    Reads the tolerance profile once, validates ``V`` as the
-    ``CovarianceMatrix`` constructor does (a ``CovarianceMatrix`` is taken
-    as it is), and takes the entries once as Python floats. Physicality is
+    Runs under ``profile``, the tolerance profile its caller read, and
+    takes the entries of ``V`` once as Python floats, validated as the
+    ``CovarianceMatrix`` constructor validates (``_two_mode_entries``; a
+    ``CovarianceMatrix`` is taken as it is). Physicality is
     decided once for every measure, before the reduction: the matrix must
     be positive definite with kappa2 >= 1/2 - phys_tol, which
     ``_certified_physical`` proves from the floats of its determinants
@@ -436,15 +525,8 @@ def _reduce(V) -> tuple[StandardForm, tuple[float, ...]]:
     (n00, n01, n11, o00, o01, o11, e, f, g, h) of its local frame; see
     ``reduce_to_standard_form``.
     """
-    profile = active_profile()
     tol = profile.phys_tol
-    if isinstance(V, CovarianceMatrix):
-        matrix = V.matrix
-    else:
-        matrix = _symmetrised(V, profile.sym_atol)
-    if matrix.shape[0] != 4:
-        raise DimensionMismatchError("standard form is defined for two modes")
-    entries = _TWO_MODE_ENTRIES(matrix.ravel().tolist())
+    entries = _TWO_MODE_ENTRIES(_two_mode_entries(V, profile.sym_atol))
     a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = entries
     dets = _determinants(*entries)
     if not _certified_physical(entries, dets, tol):
@@ -500,13 +582,17 @@ def standard_form(V) -> StandardForm:
     guards and one read of the tolerance profile, without building the
     frame. Physicality is decided on the matrix, by the float certificate
     or else exactly, and then on the closed-form spectrum of the form.
+    Loads no numpy where ``V`` is 4 rows of 4 real numbers.
     """
-    return _reduce(V)[0]
+    return _reduce(V, active_profile())[0]
 
 
-def _framed_reduction(V) -> tuple[StandardForm, list[list[float]]]:
-    """``reduce_to_standard_form`` with the rows of S as Python floats."""
-    sf, (n00, n01, n11, o00, o01, o11, e, f, g, h) = _reduce(V)
+def _framed_reduction(
+    V, profile: ToleranceProfile
+) -> tuple[StandardForm, list[list[float]]]:
+    """``reduce_to_standard_form`` under ``profile``, with the rows of S as
+    Python floats."""
+    sf, (n00, n01, n11, o00, o01, o11, e, f, g, h) = _reduce(V, profile)
     a1, a2 = math.atan2(g, f), math.atan2(h, e)
     phi, theta = 0.5 * (a2 + a1), 0.5 * (a2 - a1)
     cp, sp = math.cos(phi), math.sin(phi)
@@ -545,7 +631,9 @@ def reduce_to_standard_form(V) -> tuple[StandardForm, np.ndarray]:
     decision), the discriminant guard, and the closed-form gate on the
     reduced form.
     """
-    sf, rows = _framed_reduction(V)
+    import numpy as np
+
+    sf, rows = _framed_reduction(V, active_profile())
     return sf, np.array(rows)
 
 

@@ -302,11 +302,12 @@ class TestLayering:
 
     def test_the_numpy_layer(self):
         assert numpy_layer() == {
-            f"ghk.{m}"
-            for m in ("affinity", "checks", "discord", "oracle", "sampling", "states", "symplectic")
+            f"ghk.{m}" for m in ("affinity", "checks", "oracle", "sampling", "states")
         }
 
-    @pytest.mark.parametrize("name", ["forms.py", "__init__.py", "cli.py"])
+    @pytest.mark.parametrize(
+        "name", ["forms.py", "__init__.py", "cli.py", "symplectic.py", "discord.py"]
+    )
     def test_loads_no_numpy(self, name):
         assert not imports_on_load(SRC / name) & (NUMPY | numpy_layer())
 
@@ -315,8 +316,15 @@ class TestLayering:
             "__future__", "math", "dataclasses", "ghk.errors", "ghk.tolerances"
         }
 
+    def test_the_two_mode_reduction_imports_only_the_core(self):
+        assert imports_on_load(SRC / "symplectic.py") == {
+            "__future__", "math", "dataclasses", "functools", "operator",
+            "ghk.errors", "ghk.forms", "ghk.tolerances",
+        }
+
     def test_no_function_is_defined_in_the_core_and_the_numpy_layer(self):
-        core = top_level_definitions(SRC / "forms.py")
-        for module in numpy_layer():
-            path = SRC / f"{module.partition('.')[2]}.py"
-            assert not core & top_level_definitions(path), module
+        for core_module in ("forms.py", "symplectic.py", "discord.py"):
+            core = top_level_definitions(SRC / core_module)
+            for module in numpy_layer():
+                path = SRC / f"{module.partition('.')[2]}.py"
+                assert not core & top_level_definitions(path), (core_module, module)

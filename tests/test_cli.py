@@ -1,6 +1,7 @@
 """Command-line interface: report, sweep, verify."""
 
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
@@ -29,6 +30,9 @@ from ghk import (
     sts_standard_form,
 )
 from ghk.cli import main
+
+
+EYE4 = np.eye(4).tolist()
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +122,24 @@ class TestReport:
         code, out, _ = run_cli(capsys, "report", "--matrix", matrix)
         assert code == 0
         assert json.loads(out)["input"]["matrix"] == cm.matrix.tolist()
+
+    def test_report_document_read_as_numpy_reads_it(self, capsys):
+        # numbers written as strings, and a mean as a 2x2 list, which numpy
+        # reads and the report flattens
+        rows = [[1.5, 0.2, 0.6, 0.0], [0.2, 1.2, 0.1, -0.4],
+                [0.6, 0.1, 1.3, 0.0], [0.0, -0.4, 0.0, 1.1]]
+        plain = {"input": {"matrix": rows}}
+        spelled = {"input": {"matrix": [[repr(x) for x in row] for row in rows],
+                             "mean": [[0, 1], [2, "3"]]}}
+        code, first, _ = run_cli(capsys, "report", "--matrix", json.dumps(plain))
+        assert code == 0
+        code, second, _ = run_cli(capsys, "report", "--matrix", json.dumps(spelled))
+        assert code == 0
+        first_doc, second_doc = json.loads(first), json.loads(second)
+        assert second_doc["input"]["mean"] == [[0.0, 1.0], [2.0, 3.0]]
+        for key in ("report", "standard_form"):
+            assert second_doc[key] == first_doc[key]
+        assert second_doc["input"]["matrix"] == first_doc["input"]["matrix"]
 
     def test_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "cm.txt"
@@ -584,6 +606,13 @@ SWEEP_STS = ("sweep", "--sts", "nbar1=1", "nbar2=1", "--sweep-param", "r")
         ("report", "--matrix", "1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 x"),
         ("report", "--matrix", "1 0 0 0; 0 1 0 0; 0 0 1 0"),
         ("report", "--matrix", "1 0 0 0 0; 1 0 0 0; 0 1 0 0; 1 0 0"),
+        # report documents whose matrix or mean numpy cannot read, or reads
+        # into something that is not a two-mode matrix or a 4-vector
+        ("report", "--matrix", json.dumps({"input": {"matrix": EYE4[:3] + [[0, 0, 1]]}})),
+        ("report", "--matrix", json.dumps({"input": {"matrix": [[None] * 4] * 4}})),
+        ("report", "--matrix", json.dumps({"input": {"matrix": np.eye(6).tolist()}})),
+        ("report", "--matrix", json.dumps({"input": {"matrix": EYE4, "mean": [0, 0, 0]}})),
+        ("report", "--matrix", json.dumps({"input": {"matrix": EYE4, "mean": [[0, "x"]]}})),
         # the sweep's family flag, grid and columns
         ("sweep", "--sweep-param", "r", "--range", "0:1:2"),
         ("sweep", "--sts", "nbar1=1", "--range", "0:1:2"),
@@ -635,7 +664,7 @@ def test_import_loads_no_scipy():
 
 # Runs the three README sweeps in CSV and JSON and a sweep that fails with a
 # ParseError on its first row, noting after each whether numpy is loaded;
-# then reports a matrix, which needs numpy.
+# then reports a matrix given as nested lists, which needs no numpy either.
 NUMPY_FREE_SWEEPS = """
 import contextlib, dataclasses, io, json, math, sys
 import ghk, ghk.cli
@@ -666,9 +695,10 @@ def test_sweeps_run_without_numpy():
     assert steps[0] == ["import ghk", None, False]
     assert [code for _, code, _ in steps[1:-3]] == [0] * 6
     assert [code for _, code, _ in steps[-3:-1]] == [2, 2]
-    assert [loaded for _, _, loaded in steps[:-1]] == [False] * 9
-    assert steps[-1] == ["correlation_report", None, True]
-    # the numpy-layer report, in the same process, is the one this process gives
+    assert [loaded for _, _, loaded in steps] == [False] * 10
+    assert steps[-1][0] == "correlation_report"
+    # the report of this process, where numpy is loaded, is the one that
+    # process gave
     here = dataclasses.asdict(ghk.correlation_report(result["matrix"]))
     assert result["report"] == json.loads(json.dumps(here))
     assert result["report"]["hellinger_discord"] == pytest.approx(
@@ -678,7 +708,7 @@ def test_sweeps_run_without_numpy():
 
 # Reports of every family and standard-form input kind, among them a scaled
 # form and an unphysical one (exit 2), noting after each whether numpy is
-# loaded; then a matrix report, which loads it.
+# loaded; then a matrix report, which does not load it.
 NUMPY_FREE_REPORTS = """
 import contextlib, io, json, sys
 import ghk, ghk.cli
@@ -703,7 +733,69 @@ print(json.dumps(steps))
 def test_reports_of_forms_run_without_numpy():
     steps = json.loads(run_fresh(NUMPY_FREE_REPORTS))
     assert [code for _, code, _ in steps] == [0, 0, 0, 0, 2, 0]
-    assert [loaded for _, _, loaded in steps] == [False] * 5 + [True]
+    assert [loaded for _, _, loaded in steps] == [False] * 6
+
+
+def test_the_benchmark_setup_process_loads_no_numpy(monkeypatch):
+    # the fresh process whose wall time is the benchmark's setup_s
+    spec = importlib.util.spec_from_file_location(
+        "bench_measure", Path(__file__).resolve().parent.parent / "bench" / "measure.py"
+    )
+    measure = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, measure)  # for its dataclass
+    spec.loader.exec_module(measure)
+    code = f"{measure.SETUP_CODE}\nimport sys; print('numpy' in sys.modules)"
+    assert run_fresh(code).split() == ["False"]
+
+
+# One report of a nested list, the other two-mode functions of a nested
+# list, and report --matrix of inline text and of the report document it
+# printed, noting after each whether numpy is loaded.
+NUMPY_FREE_MATRICES = """
+import contextlib, io, json, os, sys, tempfile
+import ghk; ghk.correlation_report(
+    [[1, 0, 0.5, 0], [0, 1, 0, -0.5], [0.5, 0, 1, 0], [0, -0.5, 0, 1]])
+steps = [["setup", "numpy" in sys.modules]]
+matrix = [[1.5, 0.2, 0.6, 0.0], [0.2, 1.2, 0.1, -0.4], [0.6, 0.1, 1.3, 0.0], [0.0, -0.4, 0.0, 1.1]]
+values = {}
+for name in ("standard_form", "max_affinity", "hellinger_discord"):
+    values[name] = repr(getattr(ghk, name)(matrix))
+    steps.append([name, "numpy" in sys.modules])
+import ghk.cli
+text = ";".join(",".join(map(repr, row)) for row in matrix)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = ghk.cli.main(["report", "--matrix", text])
+steps.append(["report --matrix text", code, "numpy" in sys.modules])
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "report.json")
+    with open(path, "w") as f:
+        f.write(out.getvalue())
+    with contextlib.redirect_stdout(io.StringIO()) as again:
+        code = ghk.cli.main(["report", "--matrix", path])
+steps.append(["report --matrix document", code, "numpy" in sys.modules])
+print(json.dumps({"steps": steps, "values": values,
+                  "documents": [out.getvalue(), again.getvalue()]}))
+"""
+
+
+def test_two_mode_matrices_run_without_numpy():
+    result = json.loads(run_fresh(NUMPY_FREE_MATRICES))
+    assert result["steps"] == [
+        ["setup", False],
+        ["standard_form", False],
+        ["max_affinity", False],
+        ["hellinger_discord", False],
+        ["report --matrix text", 0, False],
+        ["report --matrix document", 0, False],
+    ]
+    first, second = (json.loads(doc) for doc in result["documents"])
+    assert first == second
+    # the values are those of this process, where numpy is loaded
+    matrix = np.array(first["input"]["matrix"])
+    assert result["values"] == {
+        name: repr(getattr(ghk, name)(matrix))
+        for name in ("standard_form", "max_affinity", "hellinger_discord")
+    }
 
 
 AFFINITY_STEPS = {

@@ -3,6 +3,7 @@ public functions, and StandardForm input."""
 
 import itertools
 import math
+from fractions import Fraction
 from functools import cache
 
 import mpmath
@@ -509,6 +510,34 @@ class TestPhysicalityCertificate:
         for entries, tol, ok in seen:
             if ok:
                 assert ghk.symplectic._exactly_physical(entries, tol) is not None
+
+    @pytest.mark.parametrize("r", [5.0, 6.0, 7.0, 8.0, 8.3])
+    def test_b1_of_a_squeezed_local_block_is_the_exact_root(self, r):
+        # product states k R diag(e^{2r}, e^{-2r}) R^T (+) I: the float
+        # expansion of det A = k^2 loses about u a00 a11 / det A, relative,
+        # so b1 is exact only where the certificate's margin bounds that
+        # loss, or from the exact determinant
+        rng = np.random.default_rng(17)
+        accepted = 0
+        for _ in range(200):
+            k, angle = rng.uniform(0.5, 3.0), rng.uniform(0.0, math.pi)
+            co, si = math.cos(angle), math.sin(angle)
+            up, down = k * math.exp(2.0 * r), k * math.exp(-2.0 * r)
+            a00, a11 = co * co * up + si * si * down, si * si * up + co * co * down
+            a01 = co * si * (up - down)
+            matrix = [
+                [a00, a01, 0.0, 0.0], [a01, a11, 0.0, 0.0],
+                [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+            ]
+            try:
+                sf = standard_form(matrix)
+            except NotPhysicalError:
+                continue
+            accepted += 1
+            det_a = Fraction(a00) * Fraction(a11) - Fraction(a01) ** 2
+            assert sf.b1 == pytest.approx(math.sqrt(float(det_a)), rel=2.0**-31, abs=0.0)
+            assert sf.b2 == 1.0
+        assert accepted >= 180
 
 
 @cache

@@ -1,6 +1,7 @@
 """Symplectic core: spectra, Williamson square roots, standard forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ghk import (
     NotPositiveDefiniteError,
     StandardForm,
     affinity,
+    as_covariance,
     closest_product_state,
     correlation_report,
     det2,
@@ -607,12 +609,11 @@ class TestCovarianceMatrixType:
     def test_pair_check_tolerance(self, monkeypatch, factor, raises):
         # J V of a valid matrix always pairs up, so the eigensolver is made
         # to return +/- i kappa pairs whose magnitudes differ by a set amount
-        from ghk import symplectic
         from ghk.symplectic import PAIR_MATCH_RTOL
 
         gap = factor * PAIR_MATCH_RTOL
         broken = np.array([3j, -3j * (1 + gap), 0.7j, -0.7j])
-        monkeypatch.setattr(symplectic.np.linalg, "eigvals", lambda _: broken)
+        monkeypatch.setattr(np.linalg, "eigvals", lambda _: broken)
         cm = StandardForm(1.5, 1.2, 0.3, -0.2).to_cm()
         if raises:
             with pytest.raises(ConsistencyError):
@@ -717,3 +718,143 @@ class TestPositiveDefiniteDecision:
             entries = symplectic._TWO_MODE_ENTRIES(m.ravel().tolist())
             dets = symplectic._determinants(*entries)
             assert symplectic._certified_physical(entries, dets, tol)
+
+
+PARITY_BASE = [
+    [1.5, 0.2, 0.6, 0.0], [0.2, 1.2, 0.1, -0.4], [0.6, 0.1, 1.3, 0.0], [0.0, -0.4, 0.0, 1.1]
+]
+
+
+def with_entry(i: int, j: int, value, mirror: bool = False) -> list[list]:
+    m = [row[:] for row in PARITY_BASE]
+    m[i][j] = value
+    if mirror:
+        m[j][i] = value
+    return m
+
+
+def skewed(by: float) -> list[list[float]]:
+    m = [row[:] for row in PARITY_BASE]
+    m[0][2] += by
+    return m
+
+
+def np_matrix(rows) -> np.matrix:
+    """``np.matrix(rows)``, without its deprecation warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        return np.matrix(rows)
+
+
+def numpy_error(value) -> tuple[type, str]:
+    """The exception numpy raises on reading ``value`` as floats."""
+    try:
+        np.asarray(value, dtype=float)
+    except Exception as exc:
+        return type(exc), str(exc)
+    raise AssertionError("numpy reads this input")
+
+
+def parity_pool() -> list[np.ndarray]:
+    """Random forms and family forms in random frames, and the pure TMSV at
+    r = 4.5 in random frames, which some decisions reject."""
+    rng = np.random.default_rng(41)
+    out = [in_random_frame(random_standard_form(rng), rng) for _ in range(24)]
+    for nbar1, nbar2, r in ((1.0, 1.0, 0.7), (0.4, 2.5, 0.9), (0.0, 0.0, 4.5)):
+        sf = sts_standard_form(StsParams(nbar1, nbar2, r))
+        out += [sf.to_cm().matrix] + [in_random_frame(sf, rng) for _ in range(4)]
+    return out
+
+
+class TestFloatValidation:
+    """The two-mode functions read 4 rows of 4 real numbers as Python floats
+    and leave every other input to numpy: each input raises the exception
+    that the numpy reading raised, with its message, and each form of one
+    matrix gives one report."""
+
+    CALLS = (standard_form, correlation_report, max_affinity)
+
+    @staticmethod
+    def outcome(call, value):
+        try:
+            return call(value)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ([row[:3] for row in PARITY_BASE[:3]],
+             (DimensionMismatchError, "covariance matrix must be 2n x 2n, got shape (3, 3)")),
+            ([row + [0.0] for row in PARITY_BASE],
+             (DimensionMismatchError, "covariance matrix must be 2n x 2n, got shape (4, 5)")),
+            (np.eye(6).tolist(),
+             (DimensionMismatchError, "standard form is defined for two modes")),
+            (np.eye(6), (DimensionMismatchError, "standard form is defined for two modes")),
+            (PARITY_BASE[0],
+             (DimensionMismatchError, "covariance matrix must be 2n x 2n, got shape (4,)")),
+            ([], (DimensionMismatchError, "covariance matrix must be 2n x 2n, got shape (0,)")),
+            (np.zeros((0, 0)),
+             (DimensionMismatchError, "covariance matrix must be 2n x 2n, got shape (0, 0)")),
+            (with_entry(1, 1, math.nan),
+             (InvalidParamsError, "covariance matrix entries must be finite")),
+            (with_entry(0, 3, math.inf, mirror=True),
+             (InvalidParamsError, "covariance matrix entries must be finite")),
+            (np.array(with_entry(2, 1, -math.inf)),
+             (InvalidParamsError, "covariance matrix entries must be finite")),
+        ],
+        ids=["3x3", "4x5", "6x6", "6x6 array", "1-D", "empty", "empty array", "nan",
+             "inf", "-inf array"],
+    )
+    def test_invalid_input_raises_as_before(self, value, expected):
+        for call in self.CALLS:
+            assert self.outcome(call, value) == expected, call.__name__
+
+    def test_ragged_input_raises_numpy_error(self):
+        ragged = [PARITY_BASE[0], PARITY_BASE[1][:3], PARITY_BASE[2], PARITY_BASE[3]]
+        for call in self.CALLS:
+            assert self.outcome(call, ragged) == numpy_error(ragged), call.__name__
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_asymmetry_just_above_and_below_the_tolerance(self, monkeypatch, profile):
+        monkeypatch.setenv(ENV_VAR, profile)
+        atol = PROFILES[profile].sym_atol
+        above, below = skewed(2.0 * atol), skewed(0.5 * atol)
+        by = above[0][2] - above[2][0]
+        for call in self.CALLS:
+            assert self.outcome(call, above) == (
+                NonSymmetricError, f"covariance matrix asymmetry {by:.3e} exceeds tolerance"
+            )
+            assert self.outcome(call, below) == call(np.array(below))
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [[repr(x) for x in row] for row in PARITY_BASE],
+            [[2, 0, True, 0], [0, 2, 0, False], [True, 0, 2, 0], [0, False, 0, 2]],
+            [[np.float32(x) for x in row] for row in PARITY_BASE],
+            np.array(PARITY_BASE, dtype=np.float32),
+            np.array(PARITY_BASE, dtype=object),
+            np_matrix(PARITY_BASE),
+            CovarianceMatrix(np.array(PARITY_BASE)),
+        ],
+        ids=["numeric strings", "bool and int", "numpy scalars", "float32", "object array",
+             "np.matrix", "CovarianceMatrix"],
+    )
+    def test_other_entry_types_read_as_numpy_reads_them(self, value):
+        as_float = as_covariance(value).matrix
+        for call in self.CALLS:
+            assert self.outcome(call, value) == self.outcome(call, as_float), call.__name__
+
+    def test_every_form_of_a_matrix_gives_one_report(self):
+        for m in parity_pool():
+            rows = m.tolist()
+            forms = [
+                rows,
+                tuple(map(tuple, rows)),
+                CovarianceMatrix(m),
+                m.copy(order="F"),
+            ]
+            expected = self.outcome(correlation_report, m)
+            for form in forms:
+                assert self.outcome(correlation_report, form) == expected
