@@ -18,12 +18,25 @@ BOUNDARY_MARGIN = 1e-6
 
 
 def random_symplectic(n: int, rng: np.random.Generator, scale: float = 0.35) -> np.ndarray:
-    """Random S in Sp(2n, R) as exp(J A) with A a random symmetric generator."""
-    import scipy.linalg  # only here, so that importing the package stays light
+    """Random S in Sp(2n, R): the Cayley transform (I - H)^-1 (I + H) of
+    H = J A / 2, A a random symmetric generator drawn in one ``rng`` call.
 
+    S is symplectic whenever I - H is invertible, and equals exp(J A) to
+    second order in A (Hairer, Lubich and Wanner, Geometric Numerical
+    Integration, Springer 2006), so ``scale`` keeps its meaning.
+    """
     a = rng.normal(0.0, scale, (2 * n, 2 * n))
-    a = 0.5 * (a + a.T)
-    return scipy.linalg.expm(symplectic_form(n) @ a)
+    h = symplectic_form(n) @ (0.25 * (a + a.T))
+    eye = np.eye(2 * n)
+    return np.linalg.solve(eye - h, eye + h)
+
+
+def random_local_frame(rng: np.random.Generator) -> np.ndarray:
+    """Random local symplectic frame S1 (+) S2 of two modes, from two
+    ``random_symplectic(1, rng)`` draws."""
+    s = np.zeros((4, 4))
+    s[:2, :2], s[2:, 2:] = random_symplectic(1, rng), random_symplectic(1, rng)
+    return s
 
 
 def random_standard_form(

@@ -105,10 +105,8 @@ class CovarianceMatrix:
 def _symmetrised(value, sym_atol: float) -> np.ndarray:
     """The validated, symmetrised matrix of ``value``.
 
-    Checks shape, then finiteness and asymmetry (against ``sym_atol``) on
-    one list of the entries taken as Python floats, the asymmetry over the
-    index pairs (i, j), (j, i) above the diagonal. Returns the read-only
-    array (V + V^T) / 2.
+    Checks shape, then the entries taken as Python floats
+    (``_symmetrised_entries``). Returns the read-only array (V + V^T) * 0.5.
     """
     import numpy as np
 
@@ -117,47 +115,43 @@ def _symmetrised(value, sym_atol: float) -> np.ndarray:
         raise DimensionMismatchError(
             f"covariance matrix must be 2n x 2n, got shape {m.shape}"
         )
-    _check_entries(m.ravel().tolist(), m.shape[0], sym_atol)
-    matrix = m + m.T
-    matrix *= 0.5
+    entries = _symmetrised_entries(m.ravel().tolist(), m.shape[0], sym_atol)
+    matrix = np.array(entries).reshape(m.shape)
     matrix.flags.writeable = False
     return matrix
 
 
-def _check_entries(entries: list[float], size: int, sym_atol: float) -> None:
-    """Raise the error of a ``size`` x ``size`` covariance matrix with these
-    row-major entries, if any: an entry that is not finite, or an asymmetry
-    above ``sym_atol``."""
+def _symmetrised_entries(entries: list[float], size: int, sym_atol: float) -> list[float]:
+    """The row-major entries (v_ij + v_ji) * 0.5 of the ``size`` x ``size``
+    matrix V with these row-major entries, bit for bit numpy's
+    (V + V^T) * 0.5. Raises unless every entry is finite, no asymmetry
+    exceeds ``sym_atol`` and no symmetrised entry overflows, checked in
+    this order."""
     if not all(map(math.isfinite, entries)):
         raise InvalidParamsError("covariance matrix entries must be finite")
-    upper, lower = _mirror_pairs(size)
-    asym = max(map(abs, map(sub, upper(entries), lower(entries))))
+    transposed = _transposed(size)(entries)
+    asym = max(map(abs, map(sub, entries, transposed)))
     if asym > sym_atol:
         raise NonSymmetricError(
             f"covariance matrix asymmetry {asym:.3e} exceeds tolerance"
         )
+    symmetrised = [(x + y) * 0.5 for x, y in zip(entries, transposed)]
+    if not all(map(math.isfinite, symmetrised)):
+        raise InvalidParamsError("covariance matrix entries overflow when symmetrised")
+    return symmetrised
 
 
 @cache
-def _mirror_pairs(size: int) -> tuple[itemgetter, itemgetter]:
-    """Getters of the row-major entries (i, j) and (j, i), i < j, of a
-    ``size`` x ``size`` matrix, each returning a tuple."""
-    pairs = [
-        (i * size + j, j * size + i) for i in range(size) for j in range(i + 1, size)
-    ]
-    # a lone index would make itemgetter return the entry, not a tuple
-    pairs.append((0, 0))
-    upper, lower = zip(*pairs)
-    return itemgetter(*upper), itemgetter(*lower)
+def _transposed(size: int) -> itemgetter:
+    """Getter of the row-major entries of the transpose of a ``size`` x
+    ``size`` matrix, as a tuple."""
+    return itemgetter(*(j * size + i for i in range(size) for j in range(size)))
 
 
 # The Python types of the entries that the float route reads: float() gives
 # each the float that numpy's conversion to dtype float gives. Any other
 # entry (a string, a numpy scalar, an object) is left to numpy.
 _REALS = frozenset({float, int, bool})
-
-# The row-major entries of the transpose of a 4x4 matrix.
-_TRANSPOSED = itemgetter(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15)
 
 
 def _real_rows(value) -> list[float] | None:
@@ -185,19 +179,17 @@ def _two_mode_entries(V, sym_atol: float) -> list[float]:
     Python floats, validated and symmetrised as by the ``CovarianceMatrix``
     constructor; a ``CovarianceMatrix`` is taken as it is.
 
-    4 rows of 4 real numbers (``_real_rows``) are checked for finiteness and
-    for asymmetry against ``sym_atol`` on their floats, and entry (i, j) is
-    (v_ij + v_ji) * 0.5, bit for bit numpy's (V + V^T) * 0.5. Any other
-    input goes to ``_symmetrised``, which reads it with numpy and raises its
-    errors; a valid matrix of another size is not a two-mode matrix.
+    4 rows of 4 real numbers (``_real_rows``) are checked and symmetrised on
+    their floats (``_symmetrised_entries``). Any other input goes to
+    ``_symmetrised``, which reads it with numpy and raises its errors; a
+    valid matrix of another size is not a two-mode matrix.
     """
     if isinstance(V, CovarianceMatrix):
         matrix = V.matrix
     else:
         entries = _real_rows(V)
         if entries is not None:
-            _check_entries(entries, 4, sym_atol)
-            return [(x + y) * 0.5 for x, y in zip(entries, _TRANSPOSED(entries))]
+            return _symmetrised_entries(entries, 4, sym_atol)
         matrix = _symmetrised(V, sym_atol)
     if matrix.shape[0] != 4:
         raise DimensionMismatchError("standard form is defined for two modes")

@@ -74,6 +74,12 @@ class TestReport:
         assert code == 2
         assert "physical" in err.lower()
 
+    def test_matrix_that_overflows_when_symmetrised_exits_2(self, capsys):
+        matrix = "1.7e308,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"
+        code, out, err = run_cli(capsys, "report", "--matrix", matrix)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "overflow" in err
+
     def test_zero_gap_matrix_exits_2_without_a_traceback(self, tmp_path):
         # the two-mode squeezed vacuum at r = 9.7 in a random local frame,
         # whose reduced gap b - c rounds to 0 (ZERO_GAP_STATE of

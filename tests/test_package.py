@@ -1,7 +1,12 @@
 """The package's exports: the names it had when ``import ghk`` loaded every
-module, each the same object from the package and from its own module."""
+module, each the same object from the package and from its own module; and
+its declared dependencies: the third-party modules it imports."""
 
+import ast
 import importlib
+import re
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -69,3 +74,15 @@ def test_each_name_is_one_object_from_the_package_and_its_module(name):
     else:
         module = ghk._HOME.get(name) or value.__module__.partition(".")[2]
     assert getattr(importlib.import_module(f"ghk.{module}"), name) is value
+
+
+def test_dependencies_are_the_third_party_modules_imported():
+    tomllib = pytest.importorskip("tomllib")
+    src = Path(ghk.__file__).resolve().parent
+    nodes = [n for p in src.glob("*.py") for n in ast.walk(ast.parse(p.read_text()))]
+    imported = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+    imported |= {n.module for n in nodes if isinstance(n, ast.ImportFrom) and not n.level}
+    third_party = {name.partition(".")[0] for name in imported} - sys.stdlib_module_names
+    project = tomllib.loads((src.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", req)[0] for req in project["dependencies"]}
+    assert third_party - {"ghk"} == declared

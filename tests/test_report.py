@@ -38,15 +38,8 @@ from ghk import (
 )
 from ghk.cli import _MEASURES, _sweep_row
 from ghk.errors import GhkError
+from ghk.sampling import random_local_frame
 from ghk.tolerances import ENV_VAR, PROFILES
-
-
-def local_frame(rng) -> np.ndarray:
-    """Random local symplectic S1 (+) S2."""
-    s = np.zeros((4, 4))
-    s[:2, :2] = random_symplectic(1, rng)
-    s[2:, 2:] = random_symplectic(1, rng)
-    return s
 
 
 def in_frame(sf: StandardForm, s: np.ndarray) -> CovarianceMatrix:
@@ -84,8 +77,8 @@ class TestOneReduction:
         in_family = sts_standard_form(StsParams(1.0, 1.0, 0.7))
         out_of_family = sts_standard_form(StsParams(0.4, 2.5, 0.9))
         matrices = [
-            in_frame(random_standard_form(rng), local_frame(rng)),
-            in_frame(in_family, local_frame(rng)),
+            in_frame(random_standard_form(rng), random_local_frame(rng)),
+            in_frame(in_family, random_local_frame(rng)),
             in_family.to_cm(),
             out_of_family.to_cm(),
         ]
@@ -131,10 +124,10 @@ def test_report_evaluates_each_spectrum_once(monkeypatch):
 
 def test_report_fields_equal_the_public_functions():
     rng = np.random.default_rng(13)
-    matrices = [in_frame(random_standard_form(rng), local_frame(rng)) for _ in range(200)]
+    matrices = [in_frame(random_standard_form(rng), random_local_frame(rng)) for _ in range(200)]
     for sf in family_forms():
         matrices.append(sf.to_cm())
-        matrices.append(in_frame(sf, local_frame(rng)))
+        matrices.append(in_frame(sf, random_local_frame(rng)))
     in_family = 0
     for cm in matrices:
         report = correlation_report(cm)
@@ -225,10 +218,11 @@ class TestFramedDoubleRoot:
         sf = sts_standard_form(StsParams(0.0, 0.0, r))
         floor = 0.5 - active_profile().phys_tol
         rng = np.random.default_rng(13)
+        decisions = set()
         for _ in range(60):
-            cm = in_frame(sf, local_frame(rng))
+            cm = in_frame(sf, random_local_frame(rng))
             physical = is_physical(cm)
-            assert physical or r > 4.0
+            decisions.add(physical)
             if physical:
                 assert reference_kappa2(cm.matrix) >= floor
             for call in DECIDERS:
@@ -238,13 +232,15 @@ class TestFramedDoubleRoot:
                 except NotPhysicalError:
                     accepted = False
                 assert accepted == physical, call.__name__
+        # past r = 4 the frames take both decisions, so neither goes untested
+        assert decisions == ({True} if r <= 4.0 else {True, False})
 
     def test_framed_thermal_spectrum(self):
         sf = sts_standard_form(StsParams(1.0, 1.0, 0.7))
         rng = np.random.default_rng(14)
         for _ in range(50):
-            spectrum = correlation_report(in_frame(sf, local_frame(rng))).symplectic_spectrum
-            for kappa in spectrum:
+            cm = in_frame(sf, random_local_frame(rng))
+            for kappa in correlation_report(cm).symplectic_spectrum:
                 assert kappa == pytest.approx(1.5, rel=1e-13, abs=0.0)
 
 
@@ -356,7 +352,7 @@ class TestHotPath:
     def test_matrix(self, linalg_calls):
         rng = np.random.default_rng(15)
         for _ in range(8):
-            cm = in_frame(random_standard_form(rng), local_frame(rng))
+            cm = in_frame(random_standard_form(rng), random_local_frame(rng))
             for call in self.CALLS:
                 linalg_calls.update(cholesky=0, eigvals=0)
                 call(cm)
@@ -368,7 +364,7 @@ class TestHotPath:
         "params", [StsParams(0.0, 0.0, 1.3), StsParams(1e-10, 1e-10, 0.7)]
     )
     def test_uncertified_matrix_is_decided_exactly(self, linalg_calls, monkeypatch, params):
-        cm = in_frame(sts_standard_form(params), local_frame(np.random.default_rng(15)))
+        cm = in_frame(sts_standard_form(params), random_local_frame(np.random.default_rng(15)))
         exact = []
         original = ghk.symplectic._exactly_physical
 
@@ -410,11 +406,11 @@ def near_boundary_matrices() -> list[np.ndarray]:
     out = [np.array(ZERO_GAP_STATE)]
     for r in (0.3, 1.3, 3.0, 4.5, 5.0, 6.0, 7.0, 9.7):
         sf = sts_standard_form(StsParams(0.0, 0.0, r))
-        out += [in_frame(sf, local_frame(rng)).matrix for _ in range(6)]
+        out += [in_frame(sf, random_local_frame(rng)).matrix for _ in range(6)]
     for nbar in np.logspace(-12.0, -4.0, 9).tolist():
         for r in (0.0, 0.5, 2.0):
             sf = sts_standard_form(StsParams(nbar, nbar, r))
-            out.append(in_frame(sf, local_frame(rng)).matrix)
+            out.append(in_frame(sf, random_local_frame(rng)).matrix)
     for gap in np.logspace(-12.0, -3.0, 10).tolist():
         for kappa2 in (0.5 + gap, 0.5 - gap):
             kappa1 = kappa2 + rng.uniform(0.0, 3.0)
@@ -424,7 +420,7 @@ def near_boundary_matrices() -> list[np.ndarray]:
     for r in np.linspace(0.5, 12.0, 12).tolist():
         nbar1, nbar2 = rng.uniform(0.0, 3.0, 2).tolist()
         sf = sts_standard_form(StsParams(nbar1, nbar2, r))
-        out += [sf.to_cm().matrix, in_frame(sf, local_frame(rng)).matrix]
+        out += [sf.to_cm().matrix, in_frame(sf, random_local_frame(rng)).matrix]
     return out
 
 
@@ -434,7 +430,7 @@ def framed_tmsv_grid() -> list[np.ndarray]:
     for r in (4.0, 4.5, 5.0, 6.0, 7.0, 9.7):
         sf = sts_standard_form(StsParams(0.0, 0.0, r))
         rng = np.random.default_rng(13)
-        out += [in_frame(sf, local_frame(rng)).matrix for _ in range(100)]
+        out += [in_frame(sf, random_local_frame(rng)).matrix for _ in range(100)]
     return out
 
 
@@ -446,7 +442,7 @@ def framed_sts_9_25() -> list[np.ndarray]:
     out = []
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        out += [in_frame(sf, local_frame(rng)).matrix for _ in range(20)]
+        out += [in_frame(sf, random_local_frame(rng)).matrix for _ in range(20)]
     return out
 
 

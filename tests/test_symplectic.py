@@ -40,6 +40,7 @@ from ghk import (
     symplectic_form,
     williamson,
 )
+from ghk.sampling import random_local_frame
 from ghk.states import StsParams, sts_standard_form, sts_state
 from ghk.tolerances import ENV_VAR, PROFILES
 
@@ -143,6 +144,12 @@ class TestIsPhysical:
 
     def test_indefinite_is_unphysical(self):
         assert not is_physical(np.diag([1.0, -1.0]))
+
+    def test_entries_that_overflow_when_symmetrised_are_invalid(self):
+        m = np.diag([1.7e308, 1.0, 1.0, 1.0])
+        for value in (m, m.tolist()):
+            with pytest.raises(InvalidParamsError, match="overflow"):
+                is_physical(value)
 
 
 class TestWilliamson:
@@ -364,12 +371,17 @@ class TestReduceToStandardForm:
                 assert math.copysign(1.0, got.d) == math.copysign(1.0, p)
 
 
-def local_frame(rng) -> np.ndarray:
-    """Random local symplectic S1 (+) S2."""
-    s = np.zeros((4, 4))
-    s[:2, :2] = random_symplectic(1, rng)
-    s[2:, 2:] = random_symplectic(1, rng)
-    return s
+class TestRandomSymplectic:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_is_symplectic_and_draws_one_normal_matrix(self, n):
+        j = symplectic_form(n)
+        rng, replay = np.random.default_rng(40 + n), np.random.default_rng(40 + n)
+        for scale in [0.35] * 300 + [1.5] * 300:
+            s = random_symplectic(n, rng, scale)
+            bound = 1e-13 * max(1.0, np.max(np.abs(s)) ** 2)
+            assert np.max(np.abs(s @ j @ s.T - j)) <= bound
+            replay.normal(size=(2 * n, 2 * n))
+            assert rng.bit_generator.state == replay.bit_generator.state
 
 
 class TestReductionFrame:
@@ -383,7 +395,7 @@ class TestReductionFrame:
             for c, d in ((0.0, 0.0), (0.4, 0.0), (0.4, 0.4), (0.4, -0.4), (0.5, -0.2)):
                 forms.append(StandardForm(b1, b2, c, d))
         for sf in forms:
-            for s in (np.eye(4), local_frame(rng)):
+            for s in (np.eye(4), random_local_frame(rng)):
                 m = s @ sf.to_cm().matrix @ s.T
                 yield CovarianceMatrix(0.5 * (m + m.T))
 
@@ -527,7 +539,8 @@ class TestCovarianceMatrixType:
         with pytest.raises(DimensionMismatchError):
             CovarianceMatrix(np.ones(shape))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # (x + x) * 0.5 overflows from x = 2^1023 on
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.7e308])
     @pytest.mark.parametrize("where", [(1, 1), (0, 2)])
     def test_rejects_non_finite_entries(self, bad, where):
         m = 0.5 * np.eye(4)
@@ -570,6 +583,9 @@ class TestCovarianceMatrixType:
         m[0, 2] = 0.3 + 1e-6
         with pytest.raises(NonSymmetricError):
             call(m)
+        m[0, 2] = m[2, 0] = 1.7e308
+        with pytest.raises(InvalidParamsError, match="overflow"):
+            call(m.tolist())
         with pytest.raises(DimensionMismatchError):
             call(random_physical_cm(3, np.random.default_rng(23)).matrix)
 
@@ -639,9 +655,7 @@ def unit_diagonal_matrix(lam_min: float, rng) -> np.ndarray:
 
 def in_random_frame(sf: StandardForm, rng) -> np.ndarray:
     """The matrix of ``sf`` in a random local frame S1 (+) S2, symmetrised."""
-    s = np.zeros((4, 4))
-    s[:2, :2] = random_symplectic(1, rng)
-    s[2:, 2:] = random_symplectic(1, rng)
+    s = random_local_frame(rng)
     m = s @ sf.to_cm().matrix @ s.T
     return 0.5 * (m + m.T)
 

@@ -19,11 +19,11 @@ from ghk import (
     hellinger_discord,
     max_affinity,
     random_standard_form,
-    random_symplectic,
     reduce_to_standard_form,
     standard_form,
     sts_standard_form,
 )
+from ghk.sampling import random_local_frame
 from ghk.tolerances import ENV_VAR, PROFILES
 
 
@@ -97,9 +97,7 @@ class TestProfileReads:
     @staticmethod
     def matrices():
         rng = np.random.default_rng(31)
-        frame = np.zeros((4, 4))
-        frame[:2, :2] = random_symplectic(1, rng)
-        frame[2:, 2:] = random_symplectic(1, rng)
+        frame = random_local_frame(rng)
         framed = frame @ random_standard_form(rng).to_cm().matrix @ frame.T
         in_family = sts_standard_form(StsParams(1.0, 1.0, 0.7)).to_cm().matrix
         return [0.5 * (framed + framed.T), in_family.copy()]
