@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SingularSumError
+from .errors import DimensionMismatchError, InvalidParamsError, SingularSumError
 from .states import GaussianState
 from .symplectic import CovarianceMatrix, as_covariance, square_root_cm
 
@@ -62,6 +62,8 @@ def gaussian_overlap_trace(V1, V2, dv) -> float:
         raise DimensionMismatchError(
             f"displacement must have length {2 * c1.n}, got {delta.shape[0]}"
         )
+    if not np.all(np.isfinite(delta)):
+        raise InvalidParamsError("displacement vector must be finite")
     logdet, quad = _chol_logdet_quad(c1.matrix + c2.matrix, delta)
     return math.exp(-0.5 * logdet - 0.5 * quad)
 
@@ -91,6 +93,8 @@ def affinity_from_sqrt_cms(
     delta = None if dv is None else np.asarray(dv, dtype=float).reshape(-1)
     if delta is not None and delta.shape != (2 * n,):
         raise DimensionMismatchError("displacement length does not match modes")
+    if delta is not None and not np.all(np.isfinite(delta)):
+        raise InvalidParamsError("displacement vector must be finite")
     ld_sum, quad = _chol_logdet_quad(c1.matrix + c2.matrix, delta)
     log_value = n * math.log(2.0) + 0.25 * (ld1 + ld2) - 0.5 * ld_sum - 0.5 * quad
     # The affinity of two states never exceeds 1; only round-off can push it

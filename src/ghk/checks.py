@@ -21,7 +21,7 @@ from .discord import (
     max_affinity,
 )
 from .errors import ConsistencyError, DimensionMismatchError, NotPhysicalError
-from .forms import _is_uncorrelated, _k_and_l
+from .forms import _is_uncorrelated, _k_and_l, _radical
 from .oracle import (
     det2,
     det4,
@@ -82,7 +82,7 @@ def invariants_from_spectrum(kappas) -> SymplecticInvariants:
     """
     k1, k2 = float(kappas[0]), float(kappas[1])
     tol = active_profile().phys_tol
-    k, l = _k_and_l(k1, k2, tol)
+    k, l = _k_and_l(k1, k2, _radical(k1 - 0.5, tol), _radical(k2 - 0.5, tol))
     gap1 = 0.0 if k1 - 0.5 < tol else k1 - 0.5
     gap2 = 0.0 if k2 - 0.5 < tol else k2 - 0.5
     m1 = gap1 * (k2 + 0.5)

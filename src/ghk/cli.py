@@ -286,8 +286,16 @@ def cmd_report(args) -> int:
             "pt_spectrum": list(report.pt_spectrum),
         },
     }
-    print(json.dumps(payload, indent=2))
+    print(_json(payload))
     return 0
+
+
+def _json(payload: dict) -> str:
+    """``payload`` as JSON, which has no NaN or Infinity: InvalidParamsError."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        raise InvalidParamsError("a value is not finite and has no JSON form") from None
 
 
 def _sweep_row(family: str, params: dict, outputs, tol: float) -> tuple[bool, dict]:
@@ -375,7 +383,7 @@ def cmd_sweep(args) -> int:
                 for value, physical, values in rows
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
         return 0
     print(",".join([sweep_param, "physical", *outputs]))
     for value, physical, values in rows:

@@ -53,11 +53,10 @@ from .forms import (
     _form_affinity_and_discord,
     _form_report,
     _is_uncorrelated,
-    _mts_entries,
+    _mts_form,
     _physical_spectrum,
-    _radical,
     _sqrt_form,
-    _sts_entries,
+    _sts_form,
 )
 from .symplectic import _REALS, _framed_reduction, _reduce, standard_form
 from .tolerances import active_profile
@@ -241,10 +240,7 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
     tsf = _sqrt_form(sf, tol, sf.spectrum())
     value = 1.0
     if not _is_uncorrelated(sf):
-        bb = tsf.b1 * tsf.b2
-        value = _affinity_and_discord(
-            tsf.b1, tsf.b2, tsf.c, tsf.d, bb - tsf.c * tsf.c, bb - tsf.d * tsf.d
-        )[0]
+        value = _affinity_and_discord(tsf.b1, tsf.b2, tsf.c, tsf.d)[0]
     eta1, eta2, e2r1, e2r2 = _optimum(tsf)
     (f00, f01, _, _), (f10, f11, _, _), (_, _, g00, g01), (_, _, g10, g11) = frame
     e1, rr1, ph1 = _frame_params(f00, f01, f10, f11, eta1, e2r1)
@@ -276,60 +272,22 @@ def hellinger_discord_symmetric(b: float, c: float, d: float) -> float:
     return _form_affinity_and_discord(_checked_form(tol, b, b, c, d), tol)[1]
 
 
-def _family_discord(
-    b1: float, b2: float, c: float, d: float, kt1: float, kt2: float
-) -> float:
-    """The discord of a family's exact square root (b1, b2, c, d), whose
-    gaps are kt1 kt2; c >= 0 and kt1, kt2 <= b1 + b2.
-
-    From 2^510 on, the products of ``_affinity_and_discord`` (b1 b2, c^2 and
-    a denominator up to 4 max^2) would overflow. So the entries are scaled
-    by 2^-m and the gaps by 2^-2m, which is exact and leaves A* and the
-    discord unchanged, since they do not depend on a common scale; below
-    2^510 nothing is scaled. InvalidParamsError where an entry overflowed,
-    as ``sts_standard_form`` raises for the state's own form.
-    """
-    if not all(map(math.isfinite, (b1, b2, c, kt1, kt2))):
-        raise InvalidParamsError("the family's square-root form is not finite")
-    m = math.frexp(max(b1, b2, c, kt1, kt2))[1] - 510
-    if m > 0:
-        b1, b2, c, d, kt1, kt2 = (math.ldexp(x, -m) for x in (b1, b2, c, d, kt1, kt2))
-    return _affinity_and_discord(b1, b2, c, d, kt1 * kt2, kt1 * kt2)[1]
-
-
 def hellinger_discord_sts(p: StsParams) -> float:
-    """Discord of a squeezed thermal state, directly from its parameters.
-
-    The one closed form of the discord on the family's exact square root,
-    the state (kt1, kt2, r) with kt = k + sqrt(k^2 - 1/4), k = nbar + 1/2,
-    whose gaps b1 b2 - c^2 = b1 b2 - d^2 are exactly kt1 kt2, so it keeps
-    its relative accuracy. Equal occupancies give tanh^2(r). The paper's
-    X formula is the cross-check ``ghk.checks.hellinger_discord_x``.
-    """
+    """Discord of a squeezed thermal state: the report's field of its family
+    form, on its exact square root (kt1, kt2, r), kt = k + sqrt(k^2 - 1/4),
+    whose gaps are exactly kt1 kt2, so it keeps its relative accuracy. Equal
+    occupancies give tanh^2(r); ``ghk.checks.hellinger_discord_x`` is the
+    paper's X formula."""
     tol = active_profile().phys_tol
-    k1, k2 = p.nbar1 + 0.5, p.nbar2 + 0.5
-    kt1, kt2 = k1 + _radical(p.nbar1, tol), k2 + _radical(p.nbar2, tol)
-    b1, b2, c = _sts_entries(kt1, kt2, p.r)
-    return _family_discord(b1, b2, c, -c, kt1, kt2)
+    return _form_affinity_and_discord(_sts_form(p, tol), tol)[1]
 
 
 def hellinger_discord_mts(p: MtsParams) -> float:
-    """Discord of a mode-mixed thermal state, directly from its parameters.
-
-    As ``hellinger_discord_sts``, on the state (kt1, kt2, theta), with
-    kt1 - kt2 = (k1 - k2)(1 + (k1 + k2)/(rho1 + rho2)), rho = sqrt(k^2 - 1/4),
-    which does not cancel. The paper's Y formula is the cross-check
-    ``ghk.checks.hellinger_discord_y``.
-    """
+    """Discord of a mode-mixed thermal state, as ``hellinger_discord_sts``,
+    on (kt1, kt2, theta); ``ghk.checks.hellinger_discord_y`` is the paper's
+    Y formula."""
     tol = active_profile().phys_tol
-    k1, k2 = p.kappa1, p.kappa2
-    rho1, rho2 = _radical(k1 - 0.5, tol), _radical(k2 - 0.5, tol)
-    if rho2 == 0.0:  # kt2 = k2, so nothing cancels; rho1 + rho2 may be 0
-        split = k1 - k2 + rho1
-    else:
-        split = (k1 - k2) * (1.0 + (k1 + k2) / (rho1 + rho2))
-    b1, b2, c = _mts_entries(k1 + rho1, k2 + rho2, split, p.theta)
-    return _family_discord(b1, b2, c, c, k1 + rho1, k2 + rho2)
+    return _form_affinity_and_discord(_mts_form(p, tol), tol)[1]
 
 
 def simon_separable(V) -> bool:
@@ -389,7 +347,7 @@ def entanglement_of_formation_symmetric(b: float, c: float) -> float:
     tol = active_profile().phys_tol
     sf = _checked_form(tol, b, b, c, -c)
     _physical_spectrum(sf, tol)
-    return _eof_symmetric(sf.b1, sf.c)
+    return _eof_symmetric(sf.b1 - sf.c)
 
 
 def correlation_report(V, mean=None) -> CorrelationReport:

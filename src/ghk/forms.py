@@ -3,17 +3,15 @@
 Standard forms and their symplectic spectrum, the square-root standard
 form, the squeezed thermal and mode-mixed thermal families, the entropic
 function, and every measure of a correlation report evaluated from one
-physical standard form. Each quantity has one route here: the maximal
-affinity A* and the Hellinger discord 1 - A* come from one closed form on
-a square-root standard form and its two gaps (``_affinity_and_discord``),
-which a form reduced from a matrix or given forms from its floats and a
-family takes exactly from its square root, the same family at
-kt = k + sqrt(k^2 - 1/4). Every report, of a matrix, of a ``StandardForm``,
-of a sweep row or of ``ghk report``, and every single-measure function,
-goes through ``_form_report``, and ``_physical_spectrum`` decides whether
-a form is physical. A family sweep and a report of a given standard form
-need nothing else, so ``ghk sweep`` and ``ghk report`` of family or
-standard-form input run without loading numpy.
+physical standard form. Each quantity has one route here: A* and the
+Hellinger discord 1 - A* come from one closed form on a square-root form
+and its two gaps (``_affinity_and_discord``), every report and
+single-measure function goes through ``_form_report``, and
+``_physical_spectrum`` decides whether a form is physical. A form reduced
+from a matrix or given as floats is read from its floats; a family form
+carries its exact spectrum, gaps and root (``_family_form``). ``ghk sweep``
+and ``ghk report`` of family or standard-form input need nothing else, so
+they run without loading numpy.
 
 Only ``math``, ``dataclasses``, the error types and the tolerance profiles
 are imported here. ``ghk.symplectic``, ``ghk.states`` and ``ghk.discord``
@@ -63,6 +61,7 @@ class StandardForm:
     d: float
     s1: float = 1.0
     s2: float = 1.0
+    _family = None  # not a field: a family form's parameters (``_family_form``)
 
     def __post_init__(self) -> None:
         self._validate(active_profile().phys_tol)
@@ -136,7 +135,9 @@ def _checked_form(tol: float, b1, b2, c, d, s1=1.0, s2=1.0) -> StandardForm:
     return sf
 
 
-def _form_spectrum(b1: float, b2: float, c: float, d: float) -> tuple[float, float]:
+def _form_spectrum(
+    b1: float, b2: float, c: float, d: float, gap=None
+) -> tuple[float, float]:
     """Symplectic eigenvalues (descending) of the standard form (b1, b2, c, d).
 
     kappa1^2 = (Delta + sqrt(Delta^2 - 4 det V)) / 2 with
@@ -149,11 +150,23 @@ def _form_spectrum(b1: float, b2: float, c: float, d: float) -> tuple[float, flo
     It is exactly 0 at the double root kappa1 = kappa2 of every symmetric
     squeezed thermal form, where the difference would leave a rounding
     error whose square root splits kappa1 from kappa2.
+
+    A family passes ``gap`` = (g1, g2), whose product is both gaps: then
+    Delta = (b1 - b2)^2 + 2 g1 g2 + 2c(c + d) and sqrt(det V) = g1 g2 do not
+    cancel. From 2^254 on the entries are scaled by 2^-m, exactly.
     """
-    bb = b1 * b2
-    delta = b1 * b1 + b2 * b2 + 2.0 * c * d
-    det_v = (bb - c * c) * (bb - d * d)
+    m = 0
+    if b1 >= 2.0**254 or b2 >= 2.0**254 or c >= 2.0**254:
+        m = math.frexp(max(b1, b2, c))[1] - 254
+        b1, b2, c, d = (math.ldexp(x, -m) for x in (b1, b2, c, d))
     total, split = b1 + b2, b1 - b2
+    if gap is None:
+        bb = b1 * b2
+        delta = b1 * b1 + b2 * b2 + 2.0 * c * d
+        root = math.sqrt(max((bb - c * c) * (bb - d * d), 0.0))
+    else:
+        g1, g2 = (math.ldexp(x, -m) for x in gap)
+        delta = split * split + 2.0 * g1 * g2 + 2.0 * c * (c + d)
     plus = total * (c + d)
     disc = math.sqrt(
         max(plus * plus + split * split * (total - c + d) * (total + c - d), 0.0)
@@ -161,7 +174,13 @@ def _form_spectrum(b1: float, b2: float, c: float, d: float) -> tuple[float, flo
     k1 = math.sqrt(max((delta + disc) / 2.0, 0.0))
     if k1 == 0.0:
         return 0.0, 0.0
-    return k1, min(math.sqrt(max(det_v, 0.0)) / k1, k1)
+    if not m and gap is None:
+        return k1, min(root / k1, k1)
+    try:
+        big = math.ldexp(k1, m)
+    except OverflowError:
+        raise InvalidParamsError("the spectrum of this form overflows") from None
+    return big, min(gap[0] * (gap[1] / big) if gap else math.ldexp(root / k1, m), big)
 
 
 def _physical_spectrum(sf: StandardForm, tol: float) -> tuple[float, float]:
@@ -169,7 +188,10 @@ def _physical_spectrum(sf: StandardForm, tol: float) -> tuple[float, float]:
     NotPhysicalError: the one decision for a form, given or reduced from a
     matrix. b1 b2 > c^2 and b1 + b2 > 2c, which the spectrum formula does
     not check and the form of every positive-definite matrix keeps
-    (b1 b2 > c^2 >= c |d|), then kappa2 >= 1/2 - ``tol``."""
+    (b1 b2 > c^2 >= c |d|), then kappa2 >= 1/2 - ``tol``. A family form,
+    whose parameters have decided, returns its spectrum."""
+    if sf._family is not None:
+        return sf.spectrum()
     b1, b2, c = sf.b1, sf.b2, sf.c
     if b1 * b2 > c * c and b1 + b2 > 2.0 * c:
         spectrum = sf.spectrum()
@@ -200,9 +222,8 @@ def _radical(excess: float, tol: float) -> float:
     return math.sqrt(excess * (excess + 1.0))
 
 
-def _k_and_l(k1: float, k2: float, tol: float) -> tuple[float, float]:
-    """The invariants K and L of the spectrum (k1, k2)."""
-    rad1, rad2 = _radical(k1 - 0.5, tol), _radical(k2 - 0.5, tol)
+def _k_and_l(k1: float, k2: float, rad1: float, rad2: float) -> tuple[float, float]:
+    """The invariants K and L of the spectrum (k1, k2) and its radicals."""
     return k1 * rad2 + k2 * rad1, 4.0 * k1 * k2 * (k1 + rad1) * (k2 + rad2)
 
 
@@ -212,32 +233,46 @@ def _sqrt_params(
     """(bt1, bt2, ct, dt, st1, st2) of the square-root form of ``sf``.
 
     ``spectrum`` is the spectrum ``_physical_spectrum`` returned for ``sf``,
-    which has passed its physicality decision. Raises the ``StandardForm``
-    checks of the result, run on the floats.
+    which has passed its physicality decision. From 2^200 on, where b1 L
+    would overflow, it runs on the form scaled by 2^-m, exactly. Raises the
+    ``StandardForm`` checks of the result, run on the floats, and
+    InvalidParamsError where the form spans more than floats can.
     """
     k1, k2 = spectrum
     b1, b2, c, d, s1, s2 = sf.b1, sf.b2, sf.c, sf.d, sf.s1, sf.s2
     if k1 - 0.5 < tol and k2 - 0.5 < tol:
         return b1, b2, c, d, s1, s2
-    k, l = _k_and_l(k1, k2, tol)
-    pref = 4.0 * k1 * k2 * k
-    bb = b1 * b2
-    gc = bb - c * c
-    gd = bb - d * d
-    x1 = (b1 * l - b2 * gc) / pref
-    x2 = (b2 * l - b1 * gc) / pref
-    y1 = (b1 * l - b2 * gd) / pref
-    y2 = (b2 * l - b1 * gd) / pref
-    zc = (c * l + d * gc) / pref
-    zd = (d * l + c * gd) / pref
-    params = (
-        math.sqrt(x1 * y1),
-        math.sqrt(x2 * y2),
-        zc * (y1 * y2 / (x1 * x2)) ** 0.25,
-        zd * (x1 * x2 / (y1 * y2)) ** 0.25,
-        s1 * math.sqrt(x1 / y1),
-        s2 * math.sqrt(x2 / y2),
-    )
+    rad1, rad2 = _radical(k1 - 0.5, tol), _radical(k2 - 0.5, tol)
+    m = 0
+    if b1 >= 2.0**200 or b2 >= 2.0**200 or c >= 2.0**200:
+        m = math.frexp(max(b1, b2, c))[1] - 200
+        b1, b2, c, d, k1, k2, rad1, rad2 = (
+            math.ldexp(x, -m) for x in (b1, b2, c, d, k1, k2, rad1, rad2)
+        )
+    try:
+        k, l = _k_and_l(k1, k2, rad1, rad2)
+        pref = 4.0 * k1 * k2 * k
+        bb = b1 * b2
+        gc = bb - c * c
+        gd = bb - d * d
+        x1 = (b1 * l - b2 * gc) / pref
+        x2 = (b2 * l - b1 * gc) / pref
+        y1 = (b1 * l - b2 * gd) / pref
+        y2 = (b2 * l - b1 * gd) / pref
+        zc = (c * l + d * gc) / pref
+        zd = (d * l + c * gd) / pref
+        params = (
+            math.sqrt(x1 * y1),
+            math.sqrt(x2 * y2),
+            zc * (y1 * y2 / (x1 * x2)) ** 0.25,
+            zd * (x1 * x2 / (y1 * y2)) ** 0.25,
+            s1 * math.sqrt(x1 / y1),
+            s2 * math.sqrt(x2 / y2),
+        )
+        if m:
+            params = (*(math.ldexp(x, m) for x in params[:4]), *params[4:])
+    except (ArithmeticError, ValueError):  # a range no power of two brings into floats
+        raise InvalidParamsError("the square-root form is out of float range") from None
     _check_form(tol, *params)
     return params
 
@@ -246,10 +281,22 @@ def _sqrt_form(
     sf: StandardForm, tol: float, spectrum: tuple[float, float]
 ) -> StandardForm:
     """``square_root_standard_form`` with the phys_tol ``tol`` and the
-    spectrum of ``sf`` given."""
-    tsf = object.__new__(StandardForm)
-    vars(tsf).update(zip(_FORM_FIELDS, _sqrt_params(sf, tol, spectrum)))
-    return tsf
+    spectrum of ``sf`` given. A family form's root is its family at
+    kt = k + rho, rho = ``_radical`` of the excess, with the mode-mixed split
+    kt1 - kt2 = split (1 + (k1 + k2)/(rho1 + rho2)), which does not cancel."""
+    if sf._family is None:
+        tsf = object.__new__(StandardForm)
+        vars(tsf).update(zip(_FORM_FIELDS, _sqrt_params(sf, tol, spectrum)))
+        return tsf
+    sts, k1, k2, e1, e2, split, angle = sf._family
+    rho1, rho2 = _radical(e1, tol), _radical(e2, tol)
+    if not sts:
+        if rho2 == 0.0:  # kt2 = k2, so nothing cancels; rho1 + rho2 may be 0
+            split = split + rho1
+        else:
+            split = split * (1.0 + (k1 + k2) / (rho1 + rho2))
+    kt1, kt2 = k1 + rho1, k2 + rho2
+    return _family_form(tol, (sts, kt1, kt2, e1 + rho1, e2 + rho2, split, angle))
 
 
 # -- the two families ----------------------------------------------------------
@@ -311,19 +358,8 @@ def sts_standard_form(p: StsParams) -> StandardForm:
 
 def _sts_form(p: StsParams, tol: float) -> StandardForm:
     """``sts_standard_form`` checked against the phys_tol ``tol``."""
-    b1, b2, c = _sts_entries(p.nbar1 + 0.5, p.nbar2 + 0.5, p.r)
-    return _checked_form(tol, b1, b2, c, -c)
-
-
-def _sts_entries(k1: float, k2: float, r: float) -> tuple[float, float, float]:
-    """(b1, b2, c) of the squeezed thermal form (d = -c) of spectrum
-    (k1, k2) and squeeze r. Its gaps b1 b2 - c^2 = b1 b2 - d^2 are exactly
-    k1 k2. InvalidParamsError where cosh r overflows."""
-    try:
-        ch, sh = math.cosh(r), math.sinh(r)
-    except OverflowError:
-        raise InvalidParamsError("squeeze parameter too large") from None
-    return k1 * ch * ch + k2 * sh * sh, k2 * ch * ch + k1 * sh * sh, (k1 + k2) * ch * sh
+    nbar1, nbar2 = p.nbar1, p.nbar2
+    return _family_form(tol, (True, nbar1 + 0.5, nbar2 + 0.5, nbar1, nbar2, None, p.r))
 
 
 def mts_standard_form(p: MtsParams) -> StandardForm:
@@ -333,18 +369,30 @@ def mts_standard_form(p: MtsParams) -> StandardForm:
 
 def _mts_form(p: MtsParams, tol: float) -> StandardForm:
     """``mts_standard_form`` checked against the phys_tol ``tol``."""
-    b1, b2, c = _mts_entries(p.kappa1, p.kappa2, p.kappa1 - p.kappa2, p.theta)
-    return _checked_form(tol, b1, b2, c, c)
+    k1, k2 = p.kappa1, p.kappa2
+    return _family_form(tol, (False, k1, k2, k1 - 0.5, k2 - 0.5, k1 - k2, p.theta))
 
 
-def _mts_entries(
-    k1: float, k2: float, split: float, theta: float
-) -> tuple[float, float, float]:
-    """(b1, b2, c) of the mode-mixed thermal form (d = c) of spectrum
-    (k1, k2) and co-latitude theta. ``split`` is k1 - k2, which the caller
-    forms; the gaps b1 b2 - c^2 = b1 b2 - d^2 are exactly k1 k2."""
-    co, si = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return k1 * co * co + k2 * si * si, k2 * co * co + k1 * si * si, split * co * si
+def _family_form(tol: float, family: tuple) -> StandardForm:
+    """The squeezed thermal (d = -c, squeeze r) or mode-mixed thermal (d = c,
+    co-latitude theta) form of ``family`` = (sts, k1, k2, e1, e2, split, r or
+    theta): spectrum (k1, k2), e_j = k_j - 1/2, split = k1 - k2 (mode-mixed),
+    checked against ``tol``; InvalidParamsError where it overflows. In its
+    instance dict, as ``spectrum`` caches, so fields, repr and equality do
+    not change, it carries its spectrum, whose product is both gaps
+    b1 b2 - c^2 = b1 b2 - d^2, and ``family``."""
+    sts, k1, k2, _, _, split, angle = family
+    try:
+        if sts:
+            x, y, w = math.cosh(angle), math.sinh(angle), k1 + k2
+        else:
+            x, y, w = math.cos(angle / 2.0), math.sin(angle / 2.0), split
+    except OverflowError:
+        raise InvalidParamsError("squeeze parameter too large") from None
+    b1, b2, c = k1 * x * x + k2 * y * y, k2 * x * x + k1 * y * y, w * x * y
+    sf = _checked_form(tol, b1, b2, c, -c if sts else c)
+    vars(sf).update(_spectrum=(k1, k2) if k1 >= k2 else (k2, k1), _family=family)
+    return sf
 
 
 def entropic_h(x: float) -> float:
@@ -383,26 +431,39 @@ def _mode_entropy(kappa: float, tol: float) -> float:
 
 
 def _is_uncorrelated(sf: StandardForm) -> bool:
-    return max(abs(sf.c), abs(sf.d)) <= _PRODUCT_ATOL * max(1.0, sf.b1 * sf.b2)
+    """c = 0 for a family form, else |c|, |d| <= _PRODUCT_ATOL sqrt(b1 b2)."""
+    if sf._family is not None:
+        return sf.c == 0.0
+    scale = max(1.0, math.sqrt(sf.b1) * math.sqrt(sf.b2))
+    return max(abs(sf.c), abs(sf.d)) <= _PRODUCT_ATOL * scale
 
 
 def _affinity_and_discord(
-    b1: float, b2: float, c: float, d: float, gc: float, gd: float
+    b1: float, b2: float, c: float, d: float, gap=None
 ) -> tuple[float, float]:
-    """(A*, 1 - A*) from the square-root standard form (b1, b2, c, d) and its
-    gaps gc = b1 b2 - c^2 and gd = b1 b2 - d^2.
+    """(A*, 1 - A*) from the square-root standard form (b1, b2, c, d).
 
-    The one closed form of A* and the discord. A form reduced from a matrix
-    or given as a ``StandardForm`` passes the gaps it forms from its floats;
-    a family passes its exact gaps kt1 kt2, which no rounding of its
-    entries can cancel. With s = sqrt(b1 b2), rc = sqrt(gc), rd = sqrt(gd),
-    x = c^2/(s + rc) = s - rc and y = d^2/(s + rd) = s - rd,
+    The one closed form of A* and the discord. The gaps gc = b1 b2 - c^2 and
+    gd = b1 b2 - d^2 are formed from the floats, or a family's root passes
+    ``gap`` = (kt1, kt2), whose product is both exactly. With s = sqrt(b1 b2),
+    rc = sqrt(gc), rd = sqrt(gd), x = c^2/(s + rc) = s - rc and
+    y = d^2/(s + rd) = s - rd,
     A*^2 = 4 rc rd / ((s + rc)(s + rd)) and
     1 - A*^2 = (2 s (x + y) - 3 x y) / ((s + rc)(s + rd)) keeps its relative
     accuracy; 1 - A* = (1 - A*^2) / (1 + A*) is never formed as a
-    difference, so a small discord keeps its relative accuracy too.
+    difference, so a small discord keeps its relative accuracy too. From
+    2^510 on the entries are scaled by 2^-m, exactly: A* is scale-free.
     """
-    s = math.sqrt(b1 * b2)
+    m = 0
+    if b1 >= 2.0**510 or b2 >= 2.0**510 or c >= 2.0**510 or gap and max(gap) >= 2.0**510:
+        m = math.frexp(max(b1, b2, c, *(gap or ())))[1] - 510
+        b1, b2, c, d = (math.ldexp(x, -m) for x in (b1, b2, c, d))
+    bb = b1 * b2
+    if gap is None:
+        gc, gd = bb - c * c, bb - d * d
+    else:
+        gc = gd = math.ldexp(gap[0], -m) * math.ldexp(gap[1], -m)
+    s = math.sqrt(bb)
     rc = math.sqrt(max(gc, 0.0))
     rd = math.sqrt(max(gd, 0.0))
     den = (s + rc) * (s + rd)
@@ -413,15 +474,20 @@ def _affinity_and_discord(
     return affinity, min(discord, 1.0)
 
 
-def _form_affinity_and_discord(sf: StandardForm, tol: float) -> tuple[float, float]:
+def _form_affinity_and_discord(
+    sf: StandardForm, tol: float, spectrum=None, uncorrelated=False
+) -> tuple[float, float]:
     """(A*, 1 - A*) of the standard form ``sf`` after its physicality
-    decision; (1, 0) for a product (``_is_uncorrelated``)."""
-    spectrum = _physical_spectrum(sf, tol)
-    if _is_uncorrelated(sf):
+    decision, or with the spectrum and product test a report has taken; (1, 0)
+    for a product. A family form takes them from its root and kt1 kt2."""
+    if spectrum is None:
+        spectrum, uncorrelated = _physical_spectrum(sf, tol), _is_uncorrelated(sf)
+    if uncorrelated:
         return 1.0, 0.0
-    b1, b2, c, d = _sqrt_params(sf, tol, spectrum)[:4]
-    bb = b1 * b2
-    return _affinity_and_discord(b1, b2, c, d, bb - c * c, bb - d * d)
+    if sf._family is not None:
+        root = _sqrt_form(sf, tol, spectrum)
+        return _affinity_and_discord(root.b1, root.b2, root.c, root.d, root.spectrum())
+    return _affinity_and_discord(*_sqrt_params(sf, tol, spectrum)[:4])
 
 
 def _family_breach(sf: StandardForm) -> str | None:
@@ -436,18 +502,12 @@ def _family_breach(sf: StandardForm) -> str | None:
     return None
 
 
-def _eof_symmetric(b: float, c: float) -> float:
-    """EoF of the physical symmetric squeezed thermal form (b, b, c, -c).
-
-    h(z) with z = (g^2 + 1/4)/(2 g), g = b - c. The gap is positive: b is
-    half the float b1 + b2 that ``_physical_spectrum`` found above 2c, so
-    b > c exactly.
-    """
-    gap = b - c
+def _eof_symmetric(gap: float) -> float:
+    """EoF of the physical symmetric squeezed thermal form (b, b, c, -c)
+    with the gap g = b - c > 0: h(z) with z = (g^2 + 1/4)/(2 g)."""
     if gap >= 0.5:
         return 0.0
-    z = (gap * gap + 0.25) / (2.0 * gap)
-    return entropic_h(z)
+    return entropic_h((gap * gap + 0.25) / (2.0 * gap))
 
 
 @dataclass(frozen=True)
@@ -485,7 +545,7 @@ def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
     the measures; a product has every correlation exactly 0. The square-root
     form is taken as checked floats (``_sqrt_params``), and the report is
     built without a second pass over its fields, as ``_checked_form``
-    builds a form.
+    builds a form. A family form reads its spectrum, root and gaps G = k1 k2.
 
     - separable (PPT): d >= 0, or the partial transpose (d -> -d) is
       physical;
@@ -493,13 +553,16 @@ def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
     - in the symmetric |d| = c family (``_family_breach`` is None), the
       entropic discord h(b) - h(k1) - h(k2) + h(y) and the classical
       correlations h(b) - h(y), with b = (b1 + b2)/2 and
-      y = b - c^2/(b + 1/2), and for d <= 0 the EoF.
+      y = b - c^2/(b + 1/2), and for d <= 0 the EoF of the gap b - c; a
+      family takes y = (G + h^2 + b/2)/(b + 1/2), b - c = (G + h^2)/(b + c)
+      with h = (b1 - b2)/2 from its parameters, quotients first.
     """
     spectrum = _physical_spectrum(sf, tol)
     b1, b2, c, d = sf.b1, sf.b2, sf.c, sf.d
     if sf.s1 != 1.0 or sf.s2 != 1.0:
         sf = _checked_form(tol, b1, b2, c, d)
-    pt_spectrum = _form_spectrum(b1, b2, c, -d)
+    family = sf._family
+    pt_spectrum = _form_spectrum(b1, b2, c, -d, family and spectrum)
     separable = d >= 0.0 or pt_spectrum[1] >= 0.5 - tol
     uncorrelated = _is_uncorrelated(sf)
     h1 = _mode_entropy(spectrum[0], tol)
@@ -507,16 +570,25 @@ def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
     ent = cc = eof = None
     if _family_breach(sf) is None:
         ent = cc = 0.0
+        b = 0.5 * b1 + 0.5 * b2
+        if family:
+            sts, k1, k2, e1, e2, split, angle = family
+            h = 0.5 * (e1 - e2) if sts else 0.5 * split * math.cos(angle)
+            x = b + 0.5
+            y = k1 * (k2 / x) + h * (h / x) + 0.5 * b / x
+            x = 0.5 * b + 0.5 * c
+            gap = 0.5 * (k1 * (k2 / x) + h * (h / x))
+        else:
+            y, gap = b - c * c / (b + 0.5), b - c
         if not uncorrelated:
-            b = 0.5 * (b1 + b2)
             hb = entropic_h(b)
-            hy = _mode_entropy(b - c * c / (b + 0.5), tol)
+            hy = _mode_entropy(y, tol)
             ent, cc = max(hb - h1 - h2 + hy, 0.0), max(hb - hy, 0.0)
         if d <= 0.0:
-            eof = _eof_symmetric(0.5 * (b1 + b2), c)
+            eof = _eof_symmetric(gap)
     if eof is None and separable:
         eof = 0.0
-    discord = _form_affinity_and_discord(sf, tol)[1]
+    discord = _form_affinity_and_discord(sf, tol, spectrum, uncorrelated)[1]
     mutual = 0.0
     if not uncorrelated:
         mutual = max(entropic_h(b1) + entropic_h(b2) - h1 - h2, 0.0)

@@ -9,6 +9,7 @@ from ghk import (
     CovarianceMatrix,
     DimensionMismatchError,
     GaussianState,
+    InvalidParamsError,
     affinity,
     affinity_from_sqrt_cms,
     fock_affinity_diagonal,
@@ -175,6 +176,17 @@ class TestAffinity:
     def test_mode_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             affinity(vacuum_state(1), vacuum_state(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_displacement_that_is_not_finite_is_rejected(bad):
+    # as a mean that is not finite is, by GaussianState
+    v = vacuum_state(2).cm
+    dv = [bad, 0.0, 0.0, 0.0]
+    with pytest.raises(InvalidParamsError):
+        affinity_from_sqrt_cms(v, v, dv)
+    with pytest.raises(InvalidParamsError):
+        gaussian_overlap_trace(v, v, dv)
 
 
 class TestHellingerDistance:

@@ -10,8 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from family_reference import family_reference
 
 import ghk
 from ghk import (
@@ -156,15 +158,16 @@ class TestReport:
         assert payload["report"]["hellinger_discord"] == 0.0
 
     def test_round_trip(self, capsys, tmp_path):
-        # the matrices of family input reduce exactly; the reduction of a
-        # given standard form may move its numbers in the last digits
+        # a family report reads the family's exact invariants and the
+        # reduction of a given standard form may move its numbers in the
+        # last digits, so the matrix route agrees to 1e-12
         inputs = [
-            (("--sts", "nbar1=0.5", "nbar2=2", "r=0.8"), True),
-            (("--mts", "kappa1=3", "kappa2=1.2", "theta=0.8"), True),
-            (("--std-form", "1.7,1.1,0.6,-0.3"), False),
-            (("--std-form", "1.7,1.1,0.6,-0.3,2.5,0.4"), False),
+            ("--sts", "nbar1=0.5", "nbar2=2", "r=0.8"),
+            ("--mts", "kappa1=3", "kappa2=1.2", "theta=0.8"),
+            ("--std-form", "1.7,1.1,0.6,-0.3"),
+            ("--std-form", "1.7,1.1,0.6,-0.3,2.5,0.4"),
         ]
-        for source, exact in inputs:
+        for source in inputs:
             code, first, _ = run_cli(capsys, "report", *source)
             assert code == 0
             path = tmp_path / "report.json"
@@ -175,10 +178,7 @@ class TestReport:
             second_doc = json.loads(second)
             assert second_doc["input"]["matrix"] == first_doc["input"]["matrix"]
             for key in ("report", "standard_form"):
-                if exact:
-                    assert second_doc[key] == first_doc[key]
-                else:
-                    assert_numbers_close(second_doc[key], first_doc[key], 1e-12)
+                assert_numbers_close(second_doc[key], first_doc[key], 1e-12)
             # a second re-ingestion is byte-identical
             path2 = tmp_path / "report2.json"
             path2.write_text(second)
@@ -305,18 +305,44 @@ def std_form_inputs(rng, n):
             yield std_form_argv(form), form
 
 
-class TestReportRoutes:
-    """``ghk report`` of family and standard-form input takes the float route;
-    its exit codes and numbers are those of the matrix route."""
+def assert_reference(report: dict, argv, rel: float) -> None:
+    """The report fields of the family input ``argv`` against the 50-digit
+    family reference: within ``rel`` where the reference is at least 1e-3,
+    and None, 0 and the separability where the reference has them."""
+    params = dict(token.split("=") for token in argv[1:])
+    if argv[0] == "--sts":
+        k1, k2 = (mpmath.mpf(params[n]) + 0.5 for n in ("nbar1", "nbar2"))
+        ref = family_reference(True, k1, k2, float(params["r"]))
+    else:
+        k1, k2 = (float(params[n]) for n in ("kappa1", "kappa2"))
+        ref = family_reference(False, k1, k2, float(params["theta"]))
+    for name, expected in ref.items():
+        value = report[name]
+        if expected is None or isinstance(expected, bool):
+            assert value == expected, (name, argv)
+            continue
+        pairs = zip(value, expected) if isinstance(value, list) else [(value, expected)]
+        for x, exact in pairs:
+            if abs(exact) >= 1e-3:
+                assert abs(x - exact) <= rel * abs(exact), (name, argv, x)
+            elif exact == 0:
+                assert x == 0.0, (name, argv, x)
 
-    def test_families_match_the_matrix_route_bit_for_bit(self, capsys):
+
+class TestReportRoutes:
+    """``ghk report`` of family and standard-form input takes the float route.
+    A given standard form reports what its matrix reports; a family form
+    reads the family's exact invariants, so its exit code is the matrix
+    route's and its numbers are the family reference's."""
+
+    def test_families_match_the_matrix_route_exit_codes_and_the_reference(self, capsys):
         rng = np.random.default_rng(20261018)
         inputs = [*sts_inputs(rng, 60), *mts_inputs(rng, 60)]
         for argv, sf in inputs:
             code, fields = form_route(capsys, argv)
-            expected_code, expected = numpy_route(sf)
+            expected_code, _ = numpy_route(sf)
             assert code == expected_code == 0, argv
-            assert json.dumps(fields) == json.dumps(expected), argv
+            assert_reference(fields["report"], argv, 1e-12)
 
     def test_std_forms_match_the_matrix_route(self, capsys):
         rng = np.random.default_rng(20261019)
@@ -463,9 +489,9 @@ class TestSweep:
 
     def test_pure_sts_edge_grid_completes(self, capsys):
         # reducing the matrices of this grid raises NotPhysicalError at
-        # r = 9.7 and 10.95 (b and c round to one float), which would end
-        # the sweep; rows beyond r ~ 5 lose accuracy to cancellation and
-        # are not checked here
+        # r = 9.7 and 10.95 (b and c round to one float); the family rows
+        # read the exact invariants, so every row is a state and every
+        # column matches the reference to the 12 digits of the CSV
         code, out, _ = run_cli(
             capsys, "sweep", "--sts", "nbar1=0", "nbar2=0",
             "--sweep-param", "r", "--range", "0.05:12:240",
@@ -474,18 +500,15 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert len(lines) == 241
         header = lines[0].split(",")
-        r_col = header.index("r")
-        phys_col = header.index("physical")
-        hd_col = header.index("hellinger_discord")
-        checked = 0
         for row in lines[1:]:
-            cells = row.split(",")
-            r = float(cells[r_col])
-            if r <= 3.0:
-                assert cells[phys_col] == "true"
-                assert abs(float(cells[hd_col]) - math.tanh(r) ** 2) <= 1e-10
-                checked += 1
-        assert checked == 60
+            cells = dict(zip(header, row.split(",")))
+            assert cells.pop("physical") == "true"
+            r = float(cells.pop("r"))
+            ref = family_reference(True, 0.5, 0.5, r)
+            assert cells.pop("separable") == str(ref["separable"]).lower()
+            assert abs(float(cells["hellinger_discord"]) - math.tanh(r) ** 2) <= 1e-10
+            for name, cell in cells.items():
+                assert abs(float(cell) - ref[name]) <= 1e-11 * ref[name], (r, name)
 
     def test_classical_correlations_match_between_signs(self, capsys):
         rows = {}
@@ -635,6 +658,47 @@ def test_input_errors_exit_2_with_one_line(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_family_reports_far_past_the_rounded_form(capsys):
+    # b and c of this form round to one float: the report reads the family's
+    # spectrum and root, and every number in the document is finite
+    code, out, _ = run_cli(capsys, "report", "--sts", "nbar1=0.001", "nbar2=1", "r=170")
+    assert code == 0
+    report = json.loads(out, parse_constant=lambda name: pytest.fail(name))["report"]
+    assert report["hellinger_discord"] == 1.0
+    assert report["symplectic_spectrum"] == [1.5, 0.501]
+    assert report["separable"] is False
+
+
+def test_a_correlated_form_at_a_large_scale_is_not_a_product(capsys):
+    code, out, _ = run_cli(capsys, "report", "--std-form", "1e14,1e14,5e13,-5e13")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["hellinger_discord"] == pytest.approx(0.0718, abs=1e-4)
+    assert report["mutual_information"] == pytest.approx(0.2877, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report", "--sts", "nbar1=1", "nbar2=1", "r=0.5"),
+        ("sweep", "--sts", "nbar1=1", "nbar2=1", "--sweep-param", "r", "--range", "0:1:3",
+         "--out", "json"),
+    ],
+)
+def test_a_value_json_cannot_hold_exits_2(capsys, monkeypatch, argv):
+    # JSON has no NaN or Infinity: a document that would hold one is an error
+    original = ghk.cli._form_report
+
+    def not_finite(sf, tol):
+        return dataclasses.replace(original(sf, tol), mutual_information=math.nan)
+
+    monkeypatch.setattr(ghk.cli, "_form_report", not_finite)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_symmetric_rows_with_direct_d_and_an_unreachable_b2c2(capsys):

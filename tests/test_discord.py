@@ -1,13 +1,17 @@
 """Closest product state, discord closed forms, entropic measures."""
 
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from family_reference import family_reference
 
 from ghk import (
+    CorrelationReport,
     DimensionMismatchError,
+    GhkError,
     GaussianState,
     InvalidParamsError,
     MtsParams,
@@ -34,6 +38,7 @@ from ghk import (
     purity,
     random_standard_form,
     simon_separable,
+    square_root_standard_form,
     stationarity_residual,
     sts_separability_threshold,
     sts_standard_form,
@@ -385,18 +390,11 @@ MTS_GRID_SPLIT = (1e-8, 1e-3, 0.5, 3.0, 100.0, 1e6)
 MTS_GRID_THETA = (1e-8, 1e-3, 0.3, math.pi / 2, 2.5, math.pi - 1e-6)
 
 
-def paper_discord(k1, k2, weight, sts):
-    """The paper's (Z - 1)/(sqrt(Z) + 1)^2 in mpmath, Z = X (``sts``) or Y.
-
-    Z - 1 = 2 weight (k1 k2 +/- 1/4 - sqrt(D)), D = (k1^2 - 1/4)(k2^2 - 1/4),
-    with the difference taken as (k1 +/- k2)^2 / (4 (k1 k2 +/- 1/4 + sqrt(D))),
-    which does not cancel.
-    """
-    quarter = mpmath.mpf(1) / 4 if sts else -mpmath.mpf(1) / 4
-    pair = k1 + k2 if sts else k1 - k2
-    root = mpmath.sqrt((k1 * k1 - 0.25) * (k2 * k2 - 0.25))
-    z_minus_1 = 2 * weight * pair**2 / (4 * (k1 * k2 + quarter + root))
-    return z_minus_1 / (mpmath.sqrt(1 + z_minus_1) + 1) ** 2
+def paper_discord(k1, k2, angle, sts):
+    """The paper's (Z - 1)/(sqrt(Z) + 1)^2 in mpmath, Z = X (``sts``, squeeze
+    ``angle``) or Y (co-latitude ``angle``): the discord of the 50-digit
+    family reference."""
+    return family_reference(sts, k1, k2, angle)["hellinger_discord"]
 
 
 class TestFamilyAccuracy:
@@ -412,10 +410,7 @@ class TestFamilyAccuracy:
                     for r in STS_GRID_R:
                         value = hellinger_discord_sts(StsParams(nbar1, nbar2, r))
                         exact = paper_discord(
-                            mpmath.mpf(nbar1) + 0.5,
-                            mpmath.mpf(nbar2) + 0.5,
-                            mpmath.sinh(2 * mpmath.mpf(r)) ** 2,
-                            sts=True,
+                            mpmath.mpf(nbar1) + 0.5, mpmath.mpf(nbar2) + 0.5, r, sts=True
                         )
                         assert value >= 0.0, (nbar1, nbar2, r)
                         worst = max(worst, float(abs(value - exact) / exact))
@@ -429,12 +424,7 @@ class TestFamilyAccuracy:
                     for theta in MTS_GRID_THETA:
                         kappa1 = kappa2 + split
                         value = hellinger_discord_mts(MtsParams(kappa1, kappa2, theta))
-                        exact = paper_discord(
-                            mpmath.mpf(kappa1),
-                            mpmath.mpf(kappa2),
-                            mpmath.sin(mpmath.mpf(theta)) ** 2,
-                            sts=False,
-                        )
+                        exact = paper_discord(kappa1, kappa2, theta, sts=False)
                         assert value >= 0.0, (kappa1, kappa2, theta)
                         worst = max(worst, float(abs(value - exact) / exact))
         assert worst <= 1e-14
@@ -445,19 +435,14 @@ class TestFamilyAccuracy:
         value = hellinger_discord_sts(StsParams(nbar, nbar, r))
         with mpmath.workdps(50):
             k = mpmath.mpf(nbar) + 0.5
-            exact = paper_discord(k, k, mpmath.sinh(2 * mpmath.mpf(r)) ** 2, sts=True)
+            exact = paper_discord(k, k, r, sts=True)
         assert float(abs(value - exact) / exact) <= 1e-14
 
     def test_mode_mixed_past_the_square_overflow(self):
         kappa1, kappa2, theta = 1e154, 0.6, math.pi / 2
         value = hellinger_discord_mts(MtsParams(kappa1, kappa2, theta))
         with mpmath.workdps(50):
-            exact = paper_discord(
-                mpmath.mpf(kappa1),
-                mpmath.mpf(kappa2),
-                mpmath.sin(mpmath.mpf(theta)) ** 2,
-                sts=False,
-            )
+            exact = paper_discord(kappa1, kappa2, theta, sts=False)
         assert float(abs(value - exact) / exact) <= 1e-14
 
     @pytest.mark.parametrize(
@@ -469,15 +454,12 @@ class TestFamilyAccuracy:
         # sqrt(kappa^2 - 1/4) of the square root must not
         if isinstance(params, StsParams):
             value = hellinger_discord_sts(params)
-            k1, k2, weight, sts = params.nbar1 + 0.5, params.nbar2 + 0.5, "sinh", True
+            k1, k2, angle, sts = params.nbar1 + 0.5, params.nbar2 + 0.5, params.r, True
         else:
             value = hellinger_discord_mts(params)
-            k1, k2, weight, sts = params.kappa1, params.kappa2, "sin", False
+            k1, k2, angle, sts = params.kappa1, params.kappa2, params.theta, False
         with mpmath.workdps(50):
-            angle = 2 * mpmath.mpf(params.r) if sts else mpmath.mpf(params.theta)
-            exact = paper_discord(
-                mpmath.mpf(k1), mpmath.mpf(k2), getattr(mpmath, weight)(angle) ** 2, sts=sts
-            )
+            exact = paper_discord(k1, k2, angle, sts=sts)
         assert float(abs(value - exact) / exact) <= 1e-15
 
     @pytest.mark.parametrize("r", [400.0, 800.0])
@@ -487,6 +469,159 @@ class TestFamilyAccuracy:
             hellinger_discord_sts(StsParams(0.0, 0.0, r))
         with pytest.raises(InvalidParamsError):
             sts_standard_form(StsParams(0.0, 0.0, r))
+
+
+AUDIT_STS = [
+    StsParams(nbar1, nbar2, r)
+    for nbar1 in (0.0, 1e-6, 0.3, 1.0, 5.0, 1e4, 1e8)
+    for nbar2 in dict.fromkeys((nbar1, 0.0, 1.0, 1e8))
+    for r in (1e-10, 1e-5, 0.01, 0.5, 2.0, 5.0, 9.5, 12.0)
+]
+AUDIT_MTS = [
+    MtsParams(kappa2 + split, kappa2, theta)
+    for kappa2 in (0.5, 0.5 + 1e-6, 1.0, 1e4)
+    for split in (0.0, 1e-6, 1.0, 1e4)
+    for theta in (1e-8, 0.3, math.pi / 2, 3.0)
+]
+
+
+def family_case(p):
+    """(form, discord function value, reference) of a family state."""
+    if isinstance(p, StsParams):
+        with mpmath.workdps(50):
+            k1, k2 = mpmath.mpf(p.nbar1) + 0.5, mpmath.mpf(p.nbar2) + 0.5
+        ref = family_reference(True, k1, k2, p.r)
+        return sts_standard_form(p), hellinger_discord_sts(p), ref
+    ref = family_reference(False, p.kappa1, p.kappa2, p.theta)
+    return mts_standard_form(p), hellinger_discord_mts(p), ref
+
+
+class TestFamilyReports:
+    """The report of a family form reads the family's exact spectrum, gaps
+    and square root: no family state is rejected, and every field matches
+    the 50-digit reference from the parameters."""
+
+    # relative tolerance per field where the reference is at least 1e-3;
+    # the mutual information of weakly correlated states loses a few digits
+    # to h(b1) + h(b2) - h(k1) - h(k2) cancelling
+    RTOL = {
+        "hellinger_discord": 1e-13,
+        "pt_spectrum": 1e-12,
+        "eof": 1e-12,
+        "mutual_information": 2e-12,
+        "entropic_discord": 1e-9,
+        "classical_correlations": 1e-9,
+    }
+
+    @pytest.mark.parametrize("family", ["sts", "mts"])
+    def test_fields_against_the_reference(self, family):
+        for p in AUDIT_STS if family == "sts" else AUDIT_MTS:
+            sf, discord, ref = family_case(p)
+            report = correlation_report(sf)
+            assert report.symplectic_spectrum == tuple(map(float, ref["symplectic_spectrum"]))
+            assert report.hellinger_discord == discord
+            assert report.separable == ref["separable"], p
+            for name, rtol in self.RTOL.items():
+                values, exact = getattr(report, name), ref[name]
+                assert (values is None) == (exact is None), (p, name)
+                if exact is None:
+                    continue
+                if name != "pt_spectrum":
+                    values, exact = [values], [exact]
+                for value, x in zip(values, exact):
+                    if x == 0:
+                        assert value == 0.0, (p, name)
+                    elif abs(x) >= 1e-3:
+                        assert abs(value - x) <= rtol * abs(x), (p, name, value)
+
+    def test_square_root_form_is_the_family_at_kt(self):
+        p = StsParams(0.0, 0.0, 12.0)
+        tsf = square_root_standard_form(sts_standard_form(p))
+        # both modes are pure, so kt = k and the root is the state itself
+        assert tsf == sts_standard_form(p)
+        assert correlation_report(tsf).hellinger_discord == hellinger_discord_sts(p)
+        tsf = square_root_standard_form(mts_standard_form(MtsParams(3.0, 1.0, 0.8)))
+        kt = tuple(k + math.sqrt(k * k - 0.25) for k in (3.0, 1.0))
+        assert tsf.spectrum() == pytest.approx(kt, rel=1e-15, abs=0.0)
+
+    def test_no_field_is_infinite_or_nan(self):
+        # past the audit grid: occupancies to 1e300 and squeezes to 355.5,
+        # where cosh(r)^2 overflows; a report is finite or raises
+        nbars = (0.0, 1e-6, 1.0, 1e8, 1e100, 1e200, 1e300)
+        kappas = (0.5, 0.5 + 1e-9, 1.0, 1e8, 1e100, 1e200, 1e300, 1.7e308)
+        cases = [
+            (sts_standard_form, StsParams(n1, n2, r))
+            for n1 in nbars
+            for n2 in nbars
+            for r in (0.0, 1e-10, 1.0, 10.0, 170.0, 300.0, 355.3, 355.5)
+        ] + [
+            (mts_standard_form, MtsParams(k1, k2, theta))
+            for k1 in kappas
+            for k2 in kappas
+            if k1 >= k2
+            for theta in (0.0, 1e-8, 1.0, math.pi / 2, math.pi)
+        ]
+        finite = 0
+        for build, p in cases:
+            try:
+                sf = build(p)
+                report = correlation_report(sf)
+                tsf = square_root_standard_form(sf)
+            except InvalidParamsError:
+                continue
+            values = [
+                report.hellinger_discord,
+                report.mutual_information,
+                *report.symplectic_spectrum,
+                *report.pt_spectrum,
+                max_affinity(sf),
+                tsf.b1,
+                tsf.b2,
+                tsf.c,
+            ]
+            values += [
+                x
+                for x in (report.entropic_discord, report.classical_correlations, report.eof)
+                if x is not None
+            ]
+            assert all(map(math.isfinite, values)), p
+            finite += 1
+        assert finite >= 300
+
+    def test_a_given_form_is_finite_or_raises(self):
+        # forms spanning the float range, as far as 1e300 between b1 and b2
+        sizes = (0.5, 1.0, 1e50, 1e100, 1e154, 1e200, 1e300, 1.7e308)
+        finite = 0
+        for b1, b2 in itertools.product(sizes, sizes):
+            for share in (0.0, 1e-20, 0.5, 0.999):
+                c = share * math.sqrt(b1) * math.sqrt(b2)
+                for d in (c, -c, 0.0):
+                    sf = StandardForm(b1, b2, c, d)
+                    for call in (correlation_report, max_affinity, square_root_standard_form):
+                        try:
+                            out = call(sf)
+                        except GhkError:
+                            continue
+                        if isinstance(out, CorrelationReport):
+                            out = [*out.symplectic_spectrum, *out.pt_spectrum, out.eof or 0.0,
+                                   out.hellinger_discord, out.mutual_information]
+                        elif isinstance(out, StandardForm):
+                            out = [out.b1, out.b2, out.c, out.d]
+                        assert all(map(math.isfinite, np.atleast_1d(out))), (sf, call)
+                        finite += 1
+        assert finite >= 500
+
+    @pytest.mark.parametrize("b", [1e14, 1e16, 1e100])
+    def test_a_product_is_decided_at_every_scale(self, b):
+        # (b, b, b/2, -b/2) is the same correlated state at every scale
+        base = correlation_report(StandardForm(1e13, 1e13, 5e12, -5e12))
+        report = correlation_report(StandardForm(b, b, b / 2, -b / 2))
+        for name in ("hellinger_discord", "mutual_information"):
+            value, expected = getattr(report, name), getattr(base, name)
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0), name
+        assert hellinger_discord_symmetric(b, b / 2, -b / 2) == pytest.approx(
+            base.hellinger_discord, rel=1e-12, abs=0.0
+        )
 
 
 class TestSimonSeparability:
@@ -521,7 +656,10 @@ class TestSimonSeparability:
             exact = abs(mpmath.mpf(sf.b1) - mpmath.mpf(sf.c))
             small = sf.partial_transpose().spectrum()[1]
             assert abs(small - exact) <= 1e-11 * exact
-            assert correlation_report(sf).pt_spectrum[1] == small
+            # the family report reads the exact gap, k e^{-2r}
+            exact = (nbar + 0.5) * mpmath.exp(-2 * mpmath.mpf(r))
+            value = correlation_report(sf).pt_spectrum[1]
+            assert abs(value - exact) <= 1e-12 * exact
 
 
 class TestEntropicMeasures:

@@ -106,7 +106,8 @@ class TestOneReduction:
 
 def test_report_evaluates_each_spectrum_once(monkeypatch):
     # the spectrum and the partial-transpose spectrum; the entanglement of
-    # formation of a physical report needs no third evaluation
+    # formation of a physical report needs no third evaluation, and a family
+    # form carries its spectrum
     calls = []
     original = ghk.forms._form_spectrum
 
@@ -116,10 +117,10 @@ def test_report_evaluates_each_spectrum_once(monkeypatch):
 
     monkeypatch.setattr(ghk.forms, "_form_spectrum", counted)
     sf = sts_standard_form(StsParams(1.0, 1.0, 0.7))
-    for state in (sf, sf.to_cm()):
+    for state, evaluations in ((sf, 1), (sf.to_cm(), 2)):
         calls.clear()
         assert correlation_report(state).eof is not None
-        assert len(calls) == 2
+        assert len(calls) == evaluations
 
 
 def test_report_fields_equal_the_public_functions():
