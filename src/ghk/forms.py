@@ -562,7 +562,7 @@ def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
     if sf.s1 != 1.0 or sf.s2 != 1.0:
         sf = _checked_form(tol, b1, b2, c, d)
     family = sf._family
-    pt_spectrum = _form_spectrum(b1, b2, c, -d, family and spectrum)
+    pt_spectrum = _form_spectrum(b1, b2, c, -d, spectrum if family else None)
     separable = d >= 0.0 or pt_spectrum[1] >= 0.5 - tol
     uncorrelated = _is_uncorrelated(sf)
     h1 = _mode_entropy(spectrum[0], tol)
