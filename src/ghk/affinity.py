@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParamsError, SingularSumError
+from .errors import DimensionMismatchError, SingularSumError
 from .states import GaussianState
-from .symplectic import CovarianceMatrix, as_covariance, square_root_cm
+from .symplectic import CovarianceMatrix, _finite_vector, as_covariance, square_root_cm
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,7 @@ def gaussian_overlap_trace(V1, V2, dv) -> float:
     c1, c2 = as_covariance(V1), as_covariance(V2)
     if c1.n != c2.n:
         raise DimensionMismatchError("covariance matrices have different sizes")
-    delta = np.asarray(dv, dtype=float).reshape(-1)
-    if delta.shape != (2 * c1.n,):
-        raise DimensionMismatchError(
-            f"displacement must have length {2 * c1.n}, got {delta.shape[0]}"
-        )
-    if not np.all(np.isfinite(delta)):
-        raise InvalidParamsError("displacement vector must be finite")
+    delta = np.array(_finite_vector(dv, 2 * c1.n, "displacement"))
     logdet, quad = _chol_logdet_quad(c1.matrix + c2.matrix, delta)
     return math.exp(-0.5 * logdet - 0.5 * quad)
 
@@ -90,11 +84,7 @@ def affinity_from_sqrt_cms(
     n = c1.n
     ld1, _ = _chol_logdet_quad(c1.matrix, None)
     ld2, _ = _chol_logdet_quad(c2.matrix, None)
-    delta = None if dv is None else np.asarray(dv, dtype=float).reshape(-1)
-    if delta is not None and delta.shape != (2 * n,):
-        raise DimensionMismatchError("displacement length does not match modes")
-    if delta is not None and not np.all(np.isfinite(delta)):
-        raise InvalidParamsError("displacement vector must be finite")
+    delta = None if dv is None else np.array(_finite_vector(dv, 2 * n, "displacement"))
     ld_sum, quad = _chol_logdet_quad(c1.matrix + c2.matrix, delta)
     log_value = n * math.log(2.0) + 0.25 * (ld1 + ld2) - 0.5 * ld_sum - 0.5 * quad
     # The affinity of two states never exceeds 1; only round-off can push it

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    DimensionMismatchError,
     InvalidParamsError,
     NotPhysicalError,
     OutOfFamilyError,
@@ -58,7 +57,7 @@ from .forms import (
     _sqrt_form,
     _sts_form,
 )
-from .symplectic import _REALS, _framed_reduction, _reduce, standard_form
+from .symplectic import _finite_vector, _framed_reduction, _reduce, standard_form
 from .tolerances import active_profile
 
 
@@ -93,11 +92,7 @@ class ProductStateParams:
             raise InvalidParamsError("product-state parameters must be finite")
         if min(self.eta1, self.eta2) < 0.5 - tol:
             raise NotPhysicalError("one-mode symplectic eigenvalues must be >= 1/2")
-        mean = np.array(self.mean, dtype=float).reshape(-1)
-        if mean.shape != (4,):
-            raise DimensionMismatchError("mean must be a 4-vector")
-        if not all(map(math.isfinite, mean.tolist())):
-            raise InvalidParamsError("mean vector must be finite")
+        mean = np.array(_finite_vector(self.mean, 4, "mean"))
         mean.flags.writeable = False
         object.__setattr__(self, "mean", mean)
 
@@ -227,15 +222,11 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
     closed-form optimum is evaluated there, and the result is conjugated
     back into the caller's frame, so the reported affinity is attained by
     the reconstructed state for any physical input. The optimal product
-    state copies the input displacement.
+    state copies the input displacement, which its parameters check after
+    the matrix.
     """
-    import numpy as np
-
     profile = active_profile()
     sf, frame = _framed_reduction(V, profile)
-    mean = np.zeros(4) if mean is None else np.asarray(mean, dtype=float).reshape(-1)
-    if mean.shape != (4,):
-        raise DimensionMismatchError("mean must be a 4-vector")
     tol = profile.phys_tol
     tsf = _sqrt_form(sf, tol, sf.spectrum())
     value = 1.0
@@ -246,7 +237,8 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
     e1, rr1, ph1 = _frame_params(f00, f01, f10, f11, eta1, e2r1)
     e2, rr2, ph2 = _frame_params(g00, g01, g10, g11, eta2, e2r2)
     params = _product_params(
-        tol, eta1=e1, eta2=e2, r1=rr1, r2=rr2, phi1=ph1, phi2=ph2, mean=mean
+        tol, eta1=e1, eta2=e2, r1=rr1, r2=rr2, phi1=ph1, phi2=ph2,
+        mean=ProductStateParams.mean if mean is None else mean,
     )
     return ClosestProduct(params=params, max_affinity=value)
 
@@ -362,34 +354,14 @@ def correlation_report(V, mean=None) -> CorrelationReport:
     reported as 1, and every field is evaluated from that one form,
     so the report of a matrix equals the report of its standard form. The
     measures are displacement-invariant; the mean, if given, is only
-    validated (``_check_mean``). A matrix is reduced by ``standard_form``,
-    which reads the tolerance profile for the reduction.
+    checked, first, by the one check of every mean and displacement
+    (``ghk.symplectic._finite_vector``): 4 finite entries, read in floats
+    where they are a flat sequence of real numbers, so that a report of
+    nested lists loads no numpy. A matrix is reduced by ``standard_form``, which
+    reads the tolerance profile for the reduction.
     """
     if mean is not None:
-        _check_mean(mean)
+        _finite_vector(mean, 4, "mean")
     tol = active_profile().phys_tol
     return _form_report(V if isinstance(V, StandardForm) else standard_form(V), tol)
 
-
-def _check_mean(mean) -> None:
-    """Raise the error of an invalid mean vector, if any: not 4 entries
-    (after flattening), or an entry that is not finite.
-
-    A sequence of 4 entries of the ``_REALS`` types, or an array whose
-    ``tolist`` is one, is checked on its floats; anything else is read by
-    numpy, flattened, as the mean of ``closest_product_state`` is.
-    """
-    values = mean.tolist() if hasattr(mean, "tolist") else mean
-    if not (
-        isinstance(values, (list, tuple))
-        and len(values) == 4
-        and _REALS.issuperset(map(type, values))
-    ):
-        import numpy as np
-
-        flat = np.asarray(mean, dtype=float).reshape(-1)
-        if flat.shape != (4,):
-            raise DimensionMismatchError("mean must be a 4-vector")
-        values = flat.tolist()
-    if not all(map(math.isfinite, values)):
-        raise InvalidParamsError("mean vector must be finite")

@@ -233,15 +233,22 @@ def _sqrt_params(
     """(bt1, bt2, ct, dt, st1, st2) of the square-root form of ``sf``.
 
     ``spectrum`` is the spectrum ``_physical_spectrum`` returned for ``sf``,
-    which has passed its physicality decision. From 2^200 on, where b1 L
-    would overflow, it runs on the form scaled by 2^-m, exactly. Raises the
-    ``StandardForm`` checks of the result, run on the floats, and
-    InvalidParamsError where the form spans more than floats can.
+    which has passed its physicality decision. A product (c = d = 0) is
+    each mode's own root, b_j + sqrt(b_j^2 - 1/4). From 2^200 on, where
+    b1 L would overflow, the closed form runs on the form scaled by 2^-m,
+    exactly. Raises the ``StandardForm`` checks of the result, run on the
+    floats, and InvalidParamsError where the form spans more than floats
+    can.
     """
     k1, k2 = spectrum
     b1, b2, c, d, s1, s2 = sf.b1, sf.b2, sf.c, sf.d, sf.s1, sf.s2
     if k1 - 0.5 < tol and k2 - 0.5 < tol:
         return b1, b2, c, d, s1, s2
+    if c == 0.0 and d == 0.0:
+        bt1, bt2 = b1 + _radical(b1 - 0.5, tol), b2 + _radical(b2 - 0.5, tol)
+        params = (bt1, bt2, 0.0, 0.0, s1, s2)
+        _check_form(tol, *params)
+        return params
     rad1, rad2 = _radical(k1 - 0.5, tol), _radical(k2 - 0.5, tol)
     m = 0
     if b1 >= 2.0**200 or b2 >= 2.0**200 or c >= 2.0**200:
@@ -555,7 +562,8 @@ def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
       correlations h(b) - h(y), with b = (b1 + b2)/2 and
       y = b - c^2/(b + 1/2), and for d <= 0 the EoF of the gap b - c; a
       family takes y = (G + h^2 + b/2)/(b + 1/2), b - c = (G + h^2)/(b + c)
-      with h = (b1 - b2)/2 from its parameters, quotients first.
+      with h = (b1 - b2)/2 from its parameters, quotients first, and h(y)
+      without the pure-mode cut of ``_mode_entropy``, as its y is exact.
     """
     spectrum = _physical_spectrum(sf, tol)
     b1, b2, c, d = sf.b1, sf.b2, sf.c, sf.d
@@ -582,7 +590,7 @@ def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
             y, gap = b - c * c / (b + 0.5), b - c
         if not uncorrelated:
             hb = entropic_h(b)
-            hy = _mode_entropy(y, tol)
+            hy = entropic_h(y) if family else _mode_entropy(y, tol)
             ent, cc = max(hb - h1 - h2 + hy, 0.0), max(hb - hy, 0.0)
         if d <= 0.0:
             eof = _eof_symmetric(gap)

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidParamsError,
-    NegativeOccupancyError,
-    NotPhysicalError,
-)
+from .errors import InvalidParamsError, NegativeOccupancyError, NotPhysicalError
 from .forms import (
     MtsParams,
     StsParams,
@@ -33,6 +28,7 @@ from .forms import (
 )
 from .symplectic import (
     CovarianceMatrix,
+    _finite_vector,
     as_covariance,
     is_physical,
     symplectic_eigenvalues,
@@ -44,8 +40,12 @@ from .tolerances import active_profile
 class GaussianState:
     """Mean quadrature vector plus covariance matrix.
 
-    Construction enforces physicality of the covariance matrix; use
-    CovarianceMatrix directly to represent unphysical matrices.
+    Construction validates the matrix, then checks the mean (2n finite
+    entries, ``ghk.symplectic._finite_vector``) and enforces physicality
+    with ``is_physical``: the two-mode decision of every measure, and for
+    n != 2 the Williamson test of ``square_root_cm``, so the square root
+    and the affinity of every n-mode state exist. Use CovarianceMatrix
+    directly to represent unphysical matrices.
     """
 
     mean: np.ndarray
@@ -53,13 +53,7 @@ class GaussianState:
 
     def __post_init__(self) -> None:
         cov = as_covariance(self.cm)
-        mean = np.array(self.mean, dtype=float).reshape(-1)
-        if mean.shape != (2 * cov.n,):
-            raise DimensionMismatchError(
-                f"mean must have length {2 * cov.n}, got {mean.shape[0]}"
-            )
-        if not np.all(np.isfinite(mean)):
-            raise InvalidParamsError("mean vector must be finite")
+        mean = np.array(_finite_vector(self.mean, 2 * cov.n, "mean"))
         if not is_physical(cov):
             raise NotPhysicalError("covariance matrix is not a physical state")
         mean.flags.writeable = False

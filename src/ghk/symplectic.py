@@ -174,6 +174,31 @@ def _real_rows(value) -> list[float] | None:
         return None
 
 
+def _finite_vector(value, length: int, name: str) -> list[float]:
+    """The entries of the vector ``value``, flattened, as ``length`` finite
+    Python floats: the one check of a mean or a displacement, named ``name``.
+
+    Raises DimensionMismatchError for another count of entries, then
+    InvalidParamsError for an entry that is not finite. A flat sequence of
+    entries of the ``_REALS`` types, or an array whose ``tolist`` is one, is
+    read in floats; anything else is read as numpy reads it.
+    """
+    values = value.tolist() if hasattr(value, "tolist") else value
+    if isinstance(values, (list, tuple)) and _REALS.issuperset(map(type, values)):
+        values = list(map(float, values))
+    else:
+        import numpy as np
+
+        values = np.asarray(value, dtype=float).reshape(-1).tolist()
+    if len(values) != length:
+        raise DimensionMismatchError(
+            f"{name} must have {length} entries, got {len(values)}"
+        )
+    if not all(map(math.isfinite, values)):
+        raise InvalidParamsError(f"{name} vector must be finite")
+    return values
+
+
 def _two_mode_entries(V, sym_atol: float) -> list[float]:
     """The 16 row-major entries of the two-mode covariance matrix ``V`` as
     Python floats, validated and symmetrised as by the ``CovarianceMatrix``
@@ -355,19 +380,20 @@ def _quotient(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def _spectrum(matrix: np.ndarray) -> list[float]:
-    """``_jv_spectrum`` of a validated covariance matrix, after LAPACK's
-    Cholesky check, which raises NotPositiveDefiniteError."""
-    _cholesky_or_raise(matrix)
-    return _jv_spectrum(matrix)
+def symplectic_eigenvalues(V) -> np.ndarray:
+    """Symplectic spectrum of a positive-definite covariance matrix.
 
-
-def _jv_spectrum(matrix: np.ndarray) -> list[float]:
-    """Symplectic eigenvalues (descending) of a positive-definite matrix
-    from the eigenvalues of J V, whose +/- partners must match in magnitude
-    to PAIR_MATCH_RTOL (else ConsistencyError)."""
+    After LAPACK's Cholesky check (NotPositiveDefiniteError), the
+    eigenvalues of J V are taken: purely imaginary pairs +/- i kappa_j,
+    whose kappa_j are returned sorted in descending order. The +/- partners
+    must match in magnitude to PAIR_MATCH_RTOL; a mismatch
+    (ConsistencyError) means the input was numerically corrupt. This is not
+    the physicality decision of ``is_physical``.
+    """
     import numpy as np
 
+    matrix = as_covariance(V).matrix
+    _cholesky_or_raise(matrix)
     j = symplectic_form(matrix.shape[0] // 2)
     mags = sorted(map(abs, np.linalg.eigvals(j @ matrix).tolist()))
     kappas = []
@@ -375,21 +401,7 @@ def _jv_spectrum(matrix: np.ndarray) -> list[float]:
         if not abs(lo - hi) <= PAIR_MATCH_RTOL * hi:
             raise ConsistencyError("eigenvalues of J V do not pair up by magnitude")
         kappas.append(0.5 * (lo + hi))
-    kappas.reverse()
-    return kappas
-
-
-def symplectic_eigenvalues(V) -> np.ndarray:
-    """Symplectic spectrum of a positive-definite covariance matrix.
-
-    The eigenvalues of J V are purely imaginary pairs +/- i kappa_j; the
-    kappa_j are returned sorted in descending order. The +/- partners must
-    match in magnitude to PAIR_MATCH_RTOL; a mismatch means the input was
-    numerically corrupt.
-    """
-    import numpy as np
-
-    return np.array(_spectrum(as_covariance(V).matrix))
+    return np.array(kappas[::-1])
 
 
 def is_physical(V) -> bool:
@@ -398,16 +410,18 @@ def is_physical(V) -> bool:
     A two-mode matrix must pass the reduction's decision (``_reduce``), as
     for every measure: positive definiteness and kappa2 >= 1/2 - phys_tol
     of the float matrix, proved by the float certificate or else decided
-    exactly, then the closed-form gate on its reduced form. Larger matrices
-    are decided on LAPACK's Cholesky and the J V spectrum of
-    ``symplectic_eigenvalues``.
+    exactly, then the closed-form gate on its reduced form. Any other
+    matrix is decided on the Williamson spectrum, by the test that
+    ``square_root_cm`` applies, so an n-mode state is accepted exactly when
+    ``square_root_cm``, and with it ``affinity``, does not reject it as
+    unphysical.
     """
     cov = as_covariance(V)
     try:
         if cov.n == 2:
             _reduce(cov, active_profile())
             return True
-        return _spectrum(cov.matrix)[-1] >= 0.5 - active_profile().phys_tol
+        return float(williamson(cov)[0][-1]) >= 0.5 - active_profile().phys_tol
     except (NotPhysicalError, NotPositiveDefiniteError):
         return False
 

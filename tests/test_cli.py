@@ -1,6 +1,7 @@
 """Command-line interface: report, sweep, verify."""
 
 import dataclasses
+import functools
 import importlib.util
 import itertools
 import json
@@ -879,11 +880,32 @@ AFFINITY_STEPS = {
 }
 
 
-@pytest.mark.parametrize("order", list(itertools.permutations(AFFINITY_STEPS)))
+AFFINITY_ORDERS = list(itertools.permutations(AFFINITY_STEPS))
+
+
+@functools.cache
+def affinity_checks_by_order() -> dict:
+    """For each import order of ``AFFINITY_STEPS``, whether ``ghk.affinity``
+    is the function after each step. Every order runs in one fresh
+    interpreter, which drops ``ghk`` and its submodules from ``sys.modules``
+    before each order, so that each starts from an unimported package."""
+    lines = ["import contextlib, io, json, sys, types", "checks = []"]
+    for order in AFFINITY_ORDERS:
+        lines += [
+            "for name in [m for m in sys.modules if m.split('.')[0] == 'ghk']:",
+            "    del sys.modules[name]",
+            "import ghk, ghk.cli",
+            "seen = []",
+        ]
+        for step in order:
+            lines += [AFFINITY_STEPS[step], "seen.append(isinstance(ghk.affinity, types.FunctionType))"]
+        lines.append("checks.append(seen)")
+    lines.append("print(json.dumps(checks))")
+    return dict(zip(AFFINITY_ORDERS, json.loads(run_fresh("\n".join(lines)))))
+
+
+@pytest.mark.parametrize("order", AFFINITY_ORDERS)
 def test_package_affinity_stays_the_function(order):
     # ghk.affinity is also a submodule, which the import system sets as the
     # package attribute of that name whenever it is imported
-    lines = ["import contextlib, io, types", "import ghk, ghk.cli"]
-    for step in order:
-        lines += [AFFINITY_STEPS[step], "print(isinstance(ghk.affinity, types.FunctionType))"]
-    assert run_fresh("\n".join(lines)).split() == ["True"] * len(order)
+    assert affinity_checks_by_order()[order] == [True] * len(order), f"import order {order}"

@@ -21,12 +21,14 @@ from ghk import (
     StandardForm,
     StsParams,
     affinity,
+    affinity_from_sqrt_cms,
     classical_correlations,
     closest_product_state,
     correlation_report,
     entanglement_of_formation_symmetric,
     entropic_discord,
     entropic_h,
+    gaussian_overlap_trace,
     hellinger_discord,
     hellinger_discord_mts,
     hellinger_discord_sts,
@@ -202,6 +204,10 @@ class TestClosestProductState:
                 call(cm, mean)
         with pytest.raises(error, match="mean"):
             GaussianState(mean, cm)
+        # the displacement takers
+        for call in (gaussian_overlap_trace, affinity_from_sqrt_cms):
+            with pytest.raises(error, match="displacement"):
+                call(cm, cm, mean)
 
 
 class TestStationarity:
@@ -533,6 +539,15 @@ class TestFamilyReports:
                         assert value == 0.0, (p, name)
                     elif abs(x) >= 1e-3:
                         assert abs(value - x) <= rtol * abs(x), (p, name, value)
+
+    def test_a_nearly_pure_y_keeps_its_entropy(self):
+        # y - 1/2 = 4.1e-10 is below phys_tol, but a family's y is exact, so
+        # h(y) = 9.3e-9 is not cut to 0
+        sf, _, ref = family_case(StsParams(5.0, 5.0, 12.0))
+        report = correlation_report(sf)
+        for name in ("entropic_discord", "classical_correlations"):
+            value, exact = getattr(report, name), ref[name]
+            assert abs(value - exact) <= 1e-13 * abs(exact), name
 
     def test_square_root_form_is_the_family_at_kt(self):
         p = StsParams(0.0, 0.0, 12.0)

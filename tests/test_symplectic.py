@@ -41,7 +41,7 @@ from ghk import (
     williamson,
 )
 from ghk.sampling import random_local_frame
-from ghk.states import StsParams, sts_standard_form, sts_state
+from ghk.states import GaussianState, StsParams, sts_standard_form, sts_state
 from ghk.tolerances import ENV_VAR, PROFILES
 
 
@@ -150,6 +150,40 @@ class TestIsPhysical:
         for value in (m, m.tolist()):
             with pytest.raises(InvalidParamsError, match="overflow"):
                 is_physical(value)
+
+    @staticmethod
+    def near_boundary_three_mode_matrices(draws: int) -> list[np.ndarray]:
+        """3-mode matrices with kappa3 = 1/2 - 1e-9 +/- g, g from 1e-13 to
+        1e-6, in random frames: on either side of the default profile's
+        physicality bound, closer than round-off can tell apart."""
+        rng = np.random.default_rng(5)
+        out = []
+        for g in np.logspace(-13, -6, 15):
+            for sign in (1.0, -1.0):
+                for _ in range(draws):
+                    kappas = np.array([*rng.uniform(0.6, 3.0, 2), 0.5 - 1e-9 + sign * g])
+                    s = random_symplectic(3, rng, scale=1.5)
+                    v = (s * np.repeat(kappas, 2)[None, :]) @ s.T
+                    out.append(0.5 * (v + v.T))
+        return out
+
+    def test_n_mode_decision_is_that_of_square_root_cm(self):
+        # an accepted n-mode state has a square root and an affinity
+        for m in self.near_boundary_three_mode_matrices(10):
+            try:
+                square_root_cm(m)
+                root = True
+            except (NotPhysicalError, NotPositiveDefiniteError):
+                root = False
+            except ConsistencyError:  # its identity check, after the decision
+                root = True
+            assert is_physical(m) == root
+            if root:
+                state = GaussianState(np.zeros(6), m)
+                try:
+                    affinity(state, state)
+                except ConsistencyError:
+                    pass
 
 
 class TestWilliamson:
@@ -473,6 +507,17 @@ class TestInvariants:
 
 
 class TestSquareRootStandardForm:
+    def test_a_product_is_each_modes_own_root(self):
+        # b + sqrt(b^2 - 1/4) per mode, also where the closed form in K and
+        # L has no power of two that keeps its products in float range
+        tsf = square_root_standard_form(StandardForm(1e100, 1e300, 0.0, 0.0))
+        assert (tsf.b1, tsf.b2, tsf.c, tsf.d) == (2e100, 2e300, 0.0, 0.0)
+        tsf = square_root_standard_form(StandardForm(2.0, 3.0, 0.0, 0.0))
+        assert tsf == StandardForm(2.0 + math.sqrt(3.75), 3.0 + math.sqrt(8.75), 0.0, 0.0)
+        # a root past the float range still raises
+        with pytest.raises(InvalidParamsError):
+            square_root_standard_form(StandardForm(0.5, 1.7e308, 0.0, 0.0))
+
     def test_pure_state_fixed_point(self):
         r = 0.9
         b = 0.5 * math.cosh(2 * r)
