@@ -21,7 +21,7 @@ from .discord import (
     max_affinity,
 )
 from .errors import ConsistencyError, DimensionMismatchError, NotPhysicalError
-from .forms import _is_uncorrelated, _k_and_l, _radical
+from .forms import _form_record, _is_uncorrelated, _k_and_l, _radical
 from .oracle import (
     det2,
     det4,
@@ -192,7 +192,8 @@ def stationarity_residual(V) -> float:
     closed-form point is stationary.
     """
     tsf = square_root_standard_form(standard_form(V))
-    eta1, eta2, e2r1, e2r2 = _optimum(tsf)
+    root = (tsf.b1, tsf.b2, tsf.c, tsf.d, tsf.s1, tsf.s2), _form_record(tsf)
+    eta1, eta2, e2r1, e2r2 = _optimum(root)
     u1, u2 = eta1 * e2r1, eta2 * e2r2
     v1, v2 = eta1 / e2r1, eta2 / e2r2
     c2 = tsf.c * tsf.c * tsf.s1 * tsf.s2

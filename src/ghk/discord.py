@@ -16,17 +16,12 @@ square-root state:
 The measures of a standard form and ``CorrelationReport`` are float closed
 forms of ``ghk.forms``; this module reduces matrices to standard form for
 them and adds the closest product state. The single-measure functions
-return their field of ``correlation_report``, and every discord is the one
-closed form ``forms._affinity_and_discord``, the family discords on the
-family's exact square root; the paper's X and Y formulas are cross-checks
-in ``ghk.checks``.
-
-Every function whose result holds no array runs on Python floats through
-the two-mode reduction of ``ghk.symplectic``, and importing this module
-loads no numpy: a report of a matrix given as nested lists never loads
-it. ``ProductStateParams``, ``ClosestProduct`` and
-``closest_product_state``, whose results hold arrays and build Gaussian
-states, import numpy and ``ghk.states`` when they run.
+return their field of ``correlation_report``, and A*, the root and every
+discord come from ``forms._form_affinity_and_discord``; the paper's X and
+Y formulas are cross-checks in ``ghk.checks``. Importing this module loads
+no numpy, nor does any function whose result holds no array;
+``ProductStateParams``, ``ClosestProduct`` and ``closest_product_state``
+import numpy and ``ghk.states`` when they run.
 """
 
 from __future__ import annotations
@@ -45,16 +40,13 @@ from .forms import (
     MtsParams,
     StandardForm,
     StsParams,
-    _affinity_and_discord,
     _checked_form,
     _eof_symmetric,
     _family_breach,
     _form_affinity_and_discord,
     _form_report,
-    _is_uncorrelated,
     _mts_form,
-    _physical_spectrum,
-    _sqrt_form,
+    _form_record,
     _sts_form,
 )
 from .symplectic import _finite_vector, _framed_reduction, _reduce, standard_form
@@ -196,23 +188,18 @@ def max_affinity(V) -> float:
     return _form_affinity_and_discord(sf, profile.phys_tol)[0]
 
 
-def _optimum(tsf: StandardForm) -> tuple[float, float, float, float]:
-    """(eta1, eta2, e^{2 r1}, e^{2 r2}) of the optimum's square-root state.
-
-    ``tsf`` is the standard form of the input's square-root state. A
-    square-root form with kt1 kt2 = 0, which round-off can leave on a nearly
-    pure correlated state, is rejected as unphysical.
-    """
-    bb = tsf.b1 * tsf.b2
-    gc = max(bb - tsf.c * tsf.c, 0.0)
-    gd = max(bb - tsf.d * tsf.d, 0.0)
-    geo = math.sqrt(gc * gd)  # = kt1 * kt2
-    if geo == 0.0:
-        raise NotPhysicalError("square-root standard form is not a physical state")
-    eta1 = math.sqrt(tsf.b1 / tsf.b2 * geo)
+def _optimum(root: tuple) -> tuple[float, float, float, float]:
+    """(eta1, eta2, e^{2 r1}, e^{2 r2}) of the optimum's square-root state,
+    from the square-root form as ``forms._sqrt_form`` gives it: its fields and
+    its record's gaps kt1 kt2 rho_t, kt1 kt2 / rho_t, so that
+    (gct / gdt)^(1/4) = sqrt(rho_t)."""
+    (bt1, bt2, _, _, st1, st2), record = root
+    g1, g2, rho = record[2]
+    geo = g1 * g2  # = kt1 * kt2
+    eta1 = math.sqrt(bt1 / bt2 * geo)
     eta2 = geo / eta1
-    quotient = (gc / gd) ** 0.25
-    return eta1, eta2, tsf.s1 * quotient, tsf.s2 * quotient
+    quotient = math.sqrt(rho)
+    return eta1, eta2, st1 * quotient, st2 * quotient
 
 
 def closest_product_state(V, mean=None) -> ClosestProduct:
@@ -221,18 +208,15 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
     The input is reduced to standard form by tracked local symplectics, the
     closed-form optimum is evaluated there, and the result is conjugated
     back into the caller's frame, so the reported affinity is attained by
-    the reconstructed state for any physical input. The optimal product
-    state copies the input displacement, which its parameters check after
-    the matrix.
+    the reconstructed state for any physical input. A* and the square-root
+    form are those of ``max_affinity``. The optimal product state copies the
+    input displacement, which its parameters check after the matrix.
     """
     profile = active_profile()
     sf, frame = _framed_reduction(V, profile)
     tol = profile.phys_tol
-    tsf = _sqrt_form(sf, tol, sf.spectrum())
-    value = 1.0
-    if not _is_uncorrelated(sf):
-        value = _affinity_and_discord(tsf.b1, tsf.b2, tsf.c, tsf.d)[0]
-    eta1, eta2, e2r1, e2r2 = _optimum(tsf)
+    value, _, root = _form_affinity_and_discord(sf, tol)
+    eta1, eta2, e2r1, e2r2 = _optimum(root)
     (f00, f01, _, _), (f10, f11, _, _), (_, _, g00, g01), (_, _, g10, g11) = frame
     e1, rr1, ph1 = _frame_params(f00, f01, f10, f11, eta1, e2r1)
     e2, rr2, ph2 = _frame_params(g00, g01, g10, g11, eta2, e2r2)
@@ -255,10 +239,9 @@ def hellinger_discord(V) -> float:
 def hellinger_discord_symmetric(b: float, c: float, d: float) -> float:
     """Discord of a symmetric state (b1 = b2 = b), for either sign of d.
 
-    The one closed form of the discord on the form (b, b, c, d), alone: the
-    full report of a form gated by round-off (the pure STS form at r = 9.2)
-    raises in its entropic measures. The paper's partial-transpose formula
-    is the cross-check ``ghk.checks.hellinger_discord_pt``.
+    The one closed form of the discord on the form (b, b, c, d), alone,
+    without the report's other measures. The paper's partial-transpose
+    formula is the cross-check ``ghk.checks.hellinger_discord_pt``.
     """
     tol = active_profile().phys_tol
     return _form_affinity_and_discord(_checked_form(tol, b, b, c, d), tol)[1]
@@ -333,32 +316,31 @@ def entanglement_of_formation_symmetric(b: float, c: float) -> float:
     """Entanglement of formation of a symmetric squeezed thermal state.
 
     For the d = -c family: zero when b - c >= 1/2 (separable), otherwise
-    h(z) with z = ((b - c)^2 + 1/4) / (2 (b - c)). Evaluated alone, as
+    h(z) with z = ((b - c)^2 + 1/4) / (2 (b - c)), the gap b - c taken from
+    the form's gaps as in the report. Evaluated alone, as
     ``hellinger_discord_symmetric`` is.
     """
     tol = active_profile().phys_tol
     sf = _checked_form(tol, b, b, c, -c)
-    _physical_spectrum(sf, tol)
-    return _eof_symmetric(sf.b1 - sf.c)
+    _, _, gaps, h, _ = _form_record(sf, tol)
+    return _eof_symmetric(sf.b1, sf.c, gaps, h)
 
 
 def correlation_report(V, mean=None) -> CorrelationReport:
     """Aggregate every measure for one state.
 
-    ``V`` is a covariance matrix, reduced once as by ``standard_form``, or
-    a ``StandardForm``, which is used as it is. Both go through the one
-    report route of ``ghk.forms``: physicality is decided once, on the
-    closed-form spectrum of the form (for a matrix, by the reduction, which
-    first decides the matrix itself: a float certificate, else an exact
-    decision on integers), its scales, which no measure depends on, are
-    reported as 1, and every field is evaluated from that one form,
-    so the report of a matrix equals the report of its standard form. The
-    measures are displacement-invariant; the mean, if given, is only
-    checked, first, by the one check of every mean and displacement
-    (``ghk.symplectic._finite_vector``): 4 finite entries, read in floats
-    where they are a flat sequence of real numbers, so that a report of
-    nested lists loads no numpy. A matrix is reduced by ``standard_form``, which
-    reads the tolerance profile for the reduction.
+    ``V`` is a covariance matrix, reduced once by ``standard_form``, which
+    decides it (a float certificate, else an exact decision on integers),
+    or a ``StandardForm``, used as it is and decided by the gate on its
+    closed-form spectrum. Both go through the one report route of
+    ``ghk.forms``: every field is read from the one record of exact
+    quantities that the form carries, and the scales, which no measure
+    depends on, are reported as 1, so the report of a matrix equals the
+    report of its standard form. The measures are displacement-invariant;
+    the mean, if given, is only checked, first, by the one check of every
+    mean and displacement (``ghk.symplectic._finite_vector``): 4 finite
+    entries, read in floats where they are a flat sequence of real numbers,
+    so that a report of nested lists loads no numpy.
     """
     if mean is not None:
         _finite_vector(mean, 4, "mean")

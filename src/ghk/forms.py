@@ -2,16 +2,14 @@
 
 Standard forms and their symplectic spectrum, the square-root standard
 form, the squeezed thermal and mode-mixed thermal families, the entropic
-function, and every measure of a correlation report evaluated from one
-physical standard form. Each quantity has one route here: A* and the
-Hellinger discord 1 - A* come from one closed form on a square-root form
-and its two gaps (``_affinity_and_discord``), every report and
-single-measure function goes through ``_form_report``, and
-``_physical_spectrum`` decides whether a form is physical. A form reduced
-from a matrix or given as floats is read from its floats; a family form
-carries its exact spectrum, gaps and root (``_family_form``). ``ghk sweep``
-and ``ghk report`` of family or standard-form input need nothing else, so
-they run without loading numpy.
+function, and every measure of a correlation report, each by one route:
+A* and the Hellinger discord 1 - A* from ``_form_affinity_and_discord``,
+every report and single-measure function from ``_form_report``. Every
+measure reads one record of the form's exact quantities (``_form_record``),
+which a family form carries from its parameters, a form reduced from a
+matrix from the matrix's one decision, and a form given as floats fills
+from its floats, passing a gate. ``ghk sweep`` and ``ghk report`` of family
+or standard-form input need nothing else, so they run without numpy.
 
 Only ``math``, ``dataclasses``, the error types and the tolerance profiles
 are imported here. ``ghk.symplectic``, ``ghk.states`` and ``ghk.discord``
@@ -97,15 +95,16 @@ class StandardForm:
         return (bb - self.c * self.c) * (bb - self.d * self.d)
 
     def spectrum(self) -> tuple[float, float]:
-        """Symplectic eigenvalues (descending) from the closed quadratic,
-        evaluated once per form."""
-        if "_spectrum" not in vars(self):
-            vars(self)["_spectrum"] = _form_spectrum(self.b1, self.b2, self.c, self.d)
-        return vars(self)["_spectrum"]
+        """Symplectic eigenvalues (descending): those of the form's record."""
+        return _form_record(self)[0]
 
     def partial_transpose(self) -> "StandardForm":
-        """Standard form of the partial transpose (d -> -d)."""
-        return StandardForm(self.b1, self.b2, self.c, -self.d, self.s1, self.s2)
+        """Standard form of the partial transpose (d -> -d), carrying this
+        form's record with its two spectra swapped, undecided."""
+        spectrum, _, gaps, h, _ = record = _form_record(self)
+        pt = StandardForm(self.b1, self.b2, self.c, -self.d, self.s1, self.s2)
+        vars(pt)["_record"] = (_pt_spectrum(self, record), spectrum, gaps, h, "floats")
+        return pt
 
 
 def _check_form(
@@ -136,37 +135,28 @@ def _checked_form(tol: float, b1, b2, c, d, s1=1.0, s2=1.0) -> StandardForm:
 
 
 def _form_spectrum(
-    b1: float, b2: float, c: float, d: float, gap=None
+    b1: float, b2: float, c: float, d: float, g1: float, g2: float, rho: float
 ) -> tuple[float, float]:
-    """Symplectic eigenvalues (descending) of the standard form (b1, b2, c, d).
+    """Symplectic eigenvalues (descending) of the standard form (b1, b2, c, d)
+    with the gaps gc = g1 g2 rho and gd = g1 g2 / rho (g1 g2 = sqrt(det V)).
 
-    kappa1^2 = (Delta + sqrt(Delta^2 - 4 det V)) / 2 with
-    Delta = b1^2 + b2^2 + 2 c d, and kappa2 = sqrt(det V) / kappa1 from
-    det V = (b1 b2 - c^2)(b1 b2 - d^2), taken factor by factor: the
-    difference (Delta - sqrt(...)) / 2 would cancel when kappa2 << kappa1.
-    The discriminant Delta^2 - 4 det V is evaluated as the equal sum
-    (b1 + b2)^2 (c + d)^2 + (b1 - b2)^2 (b1 + b2 - c + d)(b1 + b2 + c - d),
-    whose terms are nonnegative on a physical form (b1 + b2 > 2c >= c - d).
-    It is exactly 0 at the double root kappa1 = kappa2 of every symmetric
-    squeezed thermal form, where the difference would leave a rounding
-    error whose square root splits kappa1 from kappa2.
-
-    A family passes ``gap`` = (g1, g2), whose product is both gaps: then
-    Delta = (b1 - b2)^2 + 2 g1 g2 + 2c(c + d) and sqrt(det V) = g1 g2 do not
-    cancel. From 2^254 on the entries are scaled by 2^-m, exactly.
+    kappa1^2 = (Delta + sqrt(Delta^2 - 4 det V)) / 2 with the sum
+    Delta = (b1 - b2)^2 + gc + gd + (c + d)^2, and kappa2 = g1 (g2 / kappa1):
+    neither cancels. The discriminant is evaluated as the equal sum
+    (b1 + b2)^2 (c + d)^2 + (b1 - b2)^2 (b1 + b2 - c + d)(b1 + b2 + c - d)
+    of terms that are nonnegative on a physical form (b1 + b2 > 2c >= c - d)
+    and exactly 0 at the double root kappa1 = kappa2 of every symmetric
+    squeezed thermal form, where a difference would leave a rounding error
+    whose square root splits kappa1 from kappa2. From 2^254 on the entries
+    are scaled by 2^-m, exactly.
     """
-    m = 0
+    m, gap = 0, g1 * g2
     if b1 >= 2.0**254 or b2 >= 2.0**254 or c >= 2.0**254:
         m = math.frexp(max(b1, b2, c))[1] - 254
         b1, b2, c, d = (math.ldexp(x, -m) for x in (b1, b2, c, d))
+        gap = math.ldexp(g1, -m) * math.ldexp(g2, -m)
     total, split = b1 + b2, b1 - b2
-    if gap is None:
-        bb = b1 * b2
-        delta = b1 * b1 + b2 * b2 + 2.0 * c * d
-        root = math.sqrt(max((bb - c * c) * (bb - d * d), 0.0))
-    else:
-        g1, g2 = (math.ldexp(x, -m) for x in gap)
-        delta = split * split + 2.0 * g1 * g2 + 2.0 * c * (c + d)
+    delta = split * split + gap * (rho + 1.0 / rho) + (c + d) * (c + d)
     plus = total * (c + d)
     disc = math.sqrt(
         max(plus * plus + split * split * (total - c + d) * (total + c - d), 0.0)
@@ -174,30 +164,54 @@ def _form_spectrum(
     k1 = math.sqrt(max((delta + disc) / 2.0, 0.0))
     if k1 == 0.0:
         return 0.0, 0.0
-    if not m and gap is None:
-        return k1, min(root / k1, k1)
-    try:
-        big = math.ldexp(k1, m)
-    except OverflowError:
-        raise InvalidParamsError("the spectrum of this form overflows") from None
-    return big, min(gap[0] * (gap[1] / big) if gap else math.ldexp(root / k1, m), big)
+    if m:
+        try:
+            k1 = math.ldexp(k1, m)
+        except OverflowError:
+            raise InvalidParamsError("the spectrum of this form overflows") from None
+    return k1, min(g1 * (g2 / k1), k1)
 
 
-def _physical_spectrum(sf: StandardForm, tol: float) -> tuple[float, float]:
-    """The spectrum of the form ``sf`` if it is a physical state, else
-    NotPhysicalError: the one decision for a form, given or reduced from a
-    matrix. b1 b2 > c^2 and b1 + b2 > 2c, which the spectrum formula does
-    not check and the form of every positive-definite matrix keeps
-    (b1 b2 > c^2 >= c |d|), then kappa2 >= 1/2 - ``tol``. A family form,
-    whose parameters have decided, returns its spectrum."""
-    if sf._family is not None:
-        return sf.spectrum()
-    b1, b2, c = sf.b1, sf.b2, sf.c
-    if b1 * b2 > c * c and b1 + b2 > 2.0 * c:
-        spectrum = sf.spectrum()
-        if spectrum[1] >= 0.5 - tol:
-            return spectrum
-    raise NotPhysicalError("standard form is not a physical state")
+def _float_record(b1: float, b2: float, c: float, d: float, kind: str) -> tuple:
+    """The record of the form (b1, b2, c, d) from its floats: the roots of the
+    gaps sqrt(s - c) sqrt(s + c), s = sqrt(b1 b2), and its twin in |d|, so no
+    product overflows; NotPhysicalError where s <= c, which no state has."""
+    s = math.sqrt(b1 * b2) if b1 * b2 < 2.0**1023 else math.sqrt(b1) * math.sqrt(b2)
+    if not s > c:
+        raise NotPhysicalError("standard form is not a physical state")
+    g1 = math.sqrt(s - c) * math.sqrt(s + c)
+    g2 = math.sqrt(s - abs(d)) * math.sqrt(s + abs(d))
+    rho = g1 / g2
+    spectrum = _form_spectrum(b1, b2, c, d, g1, g2, rho)
+    return spectrum, None, (g1, g2, rho), 0.5 * (b1 - b2), kind
+
+
+def _form_record(sf: StandardForm, tol: float | None = None) -> tuple:
+    """The record (spectrum, pt_spectrum, (g1, g2, rho), h, kind) of ``sf``.
+
+    The descending spectrum, that of the partial transpose (None: from the
+    floats, ``_pt_spectrum``), the gaps gc = g1 g2 rho <= gd = g1 g2 / rho
+    with g1 g2 = sqrt(det V), and h = (b1 - b2)/2. ``kind`` is "exact" for a
+    family form, "decided" for a form reduced from a matrix or a square
+    root, and "floats" for a form given as floats or a partial transpose,
+    which no decision has passed: it fills its record from its floats once
+    and, given ``tol``, passes the gate kappa2 >= 1/2 - ``tol`` or raises
+    NotPhysicalError.
+    """
+    record = vars(sf).get("_record")
+    if record is None:
+        record = _float_record(sf.b1, sf.b2, sf.c, sf.d, "floats")
+        vars(sf)["_record"] = record
+    if tol is not None and record[4] == "floats" and record[0][1] < 0.5 - tol:
+        raise NotPhysicalError("standard form is not a physical state")
+    return record
+
+
+def _pt_spectrum(sf: StandardForm, record: tuple) -> tuple[float, float]:
+    """The record's partial-transpose spectrum, or from the floats, d -> -d,
+    the gaps and sqrt(det V) = kappa1 kappa2, which d -> -d leaves alone."""
+    spectrum, pt, gaps = record[:3]
+    return pt or _form_spectrum(sf.b1, sf.b2, sf.c, -sf.d, *spectrum, gaps[2])
 
 
 def _radical(excess: float, tol: float) -> float:
@@ -227,52 +241,54 @@ def _k_and_l(k1: float, k2: float, rad1: float, rad2: float) -> tuple[float, flo
     return k1 * rad2 + k2 * rad1, 4.0 * k1 * k2 * (k1 + rad1) * (k2 + rad2)
 
 
-def _sqrt_params(
-    sf: StandardForm, tol: float, spectrum: tuple[float, float]
-) -> tuple[float, float, float, float, float, float]:
-    """(bt1, bt2, ct, dt, st1, st2) of the square-root form of ``sf``.
-
-    ``spectrum`` is the spectrum ``_physical_spectrum`` returned for ``sf``,
-    which has passed its physicality decision. A product (c = d = 0) is
-    each mode's own root, b_j + sqrt(b_j^2 - 1/4). From 2^200 on, where
-    b1 L would overflow, the closed form runs on the form scaled by 2^-m,
-    exactly. Raises the ``StandardForm`` checks of the result, run on the
-    floats, and InvalidParamsError where the form spans more than floats
-    can.
+def _sqrt_params(sf: StandardForm, tol: float, record: tuple) -> tuple[tuple, tuple]:
+    """(bt1, bt2, ct, dt, st1, st2) and record of the square-root form of
+    ``sf``, whose ``record`` has passed its decision. The root's gaps are
+    (kt1, kt2, rho_t): kt = k + sqrt(k^2 - 1/4), rho_t = rho sqrt(y1 y2 /
+    (x1 x2)), as x1 x2 - zc^2 = gc (L^2 - L Delta + det V) / P^2 and
+    y1 y2 - zd^2 is its twin in gd. A product (c = d = 0) is each mode's own
+    root. From 2^200 on, where b1 L would overflow, the closed form runs on
+    the form scaled by 2^-m, exactly. Raises the ``StandardForm`` checks of
+    the result and InvalidParamsError where it spans more than floats can.
     """
-    k1, k2 = spectrum
+    (k1, k2), _, (g1, g2, rho), h, _ = record
     b1, b2, c, d, s1, s2 = sf.b1, sf.b2, sf.c, sf.d, sf.s1, sf.s2
     if k1 - 0.5 < tol and k2 - 0.5 < tol:
-        return b1, b2, c, d, s1, s2
+        return (b1, b2, c, d, s1, s2), ((k1, k2), None, (k1, k2, rho), h, "decided")
     if c == 0.0 and d == 0.0:
         bt1, bt2 = b1 + _radical(b1 - 0.5, tol), b2 + _radical(b2 - 0.5, tol)
         params = (bt1, bt2, 0.0, 0.0, s1, s2)
         _check_form(tol, *params)
-        return params
+        kt = (bt1, bt2) if bt1 >= bt2 else (bt2, bt1)
+        return params, (kt, None, (bt1, bt2, 1.0), 0.5 * (bt1 - bt2), "decided")
     rad1, rad2 = _radical(k1 - 0.5, tol), _radical(k2 - 0.5, tol)
+    kt1, kt2 = k1 + rad1, k2 + rad2
     m = 0
     if b1 >= 2.0**200 or b2 >= 2.0**200 or c >= 2.0**200:
         m = math.frexp(max(b1, b2, c))[1] - 200
-        b1, b2, c, d, k1, k2, rad1, rad2 = (
-            math.ldexp(x, -m) for x in (b1, b2, c, d, k1, k2, rad1, rad2)
+        b1, b2, c, d, k1, k2, rad1, rad2, g1, g2 = (
+            math.ldexp(x, -m) for x in (b1, b2, c, d, k1, k2, rad1, rad2, g1, g2)
         )
     try:
         k, l = _k_and_l(k1, k2, rad1, rad2)
         pref = 4.0 * k1 * k2 * k
-        bb = b1 * b2
-        gc = bb - c * c
-        gd = bb - d * d
+        gc = g1 * g2 * rho
+        gd = g1 * g2 / rho
         x1 = (b1 * l - b2 * gc) / pref
         x2 = (b2 * l - b1 * gc) / pref
         y1 = (b1 * l - b2 * gd) / pref
         y2 = (b2 * l - b1 * gd) / pref
         zc = (c * l + d * gc) / pref
         zd = (d * l + c * gd) / pref
+        ratio = y1 * y2 / (x1 * x2)
+        ct, dt = zc * ratio**0.25, zd / ratio**0.25
         params = (
             math.sqrt(x1 * y1),
             math.sqrt(x2 * y2),
-            zc * (y1 * y2 / (x1 * x2)) ** 0.25,
-            zd * (x1 * x2 / (y1 * y2)) ** 0.25,
+            ct,
+            # ct >= |dt| as rho_t <= 1, where the floats of c and d of a
+            # strongly squeezed form reduced from a matrix do not resolve it
+            dt if abs(dt) <= ct else math.copysign(ct, dt),
             s1 * math.sqrt(x1 / y1),
             s2 * math.sqrt(x2 / y2),
         )
@@ -281,20 +297,16 @@ def _sqrt_params(
     except (ArithmeticError, ValueError):  # a range no power of two brings into floats
         raise InvalidParamsError("the square-root form is out of float range") from None
     _check_form(tol, *params)
-    return params
+    h = 0.5 * (params[0] - params[1])
+    return params, ((kt1, kt2), None, (kt1, kt2, rho * math.sqrt(ratio)), h, "decided")
 
 
-def _sqrt_form(
-    sf: StandardForm, tol: float, spectrum: tuple[float, float]
-) -> StandardForm:
-    """``square_root_standard_form`` with the phys_tol ``tol`` and the
-    spectrum of ``sf`` given. A family form's root is its family at
-    kt = k + rho, rho = ``_radical`` of the excess, with the mode-mixed split
-    kt1 - kt2 = split (1 + (k1 + k2)/(rho1 + rho2)), which does not cancel."""
+def _sqrt_form(sf: StandardForm, tol: float, record: tuple) -> tuple[tuple, tuple]:
+    """``_sqrt_params``, and for a family form the fields and record of its
+    family at kt = k + rho, rho = ``_radical`` of the excess, with the
+    mode-mixed split kt1 - kt2 = split (1 + (k1 + k2)/(rho1 + rho2))."""
     if sf._family is None:
-        tsf = object.__new__(StandardForm)
-        vars(tsf).update(zip(_FORM_FIELDS, _sqrt_params(sf, tol, spectrum)))
-        return tsf
+        return _sqrt_params(sf, tol, record)
     sts, k1, k2, e1, e2, split, angle = sf._family
     rho1, rho2 = _radical(e1, tol), _radical(e2, tol)
     if not sts:
@@ -303,7 +315,8 @@ def _sqrt_form(
         else:
             split = split * (1.0 + (k1 + k2) / (rho1 + rho2))
     kt1, kt2 = k1 + rho1, k2 + rho2
-    return _family_form(tol, (sts, kt1, kt2, e1 + rho1, e2 + rho2, split, angle))
+    tsf = _family_form(tol, (sts, kt1, kt2, e1 + rho1, e2 + rho2, split, angle))
+    return (tsf.b1, tsf.b2, tsf.c, tsf.d, 1.0, 1.0), vars(tsf)["_record"]
 
 
 # -- the two families ----------------------------------------------------------
@@ -385,10 +398,10 @@ def _family_form(tol: float, family: tuple) -> StandardForm:
     co-latitude theta) form of ``family`` = (sts, k1, k2, e1, e2, split, r or
     theta): spectrum (k1, k2), e_j = k_j - 1/2, split = k1 - k2 (mode-mixed),
     checked against ``tol``; InvalidParamsError where it overflows. In its
-    instance dict, as ``spectrum`` caches, so fields, repr and equality do
-    not change, it carries its spectrum, whose product is both gaps
-    b1 b2 - c^2 = b1 b2 - d^2, and ``family``."""
-    sts, k1, k2, _, _, split, angle = family
+    instance dict, so fields, repr and equality do not change, it carries
+    ``family`` and its exact record: gc = gd = k1 k2, so rho = 1, and h from
+    the parameters."""
+    sts, k1, k2, e1, e2, split, angle = family
     try:
         if sts:
             x, y, w = math.cosh(angle), math.sinh(angle), k1 + k2
@@ -398,7 +411,9 @@ def _family_form(tol: float, family: tuple) -> StandardForm:
         raise InvalidParamsError("squeeze parameter too large") from None
     b1, b2, c = k1 * x * x + k2 * y * y, k2 * x * x + k1 * y * y, w * x * y
     sf = _checked_form(tol, b1, b2, c, -c if sts else c)
-    vars(sf).update(_spectrum=(k1, k2) if k1 >= k2 else (k2, k1), _family=family)
+    h = 0.5 * (e1 - e2) if sts else 0.5 * split * math.cos(angle)
+    spectrum = (k1, k2) if k1 >= k2 else (k2, k1)
+    vars(sf).update(_record=(spectrum, None, (k1, k2, 1.0), h, "exact"), _family=family)
     return sf
 
 
@@ -445,32 +460,33 @@ def _is_uncorrelated(sf: StandardForm) -> bool:
     return max(abs(sf.c), abs(sf.d)) <= _PRODUCT_ATOL * scale
 
 
-def _affinity_and_discord(
-    b1: float, b2: float, c: float, d: float, gap=None
-) -> tuple[float, float]:
-    """(A*, 1 - A*) from the square-root standard form (b1, b2, c, d).
+def _form_affinity_and_discord(
+    sf: StandardForm, tol: float, uncorrelated=None
+) -> tuple[float, float, tuple]:
+    """(A*, 1 - A*, square-root form as ``_sqrt_form`` gives it) of the
+    standard form ``sf``, after its physicality decision (``_form_record``
+    under ``tol``), with the product test taken here or given: the one route
+    of the report, ``max_affinity``, ``closest_product_state`` and every
+    discord. A product has (1, 0).
 
-    The one closed form of A* and the discord. The gaps gc = b1 b2 - c^2 and
-    gd = b1 b2 - d^2 are formed from the floats, or a family's root passes
-    ``gap`` = (kt1, kt2), whose product is both exactly. With s = sqrt(b1 b2),
-    rc = sqrt(gc), rd = sqrt(gd), x = c^2/(s + rc) = s - rc and
-    y = d^2/(s + rd) = s - rd,
-    A*^2 = 4 rc rd / ((s + rc)(s + rd)) and
-    1 - A*^2 = (2 s (x + y) - 3 x y) / ((s + rc)(s + rd)) keeps its relative
-    accuracy; 1 - A* = (1 - A*^2) / (1 + A*) is never formed as a
-    difference, so a small discord keeps its relative accuracy too. From
-    2^510 on the entries are scaled by 2^-m, exactly: A* is scale-free.
+    On the root (b1, b2, c, d) and its record's gaps gc = g1 g2 rho and
+    gd = g1 g2 / rho, with s = sqrt(b1 b2), rc = sqrt(gc), rd = sqrt(gd),
+    x = c^2/(s + rc) = s - rc and y = d^2/(s + rd) = s - rd:
+    A*^2 = 4 rc rd / ((s + rc)(s + rd)) and 1 - A* = (1 - A*^2) / (1 + A*)
+    with 1 - A*^2 = (2 s (x + y) - 3 x y) / ((s + rc)(s + rd)), so a small
+    discord keeps its relative accuracy. From 2^510 on the entries are
+    scaled by 2^-m, exactly: A* is scale-free.
     """
-    m = 0
-    if b1 >= 2.0**510 or b2 >= 2.0**510 or c >= 2.0**510 or gap and max(gap) >= 2.0**510:
-        m = math.frexp(max(b1, b2, c, *(gap or ())))[1] - 510
-        b1, b2, c, d = (math.ldexp(x, -m) for x in (b1, b2, c, d))
-    bb = b1 * b2
-    if gap is None:
-        gc, gd = bb - c * c, bb - d * d
-    else:
-        gc = gd = math.ldexp(gap[0], -m) * math.ldexp(gap[1], -m)
-    s = math.sqrt(bb)
+    root = _sqrt_form(sf, tol, _form_record(sf, tol))
+    if _is_uncorrelated(sf) if uncorrelated is None else uncorrelated:
+        return 1.0, 0.0, root
+    (b1, b2, c, d, _, _), root_record = root
+    g1, g2, rho = root_record[2]
+    if b1 >= 2.0**510 or b2 >= 2.0**510 or c >= 2.0**510 or max(g1, g2) >= 2.0**510:
+        m = math.frexp(max(b1, b2, c, g1, g2))[1] - 510
+        b1, b2, c, d, g1, g2 = (math.ldexp(x, -m) for x in (b1, b2, c, d, g1, g2))
+    gc, gd = g1 * g2 * rho, g1 * g2 / rho
+    s = math.sqrt(b1 * b2)
     rc = math.sqrt(max(gc, 0.0))
     rd = math.sqrt(max(gd, 0.0))
     den = (s + rc) * (s + rd)
@@ -478,23 +494,7 @@ def _affinity_and_discord(
     y = min(d * d / (s + rd), s)
     affinity = min(math.sqrt(4.0 * rc * rd / den), 1.0)
     discord = (2.0 * s * (x + y) - 3.0 * x * y) / den / (1.0 + affinity)
-    return affinity, min(discord, 1.0)
-
-
-def _form_affinity_and_discord(
-    sf: StandardForm, tol: float, spectrum=None, uncorrelated=False
-) -> tuple[float, float]:
-    """(A*, 1 - A*) of the standard form ``sf`` after its physicality
-    decision, or with the spectrum and product test a report has taken; (1, 0)
-    for a product. A family form takes them from its root and kt1 kt2."""
-    if spectrum is None:
-        spectrum, uncorrelated = _physical_spectrum(sf, tol), _is_uncorrelated(sf)
-    if uncorrelated:
-        return 1.0, 0.0
-    if sf._family is not None:
-        root = _sqrt_form(sf, tol, spectrum)
-        return _affinity_and_discord(root.b1, root.b2, root.c, root.d, root.spectrum())
-    return _affinity_and_discord(*_sqrt_params(sf, tol, spectrum)[:4])
+    return affinity, min(discord, 1.0), root
 
 
 def _family_breach(sf: StandardForm) -> str | None:
@@ -509,9 +509,15 @@ def _family_breach(sf: StandardForm) -> str | None:
     return None
 
 
-def _eof_symmetric(gap: float) -> float:
-    """EoF of the physical symmetric squeezed thermal form (b, b, c, -c)
-    with the gap g = b - c > 0: h(z) with z = (g^2 + 1/4)/(2 g)."""
+def _eof_symmetric(b: float, c: float, gaps: tuple, h: float) -> float:
+    """EoF of the physical symmetric squeezed thermal form (b, b, c, -c), or
+    of a form within ``_FAMILY_RTOL`` of it with b = (b1 + b2)/2 and the
+    ``gaps`` and ``h`` of its record: h(z) with z = (g^2 + 1/4)/(2 g) for
+    the gap g = b - c = (gc + h^2)/(b + c), quotients first, which is
+    positive and does not cancel."""
+    g1, g2, rho = gaps
+    x = 0.5 * b + 0.5 * c
+    gap = 0.5 * (g1 * (g2 / x) * rho + h * (h / x))
     if gap >= 0.5:
         return 0.0
     return entropic_h((gap * gap + 0.25) / (2.0 * gap))
@@ -539,66 +545,57 @@ class CorrelationReport:
 
 
 def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
-    """Every measure of the standard form ``sf``, after its physicality
-    decision (``_physical_spectrum``).
+    """Every measure of the standard form ``sf``, read from its record
+    (``_form_record``, which decides a form given as floats).
 
-    The one report route: ``correlation_report`` of a matrix (on the form
-    of its reduction, which took this decision and evaluated the spectrum)
-    or of a ``StandardForm``, a sweep row, ``ghk report``, and the
-    single-measure functions of ``ghk.discord``, which return one field.
-    The scales, which no measure depends on, are reported as 1. The
-    spectrum, the partial-transpose spectrum, the entropies h(k1), h(k2) of
-    the spectrum and ``_is_uncorrelated`` are evaluated once and shared by
-    the measures; a product has every correlation exactly 0. The square-root
-    form is taken as checked floats (``_sqrt_params``), and the report is
-    built without a second pass over its fields, as ``_checked_form``
-    builds a form. A family form reads its spectrum, root and gaps G = k1 k2.
+    The one report route: ``correlation_report`` of a matrix or of a
+    ``StandardForm``, a sweep row, ``ghk report``, and the single-measure
+    functions of ``ghk.discord``, which return one field. The scales, which
+    no measure depends on, are reported as 1; a product has every
+    correlation exactly 0. The report is built without a second pass over
+    its fields, as ``_checked_form`` builds a form.
 
     - separable (PPT): d >= 0, or the partial transpose (d -> -d) is
       physical;
-    - mutual information: h(b1) + h(b2) - h(k1) - h(k2);
+    - mutual information: h(b1) + h(b2) - h(k1) - h(k2), with the pure-mode
+      cut of ``_mode_entropy`` unless the spectrum is exact (a family's);
     - in the symmetric |d| = c family (``_family_breach`` is None), the
       entropic discord h(b) - h(k1) - h(k2) + h(y) and the classical
       correlations h(b) - h(y), with b = (b1 + b2)/2 and
-      y = b - c^2/(b + 1/2), and for d <= 0 the EoF of the gap b - c; a
-      family takes y = (G + h^2 + b/2)/(b + 1/2), b - c = (G + h^2)/(b + c)
-      with h = (b1 - b2)/2 from its parameters, quotients first, and h(y)
-      without the pure-mode cut of ``_mode_entropy``, as its y is exact.
+      y = b - c^2/(b + 1/2) = (gc + h^2 + b/2)/(b + 1/2) from the record's
+      gc and h, quotients first, and for d <= 0 the EoF (``_eof_symmetric``).
     """
-    spectrum = _physical_spectrum(sf, tol)
+    record = _form_record(sf, tol)
+    spectrum, _, gaps, h, kind = record
     b1, b2, c, d = sf.b1, sf.b2, sf.c, sf.d
     if sf.s1 != 1.0 or sf.s2 != 1.0:
         sf = _checked_form(tol, b1, b2, c, d)
-    family = sf._family
-    pt_spectrum = _form_spectrum(b1, b2, c, -d, spectrum if family else None)
+        vars(sf)["_record"] = record
+    pt_spectrum = _pt_spectrum(sf, record)
     separable = d >= 0.0 or pt_spectrum[1] >= 0.5 - tol
     uncorrelated = _is_uncorrelated(sf)
-    h1 = _mode_entropy(spectrum[0], tol)
-    h2 = _mode_entropy(max(spectrum[1], 0.5), tol)
+    if kind == "exact":  # a family's spectrum, which no round-off moves
+        h1, h2 = entropic_h(spectrum[0]), entropic_h(spectrum[1])
+    else:
+        h1 = _mode_entropy(spectrum[0], tol)
+        h2 = _mode_entropy(max(spectrum[1], 0.5), tol)
     ent = cc = eof = None
     if _family_breach(sf) is None:
         ent = cc = 0.0
         b = 0.5 * b1 + 0.5 * b2
-        if family:
-            sts, k1, k2, e1, e2, split, angle = family
-            h = 0.5 * (e1 - e2) if sts else 0.5 * split * math.cos(angle)
-            x = b + 0.5
-            y = k1 * (k2 / x) + h * (h / x) + 0.5 * b / x
-            x = 0.5 * b + 0.5 * c
-            gap = 0.5 * (k1 * (k2 / x) + h * (h / x))
-        else:
-            y, gap = b - c * c / (b + 0.5), b - c
         if not uncorrelated:
+            g1, g2, rho = gaps
+            x = b + 0.5
             hb = entropic_h(b)
-            hy = entropic_h(y) if family else _mode_entropy(y, tol)
+            hy = entropic_h(g1 * (g2 / x) * rho + h * (h / x) + 0.5 * b / x)
             ent, cc = max(hb - h1 - h2 + hy, 0.0), max(hb - hy, 0.0)
         if d <= 0.0:
-            eof = _eof_symmetric(gap)
+            eof = _eof_symmetric(b, c, gaps, h)
     if eof is None and separable:
         eof = 0.0
-    discord = _form_affinity_and_discord(sf, tol, spectrum, uncorrelated)[1]
-    mutual = 0.0
+    discord = mutual = 0.0
     if not uncorrelated:
+        discord = _form_affinity_and_discord(sf, tol, False)[1]
         mutual = max(entropic_h(b1) + entropic_h(b2) - h1 - h2, 0.0)
     report = object.__new__(CorrelationReport)
     vars(report).update(

@@ -14,18 +14,16 @@ closed forms of ``ghk.forms``; this module re-exports them and adds the
 matrix routes: validation, spectra, Williamson and the reduction to
 standard form.
 
-The two-mode reduction runs on Python floats and loads no numpy: a 4x4
-matrix given as nested sequences, an array or a ``CovarianceMatrix`` is
-validated and symmetrised on its 16 entries, decided physical by a float
-certificate on its determinants where their rounding bounds prove
-acceptance and exactly on integers everywhere else, reduced, and passed
-through the closed-form gate of its reduced form. ``standard_form`` and
-``square_root_standard_form`` therefore run without numpy, and so does
-importing this module; numpy is imported by the functions that build or
-read arrays (``CovarianceMatrix``, the n-mode spectra, Williamson, the
-square-root matrix and the frame of ``reduce_to_standard_form``), and by
-the validation of input that is not 4 rows of 4 real numbers, which keeps
-numpy's reading of it and its errors.
+The two-mode reduction (``_reduce``) runs on Python floats and loads no
+numpy: a 4x4 matrix given as nested sequences, an array or a
+``CovarianceMatrix`` is validated and symmetrised on its 16 entries,
+decided physical once, and reduced to a form that carries what every
+measure reads. So do importing this module, ``standard_form`` and
+``square_root_standard_form``; numpy is imported by the functions that
+build or read arrays (``CovarianceMatrix``, the n-mode spectra,
+Williamson, the square-root matrix and the frame of
+``reduce_to_standard_form``), and by the validation of input that is not 4
+rows of 4 real numbers, which keeps numpy's reading of it and its errors.
 """
 
 from __future__ import annotations
@@ -45,9 +43,11 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .forms import (
+    _FORM_FIELDS,
     StandardForm,
-    _physical_spectrum,
+    _float_record,
     _radical,
+    _form_record,
     _sqrt_form,
 )
 from .tolerances import ToleranceProfile, active_profile
@@ -261,8 +261,11 @@ def _cholesky_or_raise(matrix: np.ndarray) -> np.ndarray:
 # b2 from the square roots of the float det A and det B, so the certificate
 # also demands det A > _DET_MARGIN |A| and det B > _DET_MARGIN |B| (|X| the
 # expansion in absolute values): each is then within 2^-32 of its exact
-# value, relative, and every other matrix takes its correctly rounded
-# determinants from the exact decision.
+# value, relative. The reduced form fills its record from its floats, so
+# the certificate also demands det V > _DET_MARGIN S, S = det A det B -
+# det(C)^2 + det V = b1 b2 (gc + gd): no gap, Delta or discriminant factor
+# of the reduced form then cancels by more than about 2^17. Every other
+# matrix takes b_j and its record from the exact decision.
 _TWO_MODE_ENTRIES = itemgetter(0, 1, 5, 10, 11, 15, 2, 3, 6, 7)
 _UNIT_ROUNDOFF = 2.0**-53
 _EXPANSION_ROUNDING = 32 * _UNIT_ROUNDOFF
@@ -296,9 +299,9 @@ def _determinants(a00, a01, a11, b00, b01, b11, c00, c01, c10, c11):
 
 def _certified_physical(entries: tuple[float, ...], dets: tuple, tol: float) -> bool:
     """True when floats prove that the two-mode matrix of ``entries`` is
-    positive definite with kappa2 >= 1/2 - ``tol``, and that its float det A
-    and det B are within 2^-32 of their exact values; ``dets`` is
-    ``_determinants(*entries)``.
+    positive definite with kappa2 >= 1/2 - ``tol``, that its float det A
+    and det B are within 2^-32 of their exact values and that det V
+    exceeds 2^-16 S (above); ``dets`` is ``_determinants(*entries)``.
 
     Subtracting 32u times the expansion in absolute values from each
     determinant gives lower bounds on the leading minors and on det V, and
@@ -333,12 +336,16 @@ def _certified_physical(entries: tuple[float, ...], dets: tuple, tol: float) -> 
     square = delta_hi * delta_hi
     # an upper bound on Delta_hi^2 - 4 D_lo despite its cancellation
     disc = square - 4.0 * d_lo + 8.0 * _UNIT_ROUNDOFF * square
+    # an upper bound on S: each product of two expansions is within 2 gamma
+    s_hi = det_a * det_b - det_c * det_c + det_v + 2.0 * _EXPANSION_ROUNDING * (
+        abs_a * abs_b + abs_c * abs_c + abs_v
+    )
     if not (
         entries[0] > 0.0
         and det_a > _DET_MARGIN * abs_a
         and det_b > _DET_MARGIN * abs_b
         and minor > _EXPANSION_ROUNDING * abs_minor
-        and d_lo > 0.0
+        and d_lo > _DET_MARGIN * s_hi
         and disc >= 0.0
     ):
         return False
@@ -347,37 +354,59 @@ def _certified_physical(entries: tuple[float, ...], dets: tuple, tol: float) -> 
 
 
 def _exactly_physical(entries: tuple[float, ...], tol: float) -> tuple | None:
-    """``_determinants`` of the two-mode matrix of ``entries``, each
-    correctly rounded, when it is positive definite with kappa2 >= t =
-    1/2 - ``tol`` (the float t), else None; decided exactly.
-
-    The entries are scaled by their common power of two into Python ints,
-    which scales each determinant by a power of it and keeps its sign, and
-    t enters as its exact ratio num / den. The float expansion, which the
-    rounded determinants replace, may cancel to 0 where no certificate holds.
+    """None unless the two-mode matrix of ``entries`` is positive definite
+    with kappa2 >= t = 1/2 - ``tol`` (the float t), decided exactly on its
+    entries scaled by their common power of two into Python ints (which
+    scales each determinant by a power of it) and t as its exact ratio;
+    then det A and det B as ``_quarter`` pairs and the record of the reduced
+    form (``forms._form_record``), each integer expression in A = det A,
+    B = det B, C = det C and D = det V rounded once: the spectra with
+    Delta = A + B +/- 2C (``_int_spectrum``), rho = sqrt(gc / gd) =
+    2 sqrt(D AB) / (S + sqrt(S^2 - 4 D AB)) with S = AB - C^2 + D, since
+    gc gd = D and (gd - gc)^2 AB = S^2 - 4 D AB, and h = (A - B)/(2 (b1 + b2)).
     """
     ratios = [x.as_integer_ratio() for x in entries]
     scale = max(den for _, den in ratios)
     ints = [num * (scale // den) for num, den in ratios]
-    dets = _determinants(*ints)
-    det_a, det_b, det_c, minor, det_v = dets
+    det_a, det_b, det_c, minor, det_v = _determinants(*ints)
     if not (ints[0] > 0 and det_a > 0 and minor > 0 and det_v > 0):
         return None
     num, den = (0.5 - tol).as_integer_ratio()
     # t^2 and Delta, both times (scale den)^2
     t2 = (num * scale) ** 2
-    delta = (det_a + det_b + 2 * det_c) * den * den
-    if not (t2 * t2 - delta * t2 + det_v * den**4 >= 0 and 2 * t2 <= delta):
+    delta = det_a + det_b + 2 * det_c
+    if not (
+        t2 * t2 - delta * den * den * t2 + det_v * den**4 >= 0
+        and 2 * t2 <= delta * den * den
+    ):
         return None
-    return tuple(_quotient(det, scale**k) for det, k in zip(dets, (2, 2, 2, 3, 4)))
+    sq = scale * scale
+    (a, ea), (b, eb) = _quarter(det_a, sq), _quarter(det_b, sq)
+    b1, b2 = math.ldexp(math.sqrt(a), ea), math.ldexp(math.sqrt(b), eb)
+    ab, s = det_a * det_b, det_a * det_b - det_c * det_c + det_v
+    t = math.sqrt((s * s - 4 * det_v * ab) / (s * s))  # (gd - gc) / (gd + gc)
+    rho = 2.0 * math.sqrt(det_v * ab / (s * s)) / (1.0 + t)
+    hi, lo = (b1, b2) if det_a >= det_b else (b2, b1)
+    h = hi * ((det_a - det_b) / max(det_a, det_b)) / (2.0 + 2.0 * (lo / hi))
+    spectrum = _int_spectrum(delta, det_v, sq)
+    pt = _int_spectrum(delta - 4 * det_c, det_v, sq)
+    return (a, ea), (b, eb), (spectrum, pt, (*spectrum, rho), h, "decided")
 
 
-def _quotient(num: int, den: int) -> float:
-    """num / den correctly rounded, or +/-inf beyond the float range."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
+def _quarter(num: int, den: int) -> tuple[float, int]:
+    """(x, e) with num / den = x 4^e for positive ints of any size, x in
+    about [1/4, 4) rounded once: sqrt(num / den) = ldexp(sqrt(x), e)."""
+    e = (num.bit_length() - den.bit_length()) // 2
+    return (num / (den << 2 * e) if e >= 0 else (num << -2 * e) / den), e
+
+
+def _int_spectrum(delta: int, det_v: int, sq: int) -> tuple[float, float]:
+    """The symplectic spectrum kappa1^2 = Delta (1 + sqrt(w)) / 2, kappa2^2 =
+    2 D / (Delta (1 + sqrt(w))), w = 1 - 4 D / Delta^2, of Delta = ``delta`` /
+    ``sq`` and D = ``det_v`` / ``sq``^2, each ratio of ints rounded once."""
+    root = math.sqrt(1.0 + math.sqrt((delta * delta - 4 * det_v) / (delta * delta)))
+    (x1, e1), (x2, e2) = _quarter(delta, 2 * sq), _quarter(2 * det_v, delta * sq)
+    return math.ldexp(math.sqrt(x1) * root, e1), math.ldexp(math.sqrt(x2) / root, e2)
 
 
 def symplectic_eigenvalues(V) -> np.ndarray:
@@ -407,10 +436,10 @@ def symplectic_eigenvalues(V) -> np.ndarray:
 def is_physical(V) -> bool:
     """True iff every symplectic eigenvalue is >= 1/2 (within tolerance).
 
-    A two-mode matrix must pass the reduction's decision (``_reduce``), as
-    for every measure: positive definiteness and kappa2 >= 1/2 - phys_tol
-    of the float matrix, proved by the float certificate or else decided
-    exactly, then the closed-form gate on its reduced form. Any other
+    A two-mode matrix is decided once, by the reduction (``_reduce``), for
+    every measure: positive definiteness and kappa2 >= 1/2 - phys_tol of
+    the float matrix, proved by a float certificate or else decided
+    exactly. Any other
     matrix is decided on the Williamson spectrum, by the test that
     ``square_root_cm`` applies, so an n-mode state is accepted exactly when
     ``square_root_cm``, and with it ``affinity``, does not reject it as
@@ -495,17 +524,20 @@ def _check_sqrt_identity(v: np.ndarray, vt: np.ndarray) -> None:
 
 
 def _unit_root(
-    x00: float, x01: float, x11: float, det: float
+    x00: float, x01: float, x11: float, det: float, e: int
 ) -> tuple[float, float, float, float]:
     """(b, n00, n01, n11) for a positive-definite block X = [[x00, x01], [x01, x11]]
-    with determinant ``det``.
+    with determinant ``det`` 4^``e``.
 
     b = sqrt(det X), and N = (X + b I) / sqrt(b (tr X + 2 b)) is the
     symmetric square root of X / b: det N = 1, so N is symplectic and
-    N diag(b, b) N^T = X. Its inverse is its adjugate.
+    N diag(b, b) N^T = X. Its inverse is its adjugate. Where b (tr X + 2 b)
+    overflows, its two factors are rooted apart.
     """
-    b = math.sqrt(det)
+    b = math.ldexp(math.sqrt(det), e) if e else math.sqrt(det)
     root = math.sqrt(b * (x00 + x11 + 2.0 * b))
+    if root == math.inf:
+        root = math.sqrt(b) * math.sqrt(x00 + x11 + 2.0 * b)
     return b, (x00 + b) / root, x01 / root, (x11 + b) / root
 
 
@@ -514,33 +546,29 @@ def _reduce(
 ) -> tuple[StandardForm, tuple[float, ...]]:
     """The one reduction of a two-mode CM to standard form, with every guard.
 
-    Runs under ``profile``, the tolerance profile its caller read, and
-    takes the entries of ``V`` once as Python floats, validated as the
-    ``CovarianceMatrix`` constructor validates (``_two_mode_entries``; a
-    ``CovarianceMatrix`` is taken as it is). Physicality is
-    decided once for every measure, before the reduction: the matrix must
-    be positive definite with kappa2 >= 1/2 - phys_tol, which
-    ``_certified_physical`` proves from the floats of its determinants
-    where their rounding bounds allow, and ``_exactly_physical`` decides
-    exactly on every other matrix and then rounds its determinants
-    correctly. The reduction and the discriminant guard run on these
-    determinants and the entries; then the closed-form spectrum of the reduced
-    form must pass ``_physical_spectrum``, the gate every ``StandardForm``
-    passes, and the form's own checks follow. The form keeps its spectrum.
-    Returns the form and the parts
-    (n00, n01, n11, o00, o01, o11, e, f, g, h) of its local frame; see
-    ``reduce_to_standard_form``.
+    Runs under ``profile``, the tolerance profile its caller read, on the
+    entries of ``V`` taken once as Python floats and validated as the
+    ``CovarianceMatrix`` constructor validates (``_two_mode_entries``).
+    Physicality is decided here, once for every measure: positive
+    definiteness and kappa2 >= 1/2 - phys_tol, proved by
+    ``_certified_physical``, else decided by ``_exactly_physical``. The form
+    carries the record of that decision (``forms._form_record``). Returns
+    the form and the parts (n00, n01, n11, o00, o01, o11, e, f, g, h) of its
+    local frame; see ``reduce_to_standard_form``.
     """
     tol = profile.phys_tol
     entries = _TWO_MODE_ENTRIES(_two_mode_entries(V, profile.sym_atol))
     a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = entries
     dets = _determinants(*entries)
-    if not _certified_physical(entries, dets, tol):
-        dets = _exactly_physical(entries, tol)
-        if dets is None:
+    if _certified_physical(entries, dets, tol):
+        decided = (dets[0], 0), (dets[1], 0), None
+    else:
+        decided = _exactly_physical(entries, tol)
+        if decided is None:
             raise NotPhysicalError("covariance matrix is not a physical state")
-    b1, n00, n01, n11 = _unit_root(a00, a01, a11, dets[0])
-    b2, o00, o01, o11 = _unit_root(b00, b01, b11, dets[1])
+    block_a, block_b, record = decided
+    b1, n00, n01, n11 = _unit_root(a00, a01, a11, *block_a)
+    b2, o00, o01, o11 = _unit_root(b00, b01, b11, *block_b)
     # M = adj(N1) C adj(N2)
     t00 = n11 * c00 - n01 * c10
     t01 = n11 * c01 - n01 * c11
@@ -553,21 +581,20 @@ def _reduce(
     e, f = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
     g, h = 0.5 * (m10 + m01), 0.5 * (m10 - m01)
     q, r = math.hypot(e, h), math.hypot(f, g)
-    # validated after the closed-form gate, so that a form whose floats
-    # round below 1/2 or overflow is rejected as unphysical
     sf = object.__new__(StandardForm)
     vars(sf).update(b1=b1, b2=b2, c=q + r, d=q - r, s1=1.0, s2=1.0)
-    # Discriminant guard: c^2 and d^2 solve x^2 - s x + det(C)^2 = 0 with
-    # s = (b1^2 b2^2 + det(C)^2 - det V) / (b1 b2).
-    p, det_v = dets[2], dets[4]
-    beta = sf.b1 * sf.b2
-    s = (beta * beta + p * p - det_v) / beta
-    if s * s - 4.0 * p * p < -1e-9 * max(1.0, s * s):
-        raise DegenerateBlocksError(
-            "no real cross-correlation parameters reproduce the invariants"
-        )
-    _physical_spectrum(sf, tol)
+    if record is None:
+        # Discriminant guard (on integers, (gd - gc)^2 >= 0): c^2, d^2 solve
+        # x^2 - s x + det(C)^2 = 0, s = (b1^2 b2^2 + det(C)^2 - det V) / (b1 b2).
+        p, det_v = dets[2], dets[4]
+        beta = b1 * b2
+        s = (beta * beta + p * p - det_v) / beta
+        if s * s - 4.0 * p * p < -1e-9 * max(1.0, s * s):
+            raise DegenerateBlocksError(
+                "no real cross-correlation parameters reproduce the invariants"
+            )
     sf._validate(tol)
+    vars(sf)["_record"] = record or _float_record(b1, b2, q + r, q - r, "decided")
     return sf, (n00, n01, n11, o00, o01, o11, e, f, g, h)
 
 
@@ -576,19 +603,14 @@ def standard_form(V) -> StandardForm:
 
     b1 and b2 are the square roots of the diagonal-block determinants; c
     and d solve c d = det(C) and (b1 b2 - c^2)(b1 b2 - d^2) = det(V) with
-    the convention c >= |d| and sign(d) = sign(det C). The solution is
-    extracted through a proper-rotation SVD of the cross block, which
-    stays exact at the double root c = |d| where the equivalent quadratic
-    in (c^2, d^2) loses half the working precision; the quadratic's
-    discriminant is still evaluated, from block determinants, as a
-    corrupt-input guard. The scale factors are not recovered (they are
-    unobservable in every correlation measure) and are emitted as 1.
-
-    This is the reduction of ``reduce_to_standard_form``, with the same
-    guards and one read of the tolerance profile, without building the
-    frame. Physicality is decided on the matrix, by the float certificate
-    or else exactly, and then on the closed-form spectrum of the form.
-    Loads no numpy where ``V`` is 4 rows of 4 real numbers.
+    the convention c >= |d| and sign(d) = sign(det C), from the SVD of
+    ``reduce_to_standard_form``, which stays exact at the double root
+    c = |d| where the equivalent quadratic in (c^2, d^2) loses half the
+    working precision. The scale factors are not recovered (they are
+    unobservable in every correlation measure) and are emitted as 1. This
+    is that reduction (``_reduce``: its one decision, its guards and one
+    read of the tolerance profile) without the frame; it loads no numpy
+    where ``V`` is 4 rows of 4 real numbers.
     """
     return _reduce(V, active_profile())[0]
 
@@ -629,13 +651,7 @@ def reduce_to_standard_form(V) -> tuple[StandardForm, np.ndarray]:
     c = hypot(e, h) + hypot(f, g), d = hypot(e, h) - hypot(f, g) (so
     c >= |d| and sign(d) = sign(det C)), and phi +/- theta = atan2(h, e)
     +/- atan2(g, f). A cross block with c = -d exactly, such as
-    diag(c, -c), keeps d = -c to the last bit. The arithmetic runs on
-    Python floats taken once from the validated input, under one read of
-    the tolerance profile, and only S is built as an array. The guards
-    are those of ``standard_form``: validation, the one physicality
-    decision on the matrix (the float certificate, else the exact
-    decision), the discriminant guard, and the closed-form gate on the
-    reduced form.
+    diag(c, -c), keeps d = -c to the last bit. Only S is built as an array.
     """
     import numpy as np
 
@@ -654,4 +670,7 @@ def square_root_standard_form(sf: StandardForm) -> StandardForm:
     NotPhysicalError where ``sf`` is not a physical state.
     """
     tol = active_profile().phys_tol
-    return _sqrt_form(sf, tol, _physical_spectrum(sf, tol))
+    params, record = _sqrt_form(sf, tol, _form_record(sf, tol))
+    tsf = object.__new__(StandardForm)
+    vars(tsf).update(zip(_FORM_FIELDS, params), _record=record)
+    return tsf

@@ -84,19 +84,10 @@ class TestReport:
         assert err.startswith("error:") and "overflow" in err
 
     def test_zero_gap_matrix_exits_2_without_a_traceback(self, tmp_path):
-        # the two-mode squeezed vacuum at r = 9.7 in a random local frame,
-        # whose reduced gap b - c rounds to 0 (ZERO_GAP_STATE of
-        # test_report.py)
-        rows = [
-            [42847270.22270572, -2977356.2788595976, 47089549.912544414,
-             5785223.64423796],
-            [-2977356.2788595976, 103621703.87119381, 30575733.669980034,
-             -90341807.19136986],
-            [47089549.912544414, 30575733.669980034, 62830332.54702492,
-             -23079463.84087229],
-            [5785223.64423796, -90341807.19136986, -23079463.84087229,
-             79001716.94558592],
-        ]
+        # the pure two-mode squeezed vacuum at r = 9 as a float matrix, whose
+        # own kappa2 is 1/2 - 5.4e-3 (test_a_rounded_matrix_below_half_is_rejected
+        # of test_report.py): the exact decision rejects it
+        rows = sts_standard_form(StsParams(0.0, 0.0, 9.0)).to_cm().matrix.tolist()
         path = tmp_path / "cm.txt"
         path.write_text("\n".join(" ".join(map(repr, row)) for row in rows))
         src = str(Path(ghk.__file__).resolve().parent.parent)

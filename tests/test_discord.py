@@ -541,13 +541,16 @@ class TestFamilyReports:
                         assert abs(value - x) <= rtol * abs(x), (p, name, value)
 
     def test_a_nearly_pure_y_keeps_its_entropy(self):
-        # y - 1/2 = 4.1e-10 is below phys_tol, but a family's y is exact, so
-        # h(y) = 9.3e-9 is not cut to 0
-        sf, _, ref = family_case(StsParams(5.0, 5.0, 12.0))
-        report = correlation_report(sf)
-        for name in ("entropic_discord", "classical_correlations"):
-            value, exact = getattr(report, name), ref[name]
-            assert abs(value - exact) <= 1e-13 * abs(exact), name
+        # y - 1/2 = 4.1e-10 at r = 12 and both modes 5e-10 or 1e-10 above 1/2
+        # at the others are below phys_tol, but a family's y and spectrum
+        # are exact, so neither h(y) = 9.3e-9 nor h(k) is cut to 0
+        for p in (StsParams(5.0, 5.0, 12.0), StsParams(5e-10, 5e-10, 1.0),
+                  StsParams(1e-10, 1e-10, 1.0)):
+            sf, _, ref = family_case(p)
+            report = correlation_report(sf)
+            for name in ("entropic_discord", "classical_correlations", "mutual_information"):
+                value, exact = getattr(report, name), ref[name]
+                assert abs(value - exact) <= 1e-13 * abs(exact), (p, name)
 
     def test_square_root_form_is_the_family_at_kt(self):
         p = StsParams(0.0, 0.0, 12.0)

@@ -3,8 +3,10 @@ public functions, and StandardForm input."""
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -105,9 +107,10 @@ class TestOneReduction:
 
 
 def test_report_evaluates_each_spectrum_once(monkeypatch):
-    # the spectrum and the partial-transpose spectrum; the entanglement of
-    # formation of a physical report needs no third evaluation, and a family
-    # form carries its spectrum
+    # the spectrum and the partial-transpose spectrum of a record filled
+    # from floats; the entanglement of formation of a physical report needs
+    # no third evaluation, a family form carries its spectrum, and a matrix
+    # off the float certificate carries both from its integers
     calls = []
     original = ghk.forms._form_spectrum
 
@@ -117,7 +120,10 @@ def test_report_evaluates_each_spectrum_once(monkeypatch):
 
     monkeypatch.setattr(ghk.forms, "_form_spectrum", counted)
     sf = sts_standard_form(StsParams(1.0, 1.0, 0.7))
-    for state, evaluations in ((sf, 1), (sf.to_cm(), 2)):
+    framed = in_frame(sts_standard_form(StsParams(0.0, 0.0, 1.3)), random_local_frame(
+        np.random.default_rng(15)
+    ))
+    for state, evaluations in ((sf, 1), (sf.to_cm(), 2), (framed, 0)):
         calls.clear()
         assert correlation_report(state).eof is not None
         assert len(calls) == evaluations
@@ -156,9 +162,12 @@ def test_report_fields_equal_the_public_functions():
             continue
         in_family += 1
         if sf.d <= 0.0:
-            assert report.eof == entanglement_of_formation_symmetric(
-                0.5 * (sf.b1 + sf.b2), sf.c
-            )
+            # the function fills the record of the form (b, b, c, -c) from
+            # its floats; the report reads the gap b - c from the record of
+            # the matrix, from its integers where the float certificate
+            # does not hold, and framed b1 != b2, d != -c are rounded
+            eof = entanglement_of_formation_symmetric(0.5 * (sf.b1 + sf.b2), sf.c)
+            assert report.eof == pytest.approx(eof, rel=1e-12, abs=0.0)
     assert in_family >= 4
 
 
@@ -190,17 +199,73 @@ def leibniz_det(rows) -> mpmath.mpf:
     return total
 
 
-def reference_kappa2(matrix: np.ndarray):
-    """kappa2 of the float ``matrix`` from its det V and Delta in 80-digit
-    mpmath, or None where mpmath's eigsy finds it not positive definite.
-    Independent of the integer decision of ghk.symplectic."""
+def reference_fields(matrix) -> dict | None:
+    """The exact quantities of the float two-mode ``matrix``, from its
+    Leibniz determinants A, B, C, D in 80-digit mpmath, or None where
+    mpmath's eigsy finds it not positive definite. Independent of the
+    integer decision and the closed forms of ghk.
+
+    "spectrum" and "pt_spectrum" are the roots of x^2 - Delta x + D with
+    Delta = A + B + 2C and A + B - 2C; "b" is (sqrt A, sqrt B); "gaps" are
+    gc = b1 b2 - c^2 <= gd = b1 b2 - d^2 from gc gd = D and gc + gd =
+    (AB - C^2 + D)/(b1 b2); "hellinger_discord" is 1 - A* on the
+    square-root form of (b1, b2, c, d), with the report's pure-mode limit
+    (a mode within phys_tol of 1/2 has kappa_tilde = kappa), or None below
+    1/2 - phys_tol.
+    """
     m = np.asarray(matrix, dtype=float)
+    tol = active_profile().phys_tol
     with mpmath.workdps(80):
         if min(mpmath.eigsy(mpmath.matrix(m.tolist()), eigvals_only=True)) <= 0:
             return None
-        det_v = leibniz_det(m)
-        delta = leibniz_det(m[:2, :2]) + leibniz_det(m[2:, 2:]) + 2 * leibniz_det(m[:2, 2:])
-        return mpmath.sqrt((delta - mpmath.sqrt(delta * delta - 4 * det_v)) / 2)
+        a, b = leibniz_det(m[:2, :2]), leibniz_det(m[2:, 2:])
+        c, d = leibniz_det(m[:2, 2:]), leibniz_det(m)
+
+        def root(x):
+            return mpmath.sqrt(max(x, 0))
+
+        def spectrum(delta):
+            k1 = mpmath.sqrt((delta + root(delta * delta - 4 * d)) / 2)
+            return k1, mpmath.sqrt(d) / k1
+
+        b1, b2 = mpmath.sqrt(a), mpmath.sqrt(b)
+        fields = {
+            "spectrum": spectrum(a + b + 2 * c),
+            "pt_spectrum": spectrum(a + b - 2 * c),
+            "b": (b1, b2),
+        }
+        beta, total = b1 * b2, (a * b - c * c + d) / (b1 * b2)
+        gc = (total - root(total * total - 4 * d)) / 2
+        gd = d / gc
+        fields["gaps"] = (gc, gd)
+        fields["hellinger_discord"] = None
+        k1, k2 = fields["spectrum"]
+        if k2 < 0.5 - tol:
+            return fields
+        # the form (b1, b2, c, d), c >= |d|, sign(d) = sign(det C), and its root
+        cc, dd = root(beta - gc), mpmath.sign(c) * root(beta - gd)
+        rad1, rad2 = (root(k * k - 0.25) if k - 0.5 >= tol else 0 for k in (k1, k2))
+        if rad1 or rad2:
+            big_k = k1 * rad2 + k2 * rad1
+            big_l = 4 * k1 * k2 * (k1 + rad1) * (k2 + rad2)
+            pref = 4 * k1 * k2 * big_k
+            x1, x2 = (b1 * big_l - b2 * gc) / pref, (b2 * big_l - b1 * gc) / pref
+            y1, y2 = (b1 * big_l - b2 * gd) / pref, (b2 * big_l - b1 * gd) / pref
+            zc, zd = (cc * big_l + dd * gc) / pref, (dd * big_l + cc * gd) / pref
+            b1, b2 = mpmath.sqrt(x1 * y1), mpmath.sqrt(x2 * y2)
+            cc = zc * mpmath.root(y1 * y2 / (x1 * x2), 4)
+            dd = zd * mpmath.root(x1 * x2 / (y1 * y2), 4)
+        s = mpmath.sqrt(b1 * b2)
+        rc, rd = root(b1 * b2 - cc * cc), root(b1 * b2 - dd * dd)
+        fields["hellinger_discord"] = 1 - mpmath.sqrt(4 * rc * rd / ((s + rc) * (s + rd)))
+        return fields
+
+
+def reference_kappa2(matrix):
+    """kappa2 of the float ``matrix`` (``reference_fields``), or None where
+    it is not positive definite."""
+    fields = reference_fields(matrix)
+    return None if fields is None else fields["spectrum"][1]
 
 
 class TestFramedDoubleRoot:
@@ -296,9 +361,9 @@ class TestStandardFormInput:
 # The two-mode squeezed vacuum at r = 9.7 in a random local frame. Its
 # reduced form has b1 b2 > c^2, but b1 + b2 - 2c, twice the gap b - c that
 # the entanglement of formation divides by, rounds to 0: the floats break
-# b1 + b2 > 2c, which the form of a positive-definite matrix keeps, and the
-# closed-form gate on the reduced form rejects it, although the exact
-# decision on the matrix accepts it (its kappa2 is 0.6997).
+# b1 + b2 > 2c, which the form of a positive-definite matrix keeps. The exact
+# decision on the matrix accepts it (its kappa2 is 0.6997), and the report
+# reads the gap from the record of its exact invariants.
 ZERO_GAP_STATE = [
     [42847270.22270572, -2977356.2788595976, 47089549.912544414, 5785223.64423796],
     [-2977356.2788595976, 103621703.87119381, 30575733.669980034,
@@ -310,9 +375,12 @@ ZERO_GAP_STATE = [
 
 @pytest.mark.parametrize("call", DECIDERS)
 def test_a_zero_gap_is_rejected_as_unphysical(call):
-    assert not is_physical(ZERO_GAP_STATE)
-    with pytest.raises(NotPhysicalError):
-        call(ZERO_GAP_STATE)
+    # the closed-form gate on the reduced form used to reject it; the one
+    # decision on the matrix accepts it, and so does every function
+    assert is_physical(ZERO_GAP_STATE)
+    call(ZERO_GAP_STATE)
+    kappa2 = correlation_report(ZERO_GAP_STATE).symplectic_spectrum[1]
+    assert kappa2 == pytest.approx(float(reference_kappa2(ZERO_GAP_STATE)), rel=1e-9)
 
 
 @pytest.mark.parametrize("call", DECIDERS)
@@ -581,8 +649,7 @@ class TestExactDecision:
             expected = self.reference(kappa2, tol)
             exact = ghk.symplectic._exactly_physical(entries_of(m), tol)
             assert (exact is not None) == expected
-            # the closed-form gate on the reduced form may still reject
-            assert is_physical(m) in (expected, False)
+            assert is_physical(m) == expected
 
     # local blocks with a00 a11 about 1e17 and det A about 6: the float
     # expansion a00 a11 - a01^2 cancels to 0
@@ -607,9 +674,122 @@ class TestExactDecision:
         assert report.mutual_information == 0.0
 
     def test_determinants_past_the_float_range(self):
+        # det A = scale^2 and det V = scale^4 overflow as floats; the record
+        # and b_j are taken from the integers, scaled by powers of two
         tol = active_profile().phys_tol
         for scale in (1e160, 1e200, 1e300):
             m = scale * np.eye(4)
-            dets = ghk.symplectic._exactly_physical(entries_of(m), tol)
-            assert dets == (math.inf, math.inf, 0.0, math.inf, math.inf)
-            assert isinstance(is_physical(m), bool)
+            (a, ea), _, record = ghk.symplectic._exactly_physical(entries_of(m), tol)
+            assert math.ldexp(math.sqrt(a), ea) == scale
+            assert record[0] == (scale, scale)
+            assert is_physical(m)
+            report = correlation_report(m)
+            assert report.symplectic_spectrum == report.pt_spectrum == (scale, scale)
+            assert (report.standard_form.b1, report.standard_form.b2) == (scale, scale)
+            assert report.hellinger_discord == report.mutual_information == 0.0
+
+
+@cache
+def library_report_pool() -> tuple[np.ndarray, ...]:
+    """The 512 matrices of the benchmark's ``library-report`` workload at
+    seed 1: random forms in random frames and family forms, half symmetric."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import LibraryReport
+
+    return tuple(LibraryReport(ghk, 1).matrices)
+
+
+POOLS = {
+    "near_boundary_matrices": near_boundary_matrices,
+    "framed_tmsv_grid": framed_tmsv_grid,
+    "framed_sts_9_25": framed_sts_9_25,
+    "library_report_pool": library_report_pool,
+}
+
+
+def accepts(call, matrix) -> bool:
+    try:
+        call(matrix)
+    except NotPhysicalError:
+        return False
+    return True
+
+
+class TestOneDecision:
+    """A two-mode matrix is decided once: every function that decides it,
+    and is_physical, accepts exactly what the exact decision accepts."""
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_every_function_takes_the_exact_decision(self, monkeypatch, profile, pool):
+        monkeypatch.setenv(ENV_VAR, profile)
+        tol = PROFILES[profile].phys_tol
+        for m in POOLS[pool]():
+            expected = ghk.symplectic._exactly_physical(entries_of(m), tol) is not None
+            assert is_physical(m) == expected
+            for call in DECIDERS:
+                assert accepts(call, m) == expected, call.__name__
+
+
+@cache
+def pool_references(pool: str) -> tuple:
+    return tuple(reference_fields(m) for m in POOLS[pool]())
+
+
+def reference_entropy(x):
+    """The entropic function in mpmath, 0 at and below 1/2."""
+    if x <= 0.5:
+        return mpmath.mpf(0)
+    return (x + 0.5) * mpmath.log(x + 0.5) - (x - 0.5) * mpmath.log(x - 0.5)
+
+
+class TestFieldAccuracy:
+    """Every accepted matrix of the pools near kappa2 = 1/2 and at large
+    squeeze reports its fields as ``reference_fields`` evaluates them on its
+    own invariants: its record holds those invariants, not the rounded
+    floats of its reduced form."""
+
+    # relative bounds of the mutual information and of the discord; near
+    # the boundary the pure-mode cut moves a mode 1e-9 above 1/2 to 1/2,
+    # and the root of a nearly pure mode is ill-conditioned
+    RTOL = {
+        "near_boundary_matrices": (1e-7, None),
+        "framed_tmsv_grid": (1e-8, 3.6e-8),
+        "framed_sts_9_25": (1e-8, 1e-9),
+    }
+
+    @pytest.mark.parametrize("pool", sorted(RTOL))
+    def test_every_accepted_matrix_against_the_reference(self, pool):
+        mutual_rtol, discord_rtol = self.RTOL[pool]
+        accepted = 0
+        with mpmath.workdps(80):
+            for m, ref in zip(POOLS[pool](), pool_references(pool)):
+                try:
+                    report = correlation_report(m)
+                except NotPhysicalError:
+                    continue
+                accepted += 1
+                sf = report.standard_form
+                pairs = [
+                    *zip(report.symplectic_spectrum, ref["spectrum"]),
+                    *zip(report.pt_spectrum, ref["pt_spectrum"]),
+                    *zip((sf.b1, sf.b2), ref["b"]),
+                ]
+                for value, exact in pairs:
+                    assert abs(value - exact) <= 1e-9 * exact
+                if not ghk.forms._is_uncorrelated(sf):
+                    (k1, k2), (b1, b2) = ref["spectrum"], ref["b"]
+                    exact = sum(map(reference_entropy, (b1, b2))) - sum(
+                        map(reference_entropy, (k1, k2))
+                    )
+                    assert abs(report.mutual_information - exact) <= mutual_rtol * exact
+                if discord_rtol is not None:
+                    exact = ref["hellinger_discord"]
+                    assert abs(report.hellinger_discord - exact) <= discord_rtol * exact
+        assert accepted >= 90
+
+    @pytest.mark.parametrize("pool", sorted(RTOL))
+    def test_closest_product_state_takes_max_affinity(self, pool):
+        for m in POOLS[pool]():
+            if is_physical(m):
+                assert closest_product_state(m).max_affinity == max_affinity(m)
