@@ -215,7 +215,7 @@ def closest_product_state(V, mean=None) -> ClosestProduct:
     profile = active_profile()
     sf, frame = _framed_reduction(V, profile)
     tol = profile.phys_tol
-    value, _, root = _form_affinity_and_discord(sf, tol)
+    value, _, root = _form_affinity_and_discord(sf, tol, with_root=True)
     eta1, eta2, e2r1, e2r2 = _optimum(root)
     (f00, f01, _, _), (f10, f11, _, _), (_, _, g00, g01), (_, _, g10, g11) = frame
     e1, rr1, ph1 = _frame_params(f00, f01, f10, f11, eta1, e2r1)

@@ -175,9 +175,9 @@ def _form_spectrum(
 def _float_record(b1: float, b2: float, c: float, d: float, kind: str) -> tuple:
     """The record of the form (b1, b2, c, d) from its floats: the roots of the
     gaps sqrt(s - c) sqrt(s + c), s = sqrt(b1 b2), and its twin in |d|, so no
-    product overflows; NotPhysicalError where s <= c, which no state has."""
+    product overflows; NotPhysicalError where s <= max(c, |d|): no state."""
     s = math.sqrt(b1 * b2) if b1 * b2 < 2.0**1023 else math.sqrt(b1) * math.sqrt(b2)
-    if not s > c:
+    if not s > max(c, abs(d)):
         raise NotPhysicalError("standard form is not a physical state")
     g1 = math.sqrt(s - c) * math.sqrt(s + c)
     g2 = math.sqrt(s - abs(d)) * math.sqrt(s + abs(d))
@@ -244,12 +244,15 @@ def _k_and_l(k1: float, k2: float, rad1: float, rad2: float) -> tuple[float, flo
 def _sqrt_params(sf: StandardForm, tol: float, record: tuple) -> tuple[tuple, tuple]:
     """(bt1, bt2, ct, dt, st1, st2) and record of the square-root form of
     ``sf``, whose ``record`` has passed its decision. The root's gaps are
-    (kt1, kt2, rho_t): kt = k + sqrt(k^2 - 1/4), rho_t = rho sqrt(y1 y2 /
-    (x1 x2)), as x1 x2 - zc^2 = gc (L^2 - L Delta + det V) / P^2 and
-    y1 y2 - zd^2 is its twin in gd. A product (c = d = 0) is each mode's own
-    root. From 2^200 on, where b1 L would overflow, the closed form runs on
-    the form scaled by 2^-m, exactly. Raises the ``StandardForm`` checks of
-    the result and InvalidParamsError where it spans more than floats can.
+    (kt1, gt2, rho_t), rho_t = rho sqrt(y1 y2 / (x1 x2)), as x1 x2 - zc^2 =
+    gc Q and y1 y2 - zd^2 = gd Q, Q = (L - k1^2)(L - k2^2) / P^2: kt1 gt2 =
+    k1 k2 Q is kt1 kt2, kt = k + sqrt(k^2 - 1/4), but where ``_radical``
+    cuts k2 alone (kt2 = k2) it is kt1 (k2 + k1 (k2^2 - 1/4) / (k2 rad1)),
+    and the root's spectrum is taken from its floats. A product (c = d = 0)
+    is each mode's own root. From 2^200 on, where b1 L would overflow, the
+    closed form runs on the form scaled by 2^-m, exactly. Raises the
+    ``StandardForm`` checks of the result and InvalidParamsError where it
+    spans more than floats can.
     """
     (k1, k2), _, (g1, g2, rho), h, _ = record
     b1, b2, c, d, s1, s2 = sf.b1, sf.b2, sf.c, sf.d, sf.s1, sf.s2
@@ -263,6 +266,7 @@ def _sqrt_params(sf: StandardForm, tol: float, record: tuple) -> tuple[tuple, tu
         return params, (kt, None, (bt1, bt2, 1.0), 0.5 * (bt1 - bt2), "decided")
     rad1, rad2 = _radical(k1 - 0.5, tol), _radical(k2 - 0.5, tol)
     kt1, kt2 = k1 + rad1, k2 + rad2
+    gt2 = kt2 if rad2 else k2 + (k1 / rad1) * (k2 - 0.5) * (k2 + 0.5) / k2
     m = 0
     if b1 >= 2.0**200 or b2 >= 2.0**200 or c >= 2.0**200:
         m = math.frexp(max(b1, b2, c))[1] - 200
@@ -280,8 +284,8 @@ def _sqrt_params(sf: StandardForm, tol: float, record: tuple) -> tuple[tuple, tu
         y2 = (b2 * l - b1 * gd) / pref
         zc = (c * l + d * gc) / pref
         zd = (d * l + c * gd) / pref
-        ratio = y1 * y2 / (x1 * x2)
-        ct, dt = zc * ratio**0.25, zd / ratio**0.25
+        quarter = (y1 * y2 / (x1 * x2)) ** 0.25
+        ct, dt = zc * quarter, zd / quarter
         params = (
             math.sqrt(x1 * y1),
             math.sqrt(x2 * y2),
@@ -297,8 +301,9 @@ def _sqrt_params(sf: StandardForm, tol: float, record: tuple) -> tuple[tuple, tu
     except (ArithmeticError, ValueError):  # a range no power of two brings into floats
         raise InvalidParamsError("the square-root form is out of float range") from None
     _check_form(tol, *params)
-    h = 0.5 * (params[0] - params[1])
-    return params, ((kt1, kt2), None, (kt1, kt2, rho * math.sqrt(ratio)), h, "decided")
+    h, gaps = 0.5 * (params[0] - params[1]), (kt1, gt2, rho * quarter * quarter)
+    spectrum = (kt1, kt2) if gt2 == kt2 else _form_spectrum(*params[:4], *gaps)
+    return params, (spectrum, None, gaps, h, "decided")
 
 
 def _sqrt_form(sf: StandardForm, tol: float, record: tuple) -> tuple[tuple, tuple]:
@@ -439,14 +444,12 @@ def entropic_h(x: float) -> float:
 def _mode_entropy(kappa: float, tol: float) -> float:
     """Entropy h(kappa) of a mode with symplectic eigenvalue ``kappa``.
 
-    A mode less than ``tol`` (phys_tol) above 1/2 is pure and has entropy 0:
-    h has infinite slope at 1/2, as the square-root spectrum map has
+    A mode below 1/2 + ``tol`` (phys_tol) is pure and has entropy 0: h has
+    infinite slope at 1/2, as the square-root spectrum map has
     (``_radical``), so the round-off in a computed pure spectrum must not be
-    amplified. Below 1/2, ``entropic_h`` gives 0 or rejects the value.
+    amplified. ``tol`` = 0 cuts nothing above 1/2.
     """
-    if kappa >= 0.5 and kappa - 0.5 < tol:
-        return 0.0
-    return entropic_h(kappa)
+    return 0.0 if kappa - 0.5 < tol else entropic_h(kappa)
 
 
 # -- measures of a standard form -----------------------------------------------
@@ -461,13 +464,13 @@ def _is_uncorrelated(sf: StandardForm) -> bool:
 
 
 def _form_affinity_and_discord(
-    sf: StandardForm, tol: float, uncorrelated=None
-) -> tuple[float, float, tuple]:
+    sf: StandardForm, tol: float, uncorrelated=None, with_root=False
+) -> tuple[float, float, tuple | None]:
     """(A*, 1 - A*, square-root form as ``_sqrt_form`` gives it) of the
     standard form ``sf``, after its physicality decision (``_form_record``
     under ``tol``), with the product test taken here or given: the one route
     of the report, ``max_affinity``, ``closest_product_state`` and every
-    discord. A product has (1, 0).
+    discord. A product has (1, 0) and its root only ``with_root``, else None.
 
     On the root (b1, b2, c, d) and its record's gaps gc = g1 g2 rho and
     gd = g1 g2 / rho, with s = sqrt(b1 b2), rc = sqrt(gc), rd = sqrt(gd),
@@ -477,13 +480,14 @@ def _form_affinity_and_discord(
     discord keeps its relative accuracy. From 2^510 on the entries are
     scaled by 2^-m, exactly: A* is scale-free.
     """
-    root = _sqrt_form(sf, tol, _form_record(sf, tol))
+    record = _form_record(sf, tol)
     if _is_uncorrelated(sf) if uncorrelated is None else uncorrelated:
-        return 1.0, 0.0, root
+        return 1.0, 0.0, _sqrt_form(sf, tol, record) if with_root else None
+    root = _sqrt_form(sf, tol, record)
     (b1, b2, c, d, _, _), root_record = root
     g1, g2, rho = root_record[2]
-    if b1 >= 2.0**510 or b2 >= 2.0**510 or c >= 2.0**510 or max(g1, g2) >= 2.0**510:
-        m = math.frexp(max(b1, b2, c, g1, g2))[1] - 510
+    if b1 >= 2.0**510 or b2 >= 2.0**510 or c >= 2.0**510:  # and so g1, g2 < b1 + b2
+        m = math.frexp(max(b1, b2, c))[1] - 510
         b1, b2, c, d, g1, g2 = (math.ldexp(x, -m) for x in (b1, b2, c, d, g1, g2))
     gc, gd = g1 * g2 * rho, g1 * g2 / rho
     s = math.sqrt(b1 * b2)
@@ -574,11 +578,8 @@ def _form_report(sf: StandardForm, tol: float) -> CorrelationReport:
     pt_spectrum = _pt_spectrum(sf, record)
     separable = d >= 0.0 or pt_spectrum[1] >= 0.5 - tol
     uncorrelated = _is_uncorrelated(sf)
-    if kind == "exact":  # a family's spectrum, which no round-off moves
-        h1, h2 = entropic_h(spectrum[0]), entropic_h(spectrum[1])
-    else:
-        h1 = _mode_entropy(spectrum[0], tol)
-        h2 = _mode_entropy(max(spectrum[1], 0.5), tol)
+    cut = 0.0 if kind == "exact" else tol  # no round-off moves a family's spectrum
+    h1, h2 = _mode_entropy(spectrum[0], cut), _mode_entropy(spectrum[1], cut)
     ent = cc = eof = None
     if _family_breach(sf) is None:
         ent = cc = 0.0

@@ -123,4 +123,4 @@ def von_neumann_entropy(state: GaussianState) -> float:
     """Entropy in nats: sum of the entropic function over the spectrum."""
     tol = active_profile().phys_tol
     kappas = symplectic_eigenvalues(state.cm).tolist()
-    return float(sum(_mode_entropy(max(k, 0.5), tol) for k in kappas))
+    return float(sum(_mode_entropy(k, tol) for k in kappas))

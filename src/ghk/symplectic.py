@@ -439,11 +439,10 @@ def is_physical(V) -> bool:
     A two-mode matrix is decided once, by the reduction (``_reduce``), for
     every measure: positive definiteness and kappa2 >= 1/2 - phys_tol of
     the float matrix, proved by a float certificate or else decided
-    exactly. Any other
-    matrix is decided on the Williamson spectrum, by the test that
-    ``square_root_cm`` applies, so an n-mode state is accepted exactly when
-    ``square_root_cm``, and with it ``affinity``, does not reject it as
-    unphysical.
+    exactly. Any other matrix is decided on the Williamson spectrum, by the
+    test that ``square_root_cm`` applies, so an n-mode state is accepted
+    exactly when ``square_root_cm``, and with it ``affinity``, does not
+    reject it as unphysical.
     """
     cov = as_covariance(V)
     try:
@@ -560,15 +559,14 @@ def _reduce(
     entries = _TWO_MODE_ENTRIES(_two_mode_entries(V, profile.sym_atol))
     a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = entries
     dets = _determinants(*entries)
-    if _certified_physical(entries, dets, tol):
-        decided = (dets[0], 0), (dets[1], 0), None
-    else:
+    (det_a, ea), (det_b, eb), record = (dets[0], 0), (dets[1], 0), None
+    if not _certified_physical(entries, dets, tol):
         decided = _exactly_physical(entries, tol)
         if decided is None:
             raise NotPhysicalError("covariance matrix is not a physical state")
-    block_a, block_b, record = decided
-    b1, n00, n01, n11 = _unit_root(a00, a01, a11, *block_a)
-    b2, o00, o01, o11 = _unit_root(b00, b01, b11, *block_b)
+        (det_a, ea), (det_b, eb), record = decided
+    b1, n00, n01, n11 = _unit_root(a00, a01, a11, det_a, ea)
+    b2, o00, o01, o11 = _unit_root(b00, b01, b11, det_b, eb)
     # M = adj(N1) C adj(N2)
     t00 = n11 * c00 - n01 * c10
     t01 = n11 * c01 - n01 * c11
@@ -581,8 +579,9 @@ def _reduce(
     e, f = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
     g, h = 0.5 * (m10 + m01), 0.5 * (m10 - m01)
     q, r = math.hypot(e, h), math.hypot(f, g)
+    c, d = q + r, q - r
     sf = object.__new__(StandardForm)
-    vars(sf).update(b1=b1, b2=b2, c=q + r, d=q - r, s1=1.0, s2=1.0)
+    vars(sf).update(b1=b1, b2=b2, c=c, d=d, s1=1.0, s2=1.0)
     if record is None:
         # Discriminant guard (on integers, (gd - gc)^2 >= 0): c^2, d^2 solve
         # x^2 - s x + det(C)^2 = 0, s = (b1^2 b2^2 + det(C)^2 - det V) / (b1 b2).
@@ -594,7 +593,7 @@ def _reduce(
                 "no real cross-correlation parameters reproduce the invariants"
             )
     sf._validate(tol)
-    vars(sf)["_record"] = record or _float_record(b1, b2, q + r, q - r, "decided")
+    vars(sf)["_record"] = record or _float_record(b1, b2, c, d, "decided")
     return sf, (n00, n01, n11, o00, o01, o11, e, f, g, h)
 
 

@@ -642,6 +642,8 @@ SWEEP_STS = ("sweep", "--sts", "nbar1=1", "nbar2=1", "--sweep-param", "r")
         SWEEP_STS + ("--range", "0:1:two"),
         SWEEP_STS + ("--range", "0:1:1"),
         SWEEP_STS + ("--range", "0:1:2", "--outputs", "hellinger_discord,bogus"),
+        # a form whose |d| exceeds c by 5e-13, which its check lets through
+        ("report", "--std-form", "1,1,0.9999999999995,-1"),
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, argv):
@@ -703,6 +705,17 @@ def test_symmetric_rows_with_direct_d_and_an_unreachable_b2c2(capsys):
     rows = [row.split(",") for row in out.strip().splitlines()[1:]]
     assert [row[:2] for row in rows] == [["2", "true"], ["5", "false"]]
     assert float(rows[0][2]) > 0.0 and rows[1][2] == ""
+
+
+def test_symmetric_rows_with_d_past_c_by_a_rounding_are_flagged(capsys):
+    # |d| - c = 5e-13 passes the form's check, and sqrt(b1 b2) - |d| = 0
+    code, out, _ = run_cli(
+        capsys, "sweep", "--symmetric", "b=1", "d=-1", "--sweep-param", "c",
+        "--range", "0.9999999999995:1:2", "--outputs", "hellinger_discord",
+    )
+    assert code == 0
+    rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+    assert [row[1:] for row in rows] == [["false", ""], ["false", ""]]
 
 
 def run_fresh(code: str) -> str:

@@ -135,7 +135,7 @@ def test_report_fields_equal_the_public_functions():
     for sf in family_forms():
         matrices.append(sf.to_cm())
         matrices.append(in_frame(sf, random_local_frame(rng)))
-    in_family = 0
+    in_family = same_invariants = 0
     for cm in matrices:
         report = correlation_report(cm)
         sf = standard_form(cm)
@@ -162,13 +162,20 @@ def test_report_fields_equal_the_public_functions():
             continue
         in_family += 1
         if sf.d <= 0.0:
-            # the function fills the record of the form (b, b, c, -c) from
-            # its floats; the report reads the gap b - c from the record of
-            # the matrix, from its integers where the float certificate
-            # does not hold, and framed b1 != b2, d != -c are rounded
             eof = entanglement_of_formation_symmetric(0.5 * (sf.b1 + sf.b2), sf.c)
-            assert report.eof == pytest.approx(eof, rel=1e-12, abs=0.0)
-    assert in_family >= 4
+            symmetric = StandardForm(sf.b1, sf.b1, sf.c, sf.d)
+            if sf.b2 == sf.b1 and sf.d == -sf.c and (
+                ghk.forms._form_record(sf)[:4] == ghk.forms._form_record(symmetric)[:4]
+            ):
+                assert report.eof == eof
+                same_invariants += 1
+            else:
+                # the report reads the gap b - c from the record of the
+                # matrix (its integers where the float certificate fails);
+                # the function sees only the floats b and c
+                # (TestFieldAccuracy checks the report against 80 digits)
+                assert report.eof == pytest.approx(eof, rel=1e-12, abs=0.0)
+    assert in_family >= 4 and same_invariants >= 1
 
 
 # Every public function that decides whether a two-mode matrix is a state.
@@ -349,6 +356,9 @@ class TestStandardFormInput:
         [
             StandardForm(1.0, 1.0, 0.9, -0.9),  # below the uncertainty bound
             StandardForm(1.0, 1.0, 2.0, 2.0),  # no positive-definite matrix
+            # |d| - c = 5e-13 passes the check c >= |d| - 1e-12 |d|, and
+            # sqrt(b1 b2) - |d| = 0: no gap may be divided by
+            StandardForm(1.0, 1.0, 1.0 - 5e-13, -1.0),
         ],
     )
     def test_unphysical_raises(self, sf):
@@ -356,6 +366,12 @@ class TestStandardFormInput:
             correlation_report(sf)
         with pytest.raises(NotPhysicalError):
             correlation_report(sf.to_cm())
+
+    def test_the_product_test_comes_before_the_root(self):
+        # the root of this product overflows, and its A* needs no root
+        sf = StandardForm(0.5, 1.7e308, 0.0, 0.0)
+        assert max_affinity(sf) == 1.0
+        assert correlation_report(sf).hellinger_discord == 0.0
 
 
 # The two-mode squeezed vacuum at r = 9.7 in a random local frame. Its
@@ -743,6 +759,18 @@ def reference_entropy(x):
     return (x + 0.5) * mpmath.log(x + 0.5) - (x - 0.5) * mpmath.log(x - 0.5)
 
 
+def reference_eof(ref: dict):
+    """The entanglement of formation h(z), z = (g^2 + 1/4)/(2 g), of the
+    symmetric gap g = b - c = (gc + h^2)/(b + c) of ``reference_fields``
+    ``ref``, with b and h the mean and half difference of b1, b2."""
+    (b1, b2), (gc, _) = ref["b"], ref["gaps"]
+    b, h = (b1 + b2) / 2, (b1 - b2) / 2
+    gap = (gc + h * h) / (b + mpmath.sqrt(b1 * b2 - gc))
+    if gap >= 0.5:
+        return mpmath.mpf(0)
+    return reference_entropy((gap * gap + 0.25) / (2 * gap))
+
+
 class TestFieldAccuracy:
     """Every accepted matrix of the pools near kappa2 = 1/2 and at large
     squeeze reports its fields as ``reference_fields`` evaluates them on its
@@ -750,11 +778,10 @@ class TestFieldAccuracy:
     floats of its reduced form."""
 
     # relative bounds of the mutual information and of the discord; near
-    # the boundary the pure-mode cut moves a mode 1e-9 above 1/2 to 1/2,
-    # and the root of a nearly pure mode is ill-conditioned
+    # the boundary the pure-mode cut moves a mode 1e-9 above 1/2 to 1/2
     RTOL = {
-        "near_boundary_matrices": (1e-7, None),
-        "framed_tmsv_grid": (1e-8, 3.6e-8),
+        "near_boundary_matrices": (1e-7, 1e-10),
+        "framed_tmsv_grid": (1e-8, 1e-10),
         "framed_sts_9_25": (1e-8, 1e-9),
     }
 
@@ -783,9 +810,11 @@ class TestFieldAccuracy:
                         map(reference_entropy, (k1, k2))
                     )
                     assert abs(report.mutual_information - exact) <= mutual_rtol * exact
-                if discord_rtol is not None:
                     exact = ref["hellinger_discord"]
                     assert abs(report.hellinger_discord - exact) <= discord_rtol * exact
+                if report.entropic_discord is not None and sf.d <= 0.0:
+                    exact = reference_eof(ref)
+                    assert abs(report.eof - exact) <= 1e-12 * exact
         assert accepted >= 90
 
     @pytest.mark.parametrize("pool", sorted(RTOL))
