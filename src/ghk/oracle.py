@@ -9,7 +9,10 @@ check:
     integral with no spectral decomposition. It runs in two phases, both
     batched over the starts: a short simplex phase that brings each start
     into its basin, then a Newton polish on the analytic gradient and
-    Hessian of the log of that integral, which stops on stationarity;
+    Hessian of the log of that integral, which stops on stationarity. The
+    simplex phase pauses at fixed checkpoints; at each, copies of the best
+    vertices are polished, and the search ends at the first checkpoint
+    where the two best polished starts agree;
   * truncated photon-number sums for diagonal (thermal) states, with the
     geometric tail certified below a fixed bound before any comparison
     is accepted.
@@ -32,14 +35,18 @@ from .symplectic import square_root_cm, symplectic_eigenvalues
 _ETA_EPS = 1e-12  # offset in the log transform keeping eta above 1/2
 # The search: 32 starts per state, each drawn from the box
 # eta in [1/2, 10 max(kt1, kt2)] (which contains the closed-form optimum of
-# every family in scope) x r in [-5, 5] x phi in [-pi, pi]. A start runs
-# 60 simplex iterations, which only have to bring it into its basin, then
-# at most 30 Newton steps; the polish stops a start once its step is below
-# _XTOL in every coordinate of its chart or raises the log of the affinity
-# by less than _FTOL, and the two best starts must agree to 10 _FTOL.
+# every family in scope) x r in [-5, 5] x phi in [-pi, pi]. The starts run
+# simplex iterations, which only have to bring them into their basins, in
+# runs of _SIMPLEX_CHECKPOINT up to _SIMPLEX_ITERS. After each run a copy of
+# every start's best vertex takes at most 30 Newton steps; the polish stops
+# a start once its step is below _XTOL in every coordinate of its chart or
+# raises the log of the affinity by less than _FTOL. The search ends at the
+# first checkpoint where the two best polished starts agree to 10 _FTOL, and
+# raises if they still disagree after _SIMPLEX_ITERS iterations.
 _STARTS = 32
 _R_BOUNDS = (-5.0, 5.0)
 _PHI_BOUNDS = (-math.pi, math.pi)
+_SIMPLEX_CHECKPOINT = 20
 _SIMPLEX_ITERS = 60
 _NEWTON_ITERS = 30
 _XTOL = 1e-8
@@ -152,18 +159,64 @@ def _make_negative_affinity(vt_in: np.ndarray):
     return negative_affinity
 
 
-def _nelder_mead(fn, x0, steps, max_iters):
-    """Minimize fn from every row of x0 by simplex searches run in lockstep.
+def _simplex_iteration(fn, p, v, rows):
+    """One lockstep iteration of every simplex: returns the new (p, v).
+
+    Stable sort by value, then reflection/expansion/contraction/shrink with
+    the standard coefficients. The reflection, expansion and both
+    contraction points follow from the centroid and the worst vertex, so
+    the iteration evaluates all four for every simplex in one call of fn;
+    shrinks are evaluated only where they happen.
+    """
+    dim = p.shape[2]
+    order = np.argsort(v, axis=1, kind="stable")
+    p, v = p[rows[:, None], order], v[rows[:, None], order]
+    centroid = p[:, :-1].sum(axis=1) / dim
+    worst = p[:, -1]
+    # the replacement candidates; choosing the worst vertex means shrink
+    candidates = np.empty((5,) + worst.shape)
+    reflected = np.subtract(2.0 * centroid, worst, out=candidates[0])
+    step = reflected - centroid
+    np.add(centroid, 2.0 * step, out=candidates[1])
+    np.add(centroid, 0.5 * step, out=candidates[2])
+    np.add(centroid, 0.5 * (worst - centroid), out=candidates[3])
+    candidates[4] = worst
+    f_cand = np.concatenate((fn(candidates[:4].reshape(-1, dim)), v[:, -1]))
+    f_r, f_e, f_o, f_i, f_w = f_cand.reshape(5, -1)
+    outside = f_r < f_w
+    f_c = np.where(outside, f_o, f_i)
+    choice = np.where(
+        f_r < v[:, 0],
+        np.where(f_e < f_r, 1, 0),
+        np.where(
+            f_r < v[:, -2],
+            0,
+            np.where(f_c < np.minimum(f_r, f_w), np.where(outside, 2, 3), 4),
+        ),
+    )
+    p[:, -1] = candidates[choice, rows]
+    v[:, -1] = f_cand.reshape(5, -1)[choice, rows]
+    shrink = choice == 4
+    if np.count_nonzero(shrink):
+        best = p[shrink, :1]
+        shrunk = best + 0.5 * (p[shrink, 1:] - best)
+        p[shrink, 1:] = shrunk
+        v[shrink, 1:] = fn(shrunk.reshape(-1, dim)).reshape(-1, dim)
+    return p, v
+
+
+def _simplex_checkpoints(fn, x0, steps, checkpoints):
+    """Minimize fn from every row of x0 by simplex searches run in lockstep,
+    yielding the best vertices at each checkpoint.
 
     fn maps an (n, dim) array of points to their (n,) values. Each start
-    runs the plain simplex method on its own simplex for max_iters
-    iterations: stable sort by value, then reflection/expansion/
-    contraction/shrink with the standard coefficients. The reflection,
-    expansion and both contraction points follow from the centroid and the
-    worst vertex, so each iteration evaluates all four for every simplex in
-    one call of fn; shrinks are evaluated only where they happen.
-
-    Returns (fbest, xbest) of shapes (starts,) and (starts, dim).
+    runs the plain simplex method on its own simplex (``_simplex_iteration``),
+    built from x0 with one step per coordinate. ``checkpoints`` are
+    ascending iteration counts: once the searches have run that many
+    iterations in total, the generator yields (fbest, xbest) of shapes
+    (starts,) and (starts, dim), fresh arrays, and resumes the same
+    simplices when asked for the next checkpoint. A search resumed at
+    checkpoints is the uninterrupted search, bit for bit.
     """
     x0 = np.asarray(x0, dtype=float)
     starts, dim = x0.shape
@@ -172,42 +225,18 @@ def _nelder_mead(fn, x0, steps, max_iters):
     p[:, diag + 1, diag] += np.asarray(steps, dtype=float)
     v = fn(p.reshape(-1, dim)).reshape(starts, dim + 1)
     rows = np.arange(starts)
-    for _ in range(max_iters):
-        order = np.argsort(v, axis=1, kind="stable")
-        p, v = p[rows[:, None], order], v[rows[:, None], order]
-        centroid = p[:, :-1].sum(axis=1) / dim
-        worst = p[:, -1]
-        # the replacement candidates; choosing the worst vertex means shrink
-        candidates = np.empty((5,) + worst.shape)
-        reflected = np.subtract(2.0 * centroid, worst, out=candidates[0])
-        step = reflected - centroid
-        np.add(centroid, 2.0 * step, out=candidates[1])
-        np.add(centroid, 0.5 * step, out=candidates[2])
-        np.add(centroid, 0.5 * (worst - centroid), out=candidates[3])
-        candidates[4] = worst
-        f_cand = np.concatenate((fn(candidates[:4].reshape(-1, dim)), v[:, -1]))
-        f_r, f_e, f_o, f_i, f_w = f_cand.reshape(5, -1)
-        outside = f_r < f_w
-        f_c = np.where(outside, f_o, f_i)
-        choice = np.where(
-            f_r < v[:, 0],
-            np.where(f_e < f_r, 1, 0),
-            np.where(
-                f_r < v[:, -2],
-                0,
-                np.where(f_c < np.minimum(f_r, f_w), np.where(outside, 2, 3), 4),
-            ),
-        )
-        p[:, -1] = candidates[choice, rows]
-        v[:, -1] = f_cand.reshape(5, -1)[choice, rows]
-        shrink = choice == 4
-        if np.count_nonzero(shrink):
-            best = p[shrink, :1]
-            shrunk = best + 0.5 * (p[shrink, 1:] - best)
-            p[shrink, 1:] = shrunk
-            v[shrink, 1:] = fn(shrunk.reshape(-1, dim)).reshape(-1, dim)
-    best = np.argmin(v, axis=1)
-    return v[rows, best], p[rows, best]
+    done = 0
+    for checkpoint in checkpoints:
+        for _ in range(checkpoint - done):
+            p, v = _simplex_iteration(fn, p, v, rows)
+        done = checkpoint
+        best = np.argmin(v, axis=1)
+        yield v[rows, best], p[rows, best]
+
+
+def _nelder_mead(fn, x0, steps, max_iters):
+    """(fbest, xbest) of ``_simplex_checkpoints`` after max_iters iterations."""
+    return next(_simplex_checkpoints(fn, x0, steps, [max_iters]))
 
 
 def _make_log_affinity_terms(vt_in: np.ndarray):
@@ -321,11 +350,15 @@ def oracle_max_affinity(
     The search runs over (eta1, eta2, r1, r2, phi1, phi2) of the candidate
     product state's square root; eta is optimized through
     t = log(eta - 1/2 + eps), so no phase can propose an unphysical value.
-    Draws all 32 starts from the search box first, runs 32 simplex searches
-    from them in lockstep until each is in its basin, then polishes the
-    best vertex of every simplex by Newton steps on the analytic
-    derivatives of the Gaussian integral, and keeps the best start. The
-    two best starts must agree to 1e-9, otherwise NotConverged is raised.
+    Draws all 32 starts from the search box first, then runs 32 simplex
+    searches from them in lockstep, 20 iterations at a time. After each
+    run it polishes a copy of the best vertex of every simplex by Newton
+    steps on the analytic derivatives of the Gaussian integral and keeps
+    the best start once the two best polished starts agree to 1e-9;
+    otherwise the same simplices resume. If they still disagree after 60
+    iterations, NotConvergedError is raised. Since the simplices resume
+    where they stopped, a state that runs all 60 iterations gets the value
+    of one uninterrupted 60-iteration search, bit for bit.
     Returns the best value and the optimal parameters in the same
     square-root parameterization used by ``closest_product_state``, with
     r >= 0 and phi in (-pi, pi]. An unphysical input is rejected by the
@@ -345,16 +378,25 @@ def oracle_max_affinity(
     x0 = rng.uniform(low, high, (_STARTS, 6))
     etas = (x0[:, :2] - 0.5 + _ETA_EPS).ravel().tolist()
     x0[:, :2] = np.reshape(list(map(math.log, etas)), (_STARTS, 2))
-    _, x = _nelder_mead(_make_negative_affinity(vt_in), x0, steps, _SIMPLEX_ITERS)
-    # each best vertex into the smooth chart (t, sinh 2r cos phi, sinh 2r sin phi)
-    sinh = np.sinh(2.0 * x[:, 2:4])
-    x[:, 2:4], x[:, 4:] = sinh * np.cos(x[:, 4:]), sinh * np.sin(x[:, 4:])
-    g, x, _ = _newton_polish(
-        _make_log_affinity_terms(vt_in), x, _NEWTON_ITERS, _XTOL, _FTOL
+    checkpoints = [
+        *range(_SIMPLEX_CHECKPOINT, _SIMPLEX_ITERS, _SIMPLEX_CHECKPOINT),
+        _SIMPLEX_ITERS,
+    ]
+    search = _simplex_checkpoints(
+        _make_negative_affinity(vt_in), x0, steps, checkpoints
     )
-    values = 4.0 * det4(vt_in) ** 0.25 * np.exp(g)
-    order = np.argsort(-values, kind="stable")
-    if values[order[0]] - values[order[1]] > 10.0 * _FTOL:
+    terms = _make_log_affinity_terms(vt_in)
+    scale = 4.0 * det4(vt_in) ** 0.25
+    for _, x in search:
+        # each best vertex into the smooth chart (t, sinh 2r cos phi, sinh 2r sin phi)
+        sinh = np.sinh(2.0 * x[:, 2:4])
+        x[:, 2:4], x[:, 4:] = sinh * np.cos(x[:, 4:]), sinh * np.sin(x[:, 4:])
+        g, x, _ = _newton_polish(terms, x, _NEWTON_ITERS, _XTOL, _FTOL)
+        values = scale * np.exp(g)
+        order = np.argsort(-values, kind="stable")
+        if values[order[0]] - values[order[1]] <= 10.0 * _FTOL:
+            break
+    else:
         raise NotConvergedError(
             "best two starts disagree: "
             f"{values[order[0]]:.12g} vs {values[order[1]]:.12g}"

@@ -297,6 +297,24 @@ def _determinants(a00, a01, a11, b00, b01, b11, c00, c01, c10, c11):
     return det_a, det_b, det_c, minor, det_v
 
 
+def _absolute_determinants(a00, a01, a11, b00, b01, b11, c00, c01, c10, c11):
+    """``_determinants`` with every subtraction turned into an addition: on
+    the absolute values of the entries, the expansions that bound the
+    rounding of each float determinant (32u times each, above)."""
+    abs_a, abs_b = a00 * a11 + a01 * a01, b00 * b11 + b01 * b01
+    abs_c = c00 * c11 + c01 * c10
+    x00, x01 = a11 * c00 + a01 * c10, a11 * c01 + a01 * c11
+    x10, x11 = a00 * c10 + a01 * c00, a00 * c11 + a01 * c01
+    abs_minor = b00 * abs_a + (c00 * x00 + c10 * x10)
+    abs_v = abs_a * abs_b + abs_c * abs_c + (
+        c00 * (x00 * b11 + x01 * b01)
+        + c01 * (x01 * b00 + x00 * b01)
+        + c10 * (x10 * b11 + x11 * b01)
+        + c11 * (x11 * b00 + x10 * b01)
+    )
+    return abs_a, abs_b, abs_c, abs_minor, abs_v
+
+
 def _certified_physical(entries: tuple[float, ...], dets: tuple, tol: float) -> bool:
     """True when floats prove that the two-mode matrix of ``entries`` is
     positive definite with kappa2 >= 1/2 - ``tol``, that its float det A
@@ -315,19 +333,7 @@ def _certified_physical(entries: tuple[float, ...], dets: tuple, tol: float) -> 
     absolute = tuple(map(abs, entries))
     if not min(filter(None, absolute), default=0.0) >= _FLOAT_FLOOR:
         return False
-    a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = absolute
-    # _determinants with every subtraction turned into an addition
-    abs_a, abs_b = a00 * a11 + a01 * a01, b00 * b11 + b01 * b01
-    abs_c = c00 * c11 + c01 * c10
-    x00, x01 = a11 * c00 + a01 * c10, a11 * c01 + a01 * c11
-    x10, x11 = a00 * c10 + a01 * c00, a00 * c11 + a01 * c01
-    abs_minor = b00 * abs_a + (c00 * x00 + c10 * x10)
-    abs_v = abs_a * abs_b + abs_c * abs_c + (
-        c00 * (x00 * b11 + x01 * b01)
-        + c01 * (x01 * b00 + x00 * b01)
-        + c10 * (x10 * b11 + x11 * b01)
-        + c11 * (x11 * b00 + x10 * b01)
-    )
+    abs_a, abs_b, abs_c, abs_minor, abs_v = _absolute_determinants(*absolute)
     det_a, det_b, det_c, minor, det_v = dets
     d_lo = det_v - _EXPANSION_ROUNDING * abs_v
     delta_hi = det_a + det_b + 2.0 * det_c + _EXPANSION_ROUNDING * (
@@ -540,6 +546,29 @@ def _unit_root(
     return b, (x00 + b) / root, x01 / root, (x11 + b) / root
 
 
+def _degenerate_blocks(entries: tuple[float, ...], dets: tuple, beta: float) -> bool:
+    """Discriminant guard of a float-certified reduction with b1 b2 = ``beta``:
+    True when no real c, d with c d = det C and (beta - c^2)(beta - d^2) =
+    det V exist for any determinants within the rounding bounds of ``dets``.
+
+    Such c, d exist iff det V <= (beta - |det C|)^2: the gaps beta - c^2 and
+    beta - d^2 have mean beta - |cd| - (c - |d|)^2 / 2 and product det V. The
+    float determinants may cancel (by about beta / (c^2 + d^2) on a weakly
+    correlated form), so a float violation raises only past the rounding
+    bounds of det C and det V and of beta, whose b1 and b2 are the roots of
+    the float det A and det B.
+    """
+    det_a, det_b, det_c, _, det_v = dets
+    if (beta - abs(det_c)) ** 2 >= det_v:
+        return False
+    abs_a, abs_b, abs_c, _, abs_v = _absolute_determinants(*map(abs, entries))
+    slack = _EXPANSION_ROUNDING * (
+        beta * (abs_a / det_a + abs_b / det_b) + abs_c
+    ) + 4.0 * _UNIT_ROUNDOFF * beta
+    gap = abs(beta - abs(det_c)) + slack
+    return gap * gap * (1.0 + 8.0 * _UNIT_ROUNDOFF) < det_v - _EXPANSION_ROUNDING * abs_v
+
+
 def _reduce(
     V, profile: ToleranceProfile
 ) -> tuple[StandardForm, tuple[float, ...]]:
@@ -582,16 +611,10 @@ def _reduce(
     c, d = q + r, q - r
     sf = object.__new__(StandardForm)
     vars(sf).update(b1=b1, b2=b2, c=c, d=d, s1=1.0, s2=1.0)
-    if record is None:
-        # Discriminant guard (on integers, (gd - gc)^2 >= 0): c^2, d^2 solve
-        # x^2 - s x + det(C)^2 = 0, s = (b1^2 b2^2 + det(C)^2 - det V) / (b1 b2).
-        p, det_v = dets[2], dets[4]
-        beta = b1 * b2
-        s = (beta * beta + p * p - det_v) / beta
-        if s * s - 4.0 * p * p < -1e-9 * max(1.0, s * s):
-            raise DegenerateBlocksError(
-                "no real cross-correlation parameters reproduce the invariants"
-            )
+    if record is None and _degenerate_blocks(entries, dets, b1 * b2):
+        raise DegenerateBlocksError(
+            "no real cross-correlation parameters reproduce the invariants"
+        )
     sf._validate(tol)
     vars(sf)["_record"] = record or _float_record(b1, b2, c, d, "decided")
     return sf, (n00, n01, n11, o00, o01, o11, e, f, g, h)

@@ -26,7 +26,7 @@ from ghk import (
     verify_phi_zero,
 )
 from ghk import oracle as oracle_module
-from ghk.oracle import _nelder_mead
+from ghk.oracle import _nelder_mead, _simplex_checkpoints
 
 
 def tmsv_form(r):
@@ -126,22 +126,40 @@ class TestNelderMead:
         assert values[0] < 1e-9
 
     @pytest.mark.parametrize(
-        "fn, dim, max_iters",
-        [(rosenbrock, 2, 60), (rosenbrock, 2, 3000), (quartic, 3, 130)],
+        "fn, dim, max_iters, every",
+        [
+            pytest.param(rosenbrock, 2, 60, None, id="rosenbrock-2-60"),
+            pytest.param(rosenbrock, 2, 3000, None, id="rosenbrock-2-3000"),
+            pytest.param(quartic, 3, 130, None, id="quartic-3-130"),
+            pytest.param(rosenbrock, 2, 60, 20, id="rosenbrock-2-60-every-20"),
+        ],
     )
-    def test_lanes_match_scalar_reference(self, fn, dim, max_iters):
+    def test_lanes_match_scalar_reference(self, fn, dim, max_iters, every):
         # +, -, * and / round identically on python floats and numpy
         # arrays, so every lane must reproduce the scalar search bit for bit,
-        # after a short budget and long after its simplex has collapsed.
+        # after a short budget and long after its simplex has collapsed. A
+        # search paused every `every` iterations must match the scalar search
+        # of each checkpoint's budget, and at the last the uninterrupted one.
         x0 = np.random.default_rng(5).uniform(-2.0, 2.0, (7, dim))
         steps = [0.3, 0.6, 0.45][:dim]
-        values, points = _nelder_mead(lockstep(fn), x0, steps, max_iters)
-        for start, value, point in zip(x0, values, points):
-            ref_value, ref_point = scalar_nelder_mead(
-                fn, start.tolist(), steps, max_iters
+        uninterrupted = _nelder_mead(lockstep(fn), x0, steps, max_iters)
+        if every is None:
+            runs = [(max_iters, uninterrupted)]
+        else:
+            budgets = range(every, max_iters + 1, every)
+            runs = list(
+                zip(budgets, _simplex_checkpoints(lockstep(fn), x0, steps, budgets))
             )
-            assert value == ref_value
-            assert point.tolist() == ref_point
+            assert [budget for budget, _ in runs] == [20, 40, 60]
+            for last, whole in zip(runs[-1][1], uninterrupted):
+                assert last.tolist() == whole.tolist()
+        for budget, (values, points) in runs:
+            for start, value, point in zip(x0, values, points):
+                ref_value, ref_point = scalar_nelder_mead(
+                    fn, start.tolist(), steps, budget
+                )
+                assert value == ref_value
+                assert point.tolist() == ref_point
 
 
 class TestOracleMaxAffinity:
@@ -204,9 +222,9 @@ class TestOracleMaxAffinity:
 
         def recording(fn, x0, *args):
             seen.append(x0.copy())
-            return _nelder_mead(fn, x0, *args)
+            return _simplex_checkpoints(fn, x0, *args)
 
-        monkeypatch.setattr(oracle_module, "_nelder_mead", recording)
+        monkeypatch.setattr(oracle_module, "_simplex_checkpoints", recording)
         cm = StandardForm(2.0, 1.5, 1.0, -0.5).to_cm()
         rng = np.random.default_rng(13)
         oracle_max_affinity(cm, rng)
@@ -223,6 +241,56 @@ class TestOracleMaxAffinity:
             )
         assert seen[0].tolist() == expected
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "cm, seed, exit_checkpoint",
+        [
+            pytest.param(
+                sts_standard_form(StsParams(0.5, 1.5, 0.9)).to_cm(), 8, 1, id="sts"
+            ),
+            pytest.param(
+                mts_standard_form(MtsParams(2.0, 0.7, 1.1)).to_cm(), 9, 2, id="mts"
+            ),
+        ],
+    )
+    def test_exit_checkpoint(self, monkeypatch, cm, seed, exit_checkpoint):
+        # one polish per checkpoint reached; the search ends at the first
+        # where the two best polished starts agree
+        searches, polished = [], []
+        search, polish = oracle_module._simplex_checkpoints, oracle_module._newton_polish
+
+        def recording_search(*args):
+            searches.append(args)
+            return search(*args)
+
+        def recording_polish(terms, x, *args):
+            polished.append(x.copy())
+            return polish(terms, x, *args)
+
+        monkeypatch.setattr(oracle_module, "_simplex_checkpoints", recording_search)
+        monkeypatch.setattr(oracle_module, "_newton_polish", recording_polish)
+        value, params = oracle_max_affinity(cm, np.random.default_rng(seed))
+        assert len(polished) == exit_checkpoint
+        # one checkpoint at the cap: the simplex runs 60 iterations before
+        # the only polish, as one uninterrupted search does
+        monkeypatch.setattr(oracle_module, "_SIMPLEX_CHECKPOINT", 60)
+        polished.clear()
+        whole_value, whole_params = oracle_max_affinity(cm, np.random.default_rng(seed))
+        assert len(polished) == 1
+        fn, x0, steps, checkpoints = searches[-1]
+        assert list(checkpoints) == [60]
+        _, x = _nelder_mead(fn, x0, steps, 60)
+        sinh = np.sinh(2.0 * x[:, 2:4])
+        chart = np.hstack([x[:, :2], sinh * np.cos(x[:, 4:]), sinh * np.sin(x[:, 4:])])
+        assert polished[0].tolist() == chart.tolist()
+        assert value == pytest.approx(whole_value, abs=1e-12)
+        assert whole_value == pytest.approx(max_affinity(cm), abs=1e-12)
+        # the angles are arbitrary where r vanishes, as for these states
+        optimum = [params.eta1, params.eta2, params.r1, params.r2]
+        assert optimum == pytest.approx(
+            [whole_params.eta1, whole_params.eta2, whole_params.r1, whole_params.r2],
+            abs=1e-6,
+        )
 
     def test_deterministic_given_rng(self):
         cm = sts_standard_form(StsParams(1.0, 2.0, 0.7)).to_cm()

@@ -336,6 +336,51 @@ class TestStandardForm:
             with pytest.raises(DegenerateBlocksError):
                 reduction(cm)
 
+    @pytest.mark.parametrize(
+        "entries", [(1e6, 1.1e6, 0.01, -0.005), (20.0, 12.0, 13.0, -13.0)]
+    )
+    def test_guard_passes_valid_forms_in_frames(self, entries):
+        # the guard's det V <= (b1 b2 - |det C|)^2 holds with the margin
+        # b1 b2 (c - |d|)^2: for the first form the float determinants
+        # cancel by about b1 b2 / (c^2 + d^2) = 1e16, and the second has no
+        # margin at all, so the guard must allow for their rounding. In every
+        # frame each route accepts the state and reports what the form does.
+        sf = StandardForm(*entries)
+        unframed = correlation_report(sf)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            s = random_local_frame(rng)
+            v = s @ sf.to_cm().matrix @ s.T
+            v = 0.5 * (v + v.T)
+            assert is_physical(v)
+            report = correlation_report(v)
+            reduced = standard_form(v)
+            closest = closest_product_state(v)
+            assert report.separable == unframed.separable
+            got = [
+                report.hellinger_discord,
+                report.mutual_information,
+                *report.symplectic_spectrum,
+                *report.pt_spectrum,
+                closest.max_affinity,
+                reduced.b1,
+                reduced.b2,
+                reduced.c,
+                reduced.d,
+            ]
+            want = [
+                unframed.hellinger_discord,
+                unframed.mutual_information,
+                *unframed.symplectic_spectrum,
+                *unframed.pt_spectrum,
+                max_affinity(sf),
+                sf.b1,
+                sf.b2,
+                sf.c,
+                sf.d,
+            ]
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
     def test_scale_factors_drop_out(self):
         scaled = StandardForm(2.0, 1.5, 0.9, -0.4, s1=1.7, s2=0.6)
         sf = standard_form(scaled.to_cm())
