@@ -24,7 +24,6 @@ from types import ModuleType as _ModuleType
 
 from .errors import (
     ConsistencyError,
-    DegenerateBlocksError,
     DimensionMismatchError,
     GhkError,
     InvalidParamsError,

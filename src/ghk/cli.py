@@ -88,14 +88,22 @@ def _check_keys(family: str, params: dict) -> None:
 
 
 def _symmetric_standard_form(params: dict, tol: float) -> StandardForm:
+    """The form (b, b, c, d) of ``params``. With ``b2c2`` = G = b^2 - c^2 and
+    ``dsign`` it is the family form that keeps the gap G, which c loses at
+    large b: squeezed thermal of spectrum (k, k), k = sqrt(G), and squeeze
+    asinh(c / k) / 2 for dsign < 0, else mode-mixed thermal of spectrum
+    (b + c, G / (b + c)) at theta = pi/2. Where no family has that spectrum
+    (c not below b, G < 1/4, or a mode-mixed k2 below 1/2, if only by a
+    rounding), and for a given c or d, the floats are the form."""
     try:
         b = params["b"]
     except KeyError:
         raise ParseError("symmetric family needs b") from None
     if "c" in params:
-        c = params["c"]
+        c, gap = params["c"], None
     elif "b2c2" in params:
-        c_sq = b * b - params["b2c2"]
+        gap = params["b2c2"]
+        c_sq = b * b - gap
         if c_sq < 0:
             raise InvalidParamsError("b^2 - c^2 constraint unreachable at this b")
         c = math.sqrt(c_sq)
@@ -105,6 +113,14 @@ def _symmetric_standard_form(params: dict, tol: float) -> StandardForm:
         d = params["d"]
     elif "dsign" in params:
         d = math.copysign(c, params["dsign"])
+        if gap is not None and c < b and gap >= 0.25:
+            k = math.sqrt(gap)
+            try:
+                if math.copysign(1.0, d) < 0.0:
+                    return _sts_form(StsParams(k - 0.5, k - 0.5, 0.5 * math.asinh(c / k)), tol)
+                return _mts_form(MtsParams(b + c, gap / (b + c), 0.5 * math.pi), tol)
+            except InvalidParamsError:  # k2 < 1/2, or past the float range
+                pass
     else:
         raise ParseError("symmetric family needs d or dsign")
     return _checked_form(tol, b, b, c, d)

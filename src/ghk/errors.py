@@ -17,10 +17,6 @@ class NotPhysicalError(GhkError, ValueError):
     """A covariance matrix violates the uncertainty bound (min kappa < 1/2)."""
 
 
-class DegenerateBlocksError(GhkError, ValueError):
-    """Standard-form cross parameters have no real solution; corrupt input."""
-
-
 class InvalidParamsError(GhkError, ValueError):
     """State-family parameters are out of their admissible range."""
 

@@ -35,7 +35,6 @@ from operator import itemgetter, sub
 
 from .errors import (
     ConsistencyError,
-    DegenerateBlocksError,
     DimensionMismatchError,
     InvalidParamsError,
     NonSymmetricError,
@@ -45,6 +44,7 @@ from .errors import (
 from .forms import (
     _FORM_FIELDS,
     StandardForm,
+    _checked_form,
     _float_record,
     _radical,
     _form_record,
@@ -546,41 +546,21 @@ def _unit_root(
     return b, (x00 + b) / root, x01 / root, (x11 + b) / root
 
 
-def _degenerate_blocks(entries: tuple[float, ...], dets: tuple, beta: float) -> bool:
-    """Discriminant guard of a float-certified reduction with b1 b2 = ``beta``:
-    True when no real c, d with c d = det C and (beta - c^2)(beta - d^2) =
-    det V exist for any determinants within the rounding bounds of ``dets``.
-
-    Such c, d exist iff det V <= (beta - |det C|)^2: the gaps beta - c^2 and
-    beta - d^2 have mean beta - |cd| - (c - |d|)^2 / 2 and product det V. The
-    float determinants may cancel (by about beta / (c^2 + d^2) on a weakly
-    correlated form), so a float violation raises only past the rounding
-    bounds of det C and det V and of beta, whose b1 and b2 are the roots of
-    the float det A and det B.
-    """
-    det_a, det_b, det_c, _, det_v = dets
-    if (beta - abs(det_c)) ** 2 >= det_v:
-        return False
-    abs_a, abs_b, abs_c, _, abs_v = _absolute_determinants(*map(abs, entries))
-    slack = _EXPANSION_ROUNDING * (
-        beta * (abs_a / det_a + abs_b / det_b) + abs_c
-    ) + 4.0 * _UNIT_ROUNDOFF * beta
-    gap = abs(beta - abs(det_c)) + slack
-    return gap * gap * (1.0 + 8.0 * _UNIT_ROUNDOFF) < det_v - _EXPANSION_ROUNDING * abs_v
-
-
 def _reduce(
     V, profile: ToleranceProfile
 ) -> tuple[StandardForm, tuple[float, ...]]:
-    """The one reduction of a two-mode CM to standard form, with every guard.
+    """The one reduction of a two-mode CM to standard form.
 
     Runs under ``profile``, the tolerance profile its caller read, on the
     entries of ``V`` taken once as Python floats and validated as the
     ``CovarianceMatrix`` constructor validates (``_two_mode_entries``).
     Physicality is decided here, once for every measure: positive
     definiteness and kappa2 >= 1/2 - phys_tol, proved by
-    ``_certified_physical``, else decided by ``_exactly_physical``. The form
-    carries the record of that decision (``forms._form_record``). Returns
+    ``_certified_physical``, else decided by ``_exactly_physical``. The
+    decision proves A and B positive definite, so real c and d with
+    c d = det C and (b1 b2 - c^2)(b1 b2 - d^2) = det V exist. The form
+    passes the ``StandardForm`` checks (``forms._checked_form``) and carries
+    the record of that decision (``forms._form_record``). Returns
     the form and the parts (n00, n01, n11, o00, o01, o11, e, f, g, h) of its
     local frame; see ``reduce_to_standard_form``.
     """
@@ -609,13 +589,7 @@ def _reduce(
     g, h = 0.5 * (m10 + m01), 0.5 * (m10 - m01)
     q, r = math.hypot(e, h), math.hypot(f, g)
     c, d = q + r, q - r
-    sf = object.__new__(StandardForm)
-    vars(sf).update(b1=b1, b2=b2, c=c, d=d, s1=1.0, s2=1.0)
-    if record is None and _degenerate_blocks(entries, dets, b1 * b2):
-        raise DegenerateBlocksError(
-            "no real cross-correlation parameters reproduce the invariants"
-        )
-    sf._validate(tol)
+    sf = _checked_form(tol, b1, b2, c, d)
     vars(sf)["_record"] = record or _float_record(b1, b2, c, d, "decided")
     return sf, (n00, n01, n11, o00, o01, o11, e, f, g, h)
 
@@ -630,8 +604,8 @@ def standard_form(V) -> StandardForm:
     c = |d| where the equivalent quadratic in (c^2, d^2) loses half the
     working precision. The scale factors are not recovered (they are
     unobservable in every correlation measure) and are emitted as 1. This
-    is that reduction (``_reduce``: its one decision, its guards and one
-    read of the tolerance profile) without the frame; it loads no numpy
+    is that reduction (``_reduce``: its one decision and one read of the
+    tolerance profile) without the frame; it loads no numpy
     where ``V`` is 4 rows of 4 real numbers.
     """
     return _reduce(V, active_profile())[0]

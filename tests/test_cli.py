@@ -718,6 +718,72 @@ def test_symmetric_rows_with_d_past_c_by_a_rounding_are_flagged(capsys):
     assert [row[1:] for row in rows] == [["false", ""], ["false", ""]]
 
 
+def symmetric_gap_reference(b: float, b2c2: float, dsign: float) -> dict:
+    """``family_reference`` of the symmetric state with b and the gap
+    b^2 - c^2 = ``b2c2`` exactly: squeezed thermal with k = sqrt(b2c2) and
+    sinh 2r = c / k for dsign < 0, else mode-mixed thermal of spectrum
+    (b + c, b2c2 / (b + c)) at theta = pi/2."""
+    with mpmath.workdps(80):
+        b, gap = mpmath.mpf(b), mpmath.mpf(b2c2)
+        c = mpmath.sqrt(b * b - gap)
+        if dsign < 0:
+            k = mpmath.sqrt(gap)
+            return family_reference(True, k, k, mpmath.asinh(c / k) / 2)
+        return family_reference(False, b + c, gap / (b + c), mpmath.pi / 2)
+
+
+@pytest.mark.parametrize(
+    "argv, dsign",
+    [
+        (["b2c2=6.25", "dsign=-1", "--sweep-param", "b", "--range", "2.6:9:2"], -1),
+        (["b2c2=6.25", "dsign=-1", "--sweep-param", "b", "--range", "1e3:1e6:2"], -1),
+        (["b2c2=6.25", "dsign=-1", "--sweep-param", "b", "--range", "1e8:1e8:2"], -1),
+        (["b=1e8", "dsign=1", "--sweep-param", "b2c2", "--range", "1.5e8:3e8:7"], 1),
+        (["b=1e3", "dsign=1", "--sweep-param", "b2c2", "--range", "2.5e3:2.5e3:2"], 1),
+        (["b=1e6", "dsign=1", "--sweep-param", "b2c2", "--range", "3e6:3e6:2"], 1),
+    ],
+)
+def test_symmetric_gap_rows_match_the_family_reference(capsys, argv, dsign):
+    # c = sqrt(b^2 - b2c2) loses the gap at large b, so each row must carry
+    # the gap it is given
+    code, out, _ = run_cli(capsys, "sweep", "--symmetric", *argv, "--out", "json")
+    assert code == 0
+    payload = json.loads(out)
+    swept = payload["sweep_param"]
+    for row in payload["rows"]:
+        cells = dict(zip(payload["columns"], row))
+        point = {**payload["fixed"], swept: cells.pop(swept)}
+        assert cells.pop("physical") is True
+        ref = symmetric_gap_reference(point["b"], point["b2c2"], dsign)
+        assert cells.pop("separable") == ref["separable"]
+        for name, value in cells.items():
+            assert abs(value - ref[name]) <= 1e-12 * ref[name], (point, name)
+
+
+@pytest.mark.parametrize(
+    "argv, physical",
+    [
+        # b2c2 <= 0 asks for c >= b, and b2c2 = 0.2 for k = 0.447 < 1/2
+        (["b=2", "dsign=-1", "--sweep-param", "b2c2", "--range", "-1:0.2:3"], [False] * 3),
+        (["b=2", "dsign=1", "--sweep-param", "b2c2", "--range", "-1:0.2:3"], [False] * 3),
+        # b < k: b^2 - b2c2 < 0
+        (["b2c2=6.25", "dsign=-1", "--sweep-param", "b", "--range", "1:2.4:2"], [False] * 2),
+        # the mode-mixed k2 = b2c2 / (b + c) falls below 1/2 past b = 6.5, at
+        # the second row by 8.3e-13, within phys_tol
+        (
+            ["b2c2=6.25", "dsign=1", "--sweep-param", "b", "--range", "6.5:6.50000000001:2"],
+            [True, True],
+        ),
+    ],
+)
+def test_symmetric_gap_rows_without_a_family_are_decided_by_the_gate(
+    capsys, argv, physical
+):
+    code, out, _ = run_cli(capsys, "sweep", "--symmetric", *argv, "--out", "json")
+    assert code == 0
+    assert [row[1] for row in json.loads(out)["rows"]] == physical
+
+
 def run_fresh(code: str) -> str:
     """Standard output of ``code`` run in a fresh interpreter on this package."""
     src = str(Path(ghk.__file__).resolve().parent.parent)

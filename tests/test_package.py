@@ -15,7 +15,7 @@ import ghk
 
 EXPORTS = """
     ClosestProduct ConsistencyError CorrelationReport CovarianceMatrix
-    DegenerateBlocksError DimensionMismatchError GaussianState
+    DimensionMismatchError GaussianState
     GhkError InvalidParamsError MtsParams NegativeOccupancyError
     NonSymmetricError NotConvergedError NotPhysicalError
     NotPositiveDefiniteError OutOfFamilyError OverlapResult
@@ -74,6 +74,26 @@ def test_each_name_is_one_object_from_the_package_and_its_module(name):
     else:
         module = ghk._HOME.get(name) or value.__module__.partition(".")[2]
     assert getattr(importlib.import_module(f"ghk.{module}"), name) is value
+
+
+def test_each_exported_error_is_raised_in_the_package():
+    # an error type that nothing raises is dead weight in the public API
+    src = Path(ghk.__file__).resolve().parent
+    nodes = [n for p in src.glob("*.py") for n in ast.walk(ast.parse(p.read_text()))]
+    raised = {
+        n.exc.func.id
+        for n in nodes
+        if isinstance(n, ast.Raise)
+        and isinstance(n.exc, ast.Call)
+        and isinstance(n.exc.func, ast.Name)
+    }
+    errors = {
+        name
+        for name in EXPORTS
+        if isinstance(getattr(ghk, name), type) and issubclass(getattr(ghk, name), ghk.GhkError)
+    }
+    assert len(errors) > 1
+    assert errors - {"GhkError"} - raised == set()
 
 
 def test_dependencies_are_the_third_party_modules_imported():

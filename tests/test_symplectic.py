@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from ghk import (
     ConsistencyError,
     CovarianceMatrix,
-    DegenerateBlocksError,
     DimensionMismatchError,
     InvalidParamsError,
     NonSymmetricError,
@@ -315,36 +314,17 @@ class TestStandardForm:
         with pytest.raises(InvalidParamsError):
             StandardForm(1.5, 1.5, math.nan, 0.0)
 
-    def test_discriminant_guard(self, monkeypatch):
-        # the reduction always reproduces the invariants of a valid matrix,
-        # so both diagonal blocks are made to report b = (det V -
-        # det(C)^2)^(1/4): the quadratic in (c^2, d^2) then has
-        # s = c^2 + d^2 = 0 < 2 |c d|. The guard is part of the one
-        # reduction, so every route through it raises.
-        from ghk import symplectic
-
-        cm = StandardForm(2.0, 2.0, 1.0, -0.5).to_cm()
-        det_v, det_c = (4.0 - 1.0) * (4.0 - 0.25), 1.0 * -0.5
-        b = (det_v - det_c * det_c) ** 0.25
-        unit_root = symplectic._unit_root
-
-        def corrupt(*args):
-            return (b, *unit_root(*args)[1:])
-
-        monkeypatch.setattr(symplectic, "_unit_root", corrupt)
-        for reduction in (standard_form, reduce_to_standard_form, closest_product_state):
-            with pytest.raises(DegenerateBlocksError):
-                reduction(cm)
-
     @pytest.mark.parametrize(
         "entries", [(1e6, 1.1e6, 0.01, -0.005), (20.0, 12.0, 13.0, -13.0)]
     )
-    def test_guard_passes_valid_forms_in_frames(self, entries):
-        # the guard's det V <= (b1 b2 - |det C|)^2 holds with the margin
-        # b1 b2 (c - |d|)^2: for the first form the float determinants
-        # cancel by about b1 b2 / (c^2 + d^2) = 1e16, and the second has no
-        # margin at all, so the guard must allow for their rounding. In every
-        # frame each route accepts the state and reports what the form does.
+    def test_valid_forms_in_frames_reduce_to_their_form(self, entries):
+        # real c and d with c d = det C and (b1 b2 - c^2)(b1 b2 - d^2) =
+        # det V exist for every matrix whose diagonal blocks are positive
+        # definite: (b1 b2 - |det C|)^2 - det V = b1 b2 (c - |d|)^2. For the
+        # first form the float determinants cancel by about
+        # b1 b2 / (c^2 + d^2) = 1e16, and the second has c = |d|, so that
+        # margin is 0. In every frame each route accepts the state and
+        # reports what the form does.
         sf = StandardForm(*entries)
         unframed = correlation_report(sf)
         rng = np.random.default_rng(3)
