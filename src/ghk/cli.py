@@ -92,9 +92,9 @@ def _symmetric_standard_form(params: dict, tol: float) -> StandardForm:
     ``dsign`` it is the family form that keeps the gap G, which c loses at
     large b: squeezed thermal of spectrum (k, k), k = sqrt(G), and squeeze
     asinh(c / k) / 2 for dsign < 0, else mode-mixed thermal of spectrum
-    (b + c, G / (b + c)) at theta = pi/2. Where no family has that spectrum
-    (c not below b, G < 1/4, or a mode-mixed k2 below 1/2, if only by a
-    rounding), and for a given c or d, the floats are the form."""
+    (b + c, G / (b + c)) at theta = pi/2, even where c rounds to b. Where no
+    family has that spectrum (G < 1/4, or a mode-mixed k2 below 1/2, if only
+    by a rounding), and for a given c or d, the floats are the form."""
     try:
         b = params["b"]
     except KeyError:
@@ -113,7 +113,7 @@ def _symmetric_standard_form(params: dict, tol: float) -> StandardForm:
         d = params["d"]
     elif "dsign" in params:
         d = math.copysign(c, params["dsign"])
-        if gap is not None and c < b and gap >= 0.25:
+        if gap is not None and gap >= 0.25:
             k = math.sqrt(gap)
             try:
                 if math.copysign(1.0, d) < 0.0:

@@ -88,8 +88,8 @@ def det4(m) -> float:
     return float(total)
 
 
-def _make_negative_affinity(vt_in: np.ndarray):
-    """Batched objective computing -affinity(input, product(x)) row by row.
+def _make_negative_affinity(vt_in: np.ndarray, quarter_root: float):
+    """Batched -affinity(input, product(x)), row by row, given det4(vt_in) ** 0.25.
 
     Each row x = (t1, t2, r1, r2, phi1, phi2) has eta_j = 1/2 - eps +
     exp(t_j), the square-root-state eigenvalues of the candidate product.
@@ -104,7 +104,6 @@ def _make_negative_affinity(vt_in: np.ndarray):
     and the last term is a bilinear form a^T K d in the entries
     a = (a00, a01, a11), d = (d00, d01, d11), with K fixed by C.
     """
-    quarter_root = det4(vt_in) ** 0.25
     # rows (x00, x01, x11) of the two diagonal blocks, modes as columns
     diag_in = np.array([
         [vt_in[0, 0], vt_in[2, 2]],
@@ -382,11 +381,12 @@ def oracle_max_affinity(
         *range(_SIMPLEX_CHECKPOINT, _SIMPLEX_ITERS, _SIMPLEX_CHECKPOINT),
         _SIMPLEX_ITERS,
     ]
+    quarter_root = det4(vt_in) ** 0.25
     search = _simplex_checkpoints(
-        _make_negative_affinity(vt_in), x0, steps, checkpoints
+        _make_negative_affinity(vt_in, quarter_root), x0, steps, checkpoints
     )
     terms = _make_log_affinity_terms(vt_in)
-    scale = 4.0 * det4(vt_in) ** 0.25
+    scale = 4.0 * quarter_root
     for _, x in search:
         # each best vertex into the smooth chart (t, sinh 2r cos phi, sinh 2r sin phi)
         sinh = np.sinh(2.0 * x[:, 2:4])

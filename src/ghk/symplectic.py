@@ -57,10 +57,6 @@ from .tolerances import ToleranceProfile, active_profile
 # they indicate a numerically corrupt input rather than a user error.
 SQRT_IDENTITY_RTOL = 1e-8
 
-# The eigenvalues of J V come in +/- pairs; their magnitudes must match to
-# this relative tolerance before deduplication.
-PAIR_MATCH_RTOL = 1e-7
-
 
 def symplectic_form(n: int) -> np.ndarray:
     """Return the 2n x 2n matrix J of the symplectic form.
@@ -228,17 +224,6 @@ def as_covariance(value) -> CovarianceMatrix:
     return CovarianceMatrix(value)
 
 
-def _cholesky_or_raise(matrix: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            "covariance matrix is not positive definite"
-        ) from None
-
-
 # Physicality of a 4x4 matrix is decided on its ten distinct entries
 # (a00, a01, a11, b00, b01, b11, c00, c01, c10, c11), V = [[A, C], [C^T, B]],
 # which _TWO_MODE_ENTRIES picks from its row-major entries:
@@ -361,22 +346,19 @@ def _certified_physical(entries: tuple[float, ...], dets: tuple, tol: float) -> 
 
 def _exactly_physical(entries: tuple[float, ...], tol: float) -> tuple | None:
     """None unless the two-mode matrix of ``entries`` is positive definite
-    with kappa2 >= t = 1/2 - ``tol`` (the float t), decided exactly on its
-    entries scaled by their common power of two into Python ints (which
-    scales each determinant by a power of it) and t as its exact ratio;
-    then det A and det B as ``_quarter`` pairs and the record of the reduced
-    form (``forms._form_record``), each integer expression in A = det A,
+    with kappa2 >= t = 1/2 - ``tol`` (the float t), decided exactly on the
+    integer determinants of ``_exact_determinants`` and t as its exact
+    ratio; then det A and det B as ``_quarter`` pairs and the record of the
+    reduced form (``forms._form_record``), each integer expression in A = det A,
     B = det B, C = det C and D = det V rounded once: the spectra with
     Delta = A + B +/- 2C (``_int_spectrum``), rho = sqrt(gc / gd) =
     2 sqrt(D AB) / (S + sqrt(S^2 - 4 D AB)) with S = AB - C^2 + D, since
     gc gd = D and (gd - gc)^2 AB = S^2 - 4 D AB, and h = (A - B)/(2 (b1 + b2)).
     """
-    ratios = [x.as_integer_ratio() for x in entries]
-    scale = max(den for _, den in ratios)
-    ints = [num * (scale // den) for num, den in ratios]
-    det_a, det_b, det_c, minor, det_v = _determinants(*ints)
-    if not (ints[0] > 0 and det_a > 0 and minor > 0 and det_v > 0):
+    exact = _exact_determinants(entries)
+    if exact is None:
         return None
+    scale, (det_a, det_b, det_c, _, det_v) = exact
     num, den = (0.5 - tol).as_integer_ratio()
     # t^2 and Delta, both times (scale den)^2
     t2 = (num * scale) ** 2
@@ -399,6 +381,21 @@ def _exactly_physical(entries: tuple[float, ...], tol: float) -> tuple | None:
     return (a, ea), (b, eb), (spectrum, pt, (*spectrum, rho), h, "decided")
 
 
+def _exact_determinants(entries: tuple[float, ...]) -> tuple | None:
+    """(scale, ``_determinants`` of the ints) of the two-mode matrix of
+    ``entries`` scaled by their common power of two, ``scale``, into Python
+    ints, or None unless its leading minors a00, det A, the 3x3 minor and
+    det V are positive, which is positive definiteness (Sylvester)."""
+    ratios = [x.as_integer_ratio() for x in entries]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    dets = _determinants(*ints)
+    det_a, _, _, minor, det_v = dets
+    if not (ints[0] > 0 and det_a > 0 and minor > 0 and det_v > 0):
+        return None
+    return scale, dets
+
+
 def _quarter(num: int, den: int) -> tuple[float, int]:
     """(x, e) with num / den = x 4^e for positive ints of any size, x in
     about [1/4, 4) rounded once: sqrt(num / den) = ldexp(sqrt(x), e)."""
@@ -416,27 +413,21 @@ def _int_spectrum(delta: int, det_v: int, sq: int) -> tuple[float, float]:
 
 
 def symplectic_eigenvalues(V) -> np.ndarray:
-    """Symplectic spectrum of a positive-definite covariance matrix.
-
-    After LAPACK's Cholesky check (NotPositiveDefiniteError), the
-    eigenvalues of J V are taken: purely imaginary pairs +/- i kappa_j,
-    whose kappa_j are returned sorted in descending order. The +/- partners
-    must match in magnitude to PAIR_MATCH_RTOL; a mismatch
-    (ConsistencyError) means the input was numerically corrupt. This is not
-    the physicality decision of ``is_physical``.
-    """
+    """Symplectic spectrum of a positive-definite covariance matrix, in
+    descending order (NotPositiveDefiniteError otherwise): of a two-mode
+    matrix from the exact integer invariants of its decision
+    (``_exact_determinants``), Delta and det V, each kappa rounded once
+    (``_int_spectrum``); of any other, its Williamson spectrum."""
     import numpy as np
 
-    matrix = as_covariance(V).matrix
-    _cholesky_or_raise(matrix)
-    j = symplectic_form(matrix.shape[0] // 2)
-    mags = sorted(map(abs, np.linalg.eigvals(j @ matrix).tolist()))
-    kappas = []
-    for lo, hi in zip(mags[0::2], mags[1::2]):
-        if not abs(lo - hi) <= PAIR_MATCH_RTOL * hi:
-            raise ConsistencyError("eigenvalues of J V do not pair up by magnitude")
-        kappas.append(0.5 * (lo + hi))
-    return np.array(kappas[::-1])
+    cov = as_covariance(V)
+    if cov.n != 2:
+        return williamson(cov)[0]
+    exact = _exact_determinants(_TWO_MODE_ENTRIES(cov.matrix.ravel().tolist()))
+    if exact is None:
+        raise NotPositiveDefiniteError("covariance matrix is not positive definite")
+    scale, (det_a, det_b, det_c, _, det_v) = exact
+    return np.array(_int_spectrum(det_a + det_b + 2 * det_c, det_v, scale * scale))
 
 
 def is_physical(V) -> bool:
@@ -480,7 +471,12 @@ def williamson(V) -> tuple[np.ndarray, np.ndarray]:
 
     cov = as_covariance(V)
     n = cov.n
-    low = _cholesky_or_raise(cov.matrix)
+    try:
+        low = np.linalg.cholesky(cov.matrix)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(
+            "covariance matrix is not positive definite"
+        ) from None
     skew = low.T @ symplectic_form(n) @ low
     eigvals, eigvecs = np.linalg.eigh(1j * skew)
     # eigh sorts ascending: the last n eigenvalues are the positive kappas

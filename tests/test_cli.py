@@ -741,6 +741,8 @@ def symmetric_gap_reference(b: float, b2c2: float, dsign: float) -> dict:
         (["b=1e8", "dsign=1", "--sweep-param", "b2c2", "--range", "1.5e8:3e8:7"], 1),
         (["b=1e3", "dsign=1", "--sweep-param", "b2c2", "--range", "2.5e3:2.5e3:2"], 1),
         (["b=1e6", "dsign=1", "--sweep-param", "b2c2", "--range", "3e6:3e6:2"], 1),
+        # from b = 2.9e8 on, c = sqrt(b^2 - b2c2) rounds to b
+        (["b2c2=6.25", "dsign=-1", "--sweep-param", "b", "--range", "1e3:1e9:25"], -1),
     ],
 )
 def test_symmetric_gap_rows_match_the_family_reference(capsys, argv, dsign):

@@ -76,10 +76,15 @@ def test_each_name_is_one_object_from_the_package_and_its_module(name):
     assert getattr(importlib.import_module(f"ghk.{module}"), name) is value
 
 
+def source_nodes() -> list[ast.AST]:
+    """Every syntax node of the package's modules."""
+    src = Path(ghk.__file__).resolve().parent
+    return [n for p in src.glob("*.py") for n in ast.walk(ast.parse(p.read_text()))]
+
+
 def test_each_exported_error_is_raised_in_the_package():
     # an error type that nothing raises is dead weight in the public API
-    src = Path(ghk.__file__).resolve().parent
-    nodes = [n for p in src.glob("*.py") for n in ast.walk(ast.parse(p.read_text()))]
+    nodes = source_nodes()
     raised = {
         n.exc.func.id
         for n in nodes
@@ -99,10 +104,20 @@ def test_each_exported_error_is_raised_in_the_package():
 def test_dependencies_are_the_third_party_modules_imported():
     tomllib = pytest.importorskip("tomllib")
     src = Path(ghk.__file__).resolve().parent
-    nodes = [n for p in src.glob("*.py") for n in ast.walk(ast.parse(p.read_text()))]
+    nodes = source_nodes()
     imported = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
     imported |= {n.module for n in nodes if isinstance(n, ast.ImportFrom) and not n.level}
     third_party = {name.partition(".")[0] for name in imported} - sys.stdlib_module_names
     project = tomllib.loads((src.parents[1] / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[\w.-]+", req)[0] for req in project["dependencies"]}
     assert third_party - {"ghk"} == declared
+
+
+def test_no_general_eigensolver():
+    # symplectic spectra come from the exact two-mode invariants or from
+    # Williamson's Hermitian eigenproblem (eigh), never from eigvals(J V)
+    nodes = source_nodes()
+    names = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "eigh" in names
+    assert "eigvals" not in names

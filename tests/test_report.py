@@ -18,6 +18,7 @@ from ghk import (
     CovarianceMatrix,
     MtsParams,
     NotPhysicalError,
+    NotPositiveDefiniteError,
     OutOfFamilyError,
     StandardForm,
     StsParams,
@@ -37,6 +38,7 @@ from ghk import (
     simon_separable,
     standard_form,
     sts_standard_form,
+    symplectic_eigenvalues,
 )
 from ghk.cli import _MEASURES, _sweep_row
 from ghk.errors import GhkError
@@ -412,10 +414,14 @@ def test_a_rounded_matrix_below_half_is_rejected(call):
         call(cm)
 
 
+NO_CALLS = {"cholesky": 0, "eigvals": 0, "eigh": 0}
+
+
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Count the calls of np.linalg.cholesky and np.linalg.eigvals."""
-    calls = {"cholesky": 0, "eigvals": 0}
+    """Count the calls of np.linalg.cholesky, np.linalg.eigvals and
+    np.linalg.eigh."""
+    calls = dict(NO_CALLS)
     for name in calls:
         original = getattr(np.linalg, name)
 
@@ -439,9 +445,9 @@ class TestHotPath:
         for _ in range(8):
             cm = in_frame(random_standard_form(rng), random_local_frame(rng))
             for call in self.CALLS:
-                linalg_calls.update(cholesky=0, eigvals=0)
+                linalg_calls.update(NO_CALLS)
                 call(cm)
-                assert linalg_calls == {"cholesky": 0, "eigvals": 0}
+                assert linalg_calls == NO_CALLS
 
     # a pure state, and a state 1e-10 above the bound, whose kappa2 the
     # certificate cannot bound within phys_tol of 1/2
@@ -459,27 +465,40 @@ class TestHotPath:
 
         monkeypatch.setattr(ghk.symplectic, "_exactly_physical", counted)
         for call in self.CALLS:
-            linalg_calls.update(cholesky=0, eigvals=0)
+            linalg_calls.update(NO_CALLS)
             exact.clear()
             call(cm)
-            assert linalg_calls == {"cholesky": 0, "eigvals": 0}
+            assert linalg_calls == NO_CALLS
             assert len(exact) == 1
 
     def test_standard_form(self, linalg_calls):
         for sf in family_forms():
             correlation_report(sf)
-        assert linalg_calls == {"cholesky": 0, "eigvals": 0}
+        assert linalg_calls == NO_CALLS
 
     def test_no_linear_algebra_near_the_boundary(self, linalg_calls):
         matrices = near_boundary_matrices() + framed_tmsv_grid() + framed_sts_9_25()
-        linalg_calls.update(cholesky=0, eigvals=0)
+        linalg_calls.update(NO_CALLS)
         for m in matrices:
             for call in (is_physical, correlation_report):
                 try:
                     call(m)
                 except GhkError:
                     pass
-        assert linalg_calls == {"cholesky": 0, "eigvals": 0}
+        assert linalg_calls == NO_CALLS
+
+    def test_symplectic_eigenvalues(self, linalg_calls):
+        # a two-mode spectrum is read from the exact invariants; any other
+        # mode count from Williamson's
+        for pool in POOLS.values():
+            for m in pool():
+                try:
+                    symplectic_eigenvalues(m)
+                except NotPositiveDefiniteError:
+                    pass
+        assert linalg_calls == NO_CALLS
+        symplectic_eigenvalues(np.eye(6))
+        assert linalg_calls == {"cholesky": 1, "eigvals": 0, "eigh": 1}
 
 
 def near_boundary_matrices() -> list[np.ndarray]:
@@ -822,3 +841,28 @@ class TestFieldAccuracy:
         for m in POOLS[pool]():
             if is_physical(m):
                 assert closest_product_state(m).max_affinity == max_affinity(m)
+
+
+class TestSymplecticEigenvalues:
+    """The spectrum of a two-mode matrix is that of its exact invariants,
+    rounded once, and agrees with the physicality decision."""
+
+    @pytest.mark.parametrize("pool", sorted(TestFieldAccuracy.RTOL))
+    def test_against_the_reference(self, pool):
+        with mpmath.workdps(80):
+            for m, ref in zip(POOLS[pool](), pool_references(pool)):
+                if ref is None:
+                    with pytest.raises(NotPositiveDefiniteError):
+                        symplectic_eigenvalues(m)
+                    continue
+                for value, exact in zip(symplectic_eigenvalues(m), ref["spectrum"]):
+                    assert abs(value - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_an_accepted_matrix_reads_at_least_half(self, monkeypatch, profile, pool):
+        monkeypatch.setenv(ENV_VAR, profile)
+        floor = 0.5 - PROFILES[profile].phys_tol
+        for m in POOLS[pool]():
+            if is_physical(m):
+                assert symplectic_eigenvalues(m)[1] >= floor
