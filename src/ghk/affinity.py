@@ -4,13 +4,13 @@ The affinity Tr(sqrt(rho) sqrt(sigma)) of two Gaussian states is a Gaussian
 integral over the square-root states: writing Vt for the covariance matrix
 of the normalized square root of a state,
 
-    A = 2^n [det Vt1 det Vt2]^(1/4) / det(Vt1 + Vt2)^(1/2)
-        * exp(-dv^T (Vt1 + Vt2)^(-1) dv / 2),
+    A = [det Vt1 det Vt2]^(1/4) / det(M)^(1/2) * exp(-dv^T M^(-1) dv / 4),
 
-with dv the difference of the mean vectors. All determinants and quadratic
-forms are evaluated through a Cholesky factorization of the (positive
-definite) sum, and the logarithm of the affinity is carried alongside the
-value so long parameter sweeps cannot underflow.
+with M = (Vt1 + Vt2) / 2 and dv the difference of the mean vectors. All
+determinants and quadratic forms are evaluated through Cholesky
+factorizations; M is Vt itself for two equal roots, so a state's affinity
+with itself is 1 exactly. The logarithm of the affinity is carried
+alongside the value so long parameter sweeps cannot underflow.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def affinity_from_sqrt_cms(
     ld1, _ = _chol_logdet_quad(c1.matrix, None)
     ld2, _ = _chol_logdet_quad(c2.matrix, None)
     delta = None if dv is None else np.array(_finite_vector(dv, 2 * n, "displacement"))
-    ld_sum, quad = _chol_logdet_quad(c1.matrix + c2.matrix, delta)
-    log_value = n * math.log(2.0) + 0.25 * (ld1 + ld2) - 0.5 * ld_sum - 0.5 * quad
+    ld_mean, quad = _chol_logdet_quad(0.5 * (c1.matrix + c2.matrix), delta)
+    log_value = 0.25 * (ld1 + ld2) - 0.5 * ld_mean - 0.25 * quad
     # The affinity of two states never exceeds 1; only round-off can push it
     # above, so the excess is clipped.
     log_value = min(log_value, 0.0)

@@ -30,7 +30,7 @@ from .errors import (
     NotConvergedError,
     TruncationInsufficientError,
 )
-from .symplectic import square_root_cm, symplectic_eigenvalues
+from .symplectic import _williamson_root, as_covariance, symplectic_eigenvalues
 
 _ETA_EPS = 1e-12  # offset in the log transform keeping eta above 1/2
 # The search: 32 starts per state, each drawn from the box
@@ -360,13 +360,13 @@ def oracle_max_affinity(
     of one uninterrupted 60-iteration search, bit for bit.
     Returns the best value and the optimal parameters in the same
     square-root parameterization used by ``closest_product_state``, with
-    r >= 0 and phi in (-pi, pi]. An unphysical input is rejected by the
-    Williamson route of ``square_root_cm``, not by the closed forms under
-    test: NotPhysicalError below 1/2, NotPositiveDefiniteError where the
-    matrix is not positive definite.
+    r >= 0 and phi in (-pi, pi]. The oracle roots V by Williamson
+    (``symplectic._williamson_root``), not by the routes it certifies, which
+    rejects an unphysical input: NotPhysicalError below 1/2,
+    NotPositiveDefiniteError where the matrix is not positive definite.
     """
     rng = rng or np.random.default_rng(0)
-    vt_in = square_root_cm(V).matrix
+    vt_in = _williamson_root(as_covariance(V)).matrix
     eta_hi = 10.0 * float(np.max(symplectic_eigenvalues(vt_in)))
     steps = [0.7, 0.7, 0.25, 0.25, 0.5, 0.5]
     # one draw, row by row: (eta1, eta2, r1, r2, phi1, phi2) per start; the

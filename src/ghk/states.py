@@ -42,10 +42,10 @@ class GaussianState:
 
     Construction validates the matrix, then checks the mean (2n finite
     entries, ``ghk.symplectic._finite_vector``) and enforces physicality
-    with ``is_physical``: the two-mode decision of every measure, and for
-    n != 2 the Williamson test of ``square_root_cm``, so the square root
-    and the affinity of every n-mode state exist. Use CovarianceMatrix
-    directly to represent unphysical matrices.
+    with ``is_physical``: the decision that ``square_root_cm`` takes, the
+    exact two-mode one of every measure or for n != 2 the Williamson test,
+    so the square root and the affinity of every state exist. Use
+    CovarianceMatrix directly to represent unphysical matrices.
     """
 
     mean: np.ndarray

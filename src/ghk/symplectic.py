@@ -11,8 +11,9 @@ Conventions used throughout the package:
 
 ``StandardForm``, its spectrum and the square-root standard form are float
 closed forms of ``ghk.forms``; this module re-exports them and adds the
-matrix routes: validation, spectra, Williamson and the reduction to
-standard form.
+matrix routes: validation, spectra, square roots, Williamson and the
+reduction to standard form. A two-mode matrix takes its spectrum and square
+root from the exact invariants of its one decision, with no LAPACK call.
 
 The two-mode reduction (``_reduce``) runs on Python floats and loads no
 numpy: a 4x4 matrix given as nested sequences, an array or a
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from operator import itemgetter, sub
+from operator import itemgetter, mul, sub
 
 from .errors import (
     ConsistencyError,
@@ -354,11 +355,12 @@ def _exactly_physical(entries: tuple[float, ...], tol: float) -> tuple | None:
     Delta = A + B +/- 2C (``_int_spectrum``), rho = sqrt(gc / gd) =
     2 sqrt(D AB) / (S + sqrt(S^2 - 4 D AB)) with S = AB - C^2 + D, since
     gc gd = D and (gd - gc)^2 AB = S^2 - 4 D AB, and h = (A - B)/(2 (b1 + b2)).
+    Last comes the ``_exact_determinants`` tuple that decided it.
     """
     exact = _exact_determinants(entries)
     if exact is None:
         return None
-    scale, (det_a, det_b, det_c, _, det_v) = exact
+    scale, _, (det_a, det_b, det_c, _, det_v) = exact
     num, den = (0.5 - tol).as_integer_ratio()
     # t^2 and Delta, both times (scale den)^2
     t2 = (num * scale) ** 2
@@ -378,14 +380,14 @@ def _exactly_physical(entries: tuple[float, ...], tol: float) -> tuple | None:
     h = hi * ((det_a - det_b) / max(det_a, det_b)) / (2.0 + 2.0 * (lo / hi))
     spectrum = _int_spectrum(delta, det_v, sq)
     pt = _int_spectrum(delta - 4 * det_c, det_v, sq)
-    return (a, ea), (b, eb), (spectrum, pt, (*spectrum, rho), h, "decided")
+    return (a, ea), (b, eb), (spectrum, pt, (*spectrum, rho), h, "decided"), exact
 
 
 def _exact_determinants(entries: tuple[float, ...]) -> tuple | None:
-    """(scale, ``_determinants`` of the ints) of the two-mode matrix of
-    ``entries`` scaled by their common power of two, ``scale``, into Python
-    ints, or None unless its leading minors a00, det A, the 3x3 minor and
-    det V are positive, which is positive definiteness (Sylvester)."""
+    """(scale, ints, ``_determinants`` of the ints) of the two-mode matrix of
+    ``entries`` scaled by their common power of two, ``scale``, into the
+    Python ``ints``, or None unless its leading minors a00, det A, the 3x3
+    minor and det V are positive, which is positive definiteness (Sylvester)."""
     ratios = [x.as_integer_ratio() for x in entries]
     scale = max(den for _, den in ratios)
     ints = [num * (scale // den) for num, den in ratios]
@@ -393,7 +395,7 @@ def _exact_determinants(entries: tuple[float, ...]) -> tuple | None:
     det_a, _, _, minor, det_v = dets
     if not (ints[0] > 0 and det_a > 0 and minor > 0 and det_v > 0):
         return None
-    return scale, dets
+    return scale, ints, dets
 
 
 def _quarter(num: int, den: int) -> tuple[float, int]:
@@ -426,7 +428,7 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     exact = _exact_determinants(_TWO_MODE_ENTRIES(cov.matrix.ravel().tolist()))
     if exact is None:
         raise NotPositiveDefiniteError("covariance matrix is not positive definite")
-    scale, (det_a, det_b, det_c, _, det_v) = exact
+    scale, _, (det_a, det_b, det_c, _, det_v) = exact
     return np.array(_int_spectrum(det_a + det_b + 2 * det_c, det_v, scale * scale))
 
 
@@ -436,10 +438,9 @@ def is_physical(V) -> bool:
     A two-mode matrix is decided once, by the reduction (``_reduce``), for
     every measure: positive definiteness and kappa2 >= 1/2 - phys_tol of
     the float matrix, proved by a float certificate or else decided
-    exactly. Any other matrix is decided on the Williamson spectrum, by the
-    test that ``square_root_cm`` applies, so an n-mode state is accepted
-    exactly when ``square_root_cm``, and with it ``affinity``, does not
-    reject it as unphysical.
+    exactly, which is the decision of ``square_root_cm``. Any other matrix
+    takes the Williamson test of ``_williamson_root``. So a state is
+    accepted exactly where ``square_root_cm`` does not reject it.
     """
     cov = as_covariance(V)
     try:
@@ -490,15 +491,49 @@ def williamson(V) -> tuple[np.ndarray, np.ndarray]:
 
 
 def square_root_cm(V) -> CovarianceMatrix:
-    """Covariance matrix of the normalized square root of the state.
+    """Covariance matrix of the normalized square root of the state, each
+    Williamson mode kappa taken to kappa + ``forms._radical``(kappa - 1/2):
+    ``_two_mode_root`` for two modes, else ``_williamson_root``. Either is
+    checked against V = (Vt - J Vt^-1 J / 4) / 2 (ConsistencyError)."""
+    cov = as_covariance(V)
+    return _two_mode_root(cov) if cov.n == 2 else _williamson_root(cov)
 
-    Performs a Williamson decomposition and reassembles with the spectrum
-    kappa_tilde = kappa + sqrt(kappa^2 - 1/4). The result is validated
-    against the identity V = (Vt - J Vt^-1 J / 4) / 2.
-    """
+
+def _two_mode_root(cov: CovarianceMatrix) -> CovarianceMatrix:
+    """Vt = a V + b W, W = V J V J V, on the decision and spectrum of
+    ``_exactly_physical`` (NotPhysicalError exactly where ``is_physical`` is
+    False), with no LAPACK call. README.md derives a, b and the sum
+    (a - b/4) V + b det V (W + V/4) / det V, which does not cancel."""
+    tol = active_profile().phys_tol
+    decided = _exactly_physical(_TWO_MODE_ENTRIES(cov.matrix.ravel().tolist()), tol)
+    if decided is None:
+        raise NotPhysicalError("covariance matrix is not a physical state")
+    ((k1, k2), *_), (scale, ints, (*_, det_v)) = decided[2:]
+    s1, s2 = (_radical(k - 0.5, tol) / k for k in (k1, k2))
+    out = cov
+    if s1:  # the coefficients b det V and a - b/4 = 1 + s1 + b (kappa1^2 - 1/4)
+        bd = -0.25 / (s1 + s2) if s2 else s1 * k1 / (k2 - k1) * k1 / (k1 + k2) * k2 * k2
+        a4 = 1.0 + s1 + bd * (s1 / k2) * (s1 / k2)
+        a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = ints
+        rows = [[a00, a01, c00, c01], [a01, a11, c10, c11]]
+        rows += [[c00, c10, b00, b01], [c01, c11, b01, b11]]
+        vj = [[-r[1], r[0], -r[3], r[2]] for r in rows]
+        vjv = [[sum(map(mul, r, c)) for c in zip(*rows)] for r in vj]
+        w = [[sum(map(mul, r, c)) for c in zip(*vjv)] for r in vj]
+        sq, den = scale * scale, 4 * det_v
+        out = CovarianceMatrix([
+            [a4 * v + bd * ((4 * x + sq * y) * scale / den) for v, x, y in zip(*row)]
+            for row in zip(cov.matrix.tolist(), w, rows)
+        ])
+    _check_sqrt_identity(cov.matrix, out.matrix)
+    return out
+
+
+def _williamson_root(cov: CovarianceMatrix) -> CovarianceMatrix:
+    """The square root of ``cov`` on its Williamson form, for n != 2 and for
+    the oracle, which must not read the two-mode route that it certifies."""
     import numpy as np
 
-    cov = as_covariance(V)
     tol = active_profile().phys_tol
     kappas, s = williamson(cov)
     if kappas[-1] < 0.5 - tol:
@@ -516,7 +551,11 @@ def _check_sqrt_identity(v: np.ndarray, vt: np.ndarray) -> None:
     import numpy as np
 
     j = symplectic_form(v.shape[0] // 2)
-    recovered = 0.5 * (vt - 0.25 * j @ np.linalg.inv(vt) @ j)
+    try:
+        inverse = np.linalg.inv(vt)
+    except np.linalg.LinAlgError:
+        raise ConsistencyError("square-root CM is singular") from None
+    recovered = 0.5 * (vt - 0.25 * j @ inverse @ j)
     err = np.max(np.abs(recovered - v)) / max(np.max(np.abs(v)), 1.0)
     if err > SQRT_IDENTITY_RTOL:
         raise ConsistencyError(
@@ -569,7 +608,7 @@ def _reduce(
         decided = _exactly_physical(entries, tol)
         if decided is None:
             raise NotPhysicalError("covariance matrix is not a physical state")
-        (det_a, ea), (det_b, eb), record = decided
+        (det_a, ea), (det_b, eb), record, _ = decided
     b1, n00, n01, n11 = _unit_root(a00, a01, a11, det_a, ea)
     b2, o00, o01, o11 = _unit_root(b00, b01, b11, det_b, eb)
     # M = adj(N1) C adj(N2)

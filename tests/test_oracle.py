@@ -25,6 +25,7 @@ from ghk import (
     symplectic_eigenvalues,
     verify_phi_zero,
 )
+import ghk.symplectic
 from ghk import oracle as oracle_module
 from ghk.oracle import _nelder_mead, _simplex_checkpoints
 
@@ -209,6 +210,26 @@ class TestOracleMaxAffinity:
         with pytest.raises(NotPositiveDefiniteError):
             oracle_max_affinity(np.diag([1.0, 1.0, 1.0, -1.0]))
 
+    def test_reads_no_two_mode_route_of_square_root_cm(self, monkeypatch):
+        # the oracle certifies square_root_cm, so it takes its root from
+        # Williamson: its values do not move when the two-mode route fails
+        rng = np.random.default_rng(20240817)  # criterion 2's forms
+        cms = [random_standard_form(rng).to_cm() for _ in range(3)]
+        expected = [oracle_max_affinity(cm, np.random.default_rng(99)) for cm in cms]
+
+        def refuse(cov):
+            raise AssertionError("the oracle read the two-mode square root")
+
+        monkeypatch.setattr(ghk.symplectic, "_two_mode_root", refuse)
+        fields = ("eta1", "eta2", "r1", "r2", "phi1", "phi2")
+        for cm, (value, params) in zip(cms, expected):
+            again, again_params = oracle_max_affinity(cm, np.random.default_rng(99))
+            assert again == value
+            for name in fields:
+                assert getattr(again_params, name) == getattr(params, name)
+        with pytest.raises(AssertionError, match="two-mode square root"):
+            square_root_cm(cms[0])
+
     def test_disagreeing_starts_raise(self, monkeypatch):
         # one simplex step and no polish leave the best two starts far apart
         monkeypatch.setattr(oracle_module, "_SIMPLEX_ITERS", 1)
@@ -228,8 +249,10 @@ class TestOracleMaxAffinity:
         cm = StandardForm(2.0, 1.5, 1.0, -0.5).to_cm()
         rng = np.random.default_rng(13)
         oracle_max_affinity(cm, rng)
-        # the box: eta in [1/2, 10 max(kt)], r in [-5, 5], phi in [-pi, pi]
-        eta_hi = 10.0 * max(symplectic_eigenvalues(square_root_cm(cm).matrix))
+        # the box: eta in [1/2, 10 max(kt)], r in [-5, 5], phi in [-pi, pi],
+        # kt of the oracle's own Williamson root
+        vt = ghk.symplectic._williamson_root(cm).matrix
+        eta_hi = 10.0 * max(symplectic_eigenvalues(vt))
         twin = np.random.default_rng(13)
         expected = []
         for _ in range(32):

@@ -15,6 +15,7 @@ import pytest
 import ghk.forms
 import ghk.symplectic
 from ghk import (
+    ConsistencyError,
     CovarianceMatrix,
     MtsParams,
     NotPhysicalError,
@@ -23,6 +24,7 @@ from ghk import (
     StandardForm,
     StsParams,
     active_profile,
+    affinity,
     classical_correlations,
     closest_product_state,
     correlation_report,
@@ -33,9 +35,11 @@ from ghk import (
     max_affinity,
     mts_standard_form,
     mutual_information,
+    random_physical_cm,
     random_standard_form,
     random_symplectic,
     simon_separable,
+    square_root_cm,
     standard_form,
     sts_standard_form,
     symplectic_eigenvalues,
@@ -43,6 +47,7 @@ from ghk import (
 from ghk.cli import _MEASURES, _sweep_row
 from ghk.errors import GhkError
 from ghk.sampling import random_local_frame
+from ghk.states import GaussianState
 from ghk.tolerances import ENV_VAR, PROFILES
 
 
@@ -500,6 +505,16 @@ class TestHotPath:
         symplectic_eigenvalues(np.eye(6))
         assert linalg_calls == {"cholesky": 1, "eigvals": 0, "eigh": 1}
 
+    def test_square_root_cm(self, linalg_calls):
+        # a two-mode root is built on the exact invariants; any other mode
+        # count on Williamson's decomposition
+        rng = np.random.default_rng(15)
+        for _ in range(8):
+            square_root_cm(in_frame(random_standard_form(rng), random_local_frame(rng)))
+        assert linalg_calls == NO_CALLS
+        square_root_cm(np.eye(6))
+        assert linalg_calls == {"cholesky": 1, "eigvals": 0, "eigh": 1}
+
 
 def near_boundary_matrices() -> list[np.ndarray]:
     """Matrices at and around kappa2 = 1/2 where the float certificate and
@@ -714,7 +729,7 @@ class TestExactDecision:
         tol = active_profile().phys_tol
         for scale in (1e160, 1e200, 1e300):
             m = scale * np.eye(4)
-            (a, ea), _, record = ghk.symplectic._exactly_physical(entries_of(m), tol)
+            (a, ea), _, record, _ = ghk.symplectic._exactly_physical(entries_of(m), tol)
             assert math.ldexp(math.sqrt(a), ea) == scale
             assert record[0] == (scale, scale)
             assert is_physical(m)
@@ -866,3 +881,85 @@ class TestSymplecticEigenvalues:
         for m in POOLS[pool]():
             if is_physical(m):
                 assert symplectic_eigenvalues(m)[1] >= floor
+
+
+def reference_root(matrix, ref: dict) -> mpmath.matrix:
+    """The square-root CM of the float two-mode ``matrix`` in mpmath, from
+    the spectrum of its ``reference_fields`` ``ref``: alpha V + beta V J V J V
+    maps the Williamson mode kappa_j to (alpha - beta kappa_j^2) kappa_j, so
+    alpha - beta kappa_j^2 = 1 + s_j, s_j = sqrt(1 - 1/(4 kappa_j^2)) or 0
+    within phys_tol of 1/2 (the report's pure-mode cut), for j = 1, 2. At
+    kappa1 = kappa2, V J V J V = -kappa^2 V and beta = 0 solves both."""
+    tol = active_profile().phys_tol
+    k1, k2 = ref["spectrum"]
+    s1, s2 = (mpmath.sqrt(1 - 1 / (4 * k * k)) if k - 0.5 >= tol else 0 for k in (k1, k2))
+    beta = (s2 - s1) / (k1 * k1 - k2 * k2) if k1 != k2 else 0
+    alpha = 1 + s1 + beta * k1 * k1
+    v = mpmath.matrix(np.asarray(matrix, dtype=float).tolist())
+    j = mpmath.matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    return alpha * v + beta * (v * j * v * j * v)
+
+
+class TestSquareRootCm:
+    """A two-mode square root takes the decision of is_physical and is built
+    on the exact invariants of that decision."""
+
+    # roots that pass the identity check on the three pools: no fewer than
+    # the Williamson route's 217 and 115
+    IDENTITY_PASSES = {"default": 217, "strict": 115}
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_two_mode_decision_is_that_of_square_root_cm(self, monkeypatch, profile):
+        # an accepted two-mode state has a square root and an affinity
+        monkeypatch.setenv(ENV_VAR, profile)
+        plain, _ = decision_cases()
+        pools = near_boundary_matrices() + framed_tmsv_grid() + framed_sts_9_25()
+        outcomes = []
+        for m in plain + pools:
+            try:
+                square_root_cm(m)
+                outcomes.append("root")
+            except NotPhysicalError:
+                outcomes.append("unphysical")
+            except ConsistencyError:  # its identity check, after the decision
+                outcomes.append("inconsistent")
+            assert is_physical(m) == (outcomes[-1] != "unphysical")
+            if outcomes[-1] != "unphysical":
+                state = GaussianState(np.zeros(4), m)
+                try:
+                    affinity(state, state)
+                except ConsistencyError:
+                    pass
+        passes = outcomes[len(plain):].count("root")
+        assert passes >= self.IDENTITY_PASSES[profile]
+
+    @staticmethod
+    def root_error(matrix, ref: dict) -> float:
+        """The largest entry error of ``square_root_cm``, relative to the
+        largest entry of ``reference_root``."""
+        exact = reference_root(matrix, ref)
+        got = square_root_cm(matrix).matrix
+        pairs = [(got[i, j], exact[i, j]) for i in range(4) for j in range(4)]
+        return float(max(abs(x - y) for x, y in pairs) / max(abs(y) for _, y in pairs))
+
+    BOUNDS = {"framed_sts_9_25": 1e-15, "framed_tmsv_grid": 1e-11}
+
+    @pytest.mark.parametrize("pool", sorted(BOUNDS))
+    def test_against_the_reference(self, monkeypatch, pool):
+        # Vt^-1 in floats cannot satisfy the identity check at these
+        # conditionings, so the root is read without it
+        monkeypatch.setattr(ghk.symplectic, "_check_sqrt_identity", lambda v, vt: None)
+        checked = 0
+        with mpmath.workdps(80):
+            for m, ref in zip(POOLS[pool](), pool_references(pool)):
+                if is_physical(m):
+                    checked += 1
+                    assert self.root_error(m, ref) <= self.BOUNDS[pool]
+        assert checked >= 140
+
+    def test_random_states_against_the_reference(self):
+        rng = np.random.default_rng(17)
+        with mpmath.workdps(80):
+            for _ in range(40):
+                m = random_physical_cm(2, rng).matrix
+                assert self.root_error(m, reference_fields(m)) <= 1e-14

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghk.symplectic
 from ghk import (
     ConsistencyError,
     CovarianceMatrix,
@@ -267,6 +268,23 @@ class TestSquareRootCm:
     def test_rejects_unphysical(self):
         with pytest.raises(NotPhysicalError):
             square_root_cm(0.4 * np.eye(2))
+
+    def test_a_pure_mode_maps_to_itself(self):
+        # kappa2 = 1/2 is cut to a pure mode, kappa1 = 5/2 is not
+        framed = random_local_frame(np.random.default_rng(3))
+        for s in (np.eye(4), framed):
+            v = s @ np.diag([2.5, 2.5, 0.5, 0.5]) @ s.T
+            expected = s @ np.diag([2.5 + math.sqrt(6.0)] * 2 + [0.5] * 2) @ s.T
+            np.testing.assert_allclose(
+                square_root_cm(0.5 * (v + v.T)).matrix, expected, rtol=0, atol=5e-14
+            )
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_singular_root_fails_the_identity_check(self, n):
+        vt = np.eye(2 * n)
+        vt[-1, -1] = 0.0
+        with pytest.raises(ConsistencyError, match="singular"):
+            ghk.symplectic._check_sqrt_identity(0.5 * np.eye(2 * n), vt)
 
 
 class TestStandardForm:
