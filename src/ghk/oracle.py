@@ -35,18 +35,25 @@ from .symplectic import _williamson_root, as_covariance, symplectic_eigenvalues
 _ETA_EPS = 1e-12  # offset in the log transform keeping eta above 1/2
 # The search: 32 starts per state, each drawn from the box
 # eta in [1/2, 10 max(kt1, kt2)] (which contains the closed-form optimum of
-# every family in scope) x r in [-5, 5] x phi in [-pi, pi]. The starts run
-# simplex iterations, which only have to bring them into their basins, in
-# runs of _SIMPLEX_CHECKPOINT up to _SIMPLEX_ITERS. After each run a copy of
-# every start's best vertex takes at most 30 Newton steps; the polish stops
-# a start once its step is below _XTOL in every coordinate of its chart or
-# raises the log of the affinity by less than _FTOL. The search ends at the
-# first checkpoint where the two best polished starts agree to 10 _FTOL, and
-# raises if they still disagree after _SIMPLEX_ITERS iterations.
+# every family in scope) x r in [-5, 5] x phi in [-pi, pi]. Each start's
+# simplex has one vertex _SIMPLEX_STEPS away from it along each coordinate
+# (t1, t2, r1, r2, phi1, phi2): in r and phi 7.5% and 24% of the box's
+# width, wide enough that the simplex spans a basin from its first
+# iteration instead of spending its first iterations growing. The starts
+# run simplex iterations, which only have to bring them into their basins,
+# in runs of _SIMPLEX_CHECKPOINT up to _SIMPLEX_ITERS. After each run a copy
+# of every start's best vertex takes at most 30 Newton steps; the polish
+# stops a start once its step is below _XTOL in every coordinate of its
+# chart or raises the log of the affinity by less than _FTOL. The search
+# ends at the first checkpoint where the two best polished starts agree to
+# 10 _FTOL, and raises if they still disagree after _SIMPLEX_ITERS
+# iterations. Smaller steps, or an earlier first checkpoint, cost a second
+# polish more often than they save simplex iterations.
 _STARTS = 32
 _R_BOUNDS = (-5.0, 5.0)
 _PHI_BOUNDS = (-math.pi, math.pi)
-_SIMPLEX_CHECKPOINT = 20
+_SIMPLEX_STEPS = (2.1, 2.1, 0.75, 0.75, 1.5, 1.5)
+_SIMPLEX_CHECKPOINT = 15
 _SIMPLEX_ITERS = 60
 _NEWTON_ITERS = 30
 _XTOL = 1e-8
@@ -89,7 +96,7 @@ def det4(m) -> float:
 
 
 def _make_negative_affinity(vt_in: np.ndarray, quarter_root: float):
-    """Batched -affinity(input, product(x)), row by row, given det4(vt_in) ** 0.25.
+    """Batched -affinity(input, product(x)), row by row, given det(vt_in) ** 0.25.
 
     Each row x = (t1, t2, r1, r2, phi1, phi2) has eta_j = 1/2 - eps +
     exp(t_j), the square-root-state eigenvalues of the candidate product.
@@ -350,7 +357,7 @@ def oracle_max_affinity(
     product state's square root; eta is optimized through
     t = log(eta - 1/2 + eps), so no phase can propose an unphysical value.
     Draws all 32 starts from the search box first, then runs 32 simplex
-    searches from them in lockstep, 20 iterations at a time. After each
+    searches from them in lockstep, 15 iterations at a time. After each
     run it polishes a copy of the best vertex of every simplex by Newton
     steps on the analytic derivatives of the Gaussian integral and keeps
     the best start once the two best polished starts agree to 1e-9;
@@ -367,8 +374,8 @@ def oracle_max_affinity(
     """
     rng = rng or np.random.default_rng(0)
     vt_in = _williamson_root(as_covariance(V)).matrix
-    eta_hi = 10.0 * float(np.max(symplectic_eigenvalues(vt_in)))
-    steps = [0.7, 0.7, 0.25, 0.25, 0.5, 0.5]
+    kt1, kt2 = symplectic_eigenvalues(vt_in).tolist()
+    eta_hi = 10.0 * kt1
     # one draw, row by row: (eta1, eta2, r1, r2, phi1, phi2) per start; the
     # etas' logs by math.log, which np.log does not match in every last bit
     low, high = zip(
@@ -381,9 +388,11 @@ def oracle_max_affinity(
         *range(_SIMPLEX_CHECKPOINT, _SIMPLEX_ITERS, _SIMPLEX_CHECKPOINT),
         _SIMPLEX_ITERS,
     ]
-    quarter_root = det4(vt_in) ** 0.25
+    # det(Vt)^(1/4) = sqrt(kt1 kt2): the cofactor expansion det4 can cancel
+    # to the wrong sign on an ill-conditioned root
+    quarter_root = math.sqrt(kt1 * kt2)
     search = _simplex_checkpoints(
-        _make_negative_affinity(vt_in, quarter_root), x0, steps, checkpoints
+        _make_negative_affinity(vt_in, quarter_root), x0, _SIMPLEX_STEPS, checkpoints
     )
     terms = _make_log_affinity_terms(vt_in)
     scale = 4.0 * quarter_root

@@ -272,7 +272,7 @@ class TestOracleMaxAffinity:
                 sts_standard_form(StsParams(0.5, 1.5, 0.9)).to_cm(), 8, 1, id="sts"
             ),
             pytest.param(
-                mts_standard_form(MtsParams(2.0, 0.7, 1.1)).to_cm(), 9, 2, id="mts"
+                mts_standard_form(MtsParams(2.0, 0.7, 1.1)).to_cm(), 19, 2, id="mts"
             ),
         ],
     )
@@ -314,6 +314,23 @@ class TestOracleMaxAffinity:
             [whole_params.eta1, whole_params.eta2, whole_params.r1, whole_params.r2],
             abs=1e-6,
         )
+
+    def test_most_states_exit_at_the_first_checkpoint(self, monkeypatch):
+        # criterion 2's first 100 states with its generators: simplex steps
+        # sized to the search box let nearly every state stop after one polish
+        polishes = []
+        polish = oracle_module._newton_polish
+
+        def recording_polish(*args):
+            polishes[-1] += 1
+            return polish(*args)
+
+        monkeypatch.setattr(oracle_module, "_newton_polish", recording_polish)
+        forms, rng = np.random.default_rng(20240817), np.random.default_rng(99)
+        for _ in range(100):
+            polishes.append(0)
+            oracle_max_affinity(random_standard_form(forms).to_cm(), rng)
+        assert polishes.count(1) >= 94
 
     def test_deterministic_given_rng(self):
         cm = sts_standard_form(StsParams(1.0, 2.0, 0.7)).to_cm()
