@@ -9,10 +9,11 @@ check:
     integral with no spectral decomposition. It runs in two phases, both
     batched over the starts: a short simplex phase that brings each start
     into its basin, then a Newton polish on the analytic gradient and
-    Hessian of the log of that integral, which stops on stationarity. The
-    simplex phase pauses at fixed checkpoints; at each, copies of the best
-    vertices are polished, and the search ends at the first checkpoint
-    where the two best polished starts agree;
+    Hessian of the log of that integral, taken in the entries of the
+    candidate's blocks and computed only for the starts that go on, which
+    stops on stationarity. The simplex phase pauses at fixed checkpoints;
+    at each, copies of the best vertices are polished, and the search ends
+    at the first checkpoint where the two best polished starts agree;
   * truncated photon-number sums for diagonal (thermal) states, with the
     geometric tail certified below a fixed bound before any comparison
     is accepted.
@@ -245,6 +246,56 @@ def _nelder_mead(fn, x0, steps, max_iters):
     return next(_simplex_checkpoints(fn, x0, steps, [max_iters]))
 
 
+# The six entries e of M's two diagonal 2x2 blocks, in the layout of the
+# chart: index 2 kind + mode, kinds (x00, x01, x11). Entry I sits at
+# (p_I, q_I) of M, and at (q_I, p_I) too off the diagonal (m_I = 2).
+_ENTRY_P = np.array([0, 2, 0, 2, 1, 3])
+_ENTRY_Q = np.array([0, 2, 1, 3, 1, 3])
+_ENTRY_M = np.array([1.0, 1.0, 2.0, 2.0, 1.0, 1.0])
+_ENTRY_AT = 4 * _ENTRY_P + _ENTRY_Q  # flat index of (p_I, q_I)
+# -d2 log det M / de_I de_J = (m_I m_J / 2)(Z[p_I, p_J] Z[q_I, q_J] +
+# Z[p_I, q_J] Z[q_I, p_J]) with Z = M^-1: the four factors' flat indices
+_PAIR_AT = np.array([
+    4 * _ENTRY_P[:, None] + _ENTRY_P,
+    4 * _ENTRY_Q[:, None] + _ENTRY_Q,
+    4 * _ENTRY_P[:, None] + _ENTRY_Q,
+    4 * _ENTRY_Q[:, None] + _ENTRY_P,
+])
+_PAIR_WEIGHT = 0.5 * np.outer(_ENTRY_M, _ENTRY_M)
+
+
+def _placement(size: int, cells) -> np.ndarray:
+    """0/1 matrix whose product with a row of values puts value k at
+    cells[k] (flat indices, one or several per value) of a row of size
+    ``size``: one exact term per cell, so the values are placed bit for bit."""
+    place = np.zeros((len(cells), size))
+    for k, at in enumerate(cells):
+        place[k, at] = 1.0
+    return place
+
+
+# M, flat, is e @ _ENTRY_PLACE + Vt_in
+_ENTRY_PLACE = _placement(
+    16, [[4 * p + q, 4 * q + p] for p, q in zip(_ENTRY_P, _ENTRY_Q)]
+)
+# de/dx, flat (6, 6), from its 16 entries that are not identically zero:
+# those along t, u and v in turn, each in kind-then-mode order (d x01 / du
+# = 0 is left out)
+_CHART_PLACE = _placement(36, [
+    6 * (2 * kind + mode) + 2 * along + mode
+    for along, kinds in enumerate(((0, 1, 2), (0, 2), (0, 1, 2)))
+    for kind in kinds
+    for mode in range(2)
+])
+# the symmetric (6, 6) Hessian from its entries (x_a, x_b) of one mode, a <=
+# b in (t, u, v), ordered (tt, tu, tv, uu, uv, vv) and then by mode
+_CURVATURE_PLACE = _placement(36, [
+    [6 * (2 * a + mode) + 2 * b + mode, 6 * (2 * b + mode) + 2 * a + mode]
+    for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    for mode in range(2)
+])
+
+
 def _make_log_affinity_terms(vt_in: np.ndarray):
     """Batched g = log(affinity / (4 det(Vt_in)^(1/4))) with its derivatives.
 
@@ -253,97 +304,132 @@ def _make_log_affinity_terms(vt_in: np.ndarray):
     mode j of the candidate's square root is the block
     P_j = eta_j [[w_j + u_j, v_j], [v_j, w_j - u_j]], w = sqrt(1 + u^2 + v^2),
     with no phi degeneracy at r = 0. Then
-    g = (log eta1 + log eta2)/2 - log det M / 2 with M = Vt_in + P, and
-    d log det M = tr(M^-1 dM) gives the gradient; the Hessian is
-    tr(M^-1 d2M) - tr(M^-1 dM M^-1 dM). The second derivatives of each
-    block are multiples of its first derivatives or of the identity, so
-    tr(M^-1 d2M) follows from the first-derivative traces and tr(M^-1)_jj.
+    g = (log eta1 + log eta2)/2 - log det M / 2 with M = Vt_in + P.
+
+    log det M is differentiated in the six entries e of P's blocks, in the
+    layout of x (``_ENTRY_P``, ``_ENTRY_Q``): with Z = M^-1, symmetrized, its
+    gradient is m_I Z[p_I, q_I] and its Hessian -Q (``_PAIR_AT``). With the
+    chart's Jacobian J = de/dx, the gradient of g takes
+    tr(M^-1 dM) = grad_e J and its Hessian tr(M^-1 dM M^-1 dM) = J^T Q J
+    and tr(M^-1 d2M). The second derivatives of each block are multiples
+    of its first derivatives or of the identity, so tr(M^-1 d2M) follows
+    from the first-derivative traces and Z's diagonal.
 
     ``terms(x)`` maps an (n, 6) array to g (n,), the gradient (n, 6) and
-    the Hessian (n, 6, 6). A row that overflows, as on a diverging Newton
-    step, reads NaN.
+    the Hessian (n, 6, 6). ``terms.value(x)`` returns g alone with a state,
+    a tuple of arrays with one row per row of x (M among them), from which
+    ``terms.derivatives(state)`` returns the gradient and Hessian; indexing
+    every array of a state selects its rows. A row that overflows, as on a
+    diverging Newton step, reads NaN.
     """
     eta0 = 0.5 - _ETA_EPS
-    mode = np.arange(2)
-    rows, cols = 2 * mode, 2 * mode + 1  # the (x, p) entries of each mode
-    tu, tv = mode + 2, mode + 4  # the u and v columns of x
+    vt_flat = vt_in.ravel()
+    diag = np.array([[0, 10], [5, 15]])  # Z[2j, 2j] and Z[2j+1, 2j+1], flat
 
     @np.errstate(all="ignore")
-    def terms(x: np.ndarray):
-        n = len(x)
+    def value(x: np.ndarray):
         t, u, v = x[:, :2], x[:, 2:4], x[:, 4:]
         et = np.exp(t)
         eta = eta0 + et
         w = np.sqrt(1.0 + u * u + v * v)
-        m = np.repeat(vt_in[None], n, axis=0)
-        m[:, rows, rows] += eta * (w + u)
-        m[:, rows, cols] += eta * v
-        m[:, cols, rows] += eta * v
-        m[:, cols, cols] += eta * (w - u)
+        entries = np.concatenate((eta * (w + u), eta * v, eta * (w - u)), axis=1)
+        m = (entries @ _ENTRY_PLACE + vt_flat).reshape(-1, 4, 4)
         g = 0.5 * (np.log(eta).sum(axis=1) - np.linalg.slogdet(m)[1])
-        # dM along t_j, u_j, v_j: one 2x2 block each, in the layout of x
-        dm = np.zeros((n, 6, 4, 4))
-        for kind, (d00, d01, d11) in enumerate((
-            (et * (w + u), et * v, et * (w - u)),
-            (eta * (u / w + 1.0), 0.0, eta * (u / w - 1.0)),
-            (eta * v / w, eta, eta * v / w),
-        )):
-            k = 2 * kind + mode
-            dm[:, k, rows, rows] = d00
-            dm[:, k, rows, cols] = dm[:, k, cols, rows] = d01
-            dm[:, k, cols, cols] = d11
-        inv = np.linalg.inv(m)
-        y = inv[:, None] @ dm
-        tr = np.einsum("nijj->ni", y)
+        return g, (x, et, eta, w, m)
+
+    @np.errstate(all="ignore")
+    def derivatives(state):
+        x, et, eta, w, m = state
+        u, v = x[:, 2:4], x[:, 4:]
+        z = np.linalg.inv(m)
+        z = (0.5 * (z + z.transpose(0, 2, 1))).reshape(-1, 16)
+        pairs = z[:, _PAIR_AT]
+        q = _PAIR_WEIGHT * (pairs[:, 0] * pairs[:, 1] + pairs[:, 2] * pairs[:, 3])
+        uw, vw = u / w, eta * v / w
+        jac = np.concatenate(
+            (et * (w + u), et * v, et * (w - u),
+             eta * (uw + 1.0), eta * (uw - 1.0),
+             vw, eta, vw),
+            axis=1,
+        ) @ _CHART_PLACE
+        jac = jac.reshape(-1, 6, 6)
+        tr = ((_ENTRY_M * z[:, _ENTRY_AT])[:, None] @ jac)[:, 0]
         # tr(M^-1 d2M): d2/dt2 and d2/dt d(u, v) repeat the first-derivative
-        # blocks scaled by 1 and exp(t)/eta; d2/d(u, v)2 is eta d2w times I
+        # blocks scaled by 1 and exp(t)/eta; d2/d(u, v)2 is eta d2w times I.
+        # On the (t, t) diagonal it takes d2 log eta / dt2 = ratio eta0 / eta
+        # with the opposite sign, as g = (log eta - log det M) / 2.
         ratio = et / eta
-        second = np.zeros((n, 6, 6))
-        second[:, mode, mode] = tr[:, mode]
-        second[:, mode, tu] = second[:, tu, mode] = ratio * tr[:, tu]
-        second[:, mode, tv] = second[:, tv, mode] = ratio * tr[:, tv]
-        scale = eta * (inv[:, rows, rows] + inv[:, cols, cols]) / (w * w * w)
-        second[:, tu, tu] = scale * (1.0 + v * v)
-        second[:, tu, tv] = second[:, tv, tu] = -scale * u * v
-        second[:, tv, tv] = scale * (1.0 + u * u)
-        hess = 0.5 * (np.einsum("nipq,nkqp->nik", y, y) - second)
-        hess[:, mode, mode] += 0.5 * ratio * eta0 / eta
+        scale = eta * z[:, diag].sum(axis=1) / (w * w * w)
+        second = np.concatenate(
+            (tr[:, :2] - ratio * eta0 / eta, ratio * tr[:, 2:4], ratio * tr[:, 4:],
+             scale * (1.0 + v * v), -scale * u * v, scale * (1.0 + u * u)),
+            axis=1,
+        ) @ _CURVATURE_PLACE
+        hess = 0.5 * (jac.transpose(0, 2, 1) @ q @ jac - second.reshape(-1, 6, 6))
         grad = -0.5 * tr
         grad[:, :2] += 0.5 * ratio
-        return g, grad, hess
+        return grad, hess
 
+    def terms(x: np.ndarray):
+        g, state = value(x)
+        return (g, *derivatives(state))
+
+    terms.value, terms.derivatives = value, derivatives
     return terms
+
+
+def _newton_steps(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """The Newton step -H^-1 grad of every lane; NaN, a step that is then
+    rejected, on a lane whose Hessian is singular."""
+    rhs = -grad[..., None]
+    try:
+        return np.linalg.solve(hess, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.full(grad.shape, np.nan)
+        for lane in range(len(grad)):
+            try:
+                steps[lane] = np.linalg.solve(
+                    hess[lane : lane + 1], rhs[lane : lane + 1]
+                )[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return steps
 
 
 def _newton_polish(terms, x, max_iters: int, xtol: float, ftol: float):
     """Maximize g from every row of x by Newton steps run in lockstep.
 
-    ``terms`` is a function made by ``_make_log_affinity_terms``. A lane
-    takes the step -H^-1 grad only where g does not decrease, and stops once
-    a step is rejected, once every coordinate of its step is below xtol, or
-    once an accepted step raises g by less than ftol. The last rule ends
-    lanes whose optimum lies on the eta = 1/2 boundary: there t runs to
-    -infinity and each step gains only a fixed fraction of what is left.
-    Returns (g, x, iterations run).
+    ``terms`` is made by ``_make_log_affinity_terms``; the polish reads only
+    its ``value`` and ``derivatives``. A lane takes the step -H^-1 grad
+    only where g does not decrease, and stops once a step is rejected, once
+    every coordinate of its step is below xtol, or once an accepted step
+    raises g by less than ftol. The last rule ends lanes whose optimum lies
+    on the eta = 1/2 boundary: there t runs to -infinity and each step
+    gains only a fixed fraction of what is left. A lane whose Hessian is
+    singular, as where exp(t) underflows to 0 on that boundary, stops where
+    it is, as on a rejected step. A trial point costs only g: the gradient and Hessian
+    are computed for the lanes that go on, so the last trial of every lane
+    costs none. Returns (g, x, iterations run).
     """
     x = x.copy()
-    g, grad, hess = terms(x)
+    g, state = terms.value(x)
     best_g, best_x = g.copy(), x.copy()
     lanes = np.arange(len(x))
     iterations = 0
     while lanes.size and iterations < max_iters:
         iterations += 1
-        step = np.linalg.solve(hess, -grad[..., None])[..., 0]
+        step = _newton_steps(*terms.derivatives(state))
         trial = x + step
-        g_trial, grad_trial, hess_trial = terms(trial)
+        g_trial, state = terms.value(trial)
         gain = g_trial - g
-        accept = gain >= 0.0  # False for NaN, as on a diverging step
+        accept = gain >= 0.0  # False for NaN, as on a diverging or NaN step
         x[accept], g[accept] = trial[accept], g_trial[accept]
-        grad[accept], hess[accept] = grad_trial[accept], hess_trial[accept]
         done = ~accept | (np.abs(step).max(axis=1) < xtol) | (gain < ftol)
         best_x[lanes[done]], best_g[lanes[done]] = x[done], g[done]
+        # every lane that goes on took its step: its state is the trial's
         go = ~done
-        lanes, x, g, grad, hess = lanes[go], x[go], g[go], grad[go], hess[go]
+        lanes, x, g = lanes[go], x[go], g[go]
+        state = tuple(a[go] for a in state)
     best_x[lanes], best_g[lanes] = x, g
     return best_g, best_x, iterations
 

@@ -1,6 +1,7 @@
 """Brute-force product-state search and photon-number oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ghk import (
     fock_affinity_diagonal,
     fock_thermal_spectrum,
     fock_trace_distance_diagonal,
+    is_physical,
     max_affinity,
     mts_standard_form,
     oracle_max_affinity,
@@ -27,7 +29,10 @@ from ghk import (
 )
 import ghk.symplectic
 from ghk import oracle as oracle_module
-from ghk.oracle import _nelder_mead, _simplex_checkpoints
+from ghk.errors import GhkError
+from ghk.oracle import _nelder_mead, _newton_polish, _simplex_checkpoints
+from ghk.symplectic import _williamson_root, as_covariance
+from test_report import framed_tmsv_grid, near_boundary_matrices
 
 
 def tmsv_form(r):
@@ -346,6 +351,113 @@ def random_lanes(rng, n):
     )
 
 
+def tensor_terms(vt_in, x):
+    """Reference: g, gradient and Hessian of the polish's objective from the
+    (n, 6, 4, 4) tensor of derivative blocks dM, with tr(M^-1 dM) and
+    tr(M^-1 dM M^-1 dM) taken matrix by matrix."""
+    eta0 = 0.5 - oracle_module._ETA_EPS
+    mode = np.arange(2)
+    rows, cols = 2 * mode, 2 * mode + 1
+    tu, tv = mode + 2, mode + 4
+    with np.errstate(all="ignore"):
+        n = len(x)
+        t, u, v = x[:, :2], x[:, 2:4], x[:, 4:]
+        et = np.exp(t)
+        eta = eta0 + et
+        w = np.sqrt(1.0 + u * u + v * v)
+        m = np.repeat(vt_in[None], n, axis=0)
+        m[:, rows, rows] += eta * (w + u)
+        m[:, rows, cols] += eta * v
+        m[:, cols, rows] += eta * v
+        m[:, cols, cols] += eta * (w - u)
+        g = 0.5 * (np.log(eta).sum(axis=1) - np.linalg.slogdet(m)[1])
+        dm = np.zeros((n, 6, 4, 4))
+        for kind, (d00, d01, d11) in enumerate((
+            (et * (w + u), et * v, et * (w - u)),
+            (eta * (u / w + 1.0), 0.0, eta * (u / w - 1.0)),
+            (eta * v / w, eta, eta * v / w),
+        )):
+            k = 2 * kind + mode
+            dm[:, k, rows, rows] = d00
+            dm[:, k, rows, cols] = dm[:, k, cols, rows] = d01
+            dm[:, k, cols, cols] = d11
+        inv = np.linalg.inv(m)
+        y = inv[:, None] @ dm
+        tr = np.einsum("nijj->ni", y)
+        ratio = et / eta
+        second = np.zeros((n, 6, 6))
+        second[:, mode, mode] = tr[:, mode]
+        second[:, mode, tu] = second[:, tu, mode] = ratio * tr[:, tu]
+        second[:, mode, tv] = second[:, tv, mode] = ratio * tr[:, tv]
+        scale = eta * (inv[:, rows, rows] + inv[:, cols, cols]) / (w * w * w)
+        second[:, tu, tu] = scale * (1.0 + v * v)
+        second[:, tu, tv] = second[:, tv, tu] = -scale * u * v
+        second[:, tv, tv] = scale * (1.0 + u * u)
+        hess = 0.5 * (np.einsum("nipq,nkqp->nik", y, y) - second)
+        hess[:, mode, mode] += 0.5 * ratio * eta0 / eta
+        grad = -0.5 * tr
+        grad[:, :2] += 0.5 * ratio
+    return g, grad, hess
+
+
+def reference_polish(terms, x, max_iters, xtol, ftol):
+    """Reference: the Newton polish evaluating g, gradient and Hessian at
+    every trial point of every lane."""
+    x = x.copy()
+    g, grad, hess = terms(x)
+    best_g, best_x = g.copy(), x.copy()
+    lanes = np.arange(len(x))
+    iterations = 0
+    while lanes.size and iterations < max_iters:
+        iterations += 1
+        step = np.linalg.solve(hess, -grad[..., None])[..., 0]
+        trial = x + step
+        g_trial, grad_trial, hess_trial = terms(trial)
+        gain = g_trial - g
+        accept = gain >= 0.0
+        x[accept], g[accept] = trial[accept], g_trial[accept]
+        grad[accept], hess[accept] = grad_trial[accept], hess_trial[accept]
+        done = ~accept | (np.abs(step).max(axis=1) < xtol) | (gain < ftol)
+        best_x[lanes[done]], best_g[lanes[done]] = x[done], g[done]
+        go = ~done
+        lanes, x, g = lanes[go], x[go], g[go]
+        grad, hess = grad[go], hess[go]
+    best_x[lanes], best_g[lanes] = x, g
+    return best_g, best_x, iterations
+
+
+def pool_roots():
+    """Williamson roots, ill-conditioned, of the accepted pool matrices
+    that the oracle can root."""
+    roots = []
+    for m in near_boundary_matrices() + framed_tmsv_grid():
+        if is_physical(m):
+            try:
+                roots.append(_williamson_root(as_covariance(m)).matrix)
+            except GhkError:
+                continue
+    return roots
+
+
+def quartic_terms(singular_at):
+    """Stub terms: g = -sum(d^2 + d^4) with d = x - 0.3, whose Hessian has a
+    zero first row and column on the lanes with x[0] == singular_at."""
+
+    def value(x):
+        d = x - 0.3
+        return -(d * d + d**4).sum(axis=1), (x,)
+
+    def derivatives(state):
+        (x,) = state
+        d = x - 0.3
+        hess = np.zeros(x.shape + (6,))
+        hess[:, range(6), range(6)] = -2.0 - 12.0 * d * d
+        hess[x[:, 0] == singular_at, 0, 0] = 0.0
+        return -2.0 * d - 4.0 * d**3, hess
+
+    return SimpleNamespace(value=value, derivatives=derivatives)
+
+
 class TestNewtonPolish:
     def test_derivatives_match_central_differences(self):
         rng = np.random.default_rng(21)
@@ -375,6 +487,67 @@ class TestNewtonPolish:
                 error = np.abs(fd - exact).reshape(len(x), -1).max(axis=1)
                 scale = np.abs(exact).reshape(len(x), -1).max(axis=1)
                 assert np.all(error <= 1e-6 * scale)
+
+    def test_entry_derivatives_match_the_tensor_reference(self):
+        rng = np.random.default_rng(23)
+        roots = [
+            square_root_cm(random_standard_form(rng).to_cm()).matrix
+            for _ in range(20)
+        ]
+        for vt in roots + pool_roots():
+            x = random_lanes(rng, 8)
+            g, grad, hess = oracle_module._make_log_affinity_terms(vt)(x)
+            ref_g, ref_grad, ref_hess = tensor_terms(vt, x)
+            assert g.tolist() == ref_g.tolist()
+            for new, ref in ((grad, ref_grad), (hess, ref_hess)):
+                error = np.abs(new - ref).reshape(len(x), -1).max(axis=1)
+                scale = np.abs(ref).reshape(len(x), -1).max(axis=1)
+                assert np.all(error <= 1e-12 * scale)
+
+    def test_polish_matches_a_loop_on_full_terms(self, monkeypatch):
+        # derivatives only for the lanes that go on change no lane's path
+        polished = []
+
+        def checked(terms, x, *args):
+            out = _newton_polish(terms, x, *args)
+            ref = reference_polish(terms, x, *args)
+            assert out[0].tolist() == ref[0].tolist()
+            assert out[1].tolist() == ref[1].tolist()
+            assert out[2] == ref[2]
+            polished.append(out[2])
+            return out
+
+        monkeypatch.setattr(oracle_module, "_newton_polish", checked)
+        forms, rng = np.random.default_rng(20240817), np.random.default_rng(99)
+        for _ in range(20):
+            oracle_max_affinity(random_standard_form(forms).to_cm(), rng)
+        assert len(polished) >= 20 and max(polished) > 3
+        polished.clear()
+        rng = np.random.default_rng(1)
+        for m in framed_tmsv_grid()[::25]:
+            try:
+                oracle_max_affinity(m, rng)
+            except GhkError:
+                continue
+        assert polished
+
+    def test_a_singular_hessian_ends_its_lane_where_it_is(self):
+        terms = quartic_terms(singular_at=7.0)
+        x = np.array([
+            [1.0, -0.5, 2.0, 0.0, 0.7, -1.2],
+            [7.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+            [-1.0, 0.9, 0.1, 1.5, -0.4, 0.3],
+        ])
+        g, best, iterations = _newton_polish(terms, x, 30, 1e-8, 1e-10)
+        assert best[1].tolist() == x[1].tolist()
+        assert g[1] == terms.value(x[1:2])[0][0]
+        others = [0, 2]
+        g_others, best_others, iterations_others = _newton_polish(
+            terms, x[others], 30, 1e-8, 1e-10
+        )
+        assert g[others].tolist() == g_others.tolist()
+        assert best[others].tolist() == best_others.tolist()
+        assert iterations == iterations_others > 1
 
     def test_boundary_optimum_stops_before_the_cap(self, monkeypatch):
         # the pure state's optimum has eta = 1/2, where t runs to -infinity
