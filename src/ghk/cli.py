@@ -267,15 +267,21 @@ def _form_echo(sf: StandardForm) -> tuple[list[list[float]], list[float]]:
 
 
 def _matrix_report(text: str):
-    """(report, matrix, mean) of ``--matrix`` input; the matrix echoed is the
-    validated, symmetrised one."""
-    from .discord import correlation_report
-    from .symplectic import _two_mode_entries
+    """(report, matrix, mean) of ``--matrix`` input, as ``correlation_report``
+    gives the report, from one read of the matrix: the matrix echoed is the
+    validated, symmetrised one that is reduced. Its checks come first, then
+    the mean's, then the decision."""
+    from .symplectic import _finite_vector, _reduce_entries, _two_mode_entries
 
     matrix, mean = _parse_matrix(text)
-    entries = _two_mode_entries(matrix, active_profile().sym_atol)
-    rows = [entries[i : i + 4] for i in range(0, 16, 4)]
-    return correlation_report(matrix, mean), rows, mean
+    profile = active_profile()
+    entries = _two_mode_entries(matrix, profile.sym_atol)
+    _finite_vector(mean, 4, "mean")
+    sf, _ = _reduce_entries(entries, profile.phys_tol)
+    a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = entries
+    rows = [[a00, a01, c00, c01], [a01, a11, c10, c11]]
+    rows += [[c00, c10, b00, b01], [c01, c11, b01, b11]]
+    return _form_report(sf, profile.phys_tol), rows, mean
 
 
 def cmd_report(args) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (
     InvalidParamsError,
@@ -70,22 +71,22 @@ class ProductStateParams:
     r2: float
     phi1: float = 0.0
     phi2: float = 0.0
-    # validated into a read-only array
+    # validated into a read-only array; the default into one shared array
     mean: np.ndarray = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
         self._validate(active_profile().phys_tol)
 
     def _validate(self, tol: float) -> None:
-        import numpy as np
-
         scalars = (self.eta1, self.eta2, self.r1, self.r2, self.phi1, self.phi2)
         if not all(map(math.isfinite, scalars)):
             raise InvalidParamsError("product-state parameters must be finite")
         if min(self.eta1, self.eta2) < 0.5 - tol:
             raise NotPhysicalError("one-mode symplectic eigenvalues must be >= 1/2")
-        mean = np.array(_finite_vector(self.mean, 4, "mean"))
-        mean.flags.writeable = False
+        if self.mean is ProductStateParams.mean:
+            mean = _default_mean()
+        else:
+            mean = _read_only_mean(self.mean)
         object.__setattr__(self, "mean", mean)
 
     def cm(self) -> np.ndarray:
@@ -100,6 +101,22 @@ class ProductStateParams:
         from .states import GaussianState
 
         return GaussianState(self.mean, self.cm())
+
+
+def _read_only_mean(value) -> np.ndarray:
+    """The mean ``value`` as checked by ``_finite_vector``, in a read-only array."""
+    import numpy as np
+
+    mean = np.array(_finite_vector(value, 4, "mean"))
+    mean.flags.writeable = False
+    return mean
+
+
+@cache
+def _default_mean() -> np.ndarray:
+    """The default mean, validated once into one read-only array that every
+    ``ProductStateParams`` built with it shares."""
+    return _read_only_mean(ProductStateParams.mean)
 
 
 def _product_params(tol: float, **fields) -> ProductStateParams:
@@ -329,6 +346,7 @@ def entanglement_of_formation_symmetric(b: float, c: float) -> float:
 def correlation_report(V, mean=None) -> CorrelationReport:
     """Aggregate every measure for one state.
 
+    The tolerance profile is read once, for the reduction and the measures.
     ``V`` is a covariance matrix, reduced once by ``standard_form``, which
     decides it (a float certificate, else an exact decision on integers),
     or a ``StandardForm``, used as it is and decided by the gate on its
@@ -344,6 +362,7 @@ def correlation_report(V, mean=None) -> CorrelationReport:
     """
     if mean is not None:
         _finite_vector(mean, 4, "mean")
-    tol = active_profile().phys_tol
-    return _form_report(V if isinstance(V, StandardForm) else standard_form(V), tol)
+    profile = active_profile()
+    sf = V if isinstance(V, StandardForm) else standard_form(V, _profile=profile)
+    return _form_report(sf, profile.phys_tol)
 

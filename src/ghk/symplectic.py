@@ -17,9 +17,10 @@ root from the exact invariants of its one decision, with no LAPACK call.
 
 The two-mode reduction (``_reduce``) runs on Python floats and loads no
 numpy: a 4x4 matrix given as nested sequences, an array or a
-``CovarianceMatrix`` is validated and symmetrised on its 16 entries,
-decided physical once, and reduced to a form that carries what every
-measure reads. So do importing this module, ``standard_form`` and
+``CovarianceMatrix`` is read once (``_two_mode_entries``: a plain float64
+array by one ``tolist()``), checked on its 16 entries and symmetrised on
+its ten distinct ones, decided physical once, and reduced to a form that
+carries what every measure reads. So do importing this module, ``standard_form`` and
 ``square_root_standard_form``; numpy is imported by the functions that
 build or read arrays (``CovarianceMatrix``, the n-mode spectra,
 Williamson, the square-root matrix and the frame of
@@ -151,22 +152,20 @@ def _transposed(size: int) -> itemgetter:
 _REALS = frozenset({float, int, bool})
 
 
-def _real_rows(value) -> list[float] | None:
-    """The 16 row-major entries of ``value`` as Python floats when it is 4
-    rows of 4 entries of the ``_REALS`` types, else None. An array, or
-    anything else with ``tolist``, is read through ``tolist``."""
+def _real_rows(value) -> list[list[float]] | None:
+    """The 4 rows of ``value`` as lists of Python floats when it is 4 rows of
+    4 entries of the ``_REALS`` types, else None. An array, or anything else
+    with ``tolist``, is read through ``tolist``."""
     rows = value.tolist() if hasattr(value, "tolist") else value
     if not (isinstance(rows, (list, tuple)) and len(rows) == 4):
         return None
-    entries = []
     for row in rows:
         if not (isinstance(row, (list, tuple)) and len(row) == 4):
             return None
-        entries += row
-    if not _REALS.issuperset(map(type, entries)):
-        return None
+        if not _REALS.issuperset(map(type, row)):
+            return None
     try:
-        return list(map(float, entries))
+        return [list(map(float, row)) for row in rows]
     except OverflowError:  # an int past the float range
         return None
 
@@ -196,26 +195,70 @@ def _finite_vector(value, length: int, name: str) -> list[float]:
     return values
 
 
-def _two_mode_entries(V, sym_atol: float) -> list[float]:
-    """The 16 row-major entries of the two-mode covariance matrix ``V`` as
+def _two_mode_entries(V, sym_atol: float) -> tuple[float, ...]:
+    """The ten distinct entries (a00, a01, a11, b00, b01, b11, c00, c01, c10,
+    c11) of the two-mode covariance matrix ``V`` = [[A, C], [C^T, B]] as
     Python floats, validated and symmetrised as by the ``CovarianceMatrix``
-    constructor; a ``CovarianceMatrix`` is taken as it is.
+    constructor: the one reader of a two-mode matrix.
 
-    4 rows of 4 real numbers (``_real_rows``) are checked and symmetrised on
-    their floats (``_symmetrised_entries``). Any other input goes to
-    ``_symmetrised``, which reads it with numpy and raises its errors; a
-    valid matrix of another size is not a two-mode matrix.
+    A plain ``numpy.ndarray`` (that exact type, not a subclass such as
+    ``np.matrix`` or a masked array) of float64, in either byte order and
+    with any strides, and of shape (4, 4) is read by one ``tolist()``, with
+    no check per entry. 4 rows of 4 real numbers (``_real_rows``), such as
+    nested lists or an ``np.matrix``, are read as floats. Either is checked
+    finite on all 16 entries; then its asymmetry is taken over the six
+    off-diagonal pairs, and only the ten distinct entries are symmetrised,
+    as (x + y) * 0.5: bit for bit the entries, errors and messages of
+    ``_symmetrised_entries``, in its order. A ``CovarianceMatrix`` is taken
+    as it is. Any other input (another dtype, a masked array, entries of
+    other types) goes to ``_symmetrised``, which reads it with numpy and
+    raises its errors; a valid matrix of another size is not a two-mode
+    matrix.
     """
-    if isinstance(V, CovarianceMatrix):
-        matrix = V.matrix
-    else:
-        entries = _real_rows(V)
-        if entries is not None:
-            return _symmetrised_entries(entries, 4, sym_atol)
-        matrix = _symmetrised(V, sym_atol)
+    kind = type(V)
+    # numpy.ndarray itself, told apart without loading numpy; "d" is float64
+    if (
+        (kind.__module__, kind.__qualname__) == ("numpy", "ndarray")
+        and V.dtype.char == "d"
+        and V.shape == (4, 4)
+    ):
+        rows = V.tolist()
+    elif isinstance(V, CovarianceMatrix):
+        return _picked(V.matrix)
+    elif (rows := _real_rows(V)) is None:
+        return _picked(_symmetrised(V, sym_atol))
+    (
+        (v00, v01, v02, v03), (v10, v11, v12, v13),
+        (v20, v21, v22, v23), (v30, v31, v32, v33),
+    ) = rows
+    if not all(map(math.isfinite, (
+        v00, v01, v02, v03, v10, v11, v12, v13, v20, v21, v22, v23, v30, v31, v32, v33
+    ))):
+        raise InvalidParamsError("covariance matrix entries must be finite")
+    asym = max(
+        abs(v01 - v10), abs(v02 - v20), abs(v03 - v30),
+        abs(v12 - v21), abs(v13 - v31), abs(v23 - v32),
+    )
+    if asym > sym_atol:
+        raise NonSymmetricError(
+            f"covariance matrix asymmetry {asym:.3e} exceeds tolerance"
+        )
+    entries = (
+        (v00 + v00) * 0.5, (v01 + v10) * 0.5, (v11 + v11) * 0.5,
+        (v22 + v22) * 0.5, (v23 + v32) * 0.5, (v33 + v33) * 0.5,
+        (v02 + v20) * 0.5, (v03 + v30) * 0.5, (v12 + v21) * 0.5, (v13 + v31) * 0.5,
+    )
+    if not all(map(math.isfinite, entries)):
+        raise InvalidParamsError("covariance matrix entries overflow when symmetrised")
+    return entries
+
+
+def _picked(matrix: np.ndarray) -> tuple[float, ...]:
+    """The ten distinct entries of a validated, symmetrised two-mode matrix
+    (``_TWO_MODE_ENTRIES``); DimensionMismatchError for another size."""
     if matrix.shape[0] != 4:
         raise DimensionMismatchError("standard form is defined for two modes")
-    return matrix.ravel().tolist()
+    return _TWO_MODE_ENTRIES(matrix.ravel().tolist())
 
 
 def as_covariance(value) -> CovarianceMatrix:
@@ -227,7 +270,8 @@ def as_covariance(value) -> CovarianceMatrix:
 
 # Physicality of a 4x4 matrix is decided on its ten distinct entries
 # (a00, a01, a11, b00, b01, b11, c00, c01, c10, c11), V = [[A, C], [C^T, B]],
-# which _TWO_MODE_ENTRIES picks from its row-major entries:
+# which _two_mode_entries reads and _TWO_MODE_ENTRIES picks from the row-major
+# entries of a symmetric matrix:
 # V is positive definite iff its leading minors a00, det A, the 3x3 minor and
 # det V are positive (Sylvester), and then kappa2 >= t iff
 # t^4 - Delta t^2 + det V >= 0 and 2 t^2 <= Delta, with
@@ -587,8 +631,20 @@ def _reduce(
     """The one reduction of a two-mode CM to standard form.
 
     Runs under ``profile``, the tolerance profile its caller read, on the
-    entries of ``V`` taken once as Python floats and validated as the
-    ``CovarianceMatrix`` constructor validates (``_two_mode_entries``).
+    ten distinct entries of ``V`` read once by ``_two_mode_entries`` (one
+    ``tolist()`` of a plain float64 4x4 array, or the floats of 4 rows of 4
+    real numbers, else numpy's reading) and validated as the
+    ``CovarianceMatrix`` constructor validates; see ``_reduce_entries``.
+    """
+    return _reduce_entries(_two_mode_entries(V, profile.sym_atol), profile.phys_tol)
+
+
+def _reduce_entries(
+    entries: tuple[float, ...], tol: float
+) -> tuple[StandardForm, tuple[float, ...]]:
+    """The reduction of the two-mode matrix of the ten validated, symmetrised
+    ``entries`` of ``_two_mode_entries`` under the phys_tol ``tol``.
+
     Physicality is decided here, once for every measure: positive
     definiteness and kappa2 >= 1/2 - phys_tol, proved by
     ``_certified_physical``, else decided by ``_exactly_physical``. The
@@ -599,8 +655,6 @@ def _reduce(
     the form and the parts (n00, n01, n11, o00, o01, o11, e, f, g, h) of its
     local frame; see ``reduce_to_standard_form``.
     """
-    tol = profile.phys_tol
-    entries = _TWO_MODE_ENTRIES(_two_mode_entries(V, profile.sym_atol))
     a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = entries
     dets = _determinants(*entries)
     (det_a, ea), (det_b, eb), record = (dets[0], 0), (dets[1], 0), None
@@ -629,7 +683,7 @@ def _reduce(
     return sf, (n00, n01, n11, o00, o01, o11, e, f, g, h)
 
 
-def standard_form(V) -> StandardForm:
+def standard_form(V, *, _profile: ToleranceProfile | None = None) -> StandardForm:
     """Reduce a physical two-mode CM to its standard-form parameters.
 
     b1 and b2 are the square roots of the diagonal-block determinants; c
@@ -641,9 +695,11 @@ def standard_form(V) -> StandardForm:
     unobservable in every correlation measure) and are emitted as 1. This
     is that reduction (``_reduce``: its one decision and one read of the
     tolerance profile) without the frame; it loads no numpy
-    where ``V`` is 4 rows of 4 real numbers.
+    where ``V`` is 4 rows of 4 real numbers. ``correlation_report`` hands
+    it the profile that it read as ``_profile``, so that a report reads the
+    profile once.
     """
-    return _reduce(V, active_profile())[0]
+    return _reduce(V, active_profile() if _profile is None else _profile)[0]
 
 
 def _framed_reduction(

@@ -141,6 +141,24 @@ class TestReport:
             assert second_doc[key] == first_doc[key]
         assert second_doc["input"]["matrix"] == first_doc["input"]["matrix"]
 
+    def test_matrix_asymmetric_within_tolerance_echoes_its_symmetrised_rows(self, capsys):
+        rows = [[1.5, 0.2, 0.6 + 4e-11, 0.0], [0.2, 1.2, 0.1, -0.4],
+                [0.6, 0.1, 1.3, 0.0], [0.0, -0.4, -3e-11, 1.1]]
+        code, out, _ = run_cli(capsys, "report", "--matrix", json.dumps({"input": {"matrix": rows}}))
+        assert code == 0
+        doc = json.loads(out)
+        symmetrised = ghk.CovarianceMatrix(np.array(rows)).matrix.tolist()
+        assert symmetrised != rows
+        assert doc["input"]["matrix"] == symmetrised
+        report = correlation_report(rows)
+        assert doc["report"]["hellinger_discord"] == report.hellinger_discord
+        assert doc["standard_form"]["c"] == report.standard_form.c
+        # the report of the symmetrised matrix, and of this document, print
+        # the same bytes
+        text = ";".join(",".join(map(repr, row)) for row in symmetrised)
+        assert run_cli(capsys, "report", "--matrix", text) == (0, out, "")
+        assert run_cli(capsys, "report", "--matrix", out) == (0, out, "")
+
     def test_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "cm.txt"
         path.write_text("1.5 0 0 0\n0 1.5 0 0\n0 0 0.7 0\n0 0 0 0.7\n")

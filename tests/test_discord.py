@@ -1,5 +1,6 @@
 """Closest product state, discord closed forms, entropic measures."""
 
+import dataclasses
 import itertools
 import math
 
@@ -176,6 +177,26 @@ class TestClosestProductState:
         mean = np.array([0.3, -1.0, 2.0, 0.1])
         closest = closest_product_state(tmsv_form(0.5).to_cm(), mean)
         np.testing.assert_allclose(closest.product_state().mean, mean)
+
+    def test_default_results_share_one_read_only_mean(self):
+        cm = sts_standard_form(StsParams(0.4, 2.5, 0.9)).to_cm()
+        first = closest_product_state(cm)
+        second = closest_product_state(tmsv_form(0.9).to_cm())
+        assert first.params.mean is second.params.mean
+        assert not first.params.mean.flags.writeable
+        assert first.params.mean.tolist() == [0.0] * 4
+        with pytest.raises(ValueError):
+            first.params.mean[0] = 1.0
+        # an explicit mean is checked into an array of its own
+        explicit = closest_product_state(cm, [0.0] * 4)
+        assert explicit.params.mean is not first.params.mean
+        assert explicit.params.mean.tolist() == [0.0] * 4
+        shifted = dataclasses.replace(first.params, mean=[1.0, 0.0, 0.0, 0.0])
+        assert shifted.mean.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert first.params.mean.tolist() == [0.0] * 4
+        state = first.product_state()
+        assert state.mean.tolist() == [0.0] * 4
+        np.testing.assert_array_equal(state.cm.matrix, explicit.product_state().cm.matrix)
 
     def test_matrix_is_checked_before_the_mean(self):
         bad_mean = np.zeros(3)

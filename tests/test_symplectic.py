@@ -836,6 +836,15 @@ def skewed(by: float) -> list[list[float]]:
     return m
 
 
+def signed_zeros_and_subnormals() -> list[list[float]]:
+    """PARITY_BASE with the subnormal pair 1e-310 at (0, 3) and (3, 0), and
+    -0.0 at (2, 3) against the smallest subnormal at (3, 2), whose mean
+    rounds to 0."""
+    m = with_entry(0, 3, 1e-310, mirror=True)
+    m[2][3], m[3][2] = -0.0, 5e-324
+    return m
+
+
 def np_matrix(rows) -> np.matrix:
     """``np.matrix(rows)``, without its deprecation warning."""
     with warnings.catch_warnings():
@@ -899,9 +908,18 @@ class TestFloatValidation:
              (InvalidParamsError, "covariance matrix entries must be finite")),
             (np.array(with_entry(2, 1, -math.inf)),
              (InvalidParamsError, "covariance matrix entries must be finite")),
+            (with_entry(3, 1, math.nan),
+             (InvalidParamsError, "covariance matrix entries must be finite")),
+            (np.array(with_entry(3, 1, math.nan)),
+             (InvalidParamsError, "covariance matrix entries must be finite")),
+            (with_entry(0, 1, 1.5e308, mirror=True),
+             (InvalidParamsError, "covariance matrix entries overflow when symmetrised")),
+            (np.array(with_entry(2, 3, -1.5e308, mirror=True)),
+             (InvalidParamsError, "covariance matrix entries overflow when symmetrised")),
         ],
         ids=["3x3", "4x5", "6x6", "6x6 array", "1-D", "empty", "empty array", "nan",
-             "inf", "-inf array"],
+             "inf", "-inf array", "nan in the lower triangle",
+             "nan in the lower triangle array", "pair overflows", "-pair overflows array"],
     )
     def test_invalid_input_raises_as_before(self, value, expected):
         for call in self.CALLS:
@@ -934,9 +952,16 @@ class TestFloatValidation:
             np.array(PARITY_BASE, dtype=object),
             np_matrix(PARITY_BASE),
             CovarianceMatrix(np.array(PARITY_BASE)),
+            np.array(skewed(3e-11), order="F"),
+            np.array(skewed(3e-11)).T,
+            np.repeat(np.repeat(np.array(skewed(3e-11)), 2, axis=0), 2, axis=1)[::2, ::2],
+            np.array(skewed(3e-11), dtype=">f8"),
+            np.array(signed_zeros_and_subnormals()),
+            np.ma.masked_array(PARITY_BASE, mask=np.arange(16).reshape(4, 4) == 2),
         ],
         ids=["numeric strings", "bool and int", "numpy scalars", "float32", "object array",
-             "np.matrix", "CovarianceMatrix"],
+             "np.matrix", "CovarianceMatrix", "Fortran order", "transposed view",
+             "strided view", "big-endian", "-0.0 and subnormals", "one masked entry"],
     )
     def test_other_entry_types_read_as_numpy_reads_them(self, value):
         as_float = as_covariance(value).matrix

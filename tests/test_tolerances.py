@@ -103,16 +103,15 @@ class TestProfileReads:
         return [0.5 * (framed + framed.T), in_family.copy()]
 
     def test_one_read_per_call_plus_one_per_reduction(self, environ):
-        # each call reads the profile once and hands it to its reduction,
-        # except a report, which reduces through standard_form and reads it
-        # once more for the phys_tol of its measures
+        # each call reads the profile once and hands it to its reduction; a
+        # report also takes the phys_tol of its measures from that one read
         reads = {
             standard_form: 1,
             reduce_to_standard_form: 1,
-            correlation_report: 2,
+            correlation_report: 1,
             closest_product_state: 1,
             max_affinity: 1,
-            hellinger_discord: 2,
+            hellinger_discord: 1,
         }
         for matrix in self.matrices():
             for call, expected in reads.items():
