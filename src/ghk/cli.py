@@ -9,9 +9,10 @@ Exit codes: 0 success, 1 verification breach, 2 invalid or unphysical input.
 
 ``sweep``, and ``report`` of family or standard-form input (--sts, --mts,
 --std-form), evaluate the float closed forms of ``ghk.forms``; ``report
---matrix`` reads the matrix and mean into Python floats and reduces it with
-the float route of ``ghk.symplectic``. None of them loads numpy, except to
-read a report document whose matrix or mean is not made of numbers.
+--matrix`` hands the matrix and mean, as text or JSON gives them, to the
+readers of ``ghk.symplectic`` and reduces in floats. None of them loads
+numpy, except to read a report document whose matrix or mean is not
+numbers.
 ``verify`` imports the numpy layer when it runs.
 """
 
@@ -164,29 +165,11 @@ def _parse_std_form(text: str) -> StandardForm:
     return StandardForm(*vals)
 
 
-def _float_lists(value) -> list:
-    """``value`` of a report document with each number a float: a list of
-    numbers, or a list of such lists of one length, as it is; anything else
-    as numpy reads it into floats, which raises ValueError or TypeError
-    where it cannot. Numbers are the entries of the ``_REALS`` types."""
-    from .symplectic import _REALS
-
-    if isinstance(value, list):
-        if _REALS.issuperset(map(type, value)):
-            return [float(x) for x in value]
-        if all(isinstance(row, list) for row in value) and len(set(map(len, value))) == 1:
-            if all(_REALS.issuperset(map(type, row)) for row in value):
-                return [[float(x) for x in row] for row in value]
-    import numpy as np
-
-    return np.array(value, dtype=float).tolist()
-
-
 def _parse_matrix(text: str):
     """Parse a 4x4 matrix from a path or inline text; JSON reports re-ingest.
 
-    Returns (matrix, mean) as lists of Python floats: the rows, and the
-    mean.
+    Returns (matrix, mean): the rows and the mean as Python floats from
+    text, or as a report document's JSON decodes them, unchecked.
     """
     path = Path(text)
     try:
@@ -198,11 +181,9 @@ def _parse_matrix(text: str):
     if content.startswith("{"):
         try:
             payload = json.loads(content)
-            matrix = _float_lists(payload["input"]["matrix"])
-            mean = _float_lists(payload["input"].get("mean", [0.0] * 4))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            return payload["input"]["matrix"], payload["input"].get("mean", [0.0] * 4)
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"could not read a report document: {exc}") from None
-        return matrix, mean
     rows = [r for r in content.replace(";", "\n").splitlines() if r.strip()]
     try:
         values = [
@@ -268,20 +249,23 @@ def _form_echo(sf: StandardForm) -> tuple[list[list[float]], list[float]]:
 
 def _matrix_report(text: str):
     """(report, matrix, mean) of ``--matrix`` input, as ``correlation_report``
-    gives the report, from one read of the matrix: the matrix echoed is the
-    validated, symmetrised one that is reduced. Its checks come first, then
-    the mean's, then the decision."""
-    from .symplectic import _finite_vector, _reduce_entries, _two_mode_entries
+    gives the report, from one read: the echo is the symmetrised matrix
+    that is reduced and the flat mean that is checked. The matrix's checks
+    come first, then the mean's (numpy's errors as ParseError), then the
+    decision."""
+    from .symplectic import _entry_rows, _finite_vector, _reduce_entries, _two_mode_entries
 
     matrix, mean = _parse_matrix(text)
     profile = active_profile()
-    entries = _two_mode_entries(matrix, profile.sym_atol)
-    _finite_vector(mean, 4, "mean")
+    try:
+        entries = _two_mode_entries(matrix, profile.sym_atol)
+        mean = _finite_vector(mean, 4, "mean")
+    except GhkError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"could not read a report document: {exc}") from None
     sf, _ = _reduce_entries(entries, profile.phys_tol)
-    a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = entries
-    rows = [[a00, a01, c00, c01], [a01, a11, c10, c11]]
-    rows += [[c00, c10, b00, b01], [c01, c11, b01, b11]]
-    return _form_report(sf, profile.phys_tol), rows, mean
+    return _form_report(sf, profile.phys_tol), _entry_rows(*entries), mean
 
 
 def cmd_report(args) -> int:

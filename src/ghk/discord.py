@@ -50,7 +50,7 @@ from .forms import (
     _form_record,
     _sts_form,
 )
-from .symplectic import _finite_vector, _framed_reduction, _reduce, standard_form
+from .symplectic import _fields_equal, _finite_vector, _framed_reduction, _reduce, standard_form
 from .tolerances import active_profile
 
 
@@ -63,6 +63,7 @@ class ProductStateParams:
     displacement. Mode j contributes the block
     eta [[cosh 2r + cos(phi) sinh 2r, sin(phi) sinh 2r],
          [sin(phi) sinh 2r, cosh 2r - cos(phi) sinh 2r]].
+    Two records are equal when their parameters and means are.
     """
 
     eta1: float
@@ -88,6 +89,8 @@ class ProductStateParams:
         else:
             mean = _read_only_mean(self.mean)
         object.__setattr__(self, "mean", mean)
+
+    __eq__ = _fields_equal
 
     def cm(self) -> np.ndarray:
         import numpy as np

@@ -28,6 +28,7 @@ from .forms import (
 )
 from .symplectic import (
     CovarianceMatrix,
+    _fields_equal,
     _finite_vector,
     as_covariance,
     is_physical,
@@ -45,7 +46,8 @@ class GaussianState:
     with ``is_physical``: the decision that ``square_root_cm`` takes, the
     exact two-mode one of every measure or for n != 2 the Williamson test,
     so the square root and the affinity of every state exist. Use
-    CovarianceMatrix directly to represent unphysical matrices.
+    CovarianceMatrix directly to represent unphysical matrices. Two states
+    are equal when their means and matrices are.
     """
 
     mean: np.ndarray
@@ -59,6 +61,8 @@ class GaussianState:
         mean.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cm", cov)
+
+    __eq__ = _fields_equal
 
     @property
     def n(self) -> int:

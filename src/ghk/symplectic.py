@@ -15,25 +15,23 @@ matrix routes: validation, spectra, square roots, Williamson and the
 reduction to standard form. A two-mode matrix takes its spectrum and square
 root from the exact invariants of its one decision, with no LAPACK call.
 
-The two-mode reduction (``_reduce``) runs on Python floats and loads no
-numpy: a 4x4 matrix given as nested sequences, an array or a
-``CovarianceMatrix`` is read once (``_two_mode_entries``: a plain float64
-array by one ``tolist()``), checked on its 16 entries and symmetrised on
-its ten distinct ones, decided physical once, and reduced to a form that
-carries what every measure reads. So do importing this module, ``standard_form`` and
-``square_root_standard_form``; numpy is imported by the functions that
-build or read arrays (``CovarianceMatrix``, the n-mode spectra,
-Williamson, the square-root matrix and the frame of
-``reduce_to_standard_form``), and by the validation of input that is not 4
-rows of 4 real numbers, which keeps numpy's reading of it and its errors.
+A matrix is validated by one reader per size. A 4x4 matrix, a
+``CovarianceMatrix`` of two modes included, goes through
+``_two_mode_entries``: a plain float64 array is read by one ``tolist()``,
+4 rows of 4 real numbers as floats, anything else by numpy; its ten
+distinct entries are checked, symmetrised, decided physical once and
+reduced (``_reduce``) in Python floats. A matrix of any other size is
+checked by numpy, on whole arrays, in ``_symmetrised``. Importing this
+module, ``standard_form`` and ``square_root_standard_form`` load no numpy,
+nor does a two-mode reduction of nested sequences or an array; the
+functions that build or read arrays do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from operator import itemgetter, mul, sub
+from operator import mul
 
 from .errors import (
     ConsistencyError,
@@ -77,15 +75,27 @@ def symplectic_form(n: int) -> np.ndarray:
     return j
 
 
+def _fields_equal(self, other) -> bool:
+    """``==`` of two instances of one dataclass whose fields may hold
+    arrays: an array field by ``numpy.array_equal``, any other by ``==``."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    import numpy as np
+
+    pairs = ((getattr(self, f), getattr(other, f)) for f in self.__dataclass_fields__)
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
+
+
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """A 2n x 2n real symmetric matrix of quadrature second moments.
 
     The constructor validates shape, finiteness and symmetry (within the
     active profile's tolerance), then stores the symmetrized, read-only
-    array. Positive definiteness and physicality are checked by the
-    operations that need them, so that deliberately unphysical matrices can
-    still be represented and interrogated.
+    array (``_symmetrised``). Positive definiteness and physicality are
+    checked by the operations that need them, so that deliberately
+    unphysical matrices can still be represented and interrogated. Two
+    matrices are equal when their arrays are.
     """
 
     matrix: np.ndarray
@@ -94,6 +104,8 @@ class CovarianceMatrix:
         matrix = _symmetrised(self.matrix, active_profile().sym_atol)
         object.__setattr__(self, "matrix", matrix)
 
+    __eq__ = _fields_equal
+
     @property
     def n(self) -> int:
         """Number of modes."""
@@ -101,49 +113,31 @@ class CovarianceMatrix:
 
 
 def _symmetrised(value, sym_atol: float) -> np.ndarray:
-    """The validated, symmetrised matrix of ``value``.
-
-    Checks shape, then the entries taken as Python floats
-    (``_symmetrised_entries``). Returns the read-only array (V + V^T) * 0.5.
-    """
+    """The read-only array (V + V^T) * 0.5 of ``value`` read as numpy reads
+    it, validated: a 4x4 matrix by ``_two_mode_entries``, any other size
+    here on whole arrays, with the same errors, messages and order (shape,
+    finite entries, asymmetry within ``sym_atol``, no overflow)."""
     import numpy as np
 
     m = np.asarray(value, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or not m.size:
-        raise DimensionMismatchError(
-            f"covariance matrix must be 2n x 2n, got shape {m.shape}"
-        )
-    entries = _symmetrised_entries(m.ravel().tolist(), m.shape[0], sym_atol)
-    matrix = np.array(entries).reshape(m.shape)
+    if m.shape == (4, 4):
+        matrix = np.array(_entry_rows(*_two_mode_entries(m, sym_atol)))
+    else:
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or not m.size:
+            raise DimensionMismatchError(
+                f"covariance matrix must be 2n x 2n, got shape {m.shape}"
+            )
+        if not np.isfinite(m).all():
+            raise InvalidParamsError("covariance matrix entries must be finite")
+        with np.errstate(over="ignore"):
+            asym = float(np.abs(m - m.T).max())
+            matrix = (m + m.T) * 0.5
+        if asym > sym_atol:
+            raise NonSymmetricError(f"covariance matrix asymmetry {asym:.3e} exceeds tolerance")
+        if not np.isfinite(matrix).all():
+            raise InvalidParamsError("covariance matrix entries overflow when symmetrised")
     matrix.flags.writeable = False
     return matrix
-
-
-def _symmetrised_entries(entries: list[float], size: int, sym_atol: float) -> list[float]:
-    """The row-major entries (v_ij + v_ji) * 0.5 of the ``size`` x ``size``
-    matrix V with these row-major entries, bit for bit numpy's
-    (V + V^T) * 0.5. Raises unless every entry is finite, no asymmetry
-    exceeds ``sym_atol`` and no symmetrised entry overflows, checked in
-    this order."""
-    if not all(map(math.isfinite, entries)):
-        raise InvalidParamsError("covariance matrix entries must be finite")
-    transposed = _transposed(size)(entries)
-    asym = max(map(abs, map(sub, entries, transposed)))
-    if asym > sym_atol:
-        raise NonSymmetricError(
-            f"covariance matrix asymmetry {asym:.3e} exceeds tolerance"
-        )
-    symmetrised = [(x + y) * 0.5 for x, y in zip(entries, transposed)]
-    if not all(map(math.isfinite, symmetrised)):
-        raise InvalidParamsError("covariance matrix entries overflow when symmetrised")
-    return symmetrised
-
-
-@cache
-def _transposed(size: int) -> itemgetter:
-    """Getter of the row-major entries of the transpose of a ``size`` x
-    ``size`` matrix, as a tuple."""
-    return itemgetter(*(j * size + i for i in range(size) for j in range(size)))
 
 
 # The Python types of the entries that the float route reads: float() gives
@@ -198,22 +192,18 @@ def _finite_vector(value, length: int, name: str) -> list[float]:
 def _two_mode_entries(V, sym_atol: float) -> tuple[float, ...]:
     """The ten distinct entries (a00, a01, a11, b00, b01, b11, c00, c01, c10,
     c11) of the two-mode covariance matrix ``V`` = [[A, C], [C^T, B]] as
-    Python floats, validated and symmetrised as by the ``CovarianceMatrix``
-    constructor: the one reader of a two-mode matrix.
+    Python floats, validated and symmetrised: the one validator of a 4x4
+    matrix, the ``CovarianceMatrix`` constructor's included.
 
-    A plain ``numpy.ndarray`` (that exact type, not a subclass such as
-    ``np.matrix`` or a masked array) of float64, in either byte order and
-    with any strides, and of shape (4, 4) is read by one ``tolist()``, with
-    no check per entry. 4 rows of 4 real numbers (``_real_rows``), such as
-    nested lists or an ``np.matrix``, are read as floats. Either is checked
-    finite on all 16 entries; then its asymmetry is taken over the six
-    off-diagonal pairs, and only the ten distinct entries are symmetrised,
-    as (x + y) * 0.5: bit for bit the entries, errors and messages of
-    ``_symmetrised_entries``, in its order. A ``CovarianceMatrix`` is taken
-    as it is. Any other input (another dtype, a masked array, entries of
-    other types) goes to ``_symmetrised``, which reads it with numpy and
-    raises its errors; a valid matrix of another size is not a two-mode
-    matrix.
+    A plain ``numpy.ndarray`` (that exact type, not a subclass) of float64
+    and shape (4, 4), in either byte order and with any strides, is read by
+    one ``tolist()``; 4 rows of 4 real numbers (``_real_rows``) as floats;
+    a ``CovarianceMatrix`` through its array; any other input by
+    ``numpy.asarray(V, dtype=float)``, which raises numpy's errors. The 16
+    entries must be finite, the six off-diagonal pairs within ``sym_atol``
+    of symmetric, and the ten symmetrised entries (x + y) * 0.5, bit for bit
+    numpy's (V + V^T) * 0.5, finite. Any other size raises the errors of
+    ``_symmetrised``, or DimensionMismatchError where it is valid.
     """
     kind = type(V)
     # numpy.ndarray itself, told apart without loading numpy; "d" is float64
@@ -224,9 +214,15 @@ def _two_mode_entries(V, sym_atol: float) -> tuple[float, ...]:
     ):
         rows = V.tolist()
     elif isinstance(V, CovarianceMatrix):
-        return _picked(V.matrix)
+        return _two_mode_entries(V.matrix, sym_atol)
     elif (rows := _real_rows(V)) is None:
-        return _picked(_symmetrised(V, sym_atol))
+        import numpy as np
+
+        m = np.asarray(V, dtype=float)
+        if m.shape != (4, 4):
+            _symmetrised(m, sym_atol)
+            raise DimensionMismatchError("standard form is defined for two modes")
+        rows = m.tolist()
     (
         (v00, v01, v02, v03), (v10, v11, v12, v13),
         (v20, v21, v22, v23), (v30, v31, v32, v33),
@@ -253,12 +249,13 @@ def _two_mode_entries(V, sym_atol: float) -> tuple[float, ...]:
     return entries
 
 
-def _picked(matrix: np.ndarray) -> tuple[float, ...]:
-    """The ten distinct entries of a validated, symmetrised two-mode matrix
-    (``_TWO_MODE_ENTRIES``); DimensionMismatchError for another size."""
-    if matrix.shape[0] != 4:
-        raise DimensionMismatchError("standard form is defined for two modes")
-    return _TWO_MODE_ENTRIES(matrix.ravel().tolist())
+def _entry_rows(a00, a01, a11, b00, b01, b11, c00, c01, c10, c11) -> list[list]:
+    """The rows of the symmetric V = [[A, C], [C^T, B]] with the ten
+    distinct entries of ``_two_mode_entries``, of any number type."""
+    return [
+        [a00, a01, c00, c01], [a01, a11, c10, c11],
+        [c00, c10, b00, b01], [c01, c11, b01, b11],
+    ]
 
 
 def as_covariance(value) -> CovarianceMatrix:
@@ -270,8 +267,7 @@ def as_covariance(value) -> CovarianceMatrix:
 
 # Physicality of a 4x4 matrix is decided on its ten distinct entries
 # (a00, a01, a11, b00, b01, b11, c00, c01, c10, c11), V = [[A, C], [C^T, B]],
-# which _two_mode_entries reads and _TWO_MODE_ENTRIES picks from the row-major
-# entries of a symmetric matrix:
+# which _two_mode_entries reads:
 # V is positive definite iff its leading minors a00, det A, the 3x3 minor and
 # det V are positive (Sylvester), and then kappa2 >= t iff
 # t^4 - Delta t^2 + det V >= 0 and 2 t^2 <= Delta, with
@@ -296,7 +292,6 @@ def as_covariance(value) -> CovarianceMatrix:
 # det(C)^2 + det V = b1 b2 (gc + gd): no gap, Delta or discriminant factor
 # of the reduced form then cancels by more than about 2^17. Every other
 # matrix takes b_j and its record from the exact decision.
-_TWO_MODE_ENTRIES = itemgetter(0, 1, 5, 10, 11, 15, 2, 3, 6, 7)
 _UNIT_ROUNDOFF = 2.0**-53
 _EXPANSION_ROUNDING = 32 * _UNIT_ROUNDOFF
 _DET_MARGIN = 2.0**32 * _EXPANSION_ROUNDING
@@ -405,14 +400,8 @@ def _exactly_physical(entries: tuple[float, ...], tol: float) -> tuple | None:
     if exact is None:
         return None
     scale, _, (det_a, det_b, det_c, _, det_v) = exact
-    num, den = (0.5 - tol).as_integer_ratio()
-    # t^2 and Delta, both times (scale den)^2
-    t2 = (num * scale) ** 2
     delta = det_a + det_b + 2 * det_c
-    if not (
-        t2 * t2 - delta * den * den * t2 + det_v * den**4 >= 0
-        and 2 * t2 <= delta * den * den
-    ):
+    if not _kappas_at_least(*(0.5 - tol).as_integer_ratio(), scale, delta, det_v)[1]:
         return None
     sq = scale * scale
     (a, ea), (b, eb) = _quarter(det_a, sq), _quarter(det_b, sq)
@@ -425,6 +414,21 @@ def _exactly_physical(entries: tuple[float, ...], tol: float) -> tuple | None:
     spectrum = _int_spectrum(delta, det_v, sq)
     pt = _int_spectrum(delta - 4 * det_c, det_v, sq)
     return (a, ea), (b, eb), (spectrum, pt, (*spectrum, rho), h, "decided"), exact
+
+
+def _kappas_at_least(
+    num: int, den: int, scale: int, delta: int, det_v: int
+) -> tuple[bool, bool]:
+    """(kappa1 >= t, kappa2 >= t) for t = ``num`` / ``den``, decided exactly
+    on Delta = ``delta`` / ``scale``^2 and det V = ``det_v`` / ``scale``^4
+    (the integers of ``_exact_determinants``): kappa1^2 >= kappa2^2 are the
+    roots of f(x) = x^2 - Delta x + det V, so kappa2 >= t iff f(t^2) >= 0
+    and 2 t^2 <= Delta, and kappa1 >= t iff f(t^2) <= 0 or 2 t^2 <= Delta."""
+    # t^2 and Delta, both times (scale den)^2
+    t2, delta = (num * scale) ** 2, delta * den * den
+    f = t2 * t2 - delta * t2 + det_v * den**4
+    left = 2 * t2 <= delta
+    return f <= 0 or left, f >= 0 and left
 
 
 def _exact_determinants(entries: tuple[float, ...]) -> tuple | None:
@@ -469,7 +473,7 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     cov = as_covariance(V)
     if cov.n != 2:
         return williamson(cov)[0]
-    exact = _exact_determinants(_TWO_MODE_ENTRIES(cov.matrix.ravel().tolist()))
+    exact = _exact_determinants(_two_mode_entries(cov, 0.0))  # cov is symmetric
     if exact is None:
         raise NotPositiveDefiniteError("covariance matrix is not positive definite")
     scale, _, (det_a, det_b, det_c, _, det_v) = exact
@@ -546,21 +550,26 @@ def square_root_cm(V) -> CovarianceMatrix:
 def _two_mode_root(cov: CovarianceMatrix) -> CovarianceMatrix:
     """Vt = a V + b W, W = V J V J V, on the decision and spectrum of
     ``_exactly_physical`` (NotPhysicalError exactly where ``is_physical`` is
-    False), with no LAPACK call. README.md derives a, b and the sum
+    False), with no LAPACK call; mode j is pure unless kappa_j >= 1/2 +
+    phys_tol exactly. README.md derives a, b and the sum
     (a - b/4) V + b det V (W + V/4) / det V, which does not cancel."""
     tol = active_profile().phys_tol
-    decided = _exactly_physical(_TWO_MODE_ENTRIES(cov.matrix.ravel().tolist()), tol)
+    decided = _exactly_physical(_two_mode_entries(cov, 0.0), tol)  # cov is symmetric
     if decided is None:
         raise NotPhysicalError("covariance matrix is not a physical state")
-    ((k1, k2), *_), (scale, ints, (*_, det_v)) = decided[2:]
-    s1, s2 = (_radical(k - 0.5, tol) / k for k in (k1, k2))
+    ((k1, k2), *_), (scale, ints, (det_a, det_b, det_c, _, det_v)) = decided[2:]
+    # the pure-mode cut on the decision's integers; a spectrum degenerate in
+    # floats takes one cut, since b of one pure mode divides by k2 - k1
+    tn, td = tol.as_integer_ratio()
+    mixed = _kappas_at_least(2 * tn + td, 2 * td, scale, det_a + det_b + 2 * det_c, det_v)
+    if k1 == k2:
+        mixed = mixed[:1] * 2
+    s1, s2 = (_radical(k - 0.5, 0.0) / k if m else 0.0 for k, m in zip((k1, k2), mixed))
     out = cov
     if s1:  # the coefficients b det V and a - b/4 = 1 + s1 + b (kappa1^2 - 1/4)
         bd = -0.25 / (s1 + s2) if s2 else s1 * k1 / (k2 - k1) * k1 / (k1 + k2) * k2 * k2
         a4 = 1.0 + s1 + bd * (s1 / k2) * (s1 / k2)
-        a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = ints
-        rows = [[a00, a01, c00, c01], [a01, a11, c10, c11]]
-        rows += [[c00, c10, b00, b01], [c01, c11, b01, b11]]
+        rows = _entry_rows(*ints)
         vj = [[-r[1], r[0], -r[3], r[2]] for r in rows]
         vjv = [[sum(map(mul, r, c)) for c in zip(*rows)] for r in vj]
         w = [[sum(map(mul, r, c)) for c in zip(*vjv)] for r in vj]
@@ -631,10 +640,8 @@ def _reduce(
     """The one reduction of a two-mode CM to standard form.
 
     Runs under ``profile``, the tolerance profile its caller read, on the
-    ten distinct entries of ``V`` read once by ``_two_mode_entries`` (one
-    ``tolist()`` of a plain float64 4x4 array, or the floats of 4 rows of 4
-    real numbers, else numpy's reading) and validated as the
-    ``CovarianceMatrix`` constructor validates; see ``_reduce_entries``.
+    ten entries of ``V`` that ``_two_mode_entries`` reads and validates;
+    see ``_reduce_entries``.
     """
     return _reduce_entries(_two_mode_entries(V, profile.sym_atol), profile.phys_tol)
 

@@ -318,7 +318,7 @@ class TestLayering:
 
     def test_the_two_mode_reduction_imports_only_the_core(self):
         assert imports_on_load(SRC / "symplectic.py") == {
-            "__future__", "math", "dataclasses", "functools", "operator",
+            "__future__", "math", "dataclasses", "operator",
             "ghk.errors", "ghk.forms", "ghk.tolerances",
         }
 

@@ -125,7 +125,7 @@ class TestReport:
 
     def test_report_document_read_as_numpy_reads_it(self, capsys):
         # numbers written as strings, and a mean as a 2x2 list, which numpy
-        # reads and the report flattens
+        # reads and the report flattens, and echoes flat
         rows = [[1.5, 0.2, 0.6, 0.0], [0.2, 1.2, 0.1, -0.4],
                 [0.6, 0.1, 1.3, 0.0], [0.0, -0.4, 0.0, 1.1]]
         plain = {"input": {"matrix": rows}}
@@ -136,10 +136,32 @@ class TestReport:
         code, second, _ = run_cli(capsys, "report", "--matrix", json.dumps(spelled))
         assert code == 0
         first_doc, second_doc = json.loads(first), json.loads(second)
-        assert second_doc["input"]["mean"] == [[0.0, 1.0], [2.0, 3.0]]
+        assert second_doc["input"]["mean"] == [0.0, 1.0, 2.0, 3.0]
         for key in ("report", "standard_form"):
             assert second_doc[key] == first_doc[key]
         assert second_doc["input"]["matrix"] == first_doc["input"]["matrix"]
+
+    def test_a_nested_mean_echoes_flat_and_round_trips(self, capsys):
+        # the echo is the mean that was checked: its 4 entries, flat; a
+        # document read back prints itself
+        rows = StandardForm(1.5, 1.2, 0.3, -0.2).matrix_rows()
+        document = {"input": {"matrix": rows, "mean": [[0, 1], [2, 3]]}}
+        code, first, _ = run_cli(capsys, "report", "--matrix", json.dumps(document))
+        assert code == 0
+        assert json.loads(first)["input"]["mean"] == [0.0, 1.0, 2.0, 3.0]
+        code, second, _ = run_cli(capsys, "report", "--matrix", first)
+        assert code == 0
+        assert second == first
+
+    def test_a_report_document_of_integers_past_the_float_range_exits_2(self, capsys):
+        huge = 10**400
+        for document in (
+            {"input": {"matrix": [[huge, 0, 0, 0]] + EYE4[1:]}},
+            {"input": {"matrix": EYE4, "mean": [huge, 0, 0, 0]}},
+        ):
+            code, out, err = run_cli(capsys, "report", "--matrix", json.dumps(document))
+            assert (code, out) == (2, "")
+            assert err == "error: could not read a report document: int too large to convert to float\n"
 
     def test_matrix_asymmetric_within_tolerance_echoes_its_symmetrised_rows(self, capsys):
         rows = [[1.5, 0.2, 0.6 + 4e-11, 0.0], [0.2, 1.2, 0.1, -0.4],

@@ -11,6 +11,7 @@ from family_reference import family_reference
 
 from ghk import (
     CorrelationReport,
+    CovarianceMatrix,
     DimensionMismatchError,
     GhkError,
     GaussianState,
@@ -197,6 +198,33 @@ class TestClosestProductState:
         state = first.product_state()
         assert state.mean.tolist() == [0.0] * 4
         np.testing.assert_array_equal(state.cm.matrix, explicit.product_state().cm.matrix)
+
+    def test_classes_that_hold_arrays_compare_by_value(self):
+        # distinct arrays of equal entries: == is a bool, and False where
+        # one entry, one parameter or one shape differs
+        cm = sts_standard_form(StsParams(0.4, 2.5, 0.9)).to_cm()
+        params = dict(eta1=1.2, eta2=0.9, r1=0.1, r2=-0.3, mean=[0, 0, 0, 0])
+        shifted = np.array([[0.0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1e-3]])
+        pairs = [
+            (lambda: CovarianceMatrix(np.eye(4)), lambda: CovarianceMatrix(np.eye(4) * 2),
+             lambda: CovarianceMatrix(np.eye(6))),
+            (lambda: GaussianState(np.zeros(4), cm.matrix.copy()),
+             lambda: GaussianState([0, 0, 0, 1.0], cm.matrix.copy()),
+             lambda: GaussianState(np.zeros(4), cm.matrix + shifted)),
+            (lambda: ProductStateParams(**params),
+             lambda: ProductStateParams(**{**params, "mean": [0, 0, 1, 0]}),
+             lambda: ProductStateParams(**{**params, "r2": 0.3})),
+            (lambda: closest_product_state(cm.matrix.copy(), [0, 0, 0, 0]),
+             lambda: closest_product_state(cm.matrix.copy(), [0, 1, 0, 0]),
+             lambda: closest_product_state(tmsv_form(0.9).to_cm().matrix.copy())),
+        ]
+        for make, *others in pairs:
+            first, second = make(), make()
+            assert first is not second
+            assert (first == second) is True and (first != second) is False
+            for other in others:
+                assert (first == other()) is False and (first != other()) is True
+            assert first != "not a state"
 
     def test_matrix_is_checked_before_the_mean(self):
         bad_mean = np.zeros(3)

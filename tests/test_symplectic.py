@@ -812,7 +812,7 @@ class TestPositiveDefiniteDecision:
         tol = PROFILES["default"].phys_tol
         for _ in range(256):
             m = in_random_frame(random_standard_form(rng), rng)
-            entries = symplectic._TWO_MODE_ENTRIES(m.ravel().tolist())
+            entries = symplectic._two_mode_entries(m, 0.0)
             dets = symplectic._determinants(*entries)
             assert symplectic._certified_physical(entries, dets, tol)
 
@@ -872,6 +872,43 @@ def parity_pool() -> list[np.ndarray]:
     return out
 
 
+# input that every two-mode function rejects, with the error and message
+# that numpy's reading and the one validator of its size give
+INVALID_INPUTS = [
+    ([row[:3] for row in PARITY_BASE[:3]],
+     (DimensionMismatchError, "covariance matrix must be 2n x 2n, got shape (3, 3)")),
+    ([row + [0.0] for row in PARITY_BASE],
+     (DimensionMismatchError, "covariance matrix must be 2n x 2n, got shape (4, 5)")),
+    (np.eye(6).tolist(),
+     (DimensionMismatchError, "standard form is defined for two modes")),
+    (np.eye(6), (DimensionMismatchError, "standard form is defined for two modes")),
+    (PARITY_BASE[0],
+     (DimensionMismatchError, "covariance matrix must be 2n x 2n, got shape (4,)")),
+    ([], (DimensionMismatchError, "covariance matrix must be 2n x 2n, got shape (0,)")),
+    (np.zeros((0, 0)),
+     (DimensionMismatchError, "covariance matrix must be 2n x 2n, got shape (0, 0)")),
+    (with_entry(1, 1, math.nan),
+     (InvalidParamsError, "covariance matrix entries must be finite")),
+    (with_entry(0, 3, math.inf, mirror=True),
+     (InvalidParamsError, "covariance matrix entries must be finite")),
+    (np.array(with_entry(2, 1, -math.inf)),
+     (InvalidParamsError, "covariance matrix entries must be finite")),
+    (with_entry(3, 1, math.nan),
+     (InvalidParamsError, "covariance matrix entries must be finite")),
+    (np.array(with_entry(3, 1, math.nan)),
+     (InvalidParamsError, "covariance matrix entries must be finite")),
+    (with_entry(0, 1, 1.5e308, mirror=True),
+     (InvalidParamsError, "covariance matrix entries overflow when symmetrised")),
+    (np.array(with_entry(2, 3, -1.5e308, mirror=True)),
+     (InvalidParamsError, "covariance matrix entries overflow when symmetrised")),
+]
+INVALID_IDS = [
+    "3x3", "4x5", "6x6", "6x6 array", "1-D", "empty", "empty array", "nan", "inf",
+    "-inf array", "nan in the lower triangle", "nan in the lower triangle array",
+    "pair overflows", "-pair overflows array",
+]
+
+
 class TestFloatValidation:
     """The two-mode functions read 4 rows of 4 real numbers as Python floats
     and leave every other input to numpy: each input raises the exception
@@ -887,43 +924,47 @@ class TestFloatValidation:
         except Exception as exc:
             return type(exc), str(exc)
 
-    @pytest.mark.parametrize(
-        "value, expected",
-        [
-            ([row[:3] for row in PARITY_BASE[:3]],
-             (DimensionMismatchError, "covariance matrix must be 2n x 2n, got shape (3, 3)")),
-            ([row + [0.0] for row in PARITY_BASE],
-             (DimensionMismatchError, "covariance matrix must be 2n x 2n, got shape (4, 5)")),
-            (np.eye(6).tolist(),
-             (DimensionMismatchError, "standard form is defined for two modes")),
-            (np.eye(6), (DimensionMismatchError, "standard form is defined for two modes")),
-            (PARITY_BASE[0],
-             (DimensionMismatchError, "covariance matrix must be 2n x 2n, got shape (4,)")),
-            ([], (DimensionMismatchError, "covariance matrix must be 2n x 2n, got shape (0,)")),
-            (np.zeros((0, 0)),
-             (DimensionMismatchError, "covariance matrix must be 2n x 2n, got shape (0, 0)")),
-            (with_entry(1, 1, math.nan),
-             (InvalidParamsError, "covariance matrix entries must be finite")),
-            (with_entry(0, 3, math.inf, mirror=True),
-             (InvalidParamsError, "covariance matrix entries must be finite")),
-            (np.array(with_entry(2, 1, -math.inf)),
-             (InvalidParamsError, "covariance matrix entries must be finite")),
-            (with_entry(3, 1, math.nan),
-             (InvalidParamsError, "covariance matrix entries must be finite")),
-            (np.array(with_entry(3, 1, math.nan)),
-             (InvalidParamsError, "covariance matrix entries must be finite")),
-            (with_entry(0, 1, 1.5e308, mirror=True),
-             (InvalidParamsError, "covariance matrix entries overflow when symmetrised")),
-            (np.array(with_entry(2, 3, -1.5e308, mirror=True)),
-             (InvalidParamsError, "covariance matrix entries overflow when symmetrised")),
-        ],
-        ids=["3x3", "4x5", "6x6", "6x6 array", "1-D", "empty", "empty array", "nan",
-             "inf", "-inf array", "nan in the lower triangle",
-             "nan in the lower triangle array", "pair overflows", "-pair overflows array"],
-    )
+    @pytest.mark.parametrize("value, expected", INVALID_INPUTS, ids=INVALID_IDS)
     def test_invalid_input_raises_as_before(self, value, expected):
         for call in self.CALLS:
             assert self.outcome(call, value) == expected, call.__name__
+
+    @pytest.mark.parametrize("value, expected", INVALID_INPUTS, ids=INVALID_IDS)
+    def test_covariance_matrix_raises_as_the_two_mode_functions(self, value, expected):
+        # one validator per size: the constructor of a 4x4 matrix is the
+        # two-mode reader, and of any other size its numpy check
+        if expected[1] == "standard form is defined for two modes":
+            assert CovarianceMatrix(value).n == 3
+        else:
+            assert self.outcome(CovarianceMatrix, value) == expected
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("size", [6, 8])
+    def test_larger_matrices_raise_as_the_two_mode_reader(self, monkeypatch, profile, size):
+        monkeypatch.setenv(ENV_VAR, profile)
+        atol = PROFILES[profile].sym_atol
+        last = size - 1
+        at_limit = 0.5 * np.eye(size)
+        at_limit[1, last] = atol
+        cov = CovarianceMatrix(at_limit)
+        assert cov.matrix.tobytes() == ((at_limit + at_limit.T) * 0.5).tobytes()
+        past = at_limit.copy()
+        past[1, last] = np.nextafter(atol, 1.0)
+        nan = 0.5 * np.eye(size)
+        nan[last, 2] = math.nan
+        pair = 0.5 * np.eye(size)
+        pair[0, last] = pair[last, 0] = -1.5e308
+        cases = [
+            (past, (NonSymmetricError,
+                    f"covariance matrix asymmetry {past[1, last]:.3e} exceeds tolerance")),
+            (nan, (InvalidParamsError, "covariance matrix entries must be finite")),
+            (pair, (InvalidParamsError, "covariance matrix entries overflow when symmetrised")),
+        ]
+        for m, expected in cases:
+            for value in (m, m.tolist()):
+                assert self.outcome(CovarianceMatrix, value) == expected
+                for call in self.CALLS:
+                    assert self.outcome(call, value) == expected, call.__name__
 
     def test_ragged_input_raises_numpy_error(self):
         ragged = [PARITY_BASE[0], PARITY_BASE[1][:3], PARITY_BASE[2], PARITY_BASE[3]]
